@@ -41,13 +41,13 @@ module Counter_native = Universal.Direct.Counter (Pram.Native.Versioned)
 let ctx0 ~procs = Wfa.Ctx.make ~procs ~pid:0 ()
 
 let bench_scan ~procs =
-  let h = Scan_d.attach (Scan_d.create ~procs) (ctx0 ~procs) in
+  let h = Scan_d.attach (Scan_d.create ~variant:Wfa.Snapshot.Scan.Optimized ~procs) (ctx0 ~procs) in
   Test.make
     ~name:(Printf.sprintf "B1 scan op uncontended (n=%d)" procs)
     (Staged.stage (fun () -> ignore (Scan_d.scan h 1)))
 
 let bench_snapshot_array ~procs =
-  let h = Arr_d.attach (Arr_d.create ~procs) (ctx0 ~procs) in
+  let h = Arr_d.attach (Arr_d.create ~variant:Wfa.Snapshot.Scan.Optimized ~procs) (ctx0 ~procs) in
   let i = ref 0 in
   Test.make
     ~name:
@@ -70,7 +70,7 @@ let bench_direct_counter ~procs =
    a bounded history size (the unbounded-growth behaviour is E9's
    story). *)
 let bench_universal_counter ~procs ~window =
-  let t = ref (UC_d.attach (UC_d.create ~procs) (ctx0 ~procs)) in
+  let t = ref (UC_d.attach (UC_d.create ~procs ()) (ctx0 ~procs)) in
   let k = ref 0 in
   Test.make
     ~name:
@@ -79,7 +79,7 @@ let bench_universal_counter ~procs ~window =
     (Staged.stage (fun () ->
          incr k;
          if !k mod window = 0 then
-           t := UC_d.attach (UC_d.create ~procs) (ctx0 ~procs);
+           t := UC_d.attach (UC_d.create ~procs ()) (ctx0 ~procs);
          ignore (UC_d.execute !t (Spec.Counter_spec.Inc 1))))
 
 let bench_agreement ~procs =
@@ -212,7 +212,7 @@ let run_explore_table ~quick () =
   let scan_recorder = ref (Spec.History.Recorder.create ()) in
   let scan_program () =
     scan_recorder := Spec.History.Recorder.create ();
-    let t = Scan_sim.create ~procs:2 in
+    let t = Scan_sim.create ~variant:Wfa.Snapshot.Scan.Optimized ~procs:2 in
     fun pid ->
       let h = Scan_sim.attach t (Wfa.Ctx.make ~procs:2 ~pid ()) in
       if pid = 0 then begin

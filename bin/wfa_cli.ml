@@ -399,7 +399,7 @@ let explore_cmd =
         let recorder = ref (Spec.History.Recorder.create ()) in
         let program () =
           recorder := Spec.History.Recorder.create ();
-          let t = Arr.create ~procs:2 in
+          let t = Arr.create ~variant:Snapshot.Scan.Optimized ~procs:2 in
           fun pid ->
             let h = Arr.attach t (Runtime.Ctx.make ~procs:2 ~pid ()) in
             if pid = 0 then
@@ -666,25 +666,31 @@ let trace_cmd =
     Arg.(
       value
       & opt
-          (enum
-             [
-               ("plain", Snapshot.Scan.Plain);
-               ("optimized", Snapshot.Scan.Optimized);
-               ("adaptive", Snapshot.Scan.Adaptive);
-               ("lattice", Snapshot.Scan.Lattice);
-             ])
-          Snapshot.Scan.Optimized
+          (some
+             (enum
+                [
+                  ("plain", Snapshot.Scan.Plain);
+                  ("optimized", Snapshot.Scan.Optimized);
+                  ("adaptive", Snapshot.Scan.Adaptive);
+                  ("lattice", Snapshot.Scan.Lattice);
+                ]))
+          None
       & info [ "variant" ] ~docv:"V"
           ~doc:
-            "Scan workload only: the scan variant to trace — $(b,plain), \
-             $(b,optimized) (the default), $(b,adaptive), or $(b,lattice) \
+            "The scan variant the traced object is created with — \
+             $(b,plain), $(b,optimized), $(b,adaptive), or $(b,lattice) \
              (the classifier-tree scan; its descents show up as \
              classifier_descend telemetry and lattice-descend journal \
-             annotations).")
+             annotations).  Without it, the $(b,scan) workload traces \
+             $(b,optimized) and the $(b,counter) workload its anchor's \
+             default, $(b,adaptive).  The $(b,agreement) workload has no \
+             scan and rejects it.")
   in
   let run workload kind procs fmt out seed sched depth check variant =
     if procs <= 0 then `Error (false, "procs must be positive")
     else if depth < 1 then `Error (false, "depth must be at least 1")
+    else if workload = `Agreement && variant <> None then
+      `Error (true, "--variant does not apply to the agreement workload")
     else begin
       (* One workload program over any backend from the registry: the
          context carries the journal, so the same code paths are traced
@@ -699,11 +705,15 @@ let trace_cmd =
             let module S =
               Snapshot.Scan.Make (Semilattice.Int_max) (Pram.Memory.Versioned (M))
             in
-            let t = S.create ~procs in
+            let t =
+              S.create
+                ~variant:(Option.value variant ~default:Snapshot.Scan.Optimized)
+                ~procs
+            in
             fun pid ->
               let h = S.attach t (ctx pid) in
-              S.write_l ~variant h (pid + 1);
-              ignore (S.read_max ~variant h)
+              S.write_l h (pid + 1);
+              ignore (S.read_max h)
         | `Agreement ->
             let module AA = Agreement.Approx_agreement.Make (M) in
             let t = AA.create ~procs ~epsilon:0.05 in
@@ -717,7 +727,7 @@ let trace_cmd =
                 (Spec.Counter_spec)
                 (Pram.Memory.Versioned (M))
             in
-            let t = UC.create ~procs in
+            let t = UC.create ?variant ~procs () in
             fun pid ->
               let h = UC.attach t (ctx pid) in
               ignore (UC.execute h (Spec.Counter_spec.Inc 1));

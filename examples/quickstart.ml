@@ -81,7 +81,7 @@ let universal_demo () =
     Wfa.Universal.Construction.Make (Wfa.Spec.Counter_spec)
       (Wfa.Pram.Memory.Direct_v)
   in
-  let t = U.create ~procs:2 in
+  let t = U.create ~procs:2 () in
   let h0 = U.attach t (Wfa.Ctx.make ~procs:2 ~pid:0 ()) in
   let h1 = U.attach t (Wfa.Ctx.make ~procs:2 ~pid:1 ()) in
   let open Wfa.Spec.Counter_spec in

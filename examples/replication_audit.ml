@@ -23,7 +23,7 @@ type verdict = { false_alarms : int; observations : int }
 
 let run ~use_atomic ~rounds =
   let program () =
-    let snap = Snap.create ~procs:3 in
+    let snap = Snap.create ~variant:Wfa.Snapshot.Scan.Optimized ~procs:3 in
     let naive = Naive.create ~procs:3 in
     fun pid ->
       let ctx = Wfa.Ctx.make ~procs:3 ~pid () in

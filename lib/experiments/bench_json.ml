@@ -969,10 +969,10 @@ let variant_name = function
 let sim_scan_rows ~variant ~procs ~contended =
   let recorder = Metrics.Recorder.create ~procs in
   let program () =
-    let t = Scan_sim.create ~procs in
+    let t = Scan_sim.create ~variant ~procs in
     fun pid ->
       let h = Scan_sim.attach t (Runtime.Ctx.make ~procs ~pid ()) in
-      ignore (Scan_sim.scan ~variant h (pid + 1))
+      ignore (Scan_sim.scan h (pid + 1))
   in
   let d =
     Pram.Driver.create ~observer:(Metrics.Recorder.observer recorder) ~procs
@@ -1008,7 +1008,7 @@ let sim_universal_rows ~procs ~ops_per_proc =
   let recorder = Metrics.Recorder.create ~procs in
   let script = Workload.counter_script ~seed:11 ~ops_per_proc in
   let program () =
-    let t = UC_sim.create ~procs in
+    let t = UC_sim.create ~procs () in
     fun pid ->
       let h = UC_sim.attach t (Runtime.Ctx.make ~procs ~pid ()) in
       List.iter
@@ -1050,7 +1050,7 @@ module Sim_universal (O : Spec.Object_spec.S) = struct
     let recorder = Metrics.Recorder.create ~procs in
     let replays = Array.make procs 0 in
     let program () =
-      let t = U.create ~procs in
+      let t = U.create ~procs () in
       fun pid ->
         let h = U.attach ~mode t (Runtime.Ctx.make ~procs ~pid ()) in
         List.iter (fun op -> ignore (U.execute h op)) (script pid);
@@ -1270,7 +1270,7 @@ let scan_mk () =
   let recorder = ref (Spec.History.Recorder.create ()) in
   let program () =
     recorder := Spec.History.Recorder.create ();
-    let t = Scan_sim.create ~procs in
+    let t = Scan_sim.create ~variant:Snapshot.Scan.Optimized ~procs in
     fun pid ->
       let h = Scan_sim.attach t (Runtime.Ctx.make ~procs ~pid ()) in
       if pid = 0 then begin
@@ -1453,7 +1453,7 @@ module UG_native = Universal.Construction.Make (Spec.Gset_spec) (Pram.Native.Ver
    the op counts are sized to dominate it. *)
 let native_universal_counter_rows ~quick ~procs =
   let ops_per_proc = if quick then 120 else 600 in
-  let t = UC_native.create ~procs in
+  let t = UC_native.create ~procs () in
   let _, elapsed =
     Pram.Native.run_parallel_timed ~procs (fun pid ->
         let h = UC_native.attach t (Runtime.Ctx.make ~procs ~pid ()) in
@@ -1626,7 +1626,7 @@ let windowed_store_rows ~quick =
 
 let native_universal_gset_rows ~quick ~procs =
   let ops_per_proc = if quick then 100 else 400 in
-  let t = UG_native.create ~procs in
+  let t = UG_native.create ~procs () in
   let _, elapsed =
     Pram.Native.run_parallel_timed ~procs (fun pid ->
         let h = UG_native.attach t (Runtime.Ctx.make ~procs ~pid ()) in
@@ -1643,11 +1643,11 @@ let native_universal_gset_rows ~quick ~procs =
    traffic on the shared grid — which single-pid benches cannot see. *)
 let native_scan_variant_rows ~quick ~variant ~procs ~contended =
   let scans = if quick then 500 else 5_000 in
-  let t = Scan_native.create ~procs in
+  let t = Scan_native.create ~variant ~procs in
   let body pid () =
     let h = Scan_native.attach t (Runtime.Ctx.make ~procs ~pid ()) in
     for i = 1 to scans do
-      ignore (Scan_native.scan ~variant h i)
+      ignore (Scan_native.scan h i)
     done
   in
   let domains = if contended then procs else 1 in
@@ -1660,7 +1660,8 @@ let native_scan_variant_rows ~quick ~variant ~procs ~contended =
   in
   throughput_rows ~bench ~procs ~total_ops:(domains * scans) ~elapsed []
 
-(* Register footprint of the scan grid, measured through the
+(* Register footprint of an [Optimized] scan object — the grid without
+   its never-read last column — measured through the
    [Runtime.Instrument] wrapper rather than asserted from the formula. *)
 let native_scan_footprint_rows ~procs =
   let recorder = Metrics.Recorder.create ~procs in
@@ -1675,7 +1676,7 @@ let native_scan_footprint_rows ~procs =
   let module Scan_inst =
     Snapshot.Scan.Make (Semilattice.Nat_max) (Pram.Memory.Versioned (Inst))
   in
-  let t = Scan_inst.create ~procs in
+  let t = Scan_inst.create ~variant:Snapshot.Scan.Optimized ~procs in
   Runtime.set_pid 0;
   let h = Scan_inst.attach t (Runtime.Ctx.make ~procs ~pid:0 ()) in
   ignore (Scan_inst.scan h 1);
@@ -1687,7 +1688,7 @@ let native_scan_footprint_rows ~procs =
 
 let native_array_rows ~quick ~procs ~contended =
   let pairs = if quick then 500 else 5_000 in
-  let t = Arr_native.create ~procs in
+  let t = Arr_native.create ~variant:Snapshot.Scan.Optimized ~procs in
   let domains = if contended then procs else 1 in
   let _, elapsed =
     Pram.Native.run_parallel_timed ~procs:domains (fun pid ->
@@ -1775,14 +1776,14 @@ let direct_rows ~quick =
      op stream, recreated every [window] ops so the history stays
      bounded; the incremental/Reference pair is the B4 before/after *)
   let uc_mode_ns mode =
-    let uc = ref (UC_direct.attach ~mode (UC_direct.create ~procs) ctx0) in
+    let uc = ref (UC_direct.attach ~mode (UC_direct.create ~procs ()) ctx0) in
     let k = ref 0 in
     time_direct
       ~iters:(if quick then 200 else 2_000)
       (fun () ->
         incr k;
         if !k mod window = 0 then
-          uc := UC_direct.attach ~mode (UC_direct.create ~procs) ctx0;
+          uc := UC_direct.attach ~mode (UC_direct.create ~procs ()) ctx0;
         ignore (UC_direct.execute !uc (Spec.Counter_spec.Inc 1)))
   in
   let uc_ns = uc_mode_ns UC_direct.Incremental in

@@ -20,10 +20,10 @@ module Scan = Snapshot.Scan.Make (L) (Pram.Memory.Sim_v)
    trace. *)
 let scan_cost ~procs ~variant =
   let program () =
-    let t = Scan.create ~procs in
+    let t = Scan.create ~variant ~procs in
     fun pid ->
       let h = Scan.attach t (Runtime.Ctx.make ~procs ~pid ()) in
-      Scan.scan ~variant h (pid + 1)
+      Scan.scan h (pid + 1)
   in
   let d = Pram.Driver.create ~record_trace:true ~procs program in
   ignore (Pram.Driver.run_solo d 0);
@@ -160,13 +160,13 @@ let e7_cost ?(procs = 4) () =
   in
   let budget = 10_000 in
   let arr_quiet =
-    quiet_cost Arr.create Arr.attach
+    quiet_cost (Arr.create ~variant:Snapshot.Scan.Optimized) Arr.attach
       (fun h v -> Arr.update h v)
       (fun h -> Arr.snapshot h)
       ~procs
   in
   let arr_cont =
-    contended_cost Arr.create Arr.attach
+    contended_cost (Arr.create ~variant:Snapshot.Scan.Optimized) Arr.attach
       (fun h v -> Arr.update h v)
       (fun h -> Arr.snapshot h)
       ~procs ~budget
@@ -265,7 +265,7 @@ let e7_verdicts ?(seeds = 400) () =
     violation_search ~seeds Arr.attach
       (fun h v -> Arr.update h v)
       (fun h -> Arr.snapshot h)
-      Arr.create
+      (Arr.create ~variant:Snapshot.Scan.Optimized)
   in
   let af_v =
     violation_search ~seeds AF.attach

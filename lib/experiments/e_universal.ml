@@ -24,7 +24,7 @@ module DirC_direct_mem = Universal.Direct.Counter (Pram.Memory.Direct_v)
 
 let universal_op_steps ~procs =
   let program () =
-    let t = UC.create ~procs in
+    let t = UC.create ~procs () in
     fun pid ->
       let h = UC.attach t (Runtime.Ctx.make ~procs ~pid ()) in
       ignore (UC.execute h (Spec.Counter_spec.Inc (pid + 1)))
@@ -101,7 +101,7 @@ let e9 ?(history_sizes = [ 25; 50; 100; 200 ]) () =
   in
   List.iter
     (fun ops ->
-      let u = UC_direct_mem.create ~procs in
+      let u = UC_direct_mem.create ~procs () in
       let uhs =
         Array.init procs (fun pid ->
             UC_direct_mem.attach u (Runtime.Ctx.make ~procs ~pid ()))

@@ -71,7 +71,7 @@ module Make (M : Pram.Memory.VERSIONED) = struct
     let mk _ =
       match layer with
       | Immediate -> Imm (IS.create ~procs)
-      | Snapshot _ -> Snap (SA.create ~procs)
+      | Snapshot variant -> Snap (SA.create ~variant ~procs)
     in
     { procs; kind = layer; layers = Array.init layers mk }
 
@@ -82,7 +82,6 @@ module Make (M : Pram.Memory.VERSIONED) = struct
 
   type handle = {
     pid : int;
-    kind : layer_kind;
     layer_handles : layer_handle array;  (* one session per layer, in order *)
   }
 
@@ -96,19 +95,16 @@ module Make (M : Pram.Memory.VERSIONED) = struct
       | Imm l -> Imm_h (IS.attach l ctx)
       | Snap l -> Snap_h (SA.attach l ctx)
     in
-    { pid; kind = obj.kind; layer_handles = Array.map attach_layer obj.layers }
+    { pid; layer_handles = Array.map attach_layer obj.layers }
 
   (* One layer's contribute-and-view step; one-shot per process per
      layer, like the immediate snapshot it generalizes. *)
-  let participate h lh v =
+  let participate lh v =
     match lh with
     | Imm_h l -> IS.participate l v
     | Snap_h l ->
-        let variant =
-          match h.kind with Snapshot variant -> Some variant | Immediate -> None
-        in
-        SA.update ?variant l (Some v);
-        let view = SA.snapshot ?variant l in
+        SA.update l (Some v);
+        let view = SA.snapshot l in
         (* self-inclusion: our own update is joined into our scan *)
         List.filter_map Fun.id
           (List.init (Array.length view) (fun q ->
@@ -119,7 +115,7 @@ module Make (M : Pram.Memory.VERSIONED) = struct
   let run h ~rule v0 =
     Array.fold_left
       (fun v layer ->
-        let view = participate h layer v in
+        let view = participate layer v in
         rule ~own:v ~view)
       v0 h.layer_handles
 

@@ -18,8 +18,9 @@ module Float_opt_value : Slot_value.S with type t = float option
 
 (** What each layer of a chain is built from.  [Immediate] is the
     Borowsky-Gafni levels algorithm — self-inclusion, containment AND
-    immediacy.  [Snapshot v] is a one-shot {!Snapshot_array} on scan
-    variant [v] — self-inclusion and containment only (slots flip once
+    immediacy.  [Snapshot v] is a one-shot {!Snapshot_array} created
+    with scan variant [v], holding only that variant's registers —
+    self-inclusion and containment only (slots flip once
     from absent to present and scans linearize, so views are
     inclusion-ordered; immediacy needs the levels structure).  Midpoint
     agreement only uses containment, so its log2 rate holds on either
@@ -34,7 +35,9 @@ module Make (M : Pram.Memory.VERSIONED) : sig
   type t
 
   (** [create ?layer ~procs ~layers ()] is a fresh chain of [layers]
-      one-shot layer objects of kind [layer] (default {!Immediate}). *)
+      one-shot layer objects of kind [layer] (default {!Immediate}); a
+      [Snapshot v] layer is created with [v], so every process runs the
+      same scan on it. *)
   val create : ?layer:layer_kind -> procs:int -> layers:int -> unit -> t
 
   val layer_count : t -> int

@@ -76,7 +76,7 @@ module Via_scan (M : Pram.Memory.VERSIONED) : S = struct
   type t = Scanner.t
   type handle = Scanner.handle
 
-  let create ~procs = Scanner.create ~procs
+  let create ~procs = Scanner.create ~variant:Optimized ~procs
   let attach t ctx = Scanner.attach t ctx
   let propose h v = Scanner.scan h v
 

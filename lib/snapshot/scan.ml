@@ -54,11 +54,11 @@
      which the asynchronous model already allows), so mixed executions
      inherit Lemma 32 unchanged.
 
-     Soundness requires concurrent readers of one object to use
-     [Adaptive] (or no variant mixing at all): a raw [Plain]/[Optimized]
-     read_max does not announce its passes in esc[.], so a concurrent
-     adaptive fast path cannot detect it.  Writers ([write_l]) mix
-     freely.
+     The argument needs every reader of the object to run this
+     protocol — a raw [Plain]/[Optimized] read_max would not announce
+     its passes in esc[.] — and the object guarantees it: the variant
+     is fixed at [create], which allocates only the registers that
+     variant accesses.
 
    Per-process state lives in a [handle] minted from a [Runtime.Ctx]:
    the pid, the process's private row mirror, scratch rows for the
@@ -103,48 +103,60 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
   type wmap = L.t option array
 
   type t = {
+    variant : variant;  (* the one protocol every handle runs *)
     procs : int;
-    grid : L.t M.reg array array;  (* grid.(p).(i), i in 0 .. procs+1 *)
+    grid : L.t M.reg array array;  (* grid.(p).(i), the columns it uses *)
     esc : int M.reg array;
-        (* esc.(p): odd while process p runs escalated full passes;
-           bumped twice per escalation, so equality across an adaptive
-           window proves no full collect overlapped it *)
+        (* [Adaptive] — esc.(p): odd while process p runs escalated full
+           passes; bumped twice per escalation, so equality across an
+           adaptive window proves no full collect overlapped it *)
     mirror : L.t array array;
         (* mirror.(p) is process p's private copy of its own row; row p is
            only ever touched by process p, so this is process-local state
            stored alongside the shared object for convenience. *)
     levels : int;  (* lattice_levels ~procs *)
     gen : int M.reg array;
-        (* gen.(p): process p's current Lattice generation, announced
+        (* [Lattice] — gen.(p): process p's current generation, announced
            BEFORE p reads anything generation-scoped (the doorway); it
            is monotone per process, so the post-return fence below can
            detect any concurrent later generation *)
     pool : wmap Slot.slot array array array array;
-        (* pool.(g mod lattice_pool).(depth).(index).(pid): the
-           generation-stamped classifier trees.  Slot (v, pid) is
+        (* [Lattice] — pool.(g mod lattice_pool).(depth).(index).(pid):
+           the generation-stamped classifier trees.  Slot (v, pid) is
            written only by pid (single-writer), at most once per
            generation (each descent visits a vertex once). *)
   }
 
-  let create ~procs =
+  let create ~variant ~procs =
     if procs <= 0 then invalid_arg "Scan.create: procs must be positive";
     let levels = lattice_levels ~procs in
+    (* with one process nothing is collected: Adaptive and Lattice only
+       publish *)
+    let columns =
+      match variant with
+      | Plain -> procs + 2
+      | Optimized -> procs + 1
+      | Adaptive when procs > 1 -> procs + 1
+      | Adaptive | Lattice -> 1
+    in
+    let flags wanted = if wanted && procs > 1 then procs else 0 in
     {
+      variant;
       procs;
       grid =
         Array.init procs (fun p ->
-            Array.init (procs + 2) (fun i ->
+            Array.init columns (fun i ->
                 M.create ~name:(Printf.sprintf "scan[%d][%d]" p i) L.bottom));
       esc =
-        Array.init procs (fun p ->
+        Array.init (flags (variant = Adaptive)) (fun p ->
             M.create ~name:(Printf.sprintf "scan.esc[%d]" p) 0);
       mirror = Array.init procs (fun _ -> Array.make (procs + 2) L.bottom);
       levels;
       gen =
-        Array.init procs (fun p ->
+        Array.init (flags (variant = Lattice)) (fun p ->
             M.create ~name:(Printf.sprintf "scan.gen[%d]" p) 0);
       pool =
-        Array.init lattice_pool (fun k ->
+        Array.init (if variant = Lattice then lattice_pool else 0) (fun k ->
             Array.init levels (fun d ->
                 Array.init (1 lsl d) (fun i ->
                     Array.init procs (fun p ->
@@ -479,16 +491,16 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
       attempt ~target:0 L.bottom
     end
 
-  let scan_variant h v = function
+  let scan_variant h v =
+    match h.obj.variant with
     | Plain -> scan_plain h v
     | Optimized -> scan_optimized h v
     | Adaptive -> scan_adaptive h v
     | Lattice -> scan_lattice h v
 
-  let scan ?(variant = Optimized) h v =
-    if h.quiet then scan_variant h v variant
-    else
-      Runtime.Ctx.span h.ctx ~op:"scan" (fun () -> scan_variant h v variant)
+  let scan h v =
+    if h.quiet then scan_variant h v
+    else Runtime.Ctx.span h.ctx ~op:"scan" (fun () -> scan_variant h v)
 
   (* The two operations of the atomic scan object (Section 6): Write_L
      discards the scan's return value; ReadMax contributes bottom.
@@ -496,14 +508,14 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
      it is exactly the publish — one column-0 write (zero when the
      contribution is already contained), no collect, no validation, no
      classifier descent. *)
-  let write_l ?(variant = Optimized) h v =
-    match variant with
+  let write_l h v =
+    match h.obj.variant with
     | Adaptive | Lattice ->
         if h.quiet then publish h v
         else Runtime.Ctx.span h.ctx ~op:"scan" (fun () -> publish h v)
-    | (Plain | Optimized) as variant -> ignore (scan ~variant h v)
+    | Plain | Optimized -> ignore (scan h v)
 
-  let read_max ?variant h = scan ?variant h L.bottom
+  let read_max h = scan h L.bottom
 end
 
 (* Exact per-Scan access counts (Section 6.2), used by experiment E5:

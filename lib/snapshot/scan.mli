@@ -8,6 +8,12 @@
     two internal scan values are lattice-comparable (Lemma 32), which
     yields linearizability (Theorem 33).
 
+    Each object runs the one {!variant} fixed at {!Make.create}, so the
+    [Adaptive] and [Lattice] arguments, which need every reader of an
+    object on the same protocol, always apply.  The object holds only
+    the registers that protocol accesses (listed per variant below, for
+    n > 1 processes).
+
     NOTE: the combined primitive [scan] — contribute and read the join
     atomically — is strictly stronger than the paper's object and is NOT
     linearizable as a single operation; use [write_l] / [read_max] for
@@ -15,17 +21,19 @@
     counterexample; see test/test_snapshot.ml.) *)
 
 type variant =
-  | Plain  (** exactly Figure 5's counted cost: n^2+n+1 reads, n+2 writes *)
+  | Plain
+      (** exactly Figure 5's counted cost: n^2+n+1 reads, n+2 writes;
+          the n x (n+2) grid *)
   | Optimized
       (** the Section 6.2 optimizations: n^2-1 reads, n+1 writes
-          (own-row mirroring and no final write) *)
+          (own-row mirroring and no final write); n(n+1) registers *)
   | Adaptive
       (** contention-adaptive: publish, collect column 0 once, and
           validate against the epoch and escalation vectors — 4(n-1)
           reads and at most one write when no writer interferes,
           escalating to the [Optimized] passes (and the paper's proof)
-          when one does.  Sound when all concurrent readers of the
-          object use [Adaptive]; see DESIGN.md section 14. *)
+          when one does (DESIGN.md section 14); n(n+2) registers, the
+          [Optimized] grid plus n escalation flags *)
   | Lattice
       (** sub-quadratic even under contention: each scan announces a
           fresh generation, collects column 0, and descends that
@@ -34,9 +42,9 @@ type variant =
           stamping a bounded pool of trees with the generation), mapping
           the agreed pid-set back to the contributors' entry values —
           2(n-1) + n ceil(log2 n) reads and ceil(log2 n) + 3 writes per
-          scan, with no contention escalation path.  Sound when all
-          concurrent readers of the object use [Lattice]; see DESIGN.md
-          section 15. *)
+          scan, with no contention escalation path (DESIGN.md section
+          15); 2n + [lattice_pool] n (2^ceil(log2 n) - 1) registers,
+          column 0 plus generations and tree pool *)
 
 (** Raised internally by the adaptive fast path; never escapes [scan]. *)
 exception Escalate
@@ -55,10 +63,11 @@ val lattice_pool : int
 module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) : sig
   type t
 
-  (** Allocate the grid (plus the per-process escalation flags the
-      [Adaptive] variant validates against) for [procs] processes.
+  (** [create ~variant ~procs] allocates an object on which all
+      [procs] processes run [variant].  With one process [Adaptive] and
+      [Lattice] only publish, so they hold column 0 alone.
       @raise Invalid_argument if [procs <= 0]. *)
-  val create : procs:int -> t
+  val create : variant:variant -> procs:int -> t
 
   type handle
   (** One process's session with the object: pid, private row mirror,
@@ -86,19 +95,19 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) : sig
   (** The raw Scan(P, v) primitive of Figure 5: fold [v] into P's row
       and return the accumulated join.  Building block for [write_l] and
       [read_max]; not itself atomic (see above). *)
-  val scan : ?variant:variant -> handle -> L.t -> L.t
+  val scan : handle -> L.t -> L.t
 
   (** Contribute a value to the join (the object's write operation).
       Under [Adaptive] and [Lattice] this is the bare publish — one
       column-0 write, zero when the contribution is already contained
       in the published value — since a write needs no return value. *)
-  val write_l : ?variant:variant -> handle -> L.t -> unit
+  val write_l : handle -> L.t -> unit
 
   (** Return the join of all earlier contributions (the object's read
       operation).  Under [Adaptive] the bottom contribution is always
       contained, so an uncontended read costs 4(n-1) reads and no
       write; under [Lattice] the publish is likewise skipped. *)
-  val read_max : ?variant:variant -> handle -> L.t
+  val read_max : handle -> L.t
 end
 
 (** Exact per-Scan access counts of Section 6.2: [(reads, writes)] for

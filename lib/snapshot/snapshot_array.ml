@@ -25,8 +25,9 @@ struct
     seq : int array;  (* per-process private tag counters *)
   }
 
-  let create ~procs =
-    { procs; scanner = Scanner.create ~procs; seq = Array.make procs 0 }
+  let create ~variant ~procs =
+    let scanner = Scanner.create ~variant ~procs in
+    { procs; scanner; seq = Array.make procs 0 }
 
   type handle = {
     obj : t;
@@ -37,19 +38,19 @@ struct
   let attach obj ctx =
     { obj; pid = Runtime.Ctx.pid ctx; scanner = Scanner.attach obj.scanner ctx }
 
-  let update ?variant h v =
+  let update h v =
     let t = h.obj in
     t.seq.(h.pid) <- t.seq.(h.pid) + 1;
     let contribution =
       Lat.singleton ~width:t.procs h.pid (Slot.make ~tag:t.seq.(h.pid) v)
     in
-    Scanner.write_l ?variant h.scanner contribution
+    Scanner.write_l h.scanner contribution
 
   (* Raw (tag, value) view: tag 0 means "never updated". *)
-  let snapshot_tagged ?variant h =
-    let joined = Scanner.read_max ?variant h.scanner in
+  let snapshot_tagged h =
+    let joined = Scanner.read_max h.scanner in
     if Array.length joined = 0 then Array.make h.obj.procs Slot.bottom
     else joined
 
-  let snapshot ?variant h = Array.map Slot.value (snapshot_tagged ?variant h)
+  let snapshot h = Array.map Slot.value (snapshot_tagged h)
 end

@@ -5,16 +5,20 @@
     {!Semilattice.Vector} of slots.
 
     [update] costs one scan ([write_l]); [snapshot] costs one scan
-    ([read_max]): O(n^2) reads, O(n) writes each.  Linearizability is
-    checked by the test suite against {!Array_spec}, both under random
-    schedules with crashes and exhaustively on small configurations. *)
+    ([read_max]), on the {!Scan.variant} fixed at {!Make.create}: O(n^2)
+    reads and O(n) writes each on [Optimized] ({!Scan.cost_formula}).
+    Linearizability is checked by the test suite against {!Array_spec},
+    both under random schedules with crashes and exhaustively on small
+    configurations. *)
 
 module Make (V : Slot_value.S) (M : Pram.Memory.VERSIONED) : sig
   module Slot : module type of Semilattice.Tagged (V)
 
   type t
 
-  val create : procs:int -> t
+  (** [create ~variant ~procs]: [procs] slots, every update and
+      snapshot on the [variant] scan. *)
+  val create : variant:Scan.variant -> procs:int -> t
 
   type handle
 
@@ -23,14 +27,14 @@ module Make (V : Slot_value.S) (M : Pram.Memory.VERSIONED) : sig
   val attach : t -> Runtime.Ctx.t -> handle
 
   (** Store [v] in the caller's slot. *)
-  val update : ?variant:Scan.variant -> handle -> V.t -> unit
+  val update : handle -> V.t -> unit
 
   (** An instantaneous view of all slots ([V.default] for never-updated
       slots). *)
-  val snapshot : ?variant:Scan.variant -> handle -> V.t array
+  val snapshot : handle -> V.t array
 
   (** The raw view including per-slot tags (0 = never updated); the
       universal construction uses the tags as operation sequence
       numbers. *)
-  val snapshot_tagged : ?variant:Scan.variant -> handle -> Slot.t array
+  val snapshot_tagged : handle -> Slot.t array
 end

@@ -27,6 +27,13 @@
    DESIGN.md §10 for the soundness argument against Lemmas 16-25 and the
    exact conditions under which the memo falls back to a full rebuild. *)
 
+(* Anchors default to the contention-adaptive scan: O(procs)
+   synchronization per snapshot when no writer interferes, the paper's
+   double-collect under contention.  [create ~variant] can fix another
+   for an object — notably [Lattice], O(procs log procs) even under
+   contention. *)
+let default_variant = Snapshot.Scan.Adaptive
+
 module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
   type entry = {
     e_pid : int;
@@ -63,8 +70,9 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     seq : int array;  (* private per-process counters *)
   }
 
-  let create ~procs =
-    { procs; anchor = Anchor.create ~procs; seq = Array.make procs 0 }
+  let create ?(variant = default_variant) ~procs () =
+    let anchor = Anchor.create ~variant ~procs in
+    { procs; anchor; seq = Array.make procs 0 }
 
   type mode = Incremental | Reference
 
@@ -123,19 +131,8 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
         (* no journal and no metrics: [execute] skips the span bracket,
            so the unobserved path never builds a closure *)
     mode : mode;
-    variant : Snapshot.Scan.variant;  (* the anchor's scan variant *)
     memo : memo;  (* counters only in [Reference] mode *)
   }
-
-  (* Anchor sessions default to the contention-adaptive scan: O(procs)
-     synchronization per snapshot when no writer interferes, the paper's
-     double-collect under contention.  [attach ?variant] can select
-     another variant — notably [Lattice] for O(procs log procs)
-     synchronization even under contention — but ALL handles of one
-     object must use the same one: both Adaptive and Lattice are sound
-     only when every concurrent reader announces through the same
-     protocol (see Scan). *)
-  let default_variant = Snapshot.Scan.Adaptive
 
   let fresh_memo procs =
     {
@@ -149,7 +146,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
       m_rebuilds = 0;
     }
 
-  let attach ?(mode = Incremental) ?(variant = default_variant) obj ctx =
+  let attach ?(mode = Incremental) obj ctx =
     let pid = Runtime.Ctx.pid ctx in
     if pid >= obj.procs then
       invalid_arg
@@ -165,7 +162,6 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
       quiet =
         Runtime.Ctx.journal ctx = None && Runtime.Ctx.metrics ctx = None;
       mode;
-      variant;
       memo = fresh_memo obj.procs;
     }
 
@@ -178,6 +174,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
       canonical = h.memo.m_canonical;
     }
 
+  let rebuilds h = h.memo.m_rebuilds
   let mode h = h.mode
 
   (* The causal past of an entry (or of a view), as a per-pid seq vector:
@@ -412,7 +409,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     (* Step 1: atomic snapshot of the anchor, linearize (from scratch or
        by delta-merge), compute the response. *)
     annotate h "snapshot";
-    let view = Anchor.snapshot ~variant:h.variant h.anchor in
+    let view = Anchor.snapshot h.anchor in
     let state, replayed =
       match h.mode with
       | Reference ->
@@ -443,7 +440,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     in
     (* Step 2: write out the entry. *)
     annotate h "publish";
-    Anchor.update ~variant:h.variant h.anchor (Some e);
+    Anchor.update h.anchor (Some e);
     (match h.mode with
     | Incremental ->
         (* The caller's own entry is preceded by everything committed
@@ -466,7 +463,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
      result is still linearizable because such operations commute with or
      are overwritten by everything.  Exposed for the E9 ablation. *)
   let query h op =
-    let view = Anchor.snapshot ~variant:h.variant h.anchor in
+    let view = Anchor.snapshot h.anchor in
     let state =
       match h.mode with
       | Reference -> state_of_linearization (linearization_of_view view)
@@ -478,7 +475,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
 
   (* Introspection for tests and benches. *)
   let history_size h =
-    let view = Anchor.snapshot ~variant:h.variant h.anchor in
+    let view = Anchor.snapshot h.anchor in
     Hashtbl.length (collect_entries view)
 end
 

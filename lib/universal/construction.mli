@@ -22,6 +22,10 @@
     byte-identical over exhaustively explored schedules and random
     scripts (test/test_incremental.ml). *)
 
+(** The anchors' scan variant unless [create] is given another:
+    [Snapshot.Scan.Adaptive]. *)
+val default_variant : Snapshot.Scan.variant
+
 module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) : sig
   type entry = {
     e_pid : int;
@@ -36,7 +40,11 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) : sig
 
   type t
 
-  val create : procs:int -> t
+  (** [create ?variant ~procs ()] is an empty object for [procs]
+      processes whose anchor snapshots all run the scan [variant]
+      (default {!default_variant}) — [Lattice] gives O(procs log procs)
+      synchronization per operation even under contention. *)
+  val create : ?variant:Snapshot.Scan.variant -> procs:int -> unit -> t
 
   (** How a handle computes the pre-state of each operation.
 
@@ -74,16 +82,8 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) : sig
       ["uc.execute"] span with snapshot / replay / publish annotations
       (and filed in the metrics span histogram when a recorder is
       attached); a sink-less context costs nothing.
-
-      [variant] (default [Snapshot.Scan.Adaptive]) selects the scan
-      variant the handle's anchor snapshots run on — [Lattice] gives
-      O(procs log procs) synchronization per operation even under
-      contention.  Every handle of one object must use the same
-      variant: Adaptive and Lattice are each sound only among readers
-      announcing through their own protocol.
       @raise Invalid_argument if the context pid exceeds [t]'s procs. *)
-  val attach :
-    ?mode:mode -> ?variant:Snapshot.Scan.variant -> t -> Runtime.Ctx.t -> handle
+  val attach : ?mode:mode -> t -> Runtime.Ctx.t -> handle
 
   (** Figure 4's [execute]: snapshot, linearize (memoized or from
       scratch, per the handle's {!mode}), respond, publish. *)
@@ -99,6 +99,10 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) : sig
   val history_size : handle -> int
 
   val stats : handle -> stats
+
+  (** [(stats h).rebuilds], without allocating the record. *)
+  val rebuilds : handle -> int
+
   val mode : handle -> mode
 end
 

@@ -18,10 +18,8 @@
    Each module follows the handle convention: [attach t ctx] mints one
    process's session (including the underlying scan session, which
    inherits the context's instrumentation), and operations take the
-   handle only.  [attach ?variant] selects the scan variant every
-   operation of that handle runs on (default [Optimized]); as with the
-   scan itself, all handles of one object must agree on it when the
-   variant is [Adaptive] or [Lattice].
+   handle only.  Every object runs the [Optimized] scan: n(n+1)
+   registers, n^2-1 reads and n+1 writes per scan.
 
    Experiment E9 measures these against the generic construction. *)
 
@@ -40,25 +38,15 @@ module Counter (M : Pram.Memory.VERSIONED) = struct
   let create ~procs =
     {
       procs;
-      scanner = Scanner.create ~procs;
+      scanner = Scanner.create ~variant:Snapshot.Scan.Optimized ~procs;
       inc_total = Array.make procs 0;
       dec_total = Array.make procs 0;
     }
 
-  type handle = {
-    obj : t;
-    pid : int;
-    scanner : Scanner.handle;
-    variant : Snapshot.Scan.variant;
-  }
+  type handle = { obj : t; pid : int; scanner : Scanner.handle }
 
-  let attach ?(variant = Snapshot.Scan.Optimized) obj ctx =
-    {
-      obj;
-      pid = Runtime.Ctx.pid ctx;
-      scanner = Scanner.attach obj.scanner ctx;
-      variant;
-    }
+  let attach obj ctx =
+    { obj; pid = Runtime.Ctx.pid ctx; scanner = Scanner.attach obj.scanner ctx }
 
   let publish h =
     let t = h.obj in
@@ -66,7 +54,7 @@ module Counter (M : Pram.Memory.VERSIONED) = struct
       Lat.singleton ~width:t.procs h.pid
         (t.inc_total.(h.pid), t.dec_total.(h.pid))
     in
-    Scanner.write_l ~variant:h.variant h.scanner contribution
+    Scanner.write_l h.scanner contribution
 
   let inc h amount =
     if amount < 0 then invalid_arg "Direct.Counter.inc: negative amount";
@@ -79,7 +67,7 @@ module Counter (M : Pram.Memory.VERSIONED) = struct
     publish h
 
   let read h =
-    let totals = Scanner.read_max ~variant:h.variant h.scanner in
+    let totals = Scanner.read_max h.scanner in
     Array.fold_left (fun acc (i, d) -> acc + i - d) 0 totals
 end
 
@@ -93,19 +81,13 @@ module Gset (M : Pram.Memory.VERSIONED) = struct
 
   module Scanner = Snapshot.Scan.Make (Lat) (M)
 
-  type t = { scanner : Scanner.t }
+  type t = Scanner.t
+  type handle = Scanner.handle
 
-  let create ~procs = { scanner = Scanner.create ~procs }
-
-  type handle = { scanner : Scanner.handle; variant : Snapshot.Scan.variant }
-
-  let attach ?(variant = Snapshot.Scan.Optimized) (t : t) ctx =
-    { scanner = Scanner.attach t.scanner ctx; variant }
-
-  let add h x = Scanner.write_l ~variant:h.variant h.scanner (Lat.of_list [ x ])
-
-  let members h =
-    Lat.elements (Scanner.read_max ~variant:h.variant h.scanner)
+  let create ~procs = Scanner.create ~variant:Snapshot.Scan.Optimized ~procs
+  let attach t ctx = Scanner.attach t ctx
+  let add h x = Scanner.write_l h (Lat.of_list [ x ])
+  let members h = Lat.elements (Scanner.read_max h)
 
   let mem h x = List.mem x (members h)
 end
@@ -113,20 +95,17 @@ end
 module Max_register (M : Pram.Memory.VERSIONED) = struct
   module Scanner = Snapshot.Scan.Make (Semilattice.Nat_max) (M)
 
-  type t = { scanner : Scanner.t }
+  type t = Scanner.t
+  type handle = Scanner.handle
 
-  let create ~procs = { scanner = Scanner.create ~procs }
-
-  type handle = { scanner : Scanner.handle; variant : Snapshot.Scan.variant }
-
-  let attach ?(variant = Snapshot.Scan.Optimized) (t : t) ctx =
-    { scanner = Scanner.attach t.scanner ctx; variant }
+  let create ~procs = Scanner.create ~variant:Snapshot.Scan.Optimized ~procs
+  let attach t ctx = Scanner.attach t ctx
 
   let write_max h v =
     if v < 0 then invalid_arg "Direct.Max_register: negative value";
-    Scanner.write_l ~variant:h.variant h.scanner v
+    Scanner.write_l h v
 
-  let read_max h = Scanner.read_max ~variant:h.variant h.scanner
+  let read_max = Scanner.read_max
 end
 
 (* Lamport logical clocks [33] on the max register: [tick] produces a
@@ -150,8 +129,7 @@ module Logical_clock (M : Pram.Memory.VERSIONED) = struct
 
   type handle = { pid : int; rh : R.handle }
 
-  let attach ?variant t ctx =
-    { pid = Runtime.Ctx.pid ctx; rh = R.attach ?variant t.reg ctx }
+  let attach t ctx = { pid = Runtime.Ctx.pid ctx; rh = R.attach t.reg ctx }
 
   let tick h : timestamp =
     let c = R.read_max h.rh in
@@ -187,35 +165,24 @@ module Histogram (M : Pram.Memory.VERSIONED) = struct
   let create ~procs =
     {
       procs;
-      scanner = Scanner.create ~procs;
+      scanner = Scanner.create ~variant:Snapshot.Scan.Optimized ~procs;
       own = Array.make procs Buckets.bottom;
     }
 
-  type handle = {
-    obj : t;
-    pid : int;
-    scanner : Scanner.handle;
-    variant : Snapshot.Scan.variant;
-  }
+  type handle = { obj : t; pid : int; scanner : Scanner.handle }
 
-  let attach ?(variant = Snapshot.Scan.Optimized) obj ctx =
-    {
-      obj;
-      pid = Runtime.Ctx.pid ctx;
-      scanner = Scanner.attach obj.scanner ctx;
-      variant;
-    }
+  let attach obj ctx =
+    { obj; pid = Runtime.Ctx.pid ctx; scanner = Scanner.attach obj.scanner ctx }
 
   let observe h ~bucket weight =
     if weight < 0 then invalid_arg "Direct.Histogram.observe: negative weight";
     let t = h.obj and pid = h.pid in
     t.own.(pid) <-
       Buckets.add bucket (Buckets.find bucket t.own.(pid) + weight) t.own.(pid);
-    Scanner.write_l ~variant:h.variant h.scanner
-      (Lat.singleton ~width:t.procs pid t.own.(pid))
+    Scanner.write_l h.scanner (Lat.singleton ~width:t.procs pid t.own.(pid))
 
   let merged h =
-    let per_proc = Scanner.read_max ~variant:h.variant h.scanner in
+    let per_proc = Scanner.read_max h.scanner in
     Array.fold_left
       (fun acc m ->
         List.fold_left
@@ -247,33 +214,27 @@ module Vector_clock (M : Pram.Memory.VERSIONED) = struct
   }
 
   let create ~procs =
-    { procs; scanner = Scanner.create ~procs; own_count = Array.make procs 0 }
-
-  type handle = {
-    obj : t;
-    pid : int;
-    scanner : Scanner.handle;
-    variant : Snapshot.Scan.variant;
-  }
-
-  let attach ?(variant = Snapshot.Scan.Optimized) obj ctx =
     {
-      obj;
-      pid = Runtime.Ctx.pid ctx;
-      scanner = Scanner.attach obj.scanner ctx;
-      variant;
+      procs;
+      scanner = Scanner.create ~variant:Snapshot.Scan.Optimized ~procs;
+      own_count = Array.make procs 0;
     }
+
+  type handle = { obj : t; pid : int; scanner : Scanner.handle }
+
+  let attach obj ctx =
+    { obj; pid = Runtime.Ctx.pid ctx; scanner = Scanner.attach obj.scanner ctx }
 
   let tick h =
     let t = h.obj in
     t.own_count.(h.pid) <- t.own_count.(h.pid) + 1;
-    Scanner.scan ~variant:h.variant h.scanner
+    Scanner.scan h.scanner
       (Lat.singleton ~width:t.procs h.pid t.own_count.(h.pid))
 
-  let observe h v = Scanner.write_l ~variant:h.variant h.scanner v
+  let observe h v = Scanner.write_l h.scanner v
 
   let now h =
-    let v = Scanner.read_max ~variant:h.variant h.scanner in
+    let v = Scanner.read_max h.scanner in
     if Array.length v = 0 then Array.make h.obj.procs 0 else v
 
   let leq a b =

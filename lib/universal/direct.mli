@@ -16,12 +16,9 @@
     Every module follows the handle convention: [attach t ctx] mints
     process [Ctx.pid ctx]'s session with the object (the underlying scan
     session inherits the context's instrumentation), and operations take
-    the handle only.  [attach ?variant] selects the scan variant every
-    operation of that handle runs on (default
-    [Snapshot.Scan.Optimized]); [Lattice] drops the per-operation cost
-    to O(n log n) even under contention.  As with the scan itself, all
-    handles of one object must use the same variant when it is
-    [Adaptive] or [Lattice]. *)
+    the handle only.  Every object runs the [Snapshot.Scan.Optimized]
+    scan, fixed at [create]: n(n+1) registers, n^2-1 reads and n+1
+    writes per scan. *)
 
 (** Counter with per-process monotone (inc_total, dec_total) pairs. *)
 module Counter (M : Pram.Memory.VERSIONED) : sig
@@ -31,7 +28,7 @@ module Counter (M : Pram.Memory.VERSIONED) : sig
 
   type handle
 
-  val attach : ?variant:Snapshot.Scan.variant -> t -> Runtime.Ctx.t -> handle
+  val attach : t -> Runtime.Ctx.t -> handle
 
   (** @raise Invalid_argument on negative amounts. *)
   val inc : handle -> int -> unit
@@ -50,7 +47,7 @@ module Gset (M : Pram.Memory.VERSIONED) : sig
 
   type handle
 
-  val attach : ?variant:Snapshot.Scan.variant -> t -> Runtime.Ctx.t -> handle
+  val attach : t -> Runtime.Ctx.t -> handle
   val add : handle -> int -> unit
 
   (** Sorted ascending. *)
@@ -67,7 +64,7 @@ module Max_register (M : Pram.Memory.VERSIONED) : sig
 
   type handle
 
-  val attach : ?variant:Snapshot.Scan.variant -> t -> Runtime.Ctx.t -> handle
+  val attach : t -> Runtime.Ctx.t -> handle
 
   (** @raise Invalid_argument on negative values. *)
   val write_max : handle -> int -> unit
@@ -87,7 +84,7 @@ module Logical_clock (M : Pram.Memory.VERSIONED) : sig
 
   type handle
 
-  val attach : ?variant:Snapshot.Scan.variant -> t -> Runtime.Ctx.t -> handle
+  val attach : t -> Runtime.Ctx.t -> handle
 
   (** A timestamp strictly above everything this process has observed. *)
   val tick : handle -> timestamp
@@ -107,7 +104,7 @@ module Histogram (M : Pram.Memory.VERSIONED) : sig
 
   type handle
 
-  val attach : ?variant:Snapshot.Scan.variant -> t -> Runtime.Ctx.t -> handle
+  val attach : t -> Runtime.Ctx.t -> handle
 
   (** @raise Invalid_argument on negative weights. *)
   val observe : handle -> bucket:int -> int -> unit
@@ -130,7 +127,7 @@ module Vector_clock (M : Pram.Memory.VERSIONED) : sig
 
   type handle
 
-  val attach : ?variant:Snapshot.Scan.variant -> t -> Runtime.Ctx.t -> handle
+  val attach : t -> Runtime.Ctx.t -> handle
   val tick : handle -> int array
 
   (** Merge a vector received out of band. *)

@@ -49,7 +49,7 @@ module Make (F : FUNCTIONS) (M : Pram.Memory.VERSIONED) = struct
   let create ~procs =
     {
       procs;
-      scanner = Scanner.create ~procs;
+      scanner = Scanner.create ~variant:Snapshot.Scan.Optimized ~procs;
       own_log = Array.make procs Log.empty;
     }
 

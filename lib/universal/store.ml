@@ -125,7 +125,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
 
   let create ?(shards = 8) ~procs () =
     if shards <= 0 then invalid_arg "Store.create: shards must be positive";
-    { shards = Array.init shards (fun _ -> U.create ~procs); procs }
+    { shards = Array.init shards (fun _ -> U.create ~procs ()); procs }
 
   let shards t = Array.length t.shards
   let procs t = t.procs
@@ -151,9 +151,6 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
         (* cached at attach (the journal idiom): every bump below goes
            through the free [record_opt]/[add_opt] guard, so the
            telemetry-off paths stay allocation-free *)
-    last_rebuilds : int array;
-        (* per-shard [U.stats] rebuild totals at the last flush, so
-           flush can attribute the delta to the shard as it happens *)
   }
 
   type stats = {
@@ -170,6 +167,10 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     (match batching with
     | Batched n when n < 2 ->
         invalid_arg "Store.attach: Batched max size must be >= 2"
+    | _ -> ());
+    (match variant with
+    | Some v when v <> Construction.default_variant ->
+        invalid_arg "Store.attach: the shards' scan variant is fixed at create"
     | _ -> ());
     let umode =
       match mode with
@@ -190,7 +191,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     in
     {
       store = t;
-      uhs = Array.map (fun u -> U.attach ~mode:umode ?variant u ctx) t.shards;
+      uhs = Array.map (fun u -> U.attach ~mode:umode u ctx) t.shards;
       max_batch = (match batching with Unbatched -> 1 | Batched n -> n);
       pending = Hashtbl.create 16;
       rev_key_order = [];
@@ -201,16 +202,28 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
       h_fallbacks = 0;
       h_pid = pid;
       h_tel = tel;
-      last_rebuilds = Array.make (Array.length t.shards) 0;
     }
 
-  let commit_batch h key ops =
+  (* Attribute to [shard] the rebuilds its construction handle performed
+     since it counted [before] — read around each call into the shard,
+     so the count is two integer reads and nothing is allocated. *)
+  let note_rebuilds h ~shard ~before =
+    let d = U.rebuilds h.uhs.(shard) - before in
+    if d > 0 then
+      Telemetry.add_opt h.h_tel ~pid:h.h_pid ~family:shard
+        Telemetry.Event.Store_rebuild d
+
+  let commit_batch h ~shard key ops =
     let n = List.length ops in
     h.h_ops <- h.h_ops + n;
     h.h_entries <- h.h_entries + 1;
     if n > 1 then h.h_batched_ops <- h.h_batched_ops + n;
     if n > h.h_largest_batch then h.h_largest_batch <- n;
-    U.execute h.uhs.(shard_of h.store key) (key, ops)
+    let u = h.uhs.(shard) in
+    let before = U.rebuilds u in
+    let resps = U.execute u (key, ops) in
+    note_rebuilds h ~shard ~before;
+    resps
 
   (* Greedy homogeneous chunking of one key's pending run: a chunk is
      either all read-only or all mutators that pairwise commute (checked
@@ -258,58 +271,41 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
   let pending_ops h =
     Hashtbl.fold (fun _ r acc -> acc + List.length !r) h.pending 0
 
-  (* Attribute the rebuilds each shard's construction performed since
-     the last look to that shard.  Only called with telemetry attached
-     (the [None] guard is the caller's), so the per-shard [U.stats]
-     reads never run on the disabled path. *)
-  let note_rebuilds h =
-    Array.iteri
-      (fun shard u ->
-        let total = (U.stats u).U.rebuilds in
-        let d = total - h.last_rebuilds.(shard) in
-        if d > 0 then
-          Telemetry.add_opt h.h_tel ~pid:h.h_pid ~family:shard
-            Telemetry.Event.Store_rebuild d;
-        h.last_rebuilds.(shard) <- total)
-      h.uhs
-
   let flush h =
     let keys = List.rev h.rev_key_order in
     h.rev_key_order <- [];
-    let out =
-      List.map
-        (fun key ->
-          let ops = List.rev !(Hashtbl.find h.pending key) in
-          Hashtbl.remove h.pending key;
-          let shard = shard_of h.store key in
-          Telemetry.add_opt h.h_tel ~pid:h.h_pid ~family:shard
-            Telemetry.Event.Shard_queue_depth (List.length ops);
-          let resps =
-            List.concat_map (fun chunk -> commit_batch h key chunk)
-              (chunks_of h ~shard ops)
-          in
-          (key, resps))
-        keys
-    in
-    (match h.h_tel with None -> () | Some _ -> note_rebuilds h);
-    out
+    List.map
+      (fun key ->
+        let ops = List.rev !(Hashtbl.find h.pending key) in
+        Hashtbl.remove h.pending key;
+        let shard = shard_of h.store key in
+        Telemetry.add_opt h.h_tel ~pid:h.h_pid ~family:shard
+          Telemetry.Event.Shard_queue_depth (List.length ops);
+        let resps =
+          List.concat_map (fun chunk -> commit_batch h ~shard key chunk)
+            (chunks_of h ~shard ops)
+        in
+        (key, resps))
+      keys
 
   let execute h ~key op =
     if Hashtbl.mem h.pending key then
       invalid_arg
         "Store.execute: key has pending submitted operations (flush first)";
-    let r =
-      match commit_batch h key [ op ] with [ r ] -> r | _ -> assert false
-    in
-    (match h.h_tel with None -> () | Some _ -> note_rebuilds h);
-    r
+    match commit_batch h ~shard:(shard_of h.store key) key [ op ] with
+    | [ r ] -> r
+    | _ -> assert false
 
+  (* A query commits nothing, but catching up may still rebuild the
+     shard's memo; that rebuild is attributed here. *)
   let query h ~key op =
     if not (O.reads_only op) then
       invalid_arg "Store.query: operation is not read-only";
-    match U.query h.uhs.(shard_of h.store key) (key, [ op ]) with
-    | [ r ] -> r
-    | _ -> assert false
+    let shard = shard_of h.store key in
+    let before = U.rebuilds h.uhs.(shard) in
+    let resps = U.query h.uhs.(shard) (key, [ op ]) in
+    note_rebuilds h ~shard ~before;
+    match resps with [ r ] -> r | _ -> assert false
 
   let graph_entries h =
     Array.fold_left (fun acc u -> acc + U.history_size u) 0 h.uhs

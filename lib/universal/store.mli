@@ -40,7 +40,8 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) : sig
   type t
 
   (** [create ~shards ~procs ()] allocates [shards] independent
-      construction instances (default 8).
+      construction instances (default 8) on
+      {!Construction.default_variant}.
       @raise Invalid_argument if [shards <= 0]. *)
   val create : ?shards:int -> procs:int -> unit -> t
 
@@ -71,12 +72,12 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) : sig
 
   (** [attach t ctx] mints process [Ctx.pid ctx]'s session with every
       shard.  [batching] defaults to [Batched 64]; [mode] to
-      [Incremental]; [variant] is forwarded to every shard's
-      {!Construction.Make.attach} (all handles of one store must agree,
-      as for the construction itself).
+      [Incremental].  The shards' scan variant is
+      {!Construction.default_variant}, fixed at {!create}; [variant]
+      can only restate it.
       @raise Invalid_argument
-        if the context pid exceeds [t]'s procs, or [Batched n] with
-        [n < 2]. *)
+        if the context pid exceeds [t]'s procs, [Batched n] with
+        [n < 2], or [variant] is not the shards' variant. *)
   val attach :
     ?mode:mode ->
     ?batching:batching ->

@@ -109,7 +109,7 @@ let test_scan_exhaustive () =
   let recorder = ref (Spec.History.Recorder.create ()) in
   let program () =
     recorder := Spec.History.Recorder.create ();
-    let t = Scan.create ~procs:2 in
+    let t = Scan.create ~variant:Snapshot.Scan.Optimized ~procs:2 in
     fun pid ->
       let h = Scan.attach t (ctx ~procs:2 pid) in
       if pid = 0 then begin
@@ -138,7 +138,7 @@ let test_scan_exhaustive_with_crash () =
   let recorder = ref (Spec.History.Recorder.create ()) in
   let program () =
     recorder := Spec.History.Recorder.create ();
-    let t = Scan.create ~procs:2 in
+    let t = Scan.create ~variant:Snapshot.Scan.Optimized ~procs:2 in
     fun pid ->
       let h = Scan.attach t (ctx ~procs:2 pid) in
       ignore
@@ -267,7 +267,7 @@ let test_atomic_snapshot_no_violations () =
   let recorder = ref (Spec.History.Recorder.create ()) in
   let program () =
     recorder := Spec.History.Recorder.create ();
-    let t = Arr.create ~procs:2 in
+    let t = Arr.create ~variant:Snapshot.Scan.Optimized ~procs:2 in
     fun pid ->
       let h = Arr.attach t (ctx ~procs:2 pid) in
       if pid = 0 then
@@ -421,7 +421,7 @@ let test_dpor_vs_naive_scan () =
   let recorder = ref (Spec.History.Recorder.create ()) in
   let program () =
     recorder := Spec.History.Recorder.create ();
-    let t = Scan.create ~procs:2 in
+    let t = Scan.create ~variant:Snapshot.Scan.Optimized ~procs:2 in
     fun pid ->
       let h = Scan.attach t (ctx ~procs:2 pid) in
       if pid = 0 then begin
@@ -530,7 +530,7 @@ let test_scan_3procs_dpor () =
   let recorder = ref (Spec.History.Recorder.create ()) in
   let program () =
     recorder := Spec.History.Recorder.create ();
-    let t = Scan.create ~procs:3 in
+    let t = Scan.create ~variant:Snapshot.Scan.Optimized ~procs:3 in
     fun pid ->
       let h = Scan.attach t (ctx ~procs:3 pid) in
       if pid < 2 then
@@ -731,7 +731,7 @@ let test_explore_check_wrapper () =
   let recorder2 = ref (Spec.History.Recorder.create ()) in
   let good_program () =
     recorder2 := Spec.History.Recorder.create ();
-    let t = Scan.create ~procs:2 in
+    let t = Scan.create ~variant:Snapshot.Scan.Optimized ~procs:2 in
     fun pid ->
       let h = Scan.attach t (ctx ~procs:2 pid) in
       if pid = 0 then

@@ -32,7 +32,7 @@ module Diff (O : Spec.Object_spec.S) = struct
      processes still contribute their completed prefix. *)
   let program ~mode ~procs ~script out () =
     out := [];
-    let t = U.create ~procs in
+    let t = U.create ~procs () in
     fun pid ->
       let h = U.attach ~mode t (ctx ~procs pid) in
       List.iter
@@ -241,7 +241,7 @@ let run_sequential ~mode ~procs ~per_proc =
      history each time while the memo only absorbs the new entries. *)
   let journal = Tracing.Journal.create ~procs () in
   let sink = Runtime.Sink.make ~journal () in
-  let t = UC_direct.create ~procs in
+  let t = UC_direct.create ~procs () in
   let handles =
     Array.init procs (fun pid ->
         UC_direct.attach ~mode t (Runtime.Ctx.make ~sink ~procs ~pid ()))
@@ -291,7 +291,7 @@ let test_odelta_single_process () =
 let test_stats_shape () =
   (* White-box: a commuting two-process run merges without rebuilding and
      stays canonical; injecting Reset from a peer forces a rebuild. *)
-  let t = UC_direct.create ~procs:2 in
+  let t = UC_direct.create ~procs:2 () in
   let h0 = UC_direct.attach t (ctx ~procs:2 0) in
   let h1 = UC_direct.attach t (ctx ~procs:2 1) in
   let open Spec.Counter_spec in

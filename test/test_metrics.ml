@@ -2,7 +2,8 @@
    paths (driver observer for the simulator, Instrument wrapper for
    direct/native code), span histograms, and the Section 6.2 guard —
    Scan.cost_formula must equal counts observed through a counting
-   memory backend for both variants at procs = 1..8. *)
+   memory backend for all four variants at procs = 1..8, and each
+   variant's object must create exactly its own registers. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -202,7 +203,7 @@ let test_spans_under_interleaving () =
 
 (* --- the Section 6.2 guard ------------------------------------------------- *)
 
-(* cost_formula vs counts observed through a counting backend, both
+(* cost_formula vs counts observed through a counting backend, all four
    variants, procs = 1..8.  Two independent counting paths must agree
    with the formula: the Instrument wrapper over Direct, and the driver
    observer under Sim. *)
@@ -218,10 +219,10 @@ let scan_cost_via_instrument ~procs ~variant =
   let module Scan =
     Snapshot.Scan.Make (Semilattice.Nat_max) (Pram.Memory.Versioned (M))
   in
-  let t = Scan.create ~procs in
+  let t = Scan.create ~variant ~procs in
   Runtime.set_pid 0;
   let h = Scan.attach t (Runtime.Ctx.make ~procs ~pid:0 ()) in
-  ignore (Scan.scan ~variant h 1);
+  ignore (Scan.scan h 1);
   ( Metrics.Recorder.reads recorder ~pid:0,
     Metrics.Recorder.writes recorder ~pid:0,
     Metrics.Recorder.registers_created recorder )
@@ -230,10 +231,10 @@ let scan_cost_via_observer ~procs ~variant =
   let recorder = Metrics.Recorder.create ~procs in
   let module Scan = Snapshot.Scan.Make (Semilattice.Nat_max) (Pram.Memory.Sim_v) in
   let program () =
-    let t = Scan.create ~procs in
+    let t = Scan.create ~variant ~procs in
     fun pid ->
       let h = Scan.attach t (Runtime.Ctx.make ~procs ~pid ()) in
-      ignore (Scan.scan ~variant h (pid + 1))
+      ignore (Scan.scan h (pid + 1))
   in
   let d =
     Pram.Driver.create ~observer:(Metrics.Recorder.observer recorder) ~procs
@@ -243,6 +244,23 @@ let scan_cost_via_observer ~procs ~variant =
   Pram.Scheduler.run (Pram.Scheduler.round_robin ()) d;
   ( Metrics.Recorder.reads recorder ~pid:0,
     Metrics.Recorder.writes recorder ~pid:0 )
+
+(* Each variant's register footprint, in closed form: only the registers
+   its protocol can access.  One process never collects, so [Adaptive]
+   and [Lattice] then hold column 0 alone. *)
+let footprint ~procs variant =
+  let levels = Snapshot.Scan.lattice_levels ~procs in
+  match variant with
+  | Snapshot.Scan.Plain -> procs * (procs + 2) (* the full grid *)
+  | Snapshot.Scan.Optimized -> procs * (procs + 1) (* no column n+1 *)
+  | Snapshot.Scan.Adaptive when procs = 1 -> 1
+  | Snapshot.Scan.Adaptive -> (procs * (procs + 1)) + procs (* + esc flags *)
+  | Snapshot.Scan.Lattice when procs = 1 -> 1
+  | Snapshot.Scan.Lattice ->
+      (* column 0, the generation registers, and [lattice_pool] trees of
+         [2^levels - 1] vertices with [procs] slots each *)
+      (2 * procs)
+      + (Snapshot.Scan.lattice_pool * ((1 lsl levels) - 1) * procs)
 
 let test_cost_formula_matches_counting_backend () =
   List.iter
@@ -261,17 +279,7 @@ let test_cost_formula_matches_counting_backend () =
         in
         check_int (label "reads (instrument)") fr ir;
         check_int (label "writes (instrument)") fw iw;
-        (* the grid, the [procs] adaptive escalation flags, the [procs]
-           lattice generation registers, and the classifier-tree pool
-           ([lattice_pool] trees of [2^levels - 1] vertices with [procs]
-           slots each) *)
-        let levels = Snapshot.Scan.lattice_levels ~procs in
-        let pool_regs =
-          Snapshot.Scan.lattice_pool * ((1 lsl levels) - 1) * procs
-        in
-        check_int (label "grid registers")
-          ((procs * (procs + 4)) + pool_regs)
-          regs;
+        check_int (label "registers") (footprint ~procs variant) regs;
         (* round-robin lockstep fires every publish before any collect,
            so even the contended Adaptive run stays on the exact-count
            fast path (random schedules may escalate; see
@@ -312,11 +320,11 @@ let scan_workload_via_sink ~procs ~variant =
   let module Scan =
     Snapshot.Scan.Make (Semilattice.Nat_max) (Pram.Memory.Versioned (M))
   in
-  let t = Scan.create ~procs in
+  let t = Scan.create ~variant ~procs in
   for pid = 0 to procs - 1 do
     Runtime.set_pid pid;
     let h = Scan.attach t (Runtime.Ctx.make ~procs ~pid ()) in
-    ignore (Scan.scan ~variant h (pid + 1))
+    ignore (Scan.scan h (pid + 1))
   done;
   Runtime.set_pid 0;
   per_pid_counts recorder ~procs
@@ -339,11 +347,11 @@ let scan_workload_via_hooked ~procs ~variant =
   let module Scan =
     Snapshot.Scan.Make (Semilattice.Nat_max) (Pram.Memory.Versioned (M))
   in
-  let t = Scan.create ~procs in
+  let t = Scan.create ~variant ~procs in
   for pid = 0 to procs - 1 do
     cur := pid;
     let h = Scan.attach t (Runtime.Ctx.make ~procs ~pid ()) in
-    ignore (Scan.scan ~variant h (pid + 1))
+    ignore (Scan.scan h (pid + 1))
   done;
   Array.init procs (fun pid -> (reads.(pid), writes.(pid)))
 
@@ -351,10 +359,10 @@ let scan_workload_via_driver ~procs ~variant ~seed =
   let recorder = Metrics.Recorder.create ~procs in
   let module Scan = Snapshot.Scan.Make (Semilattice.Nat_max) (Pram.Memory.Sim_v) in
   let program () =
-    let t = Scan.create ~procs in
+    let t = Scan.create ~variant ~procs in
     fun pid ->
       let h = Scan.attach t (Runtime.Ctx.make ~procs ~pid ()) in
-      ignore (Scan.scan ~variant h (pid + 1))
+      ignore (Scan.scan h (pid + 1))
   in
   let d =
     Pram.Driver.create ~observer:(Metrics.Recorder.observer recorder) ~procs
@@ -412,15 +420,15 @@ let test_scan_escalation_reaches_exporters () =
   let c = Telemetry.Counters.create ~procs:2 () in
   let module A = Snapshot.Scan.Make (Semilattice.Nat_max) (Pram.Memory.Sim_v) in
   let program () =
-    let t = A.create ~procs:2 in
+    let t = A.create ~variant:Snapshot.Scan.Adaptive ~procs:2 in
     fun pid ->
       let sink = Runtime.Sink.make ~telemetry:c () in
       let h = A.attach ~retries:1 t (Runtime.Ctx.make ~sink ~procs:2 ~pid ()) in
       if pid = 0 then begin
-        A.write_l ~variant:Snapshot.Scan.Adaptive h 7;
+        A.write_l h 7;
         0
       end
-      else A.read_max ~variant:Snapshot.Scan.Adaptive h
+      else A.read_max h
   in
   let d = Pram.Driver.create ~procs:2 program in
   (* reader: escalation-flag pre-read, then the versioned collect of the

@@ -62,7 +62,7 @@ let test_counter_linearizable_on_domains () =
 let test_snapshot_array_linearizable_on_domains () =
   for _ = 1 to rounds do
     let recorder = Spec.History.Concurrent_recorder.create () in
-    let t = Arr.create ~procs in
+    let t = Arr.create ~variant:Snapshot.Scan.Optimized ~procs in
     let _ =
       Pram.Native.run_parallel ~procs (fun pid ->
           let h = Arr.attach t (ctx pid) in

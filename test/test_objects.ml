@@ -102,7 +102,7 @@ let qcheck_universal_histogram_linearizable =
         | _ -> [ H.Reset_all; H.Total ]
       in
       let program () =
-        let t = UH.create ~procs:3 in
+        let t = UH.create ~procs:3 () in
         fun pid ->
           let h = UH.attach t (ctx ~procs:3 pid) in
           List.iter

@@ -42,7 +42,7 @@ let ctx ~procs pid = Runtime.Ctx.make ~procs ~pid ()
 (* --- basic sequential behaviour ---------------------------------------- *)
 
 let test_scan_sequential () =
-  let t = Scan_d.create ~procs:3 in
+  let t = Scan_d.create ~variant:Snapshot.Scan.Optimized ~procs:3 in
   let h = Array.init 3 (fun pid -> Scan_d.attach t (ctx ~procs:3 pid)) in
   check_int "first scan returns own value" 5 (Scan_d.scan h.(0) 5);
   check_int "second process sees the join" 7 (Scan_d.scan h.(1) 7);
@@ -52,12 +52,12 @@ let test_scan_sequential () =
 
 let test_scan_plain_equals_optimized () =
   let run variant =
-    let t = Scan_d.create ~procs:2 in
+    let t = Scan_d.create ~variant ~procs:2 in
     let h0 = Scan_d.attach t (ctx ~procs:2 0) in
     let h1 = Scan_d.attach t (ctx ~procs:2 1) in
-    let a = Scan_d.scan ~variant h0 3 in
-    let b = Scan_d.scan ~variant h1 8 in
-    let c = Scan_d.read_max ~variant h0 in
+    let a = Scan_d.scan h0 3 in
+    let b = Scan_d.scan h1 8 in
+    let c = Scan_d.read_max h0 in
     (a, b, c)
   in
   let plain = run Snapshot.Scan.Plain in
@@ -72,8 +72,8 @@ let test_scan_plain_equals_optimized () =
 
 let scan_cost ~procs ~variant =
   let program () =
-    let t = Scan.create ~procs in
-    fun pid -> Scan.scan ~variant (Scan.attach t (ctx ~procs pid)) (pid + 1)
+    let t = Scan.create ~variant ~procs in
+    fun pid -> Scan.scan (Scan.attach t (ctx ~procs pid)) (pid + 1)
   in
   let d = Pram.Driver.create ~procs program in
   (* run only process 0 to completion; count its steps *)
@@ -144,7 +144,7 @@ let test_lattice_multishot_reuse () =
      return the exact join of all contributions so far; stale stamps
      from earlier occupants of a recycled tree must never leak in. *)
   let procs = 3 in
-  let t = Scan_d.create ~procs in
+  let t = Scan_d.create ~variant:Snapshot.Scan.Lattice ~procs in
   let h = Array.init procs (fun pid -> Scan_d.attach t (ctx ~procs pid)) in
   let expected = ref 0 in
   for round = 0 to 3 do
@@ -154,11 +154,10 @@ let test_lattice_multishot_reuse () =
       check_int
         (Printf.sprintf "round %d pid %d sees the running join" round pid)
         !expected
-        (Scan_d.scan ~variant:Snapshot.Scan.Lattice h.(pid) v)
+        (Scan_d.scan h.(pid) v)
     done
   done;
-  check_int "final read_max" !expected
-    (Scan_d.read_max ~variant:Snapshot.Scan.Lattice h.(0))
+  check_int "final read_max" !expected (Scan_d.read_max h.(0))
 
 (* --- bounded retry: the escalation rate drops under contention ---------- *)
 
@@ -173,13 +172,12 @@ let test_adaptive_retry_reduces_escalations () =
     let procs = 3 in
     let c = Telemetry.Counters.create ~procs () in
     let program () =
-      let t = Scan.create ~procs in
+      let t = Scan.create ~variant:Snapshot.Scan.Adaptive ~procs in
       fun pid ->
         let sink = Runtime.Sink.make ~telemetry:c () in
         let h = Scan.attach ~retries t (Runtime.Ctx.make ~sink ~procs ~pid ()) in
         for i = 1 to 3 do
-          ignore
-            (Scan.scan ~variant:Snapshot.Scan.Adaptive h ((pid * 100) + i))
+          ignore (Scan.scan h ((pid * 100) + i))
         done
     in
     let d = Pram.Driver.create ~procs program in
@@ -217,12 +215,12 @@ let test_adaptive_retry_reduces_escalations () =
 let variant_outcome_set ?retries ~procs ~active variant =
   let results = Hashtbl.create 16 in
   let program () =
-    let t = Scan_set.create ~procs in
+    let t = Scan_set.create ~variant ~procs in
     fun pid ->
       let h = Scan_set.attach ?retries t (ctx ~procs pid) in
       if pid < active then begin
-        Scan_set.write_l ~variant h (Set_lat.of_list [ pid + 1 ]);
-        Set_lat.elements (Scan_set.read_max ~variant h)
+        Scan_set.write_l h (Set_lat.of_list [ pid + 1 ]);
+        Set_lat.elements (Scan_set.read_max h)
       end
       else []
   in
@@ -345,12 +343,11 @@ let test_lattice_crash_mid_descend () =
      contains its own contribution. *)
   let procs = 3 in
   let program () =
-    let t = Scan_set.create ~procs in
+    let t = Scan_set.create ~variant:Snapshot.Scan.Lattice ~procs in
     fun pid ->
       let h = Scan_set.attach t (ctx ~procs pid) in
-      Scan_set.write_l ~variant:Snapshot.Scan.Lattice h
-        (Set_lat.of_list [ pid + 1 ]);
-      Scan_set.read_max ~variant:Snapshot.Scan.Lattice h
+      Scan_set.write_l h (Set_lat.of_list [ pid + 1 ]);
+      Scan_set.read_max h
   in
   let outcome =
     Pram.Explore.exhaustive ~mode:Pram.Explore.Naive ~max_crashes:1
@@ -387,7 +384,7 @@ let qcheck_comparability =
     (fun (seed, crashes) ->
       let procs = 3 in
       let program () =
-        let t = Scan_set.create ~procs in
+        let t = Scan_set.create ~variant:Snapshot.Scan.Optimized ~procs in
         fun pid ->
           (* two scans per process, each contributing a distinct element *)
           let h = Scan_set.attach t (ctx ~procs pid) in
@@ -423,7 +420,7 @@ let qcheck_comparability =
 let scan_object_history ~procs ~seed ~with_crash =
   let recorder = Spec.History.Recorder.create () in
   let program () =
-    let t = Scan.create ~procs in
+    let t = Scan.create ~variant:Snapshot.Scan.Optimized ~procs in
     fun pid ->
       let h = Scan.attach t (ctx ~procs pid) in
       ignore
@@ -482,7 +479,7 @@ let test_combined_scan_not_atomic () =
     let procs = 3 in
     let recorder = Spec.History.Recorder.create () in
     let program () =
-      let t = Scan.create ~procs in
+      let t = Scan.create ~variant:Snapshot.Scan.Optimized ~procs in
       fun pid ->
         let h = Scan.attach t (ctx ~procs pid) in
         for round = 0 to 1 do
@@ -514,7 +511,7 @@ let qcheck_scan_monotone =
     (fun seed ->
       let procs = 3 in
       let program () =
-        let t = Scan.create ~procs in
+        let t = Scan.create ~variant:Snapshot.Scan.Optimized ~procs in
         fun pid ->
           let h = Scan.attach t (ctx ~procs pid) in
           Scan.write_l h (pid + 1);
@@ -545,7 +542,7 @@ let qcheck_wait_free =
     (fun (seed, prefix_len) ->
       let procs = 4 in
       let program () =
-        let t = Scan.create ~procs in
+        let t = Scan.create ~variant:Snapshot.Scan.Optimized ~procs in
         fun pid -> Scan.scan (Scan.attach t (ctx ~procs pid)) pid
       in
       (* random prefix, then crash everyone except process 0 *)
@@ -582,7 +579,7 @@ module Arr_spec =
 module Arr_check = Lincheck.Make (Arr_spec)
 
 let snapshot_array_program ~procs recorder () =
-  let t = Arr.create ~procs in
+  let t = Arr.create ~variant:Snapshot.Scan.Optimized ~procs in
   fun pid ->
     let h = Arr.attach t (ctx ~procs pid) in
     Spec.History.Recorder.record recorder ~pid (`Update (pid, pid + 10))
@@ -607,7 +604,7 @@ let qcheck_snapshot_array_linearizable =
       Arr_check.is_linearizable (Spec.History.Recorder.events recorder))
 
 let test_snapshot_array_sequential () =
-  let t = Arr_d.create ~procs:3 in
+  let t = Arr_d.create ~variant:Snapshot.Scan.Optimized ~procs:3 in
   let h = Array.init 3 (fun pid -> Arr_d.attach t (ctx ~procs:3 pid)) in
   Arr_d.update h.(0) 100;
   Arr_d.update h.(2) 300;

@@ -246,6 +246,60 @@ let test_api_guards () =
       check_bool "shard in range" true (s >= 0 && s < S_direct.shards store))
     [ "a"; "zz"; Workload.key_name 17 ]
 
+let test_attach_variant_fixed_at_create () =
+  (* Every shard's scan variant is fixed when the store is created (the
+     construction default, Adaptive), so [attach ~variant] may only
+     restate it: a handle on another protocol would mix scan variants on
+     one anchor. *)
+  let store = S_direct.create ~shards:2 ~procs:1 () in
+  List.iter
+    (fun variant ->
+      match S_direct.attach ~variant store ctx0 with
+      | _ -> Alcotest.fail "attach with a second scan variant should raise"
+      | exception Invalid_argument _ -> ())
+    Snapshot.Scan.[ Lattice; Optimized; Plain ];
+  let h = S_direct.attach ~variant:Snapshot.Scan.Adaptive store ctx0 in
+  check_bool "restating the shards' variant is accepted" true
+    (S_direct.execute h ~key:"a" (C.Inc 1) = C.Unit)
+
+let test_rebuilds_attributed_to_their_shard () =
+  (* An increment and a reset of one key, run concurrently: neither
+     execute's snapshot sees the other's entry, so the read that follows
+     finds a non-commuting, precedence-incomparable pair and rebuilds its
+     memo.  Each rebuild is attributed to the key's shard by the call
+     that performed it — here a query — so the telemetry totals equal
+     the handles' rebuild counters. *)
+  let procs = 2 in
+  let counters = Telemetry.Counters.create ~families:2 ~procs () in
+  let sink = Runtime.Sink.make ~telemetry:counters () in
+  let store = ref None in
+  let program () =
+    let t = S_sim.create ~shards:2 ~procs () in
+    store := Some t;
+    fun pid ->
+      let h =
+        S_sim.attach ~batching:Universal.Store.Unbatched t
+          (Runtime.Ctx.make ~sink ~procs ~pid ())
+      in
+      ignore (S_sim.execute h ~key:"k" (if pid = 0 then C.Inc 1 else C.Reset 5));
+      ignore (S_sim.query h ~key:"k" C.Read);
+      (S_sim.stats h).S_sim.rebuilds
+  in
+  let d = Pram.Driver.create ~procs program in
+  Pram.Scheduler.run (Pram.Scheduler.round_robin ()) d;
+  let rebuilds =
+    List.fold_left
+      (fun acc p -> acc + Option.get (Pram.Driver.result d p))
+      0 [ 0; 1 ]
+  in
+  let shard = S_sim.shard_of (Option.get !store) "k" in
+  check_bool "the concurrent reset forces rebuilds" true (rebuilds > 0);
+  check_int "every rebuild is attributed" rebuilds
+    (Telemetry.Counters.total counters Telemetry.Event.Store_rebuild);
+  check_int "to the key's shard" rebuilds
+    (Telemetry.Counters.family_total counters ~family:shard
+       Telemetry.Event.Store_rebuild)
+
 let test_gset_store () =
   let store = G_direct.create ~shards:2 ~procs:1 () in
   let h = G_direct.attach ~batching:(Universal.Store.Batched 8) store ctx0 in
@@ -549,6 +603,10 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_store_sim;
     QCheck_alcotest.to_alcotest qcheck_store_native;
     Alcotest.test_case "O(batch) regression" `Quick test_obatch_regression;
+    Alcotest.test_case "attach keeps the variant fixed at create" `Quick
+      test_attach_variant_fixed_at_create;
+    Alcotest.test_case "rebuilds attributed to their shard" `Quick
+      test_rebuilds_attributed_to_their_shard;
   ]
 
 let () = Alcotest.run "store" [ ("store", suite) ]

@@ -186,14 +186,8 @@ module Runner
       type mode
       type handle
 
-      val create : procs:int -> t
-
-      val attach :
-        ?mode:mode ->
-        ?variant:Snapshot.Scan.variant ->
-        t ->
-        Runtime.Ctx.t ->
-        handle
+      val create : ?variant:Snapshot.Scan.variant -> procs:int -> unit -> t
+      val attach : ?mode:mode -> t -> Runtime.Ctx.t -> handle
 
       val execute : handle -> O.operation -> O.response
     end) =
@@ -202,9 +196,9 @@ struct
       =
     let recorder = Spec.History.Recorder.create () in
     let program () =
-      let t = U.create ~procs in
+      let t = U.create ?variant ~procs () in
       fun pid ->
-        let h = U.attach ?variant t (ctx ~procs pid) in
+        let h = U.attach t (ctx ~procs pid) in
         List.iter
           (fun op ->
             ignore
@@ -301,7 +295,7 @@ let qcheck_universal_rwreg_linearizable =
 module UC_d = Universal.Construction.Make (Spec.Counter_spec) (Pram.Memory.Direct_v)
 
 let test_universal_counter_sequential () =
-  let t = UC_d.create ~procs:2 in
+  let t = UC_d.create ~procs:2 () in
   let h0 = UC_d.attach t (ctx ~procs:2 0) in
   let h1 = UC_d.attach t (ctx ~procs:2 1) in
   let open Spec.Counter_spec in
@@ -324,10 +318,8 @@ module Hist_ident (O : Spec.Object_spec.S) = struct
   module U = Universal.Construction.Make (O) (Pram.Memory.Direct_v)
 
   let run ~variant ~procs ~turns (scripts : O.operation array array) =
-    let t = U.create ~procs in
-    let hs =
-      Array.init procs (fun p -> U.attach ~variant t (ctx ~procs p))
-    in
+    let t = U.create ~variant ~procs () in
+    let hs = Array.init procs (fun p -> U.attach t (ctx ~procs p)) in
     let next = Array.make procs 0 in
     List.map
       (fun p ->
@@ -419,7 +411,7 @@ let qcheck_universal_counter_lattice_linearizable =
       Check_counter.is_linearizable events)
 
 let test_universal_query_matches_execute () =
-  let t = UC_d.create ~procs:2 in
+  let t = UC_d.create ~procs:2 () in
   let h0 = UC_d.attach t (ctx ~procs:2 0) in
   let h1 = UC_d.attach t (ctx ~procs:2 1) in
   let open Spec.Counter_spec in
@@ -436,7 +428,7 @@ let test_universal_steps_bounded () =
      skips the publish) and the update is the publish write alone. *)
   let procs = 4 in
   let program () =
-    let t = UC.create ~procs in
+    let t = UC.create ~procs () in
     fun pid ->
       let h = UC.attach t (ctx ~procs pid) in
       ignore (UC.execute h (Spec.Counter_spec.Inc pid))
@@ -456,7 +448,7 @@ let qcheck_universal_wait_free =
     (fun (seed, prefix_len) ->
       let procs = 3 in
       let program () =
-        let t = UC.create ~procs in
+        let t = UC.create ~procs () in
         fun pid ->
           let h = UC.attach t (ctx ~procs pid) in
           ignore (UC.execute h (Spec.Counter_spec.Inc (pid + 1)));
@@ -509,7 +501,7 @@ let qcheck_long_lived_universal_counter =
           0 script
       in
       let program () =
-        let t = UC.create ~procs in
+        let t = UC.create ~procs () in
         fun pid ->
           let h = UC.attach t (ctx ~procs pid) in
           List.iter (fun op -> ignore (UC.execute h op)) script.(pid);

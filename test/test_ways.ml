@@ -468,7 +468,7 @@ module Adaptive_set_workload (M : Pram.Memory.VERSIONED) = struct
     let recorder = ref (Spec.History.Recorder.create ()) in
     let program () =
       recorder := Spec.History.Recorder.create ();
-      let t = Scan.create ~procs:4 in
+      let t = Scan.create ~variant:Snapshot.Scan.Adaptive ~procs:4 in
       fun pid ->
         let h = Scan.attach t (Runtime.Ctx.make ~procs:4 ~pid ()) in
         if pid < 2 then
@@ -476,13 +476,12 @@ module Adaptive_set_workload (M : Pram.Memory.VERSIONED) = struct
             (Spec.History.Recorder.record !recorder ~pid
                (`Write_l (Set_lat.of_list [ pid + 1 ]))
                (fun () ->
-                 Scan.write_l ~variant:Snapshot.Scan.Adaptive h
-                   (Set_lat.of_list [ pid + 1 ]);
+                 Scan.write_l h (Set_lat.of_list [ pid + 1 ]);
                  `Unit))
         else
           ignore
             (Spec.History.Recorder.record !recorder ~pid `Read_max (fun () ->
-                 `Join (Scan.read_max ~variant:Snapshot.Scan.Adaptive h)))
+                 `Join (Scan.read_max h)))
     in
     (recorder, program)
 end

@@ -140,7 +140,7 @@ let qcheck_pct_preserves_correct_algorithms =
     (fun (seed, depth) ->
       let recorder = Spec.History.Recorder.create () in
       let program () =
-        let t = Scan.create ~procs:3 in
+        let t = Scan.create ~variant:Snapshot.Scan.Optimized ~procs:3 in
         fun pid ->
           let h = Scan.attach t (Runtime.Ctx.make ~procs:3 ~pid ()) in
           ignore
