@@ -3,7 +3,7 @@
      dune exec bin/wfa_cli.exe -- <command> ...
 
    Commands:
-     experiment [ID] [--quick]   run one experiment table (or all)
+     experiment [ID] [--quick]   run one experiment table E1..E12 (or all)
      agree --inputs 1,2,3        run approximate agreement on given inputs
      adversary -k K             attack the Figure 2 algorithm (Lemma 6)
      counter --procs N --ops M   torture a wait-free counter on domains
@@ -11,8 +11,8 @@
      trace                       run a workload under the structured tracer
      lincheck-demo               show the checker catching a naive collect
      top [--once]                live per-shard telemetry view of the store
-     bench --json [--quick]      run the JSON bench pipeline (BENCH_PR10.json)
-     bench-validate FILE         schema-check a bench JSON file
+     bench [--quick] [--out F]   run the bench and gate its rows (BENCH.json)
+     bench-validate FILE         check a bench JSON file against the gates
 
    Exit codes are meaningful on every subcommand — non-zero whenever the
    run found a violation of a property it was checking (lost updates,
@@ -27,7 +27,7 @@ open Cmdliner
 let experiment_cmd =
   let id =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"ID"
-           ~doc:"Experiment id (E1..E9); omit to run all.")
+           ~doc:"Experiment id (E1..E12); omit to run all.")
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sweeps, faster run.")
@@ -1116,28 +1116,19 @@ let top_cmd =
 (* --- bench / bench-validate -------------------------------------------------- *)
 
 let bench_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Write the rows as JSON to $(b,--out) (the only supported \
-             output; the flag exists for symmetry with bench/main.exe).")
-  in
   let out =
     Arg.(
       value
-      & opt string Experiments.Bench_json.default_path
+      & opt string Experiments.Bench_stages.default_path
       & info [ "out" ] ~docv:"FILE" ~doc:"Output path for the JSON rows.")
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sweeps, faster run.")
   in
-  let run json out quick =
-    ignore json;
-    let rows = Experiments.Bench_json.run ~path:out ~quick () in
+  let run out quick =
+    let rows = Experiments.Bench_stages.run ~path:out ~quick () in
     Printf.printf "wrote %d rows to %s\n" (List.length rows) out;
-    match Experiments.Bench_json.validate_file ~path:out () with
+    match Experiments.Bench_gates.validate_file out with
     | Ok _ -> `Ok ()
     | Error errs ->
         `Error (false, "schema check failed: " ^ String.concat "; " errs)
@@ -1145,56 +1136,11 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Run the JSON bench pipeline: simulator step counts, native \
-          multi-domain throughput and wall-clock spans (procs 1,2,4,8), \
-          direct timing, and the windowed telemetry series — the \
-          BENCH_PR10.json rows.")
-    Term.(ret (const run $ json $ out $ quick))
-
-let store_bench_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Write the rows as JSON to $(b,--out) and validate them.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "STORE_BENCH.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Output path for the JSON rows.")
-  in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sweeps, faster run.")
-  in
-  let run json out quick =
-    let rows = Experiments.Bench_json.store_rows ~quick in
-    if not json then begin
-      Format.printf "%a" Experiments.Bench_json.pp_rows rows;
-      `Ok ()
-    end
-    else begin
-      Experiments.Bench_json.write_file ~path:out rows;
-      Printf.printf "wrote %d rows to %s\n" (List.length rows) out;
-      match
-        Experiments.Bench_json.validate_file
-          ~scope:Experiments.Bench_json.Store ~path:out ()
-      with
-      | Ok _ -> `Ok ()
-      | Error errs ->
-          `Error (false, "store gate failed: " ^ String.concat "; " errs)
-    end
-  in
-  Cmd.v
-    (Cmd.info "store-bench"
-       ~doc:
-         "Run only the keyed-store stages (Wfa.Store): exact sim \
-          counters (ops, graph entries, fallbacks, spec replays) and \
-          native batched-vs-unbatched throughput with latency \
-          percentiles, procs 1,2,4,8.  With $(b,--json) the rows are \
-          written and checked against the store_* gates — including \
-          batched >= unbatched throughput at procs >= 4.")
-    Term.(ret (const run $ json $ out $ quick))
+         "Run the bench: simulator step counts, native multi-domain \
+          throughput and wall-clock spans (procs 1,2,4,8), direct \
+          single-threaded timing, and the windowed telemetry series — \
+          the BENCH.json rows — then check them against the gate table.")
+    Term.(ret (const run $ out $ quick))
 
 let bench_validate_cmd =
   let file =
@@ -1203,32 +1149,8 @@ let bench_validate_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"FILE" ~doc:"Bench JSON file to validate.")
   in
-  let only =
-    Arg.(
-      value
-      & opt
-          (some
-             (enum
-                [
-                  ("store", Experiments.Bench_json.Store);
-                  ("series", Experiments.Bench_json.Series);
-                  ("scan", Experiments.Bench_json.Scan);
-                ]))
-          None
-      & info [ "only" ] ~docv:"FAMILY"
-          ~doc:
-            "Restrict the semantic pass to one bench family's gates: \
-             $(b,store) (what a partial file like store-bench output can \
-             satisfy) or $(b,series) (only the windowed time-series \
-             invariants — contiguous windows, monotone timestamps, \
-             ops reconciliation).  Without it the file must carry every \
-             family.")
-  in
-  let run file only =
-    let scope =
-      Option.value only ~default:Experiments.Bench_json.All
-    in
-    match Experiments.Bench_json.validate_file ~scope ~path:file () with
+  let run file =
+    match Experiments.Bench_gates.validate_file file with
     | Ok n ->
         Printf.printf "%s: ok (%d rows)\n" file n;
         `Ok ()
@@ -1239,11 +1161,12 @@ let bench_validate_cmd =
   Cmd.v
     (Cmd.info "bench-validate"
        ~doc:
-         "Validate a bench JSON file: syntax, the 6-field row schema, \
-          scan rows against Scan.cost_formula, procs coverage, zero \
-          lost updates, and the store batching gates.  Non-zero exit on \
-          any failure (the CI gate).")
-    Term.(ret (const run $ file $ only))
+         "Validate a bench JSON file against the gate table: syntax, the \
+          row schema, sim scan rows against Scan.cost_formula, stage \
+          coverage, zero lost updates, the batching and scan orderings, \
+          the windowed-series reconciliation and the exploration \
+          verdicts.  Non-zero exit on any failure (the CI gate).")
+    Term.(ret (const run $ file))
 
 let () =
   let default =
@@ -1266,6 +1189,5 @@ let () =
             lincheck_demo_cmd;
             top_cmd;
             bench_cmd;
-            store_bench_cmd;
             bench_validate_cmd;
           ]))

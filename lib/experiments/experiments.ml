@@ -1,14 +1,16 @@
 (* The experiment registry: every quantitative claim of the paper mapped
-   to a table generator.  `dune exec bench/main.exe` prints them all;
-   `dune exec bin/wfa.exe -- experiment <id>` prints one.  See DESIGN.md
+   to a table generator.  `dune exec bin/wfa_cli.exe -- experiment`
+   prints them all, `... experiment <id>` prints one.  See DESIGN.md
    Section 5 for the per-experiment index and EXPERIMENTS.md for recorded
    results. *)
 
-(* Re-export the table type so external callers (bench, CLI) can render
-   experiment output themselves, and the JSON bench pipeline so they can
-   run/validate it. *)
+(* Re-export the table type so the CLI can render experiment output
+   itself, and the bench pipeline — row codec, gate table, stages — so it
+   can run and validate bench files. *)
 module Table = Table
 module Bench_json = Bench_json
+module Bench_gates = Bench_gates
+module Bench_stages = Bench_stages
 
 type experiment = {
   id : string;
@@ -96,6 +98,11 @@ let all ?(quick = false) () =
             E_iis.e11 ~max_k:(if quick then 3 else 6)
               ~seeds:(if quick then 3 else 10) ();
           ]);
+    };
+    {
+      id = "E12";
+      paper_source = "Tooling (DPOR vs naive exhaustive exploration)";
+      run = (fun () -> [ E_explore.e12 ~agreement:(not quick) () ]);
     };
   ]
 

@@ -193,15 +193,5 @@ let run_parallel ~procs body =
   in
   List.map Domain.join domains
 
-(* Same, with the wall-clock span from just before the first spawn to
-   just after the last join.  Spawn/join overhead is included, so size the
-   per-domain work to dominate it (the bench pipeline uses thousands of
-   ops per domain). *)
-let run_parallel_timed ~procs body =
-  let t0 = Unix.gettimeofday () in
-  let results = run_parallel ~procs body in
-  let t1 = Unix.gettimeofday () in
-  (results, t1 -. t0)
-
 let recommended_procs () =
   max 2 (min 8 (Domain.recommended_domain_count ()))

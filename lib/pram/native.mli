@@ -66,11 +66,6 @@ end
     its own domain, returning results in pid order. *)
 val run_parallel : procs:int -> (int -> 'a) -> 'a list
 
-(** {!run_parallel} plus the elapsed wall-clock seconds, measured from
-    just before the first spawn to just after the last join (spawn/join
-    overhead included — give each domain enough work to dominate it). *)
-val run_parallel_timed : procs:int -> (int -> 'a) -> 'a list * float
-
 (** A sensible domain count for examples and benches: between 2 and 8,
     bounded by the machine's recommended count. *)
 val recommended_procs : unit -> int

@@ -42,6 +42,19 @@ let test_experiment id =
             check_bool "double collect starved" true (contains s "STARVED");
             check_bool "scan passes" true (contains s "none")
           end
+          else if id = "E12" then
+            (* the last column is the claim: DPOR explored no more
+               schedules than the naive search, with the same verdict, on
+               each of the three quick-mode programs *)
+            List.iter
+              (fun (t : Experiments.Table.t) ->
+                check_int "E12 programs" 3 (List.length t.rows_rev);
+                List.iter
+                  (fun row ->
+                    check_bool "E12 claim holds" true
+                      (List.nth row (List.length row - 1) = "yes"))
+                  t.rows_rev)
+              tables
           else
             List.iter
               (fun t ->
@@ -50,11 +63,11 @@ let test_experiment id =
 
 let test_registry_complete () =
   let ids = List.map (fun e -> e.Experiments.id) (Experiments.all ()) in
-  check_int "eleven experiments" 11 (List.length ids);
+  check_int "twelve experiments" 12 (List.length ids);
   List.iter
     (fun id ->
       check_bool (id ^ " registered") true (List.mem id ids))
-    [ "E1"; "E2"; "E3"; "E4"; "E5"; "E6"; "E7"; "E8"; "E9"; "E10"; "E11" ]
+    [ "E1"; "E2"; "E3"; "E4"; "E5"; "E6"; "E7"; "E8"; "E9"; "E10"; "E11"; "E12" ]
 
 let test_find_case_insensitive () =
   check_bool "finds lowercase" true (Experiments.find "e5" <> None);
@@ -70,6 +83,8 @@ let () =
         ] );
       ( "claims hold (quick sweeps)",
         List.map test_experiment
-          [ "E1"; "E2"; "E3"; "E4"; "E5"; "E6"; "E7"; "E8"; "E9"; "E10"; "E11" ]
-      );
+          [
+            "E1"; "E2"; "E3"; "E4"; "E5"; "E6"; "E7"; "E8"; "E9"; "E10"; "E11";
+            "E12";
+          ] );
     ]

@@ -573,6 +573,19 @@ let test_bench_json_roundtrip () =
           [ 1; 2; 4; 8 ])
       [ "universal_counter"; "universal_gset" ]
   in
+  (* the native adaptive and lattice scan stages must reach procs 8 *)
+  let native_scan_rows =
+    List.map
+      (fun bench ->
+        Experiments.Bench_json.row ~bench ~procs:8 ~backend:"native"
+          ~metric:"wall_ns" ~value:5e6 ~unit_:"ns")
+      [
+        "scan_adaptive_uncontended";
+        "scan_adaptive_contended";
+        "scan_lattice_uncontended";
+        "scan_lattice_contended";
+      ]
+  in
   let rows =
     [
       Experiments.Bench_json.row ~bench:"scan_plain_uncontended" ~procs:2
@@ -586,10 +599,11 @@ let test_bench_json_roundtrip () =
       Experiments.Bench_json.row ~bench:"counter_inc" ~procs:8
         ~backend:"native" ~metric:"ops_per_sec" ~value:4e6 ~unit_:"ops/s";
     ]
-    @ universal_rows @ explore_rows @ store_rows @ windowed_rows
+    @ universal_rows @ native_scan_rows @ explore_rows @ store_rows
+    @ windowed_rows
   in
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json rows)
    with
   | Ok n -> check_int "row count survives round-trip" (List.length rows) n
@@ -600,11 +614,34 @@ let test_bench_json_roundtrip () =
       ~backend:"sim" ~metric:"reads" ~value:6.0 ~unit_:"accesses"
   in
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json (bad :: List.tl rows))
    with
   | Ok _ -> Alcotest.fail "formula violation must be rejected"
   | Error _ -> ());
+  (* native scan_grid rows must hold the Optimized footprint n(n+1): a
+     row from an object that also carried the other variants' registers
+     is stale *)
+  (match
+     Experiments.Bench_gates.validate_string
+       (Experiments.Bench_json.to_json
+          (Experiments.Bench_json.row ~bench:"scan_grid" ~procs:4
+             ~backend:"native" ~metric:"registers" ~value:80.0
+             ~unit_:"registers"
+          :: rows))
+   with
+  | Ok _ -> Alcotest.fail "stale scan_grid footprint accepted"
+  | Error _ -> ());
+  (match
+     Experiments.Bench_gates.validate_string
+       (Experiments.Bench_json.to_json
+          (Experiments.Bench_json.row ~bench:"scan_grid" ~procs:4
+             ~backend:"native" ~metric:"registers" ~value:20.0
+             ~unit_:"registers"
+          :: rows))
+   with
+  | Ok _ -> ()
+  | Error errs -> Alcotest.fail (String.concat "; " errs));
   (* wall-clock rows are schema-checked: wrong unit or a non-positive
      span must be rejected (but no magnitude thresholds) *)
   let wrong_unit =
@@ -612,14 +649,14 @@ let test_bench_json_roundtrip () =
       ~backend:"native" ~metric:"wall_ns" ~value:1e7 ~unit_:"ms"
   in
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json (wrong_unit :: rows))
    with
   | Ok _ -> Alcotest.fail "wall_ns with unit \"ms\" must be rejected"
   | Error _ -> ());
   (* dropping one universal coverage row must be flagged *)
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json
           (List.filter
              (fun r ->
@@ -630,6 +667,20 @@ let test_bench_json_roundtrip () =
              rows))
    with
   | Ok _ -> Alcotest.fail "missing universal wall_ns coverage accepted"
+  | Error _ -> ());
+  (match
+     Experiments.Bench_gates.validate_string
+       (Experiments.Bench_json.to_json
+          (List.filter
+             (fun r ->
+               not
+                 (r.Experiments.Bench_json.bench = "scan_lattice_contended"
+                 && r.Experiments.Bench_json.backend = "native"
+                 && r.Experiments.Bench_json.procs = 8
+                 && r.Experiments.Bench_json.metric = "wall_ns"))
+             rows))
+   with
+  | Ok _ -> Alcotest.fail "missing native lattice scan coverage accepted"
   | Error _ -> ());
   (* the incremental mode may never replay more than the reference *)
   let replay_pair v =
@@ -642,13 +693,13 @@ let test_bench_json_roundtrip () =
     ]
   in
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json (rows @ replay_pair 40.0))
    with
   | Ok _ -> ()
   | Error errs -> Alcotest.fail (String.concat "; " errs));
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json (rows @ replay_pair 140.0))
    with
   | Ok _ -> Alcotest.fail "spec_replays above reference accepted"
@@ -661,7 +712,7 @@ let test_bench_json_roundtrip () =
     List.filter (fun r -> r.Experiments.Bench_json.bench <> bench) rows @ stage
   in
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json
           (swap_stage "explore_scan_dpor"
              (explore_stage_rows ~bench:"explore_scan_dpor" ~procs:2
@@ -670,7 +721,7 @@ let test_bench_json_roundtrip () =
   | Ok _ -> Alcotest.fail "violation in the clean explore stage accepted"
   | Error _ -> ());
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json
           (swap_stage "explore_racy_max_uniform"
              (explore_stage_rows ~bench:"explore_racy_max_uniform" ~procs:6
@@ -679,7 +730,7 @@ let test_bench_json_roundtrip () =
   | Ok _ -> Alcotest.fail "random stage with sampled <> explored accepted"
   | Error _ -> ());
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json
           (swap_stage "explore_collect_uniform"
              (explore_stage_rows ~bench:"explore_collect_uniform" ~procs:6
@@ -688,7 +739,7 @@ let test_bench_json_roundtrip () =
   | Ok _ -> Alcotest.fail "injected bug not found but accepted"
   | Error _ -> ());
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json
           (List.filter
              (fun r ->
@@ -702,13 +753,13 @@ let test_bench_json_roundtrip () =
   (* store gates (PR 7): batched throughput below unbatched at procs >= 4,
      sim entries exceeding ops, batched entries above the unbatched
      baseline, and dropped store coverage must all be flagged; the same
-     store-only rows must pass under the Store scope but fail the full
-     validator (which demands every other family too) *)
+     store-only rows must fail the validator (which demands every other
+     family too) *)
   let replace_store bench stage =
     List.filter (fun r -> r.Experiments.Bench_json.bench <> bench) rows @ stage
   in
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json
           (replace_store "store_batched"
              (store_stage_rows ~bench:"store_batched" ~ops_per_sec:1e5
@@ -717,7 +768,7 @@ let test_bench_json_roundtrip () =
   | Ok _ -> Alcotest.fail "batched slower than unbatched at procs >= 4 accepted"
   | Error _ -> ());
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json
           (replace_store "store_unbatched"
              (store_stage_rows ~bench:"store_unbatched" ~ops_per_sec:2e5
@@ -726,7 +777,7 @@ let test_bench_json_roundtrip () =
   | Ok _ -> Alcotest.fail "sim store entries above ops accepted"
   | Error _ -> ());
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json
           (replace_store "store_batched"
              (store_stage_rows ~bench:"store_batched" ~ops_per_sec:4e5
@@ -741,7 +792,7 @@ let test_bench_json_roundtrip () =
   | Ok _ -> Alcotest.fail "non-integer sim store counter accepted"
   | Error _ -> ());
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json
           (List.filter
              (fun r ->
@@ -755,16 +806,7 @@ let test_bench_json_roundtrip () =
   | Error _ -> ());
   let store_family = store_rows @ windowed_rows in
   (match
-     Experiments.Bench_json.validate_string
-       ~scope:Experiments.Bench_json.Store
-       (Experiments.Bench_json.to_json store_family)
-   with
-  | Ok n ->
-      check_int "store scope passes store-only rows"
-        (List.length store_family) n
-  | Error errs -> Alcotest.fail (String.concat "; " errs));
-  (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json store_family)
    with
   | Ok _ -> Alcotest.fail "store-only rows passed the full validator"
@@ -772,8 +814,7 @@ let test_bench_json_roundtrip () =
   (* series gates (PR 8): per-window ops that no longer reconcile with
      the stage total, a dropped windowed series, a w_-prefixed metric
      without a window, a non-contiguous window index, and a stale
-     target_rate must all be flagged; the windowed rows alone must pass
-     under the Series scope *)
+     target_rate must all be flagged *)
   let map_windowed f =
     List.map
       (fun r ->
@@ -785,7 +826,7 @@ let test_bench_json_roundtrip () =
       rows
   in
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json
           (map_windowed (fun r ->
                if r.Experiments.Bench_json.metric = "w_ops" then
@@ -795,7 +836,7 @@ let test_bench_json_roundtrip () =
   | Ok _ -> Alcotest.fail "window ops not summing to the stage total accepted"
   | Error _ -> ());
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json
           (List.filter
              (fun r ->
@@ -807,7 +848,7 @@ let test_bench_json_roundtrip () =
   | Ok _ -> Alcotest.fail "missing windowed series accepted"
   | Error _ -> ());
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json
           (Experiments.Bench_json.row ~bench:"store_openloop_r2000" ~procs:4
              ~backend:"native" ~metric:"w_ops" ~value:3.0 ~unit_:"ops"
@@ -816,7 +857,7 @@ let test_bench_json_roundtrip () =
   | Ok _ -> Alcotest.fail "w_-prefixed metric without a window accepted"
   | Error _ -> ());
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json
           (map_windowed (fun r ->
                if r.Experiments.Bench_json.window = Some 1 then
@@ -826,7 +867,7 @@ let test_bench_json_roundtrip () =
   | Ok _ -> Alcotest.fail "non-contiguous window indices accepted"
   | Error _ -> ());
   (match
-     Experiments.Bench_json.validate_string
+     Experiments.Bench_gates.validate_string
        (Experiments.Bench_json.to_json
           (List.map
              (fun r ->
@@ -839,17 +880,8 @@ let test_bench_json_roundtrip () =
    with
   | Ok _ -> Alcotest.fail "target_rate contradicting the stage name accepted"
   | Error _ -> ());
-  (match
-     Experiments.Bench_json.validate_string
-       ~scope:Experiments.Bench_json.Series
-       (Experiments.Bench_json.to_json windowed_rows)
-   with
-  | Ok n ->
-      check_int "series scope passes windowed rows"
-        (List.length windowed_rows) n
-  | Error errs -> Alcotest.fail (String.concat "; " errs));
   (* and broken syntax is a parse error, not a crash *)
-  match Experiments.Bench_json.validate_string "[{\"bench\": }]" with
+  match Experiments.Bench_gates.validate_string "[{\"bench\": }]" with
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error _ -> ()
 
