@@ -963,7 +963,11 @@ let top_cmd =
   in
   let render ~live ~procs ~t0 ~counters ~sampler () =
     let module T = Telemetry in
-    let elapsed = Float.max (Unix.gettimeofday () -. t0) 1e-9 in
+    let elapsed =
+      Float.max
+        (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9)
+        1e-9
+    in
     let total_ops = T.Sampler.total_ops sampler in
     let buf = Buffer.create 1024 in
     let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
@@ -1031,15 +1035,20 @@ let top_cmd =
           (fun r -> Workload.Traffic.Open { rate = r /. float_of_int procs })
           rate
       in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Monotonic_clock.now () in
+      (* hand-spawned domains: bracket the run with the native hooks so
+         seqlock retries reach the grid, attributed by [set_pid] *)
       let drive () =
-        Pram.Native.run_parallel ~procs (fun pid ->
-            let h = S.attach t (Runtime.Ctx.make ~sink ~procs ~pid ()) in
-            Workload.Traffic.drive ~telemetry:sampler ?loop ~flush_every:64
-              ~ops:(script pid)
-              ~submit:(fun key op -> S.submit h ~key op)
-              ~flush:(fun () -> ignore (S.flush h))
-              ())
+        Runtime.install_native_hooks sink;
+        Fun.protect ~finally:Runtime.uninstall_native_hooks (fun () ->
+            Pram.Native.run_parallel ~procs (fun pid ->
+                Runtime.set_pid pid;
+                let h = S.attach t (Runtime.Ctx.make ~sink ~procs ~pid ()) in
+                Workload.Traffic.drive ~telemetry:sampler ?loop
+                  ~flush_every:64 ~ops:(script pid)
+                  ~submit:(fun key op -> S.submit h ~key op)
+                  ~flush:(fun () -> ignore (S.flush h))
+                  ()))
       in
       let reports =
         if once then drive ()

@@ -607,21 +607,26 @@ let native_store_stage ~bench ~procs ~batching ~read_fraction ~seed ~loop
     | Universal.Store.Batched n -> n
     | Universal.Store.Unbatched -> 64
   in
+  (* hand-spawned domains: bracket the run with the native hooks so
+     seqlock retries reach the grid, attributed by [set_pid] *)
+  Runtime.install_native_hooks sink;
   let results, elapsed =
-    timed (fun () ->
-        Pram.Native.run_parallel ~procs (fun pid ->
-            let h =
-              Store_native.attach ~batching t
-                (Runtime.Ctx.make ~sink ~procs ~pid ())
-            in
-            let report =
-              Workload.Traffic.drive ~telemetry:sampler ?loop ~flush_every
-                ~ops:(script pid)
-                ~submit:(fun key op -> Store_native.submit h ~key op)
-                ~flush:(fun () -> ignore (Store_native.flush h))
-                ()
-            in
-            (report, Store_native.stats h)))
+    Fun.protect ~finally:Runtime.uninstall_native_hooks (fun () ->
+        timed (fun () ->
+            Pram.Native.run_parallel ~procs (fun pid ->
+                Runtime.set_pid pid;
+                let h =
+                  Store_native.attach ~batching t
+                    (Runtime.Ctx.make ~sink ~procs ~pid ())
+                in
+                let report =
+                  Workload.Traffic.drive ~telemetry:sampler ?loop ~flush_every
+                    ~ops:(script pid)
+                    ~submit:(fun key op -> Store_native.submit h ~key op)
+                    ~flush:(fun () -> ignore (Store_native.flush h))
+                    ()
+                in
+                (report, Store_native.stats h))))
   in
   Telemetry.Sampler.finish sampler;
   let series = Telemetry.Series.of_sampler sampler in

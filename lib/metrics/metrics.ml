@@ -89,21 +89,6 @@ module Snapshot = struct
     per_register : reg_stat list;
     spans : (string * Stats.t) list;
   }
-
-  let pp ppf s =
-    let total a = Array.fold_left ( + ) 0 a in
-    Format.fprintf ppf "@[<v>procs=%d reads=%d writes=%d registers=%d"
-      s.procs (total s.reads_per_pid) (total s.writes_per_pid)
-      s.registers_created;
-    Array.iteri
-      (fun p r ->
-        Format.fprintf ppf "@,  p%d: %d reads, %d writes" p r
-          s.writes_per_pid.(p))
-      s.reads_per_pid;
-    List.iter
-      (fun (op, st) -> Format.fprintf ppf "@,  span %s: %a" op Stats.pp st)
-      s.spans;
-    Format.fprintf ppf "@]"
 end
 
 module Recorder = struct
@@ -221,14 +206,6 @@ module Recorder = struct
   let span_stats t ~op =
     locked t (fun () ->
         Option.bind (Hashtbl.find_opt t.spans op) Histogram.stats)
-
-  let reset t =
-    Array.iter (fun c -> Atomic.set c 0) t.pid_reads;
-    Array.iter (fun c -> Atomic.set c 0) t.pid_writes;
-    Atomic.set t.created 0;
-    locked t (fun () ->
-        Hashtbl.reset t.regs;
-        Hashtbl.reset t.spans)
 
   let snapshot t =
     let per_register, spans =

@@ -84,8 +84,6 @@ module Snapshot : sig
     per_register : reg_stat list;  (** sorted by register id *)
     spans : (string * Stats.t) list;  (** sorted by operation label *)
   }
-
-  val pp : Format.formatter -> t -> unit
 end
 
 module Recorder : sig
@@ -125,9 +123,6 @@ module Recorder : sig
 
   (** The histogram accumulated for one operation label, if any. *)
   val span_stats : t -> op:string -> Stats.t option
-
-  (** Zero every counter, drop every histogram. *)
-  val reset : t -> unit
 
   val snapshot : t -> Snapshot.t
 

@@ -38,10 +38,6 @@ module Sink = struct
     | None, None, None -> true
     | _ -> false
 
-  let metrics t = t.metrics
-  let journal t = t.journal
-  let telemetry t = t.telemetry
-
   let observer t =
     match (t.metrics, t.journal) with
     | None, None -> None
@@ -96,6 +92,8 @@ module Ctx = struct
     procs : int;
     sink : Sink.t;
     seed : int;
+    quiet : bool;  (* no journal and no recorder *)
+    traced : bool;  (* a journal *)
     mutable rng : Random.State.t option;
         (* lazily built so contexts that never draw randomness allocate
            no state; deterministic in (seed, pid), so laziness is not
@@ -108,15 +106,25 @@ module Ctx = struct
       invalid_arg
         (Printf.sprintf "Runtime.Ctx.make: pid %d out of range 0..%d" pid
            (procs - 1));
-    { pid; procs; sink; seed; rng = None }
+    (* a grid that cannot attribute every pid fails here, not at the
+       first cause some process reports *)
+    (match sink.Sink.telemetry with
+    | Some c when Telemetry.Counters.procs c < procs ->
+        invalid_arg
+          (Printf.sprintf
+             "Runtime.Ctx.make: telemetry grid has %d pids, session has %d"
+             (Telemetry.Counters.procs c) procs)
+    | _ -> ());
+    let traced = Option.is_some sink.Sink.journal in
+    let quiet = (not traced) && Option.is_none sink.Sink.metrics in
+    { pid; procs; sink; seed; quiet; traced; rng = None }
 
   let pid t = t.pid
   let procs t = t.procs
   let sink t = t.sink
-  let seed t = t.seed
-  let journal t = t.sink.Sink.journal
-  let metrics t = t.sink.Sink.metrics
   let telemetry t = t.sink.Sink.telemetry
+  let quiet t = t.quiet
+  let traced t = t.traced
 
   let rng t =
     match t.rng with
@@ -126,16 +134,8 @@ module Ctx = struct
         t.rng <- Some st;
         st
 
-  let sibling t ~pid =
-    if pid < 0 || pid >= t.procs then
-      invalid_arg
-        (Printf.sprintf "Runtime.Ctx.sibling: pid %d out of range 0..%d" pid
-           (t.procs - 1));
-    { t with pid; rng = None }
-
   let family ?sink ?seed ~procs () =
-    let p0 = make ?sink ?seed ~procs ~pid:0 () in
-    Array.init procs (fun pid -> if pid = 0 then p0 else sibling p0 ~pid)
+    Array.init procs (fun pid -> make ?sink ?seed ~procs ~pid ())
 
   (* Instrumentation helpers.  The no-sink path of each is one or two
      pattern matches and nothing else — no closure beyond what the
@@ -165,37 +165,39 @@ module Ctx = struct
     | Some j ->
         Printf.ksprintf (fun s -> Tracing.Journal.annotate j ~pid:t.pid s) fmt
 
-  (* Reversed application, so multi-object session setup reads
-     context-first:
-       let counters = Ctx.attach ctx (Store.attach store) in ... *)
-  let attach t mint = mint t
+  (* One call per occurrence of a cause, counted and journaled once.
+     Labelled, non-optional arguments: a call on a sink-less context
+     builds nothing and is two pattern matches. *)
+  let causes t ~family e n =
+    (match t.sink.Sink.telemetry with
+    | None -> ()
+    | Some c -> Telemetry.Counters.add c ~pid:t.pid ~family e n);
+    match t.sink.Sink.journal with
+    | None -> ()
+    | Some j -> Tracing.Journal.annotate j ~pid:t.pid (Telemetry.Event.name e)
+
+  let cause t ~family e = causes t ~family e 1
 end
 
-(* Point the pram-layer observation hooks at a sink's telemetry
-   counters.  [Pram.Native] sits below the telemetry library, so it
-   exposes mutable no-op hooks instead of importing it; this is the one
-   place that closes the loop.  Registration retries are attributed to
-   the calling domain's pid (family 0 — the registry is a single global
-   object).  With no telemetry half the hooks are reset to no-ops. *)
+(* Point the pram-layer observation hook at a sink's telemetry counters.
+   [Pram.Native] sits below the telemetry library, so it exposes a
+   mutable no-op hook instead of importing it; this is the one place
+   that closes the loop.  A seqlock retry is attributed to the calling
+   domain's pid at family 0 (the hook cannot tell which object's
+   register retried).  With no telemetry half the hook is reset. *)
 let install_native_hooks (sink : Sink.t) =
   match sink.Sink.telemetry with
-  | None ->
-      Pram.Native.on_registration_retry := (fun () -> ());
-      Pram.Native.on_seqlock_retry := fun () -> ()
+  | None -> Pram.Native.on_seqlock_retry := fun () -> ()
   | Some c ->
       let procs = Telemetry.Counters.procs c in
-      let attribute event () =
-        let pid = current_pid () in
-        if pid >= 0 && pid < procs then
-          Telemetry.Counters.record c ~pid ~family:0 event
-      in
-      Pram.Native.on_registration_retry :=
-        attribute Telemetry.Event.Registration_cas_retry;
-      Pram.Native.on_seqlock_retry := attribute Telemetry.Event.Seqlock_retry
+      Pram.Native.on_seqlock_retry :=
+        fun () ->
+          let pid = current_pid () in
+          if pid >= 0 && pid < procs then
+            Telemetry.Counters.record c ~pid ~family:0
+              Telemetry.Event.Seqlock_retry
 
-let uninstall_native_hooks () =
-  Pram.Native.on_registration_retry := (fun () -> ());
-  Pram.Native.on_seqlock_retry := fun () -> ()
+let uninstall_native_hooks () = Pram.Native.on_seqlock_retry := fun () -> ()
 
 module Backend = struct
   type kind =
@@ -219,26 +221,17 @@ module Backend = struct
     | Direct -> (module Pram.Memory.Direct)
     | Native -> (module Pram.Native.Mem)
 
-  let instrumented kind (sink : Sink.t) : (module Pram.Memory.S) =
-    match kind with
-    | Sim ->
-        (* The simulator's canonical instrumentation is the driver
-           observer (attribution by firing schedule); wrapping the
-           backend would attribute at invocation time instead, and
-           fibers share one domain so [set_pid] cannot track them. *)
-        (module Pram.Memory.Sim)
-    | Direct ->
-        (module Instrument
-                  (Pram.Memory.Direct)
-                  (struct
-                    let sink = sink
-                  end))
-    | Native ->
-        (module Instrument
-                  (Pram.Native.Mem)
-                  (struct
-                    let sink = sink
-                  end))
+  (* [Direct] and [Native] memory fed to the sink.  The simulator is
+     never wrapped: its canonical instrumentation is the driver observer
+     (attribution by firing schedule), since fibers share one domain and
+     [set_pid] cannot track them. *)
+  let instrumented kind sink : (module Pram.Memory.S) =
+    let (module M) = memory kind in
+    (module Instrument
+              (M)
+              (struct
+                let sink = sink
+              end))
 
   type 'r outcome = {
     results : 'r option array;

@@ -11,7 +11,7 @@
     ([X.attach obj ctx]), and every subsequent operation call carries no
     cross-cutting arguments.
 
-    Three design rules hold throughout:
+    Four design rules hold throughout:
 
     - {b Off by default is free}: a context with no sink performs no
       accesses and allocates nothing on any instrumentation path (the
@@ -22,7 +22,11 @@
     - {b One observer feed}: {!Sink} fans a single access stream out to
       the metrics recorder and the tracing journal, whether the stream
       originates from the simulator driver ({!Sink.observer}) or from a
-      wrapped backend ({!Instrument}). *)
+      wrapped backend ({!Instrument}).
+    - {b One reporting surface}: algorithms observe only through their
+      {!Ctx} — spans, annotations and mechanical causes
+      ({!Ctx.cause}) — and never hold a journal, recorder or counter
+      grid of their own. *)
 
 (** {1 Pid attribution} *)
 
@@ -48,11 +52,11 @@ end
 
 (** {1 The unified observer sink} *)
 
-(** A fan-out point for the shared-memory access stream: zero, one, or
-    both of a metrics recorder and a tracing journal.  One sink value
-    replaces the four instrumentation attachment points that previously
-    coexisted ([Memory.Hooks] wrappers, [Native.Counting], the driver
-    [?observer], and the Tracing [Instrument] feed). *)
+(** The observers of a session: any of a metrics recorder, a tracing
+    journal and a contention-counter grid.  The recorder and the journal
+    consume the shared-memory access stream (through {!Sink.observer} on
+    the simulator, {!Instrument} on other backends); the grid counts the
+    mechanical causes algorithms report through {!Ctx.cause}. *)
 module Sink : sig
   type t
 
@@ -67,30 +71,12 @@ module Sink : sig
     t
 
   val is_none : t -> bool
-  val metrics : t -> Metrics.Recorder.t option
-  val journal : t -> Tracing.Journal.t option
-
-  (** The contention-counter grid carried alongside the access stream:
-      instrumented algorithms cache it at attach time and bump event
-      cells ([double_collect_restart], [store_batch_fallback], ...)
-      through the free {!Telemetry.record_opt} guard. *)
-  val telemetry : t -> Telemetry.Counters.t option
 
   (** The streaming hook for [Pram.Driver.create ?observer]: [None] when
-      the sink is empty (so an observer-less driver stays on its free
-      path), otherwise one callback feeding every attached consumer. *)
+      the sink has neither recorder nor journal (so an observer-less
+      driver stays on its free path), otherwise one callback feeding
+      both. *)
   val observer : t -> (Pram.Trace.access -> unit) option
-
-  (** Raw feeds, used by {!Instrument}; attribution is the caller's. *)
-  val record_create : t -> reg_id:int -> reg_name:string -> unit
-
-  val record_access :
-    t ->
-    pid:int ->
-    kind:Pram.Trace.kind ->
-    reg_id:int ->
-    reg_name:string ->
-    unit
 end
 
 (** [Instrument (M) (S)] is backend [M] with every completed access fed
@@ -113,38 +99,36 @@ module Ctx : sig
       {!Sink.none} (instrumentation off, zero overhead); [seed] defaults
       to [0] and determines {!rng}.
       @raise Invalid_argument
-        if [procs <= 0] or [pid] is out of range. *)
+        if [procs <= 0], [pid] is out of range, or the sink's telemetry
+        grid has fewer than [procs] pids. *)
   val make : ?sink:Sink.t -> ?seed:int -> procs:int -> pid:int -> unit -> t
 
   val pid : t -> int
   val procs : t -> int
   val sink : t -> Sink.t
-  val seed : t -> int
 
-  (** The journal / recorder attached to this context's sink, if any.
-      Handles cache these at attach time so per-access hot loops can
-      guard with a single [match] (the allocation-free discipline from
-      the tracing layer carries over unchanged). *)
-  val journal : t -> Tracing.Journal.t option
-
-  val metrics : t -> Metrics.Recorder.t option
+  (** The sink's contention-counter grid, if any — for attach-time
+      checks of its shape (e.g. [Store.attach]'s families). *)
   val telemetry : t -> Telemetry.Counters.t option
+
+  (** Fixed at {!make}: [quiet] when the sink has neither journal nor
+      recorder (so {!span} would only call its body, and a caller may
+      skip building the closure), [traced] when it has a journal (so a
+      caller may guard building an annotation's text). *)
+  val quiet : t -> bool
+
+  val traced : t -> bool
 
   (** This process's deterministic random state: {!Rng.state} on
       [(seed, pid)], built lazily and cached, so contexts that never
       draw randomness allocate no state. *)
   val rng : t -> Random.State.t
 
-  (** [sibling t ~pid] is [t]'s configuration (sink, seed, procs) for
-      another process — fresh RNG, same shared sink.
-      @raise Invalid_argument if [pid] is out of range. *)
-  val sibling : t -> pid:int -> t
-
   (** [family ~procs ()] is one context per pid, sharing one sink and
       seed — the common "all processes of one session" constructor. *)
   val family : ?sink:Sink.t -> ?seed:int -> procs:int -> unit -> t array
 
-  (** {2 Instrumentation helpers}
+  (** {2 Reporting}
 
       Each is free when the relevant sink half is absent: the [None]
       path is a pattern match, with no access and no allocation. *)
@@ -160,29 +144,34 @@ module Ctx : sig
 
   (** Like {!annotate} with a format string; on the no-journal path the
       message is never rendered.  [ikfprintf] still builds small
-      per-argument closures, so per-access hot loops should guard with
-      an explicit [match] on {!journal} instead (see [Snapshot.Scan]'s
+      per-argument closures, so per-access hot loops guard a
+      [Printf.sprintf] with {!traced} instead (see [Snapshot.Scan]'s
       pass loop). *)
   val annotatef : t -> ('a, unit, string, unit) format4 -> 'a
 
-  (** [attach t mint] is [mint t] — reversed application, so that
-      sessions attaching a process to several objects read
-      context-first: [Ctx.attach ctx (Store.attach store)].  Partial
-      applications of any algorithm's [attach obj] (optional arguments
-      included) fit the [mint] slot directly. *)
-  val attach : t -> (t -> 'h) -> 'h
+  (** [cause t ~family e] reports one occurrence of the mechanical cause
+      [e] at object family [family] (a store shard, or [0]): it bumps
+      the grid's [(pid, family, e)] cell and, with a journal attached,
+      writes one annotation naming [e] ({!Telemetry.Event.name}).
+      {!causes} reports [n] occurrences with one cell bump and one
+      annotation.  Without grid and journal nothing is allocated.
+      @raise Invalid_argument
+        if [family] is outside the grid or [n < 0]. *)
+  val cause : t -> family:int -> Telemetry.Event.t -> unit
+
+  val causes : t -> family:int -> Telemetry.Event.t -> int -> unit
 end
 
 (** {1 Native observation hooks} *)
 
-(** Point [Pram.Native]'s observation hooks ([on_registration_retry]
-    and [on_seqlock_retry]) at [sink]'s telemetry counters, attributing
-    each event to the calling domain's {!current_pid} at family 0.
-    [Pram] sits below the telemetry library, so the wiring is injected
-    here rather than imported there.  {!Backend.run} installs/uninstalls
-    around every [Native] run; call it directly only when driving
-    [Pram.Native.run_parallel] by hand.  A sink without a telemetry half
-    resets the hooks to no-ops. *)
+(** Point [Pram.Native.on_seqlock_retry] at [sink]'s telemetry counters,
+    attributing each retry to the calling domain's {!current_pid} at
+    family 0.  [Pram] sits below the telemetry library, so the wiring is
+    injected here rather than imported there.  {!Backend.run}
+    installs/uninstalls around every [Native] run; a harness that drives
+    [Pram.Native.run_parallel] by hand brackets its run with these two
+    under [Fun.protect] and calls {!set_pid} in each domain.  A sink
+    without a telemetry half resets the hook to a no-op. *)
 val install_native_hooks : Sink.t -> unit
 
 val uninstall_native_hooks : unit -> unit
@@ -206,12 +195,6 @@ module Backend : sig
 
   (** The uninstrumented memory module for a backend. *)
   val memory : kind -> (module Pram.Memory.S)
-
-  (** The backend's canonical instrumented variant for a given sink:
-      [Direct]/[Native] wrap the memory in {!Instrument}; [Sim] returns
-      the raw module because its canonical instrumentation is the driver
-      observer ({!Sink.observer}), which attributes by firing schedule. *)
-  val instrumented : kind -> Sink.t -> (module Pram.Memory.S)
 
   (** The result of one multi-process run: per-pid results ([None] for a
       process that was crashed or never ran to completion) and, on the

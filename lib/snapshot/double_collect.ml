@@ -31,13 +31,7 @@ struct
       seq = Array.make procs 0;
     }
 
-  type handle = {
-    obj : t;
-    pid : int;
-    tel : Telemetry.Counters.t option;
-        (* cached at attach, like the journal elsewhere: the retry loop
-           guards with one pattern match and pays nothing when off *)
-  }
+  type handle = { obj : t; pid : int; ctx : Runtime.Ctx.t }
 
   let attach obj ctx =
     let pid = Runtime.Ctx.pid ctx in
@@ -46,15 +40,7 @@ struct
         (Printf.sprintf
            "Double_collect.attach: ctx pid %d but object has %d procs" pid
            obj.procs);
-    let tel =
-      match Runtime.Ctx.telemetry ctx with
-      | Some c
-        when pid < Telemetry.Counters.procs c
-             && Telemetry.Counters.families c > 0 ->
-          Some c
-      | _ -> None
-    in
-    { obj; pid; tel }
+    { obj; pid; ctx }
 
   let update h v =
     let t = h.obj in
@@ -76,7 +62,7 @@ struct
         let cur = collect t in
         if same_collect prev cur then Some (Array.map (fun s -> s.value) cur)
         else begin
-          Telemetry.record_opt h.tel ~pid:h.pid ~family:0
+          Runtime.Ctx.cause h.ctx ~family:0
             Telemetry.Event.Double_collect_restart;
           loop cur (rounds - 1)
         end

@@ -61,10 +61,10 @@
      variant accesses.
 
    Per-process state lives in a [handle] minted from a [Runtime.Ctx]:
-   the pid, the process's private row mirror, scratch rows for the
-   adaptive validation, and the cached journal/telemetry options for the
-   hot-loop guards.  The untraced ([Sink.none]) fast path allocates
-   nothing: dispatch happens before any span closure is built, the
+   the pid, the process's private row mirror and scratch rows for the
+   adaptive validation; every observation goes through the context.
+   The untraced ([Sink.none]) fast path allocates nothing: dispatch on
+   [Ctx.quiet] happens before any span closure is built, the
    collect accumulates through tail recursion instead of a [ref] cell,
    and versioned reads return the backend's stored observation. *)
 
@@ -170,15 +170,6 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
     obj : t;
     pid : int;
     ctx : Runtime.Ctx.t;
-    journal : Tracing.Journal.t option;
-        (* cached from [ctx] at attach time so the per-pass hot loop can
-           guard on it with a single allocation-free match *)
-    quiet : bool;
-        (* no journal and no metrics: [scan] skips the span bracket
-           entirely, so the unobserved path never builds a closure *)
-    tel : Telemetry.Counters.t option;
-        (* cached (and range-checked) at attach: escalations bump
-           [Scan_escalation] through the free [record_opt] guard *)
     eps : int array;  (* scratch: collected column-0 epochs, by pid *)
     escs : int array;  (* scratch: collected escalation flags, by pid *)
     mutable esc_next : int;  (* private mirror of esc.(pid) *)
@@ -194,25 +185,23 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
       invalid_arg
         (Printf.sprintf "Scan.attach: ctx pid %d but object has %d procs" pid
            obj.procs);
-    let tel =
-      match Runtime.Ctx.telemetry ctx with
-      | Some c when pid < Telemetry.Counters.procs c -> Some c
-      | _ -> None
-    in
     {
       obj;
       pid;
       ctx;
-      journal = Runtime.Ctx.journal ctx;
-      quiet =
-        Runtime.Ctx.journal ctx = None && Runtime.Ctx.metrics ctx = None;
-      tel;
       eps = Array.make obj.procs 0;
       escs = Array.make obj.procs 0;
       esc_next = 0;
       retries;
       own_gen = 0;
     }
+
+  (* The per-pass journal mark.  The [traced] guard, not
+     [Ctx.annotatef]: this is the per-pass hot loop, and ikfprintf would
+     build small per-argument closures even on the untraced path. *)
+  let pass_note h i n =
+    if Runtime.Ctx.traced h.ctx then
+      Runtime.Ctx.annotate h.ctx (Printf.sprintf "scan pass %d/%d" i (n + 1))
 
   let scan_plain h v =
     let t = h.obj in
@@ -225,14 +214,7 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
     mir.(0) <- v0;
     (* n+1 passes of n reads + 1 write each *)
     for i = 1 to n + 1 do
-      (* inline guard, not Ctx.annotatef: this is the per-pass hot loop,
-         and the match keeps the untraced path at literally zero extra
-         allocation (ikfprintf builds small per-argument closures) *)
-      (match h.journal with
-      | None -> ()
-      | Some j ->
-          Tracing.Journal.annotate j ~pid:h.pid
-            (Printf.sprintf "scan pass %d/%d" i (n + 1)));
+      pass_note h i n;
       let acc = ref mir.(i) in
       for q = 0 to n - 1 do
         acc := L.join !acc (M.read t.grid.(q).(i - 1))
@@ -251,14 +233,7 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
     let row = t.grid.(h.pid) in
     let mir = t.mirror.(h.pid) in
     for i = 1 to n + 1 do
-      (* inline guard, not Ctx.annotatef: this is the per-pass hot loop,
-         and the match keeps the untraced path at literally zero extra
-         allocation (ikfprintf builds small per-argument closures) *)
-      (match h.journal with
-      | None -> ()
-      | Some j ->
-          Tracing.Journal.annotate j ~pid:h.pid
-            (Printf.sprintf "scan pass %d/%d" i (n + 1)));
+      pass_note h i n;
       (* own column contributes via the mirror; peers via shared reads *)
       let acc = ref (L.join mir.(i) mir.(i - 1)) in
       for q = 0 to n - 1 do
@@ -336,12 +311,7 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
      running), then fall back to the paper's passes — from here on the
      execution is exactly a Section 6 Scan and Lemma 32 applies. *)
   let escalate h =
-    Telemetry.record_opt h.tel ~pid:h.pid ~family:0
-      Telemetry.Event.Scan_escalation;
-    (match h.journal with
-    | None -> ()
-    | Some j ->
-        Tracing.Journal.annotate j ~pid:h.pid "scan escalate: writer detected");
+    Runtime.Ctx.cause h.ctx ~family:0 Telemetry.Event.Scan_escalation;
     h.esc_next <- h.esc_next + 1;
     M.write h.obj.esc.(h.pid) h.esc_next;
     let r = passes_optimized h in
@@ -414,18 +384,14 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
     if n = 1 then t.mirror.(h.pid).(0)
     else begin
       let rec attempt ~target w =
-        Telemetry.record_opt h.tel ~pid:h.pid ~family:0
-          Telemetry.Event.Classifier_descend;
+        Runtime.Ctx.cause h.ctx ~family:0 Telemetry.Event.Classifier_descend;
         (* doorway: announce the generation before reading anything
            generation-scoped *)
         let g = max (h.own_gen + 1) target in
         h.own_gen <- g;
         M.write t.gen.(h.pid) g;
-        (match h.journal with
-        | None -> ()
-        | Some j ->
-            Tracing.Journal.annotate j ~pid:h.pid
-              (Printf.sprintf "lattice descend: generation %d" g));
+        if Runtime.Ctx.traced h.ctx then
+          Runtime.Ctx.annotate h.ctx (Printf.sprintf "generation %d" g);
         (* entry value: everything already absorbed, own row mirror, and
            a fresh column-0 collect (run after the announce — the fence
            argument needs collects of later generations to see earlier
@@ -499,7 +465,7 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
     | Lattice -> scan_lattice h v
 
   let scan h v =
-    if h.quiet then scan_variant h v
+    if Runtime.Ctx.quiet h.ctx then scan_variant h v
     else Runtime.Ctx.span h.ctx ~op:"scan" (fun () -> scan_variant h v)
 
   (* The two operations of the atomic scan object (Section 6): Write_L
@@ -511,7 +477,7 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
   let write_l h v =
     match h.obj.variant with
     | Adaptive | Lattice ->
-        if h.quiet then publish h v
+        if Runtime.Ctx.quiet h.ctx then publish h v
         else Runtime.Ctx.span h.ctx ~op:"scan" (fun () -> publish h v)
     | Plain | Optimized -> ignore (scan h v)
 

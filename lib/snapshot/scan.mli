@@ -80,9 +80,10 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) : sig
       (and filed in the metrics span histogram when a recorder is
       attached); a sink-less context costs nothing — dispatch happens
       before any span closure is built, so the unobserved adaptive fast
-      path allocates nothing at all.  Escalations are reported to the
-      context's telemetry counters as [Scan_escalation] at family 0,
-      and each [Lattice] descent as [Classifier_descend].
+      path allocates nothing at all.  Each escalation is reported
+      through {!Runtime.Ctx.cause} as [Scan_escalation] at family 0, and
+      each [Lattice] descent as [Classifier_descend] (followed, when
+      traced, by a note naming its generation).
 
       [retries] (default 2) bounds how many times an [Adaptive] scan
       re-runs the cheap collect before escalating: under transient

@@ -4,13 +4,13 @@
 
    - [Counters] is a dense [pid][family][event] grid of
      [Padding.padded_atomic] cells.  Padding every cell is memory-greedy
-     (128 bytes per counter) but the grids are small (procs x shards x 5)
-     and it guarantees no two pids' increments ever share a cache line —
-     the whole point of per-domain attribution.
+     (128 bytes per counter) but the grids are small (procs x shards x
+     events) and it guarantees no two pids' increments ever share a cache
+     line — the whole point of per-domain attribution.
    - [Sampler] owns one mutex.  Operations reach it at flush granularity
      (Workload.Traffic batches tens of ops per flush), so the lock is
      far off the store's CAS/snapshot hot paths; the telemetry-disabled
-     path never takes it (the [record_opt] guard is a pattern match).
+     path never takes it ([Runtime.Ctx.cause] is a pattern match).
    - Window close diffs [Counters.totals] against the previous close.
      Counters are monotone, so deltas are non-negative even though other
      domains keep incrementing mid-diff; an increment that straddles a
@@ -19,7 +19,6 @@
 module Event = struct
   type t =
     | Double_collect_restart
-    | Registration_cas_retry
     | Store_batch_fallback
     | Store_rebuild
     | Shard_queue_depth
@@ -30,7 +29,6 @@ module Event = struct
   let all =
     [
       Double_collect_restart;
-      Registration_cas_retry;
       Store_batch_fallback;
       Store_rebuild;
       Shard_queue_depth;
@@ -43,17 +41,15 @@ module Event = struct
 
   let index = function
     | Double_collect_restart -> 0
-    | Registration_cas_retry -> 1
-    | Store_batch_fallback -> 2
-    | Store_rebuild -> 3
-    | Shard_queue_depth -> 4
-    | Seqlock_retry -> 5
-    | Scan_escalation -> 6
-    | Classifier_descend -> 7
+    | Store_batch_fallback -> 1
+    | Store_rebuild -> 2
+    | Shard_queue_depth -> 3
+    | Seqlock_retry -> 4
+    | Scan_escalation -> 5
+    | Classifier_descend -> 6
 
   let name = function
     | Double_collect_restart -> "double_collect_restart"
-    | Registration_cas_retry -> "registration_cas_retry"
     | Store_batch_fallback -> "store_batch_fallback"
     | Store_rebuild -> "store_rebuild"
     | Shard_queue_depth -> "shard_queue_depth"
@@ -125,10 +121,6 @@ module Counters = struct
 
   let total t e = fold t e (fun acc ~pid:_ ~family:_ v -> acc + v) 0
 
-  let pid_total t ~pid e =
-    check t ~pid ~family:0;
-    fold t e (fun acc ~pid:p ~family:_ v -> if p = pid then acc + v else acc) 0
-
   let family_total t ~family e =
     check t ~pid:0 ~family;
     fold t e
@@ -136,20 +128,7 @@ module Counters = struct
       0
 
   let totals t = Array.of_list (List.map (total t) Event.all)
-
-  let reset t =
-    Array.iter
-      (fun by_family ->
-        Array.iter (fun row -> Array.iter (fun c -> Atomic.set c 0) row)
-          by_family)
-      t.cells
 end
-
-let record_opt c ~pid ~family e =
-  match c with None -> () | Some c -> Counters.record c ~pid ~family e
-
-let add_opt c ~pid ~family e n =
-  match c with None -> () | Some c -> Counters.add c ~pid ~family e n
 
 module Window = struct
   type t = {
@@ -199,7 +178,11 @@ module Sampler = struct
     if interval <= 0.0 then
       invalid_arg "Telemetry.Sampler.create: interval <= 0";
     if capacity <= 0 then invalid_arg "Telemetry.Sampler.create: capacity <= 0";
-    let clock = match clock with Some c -> c | None -> Unix.gettimeofday in
+    let clock =
+      match clock with
+      | Some c -> c
+      | None -> fun () -> Int64.to_float (Monotonic_clock.now ()) /. 1e9
+    in
     {
       clock;
       s_interval = interval;
@@ -230,9 +213,8 @@ module Sampler = struct
     let now_totals = Counters.totals t.counters in
     let deltas =
       Array.init Event.count (fun i ->
-          (* monotone counters: clamp anyway so a reset mid-run degrades
-             to a zero delta instead of a validator-visible negative *)
-          max 0 (now_totals.(i) - t.prev_totals.(i)))
+          (* monotone counters: the delta is never negative *)
+          now_totals.(i) - t.prev_totals.(i))
     in
     let w =
       {

@@ -8,8 +8,9 @@
 
     - {!Counters}: per-(pid, family) cache-line-padded event counters
       for a fixed vocabulary of {e mechanical causes} ({!Event}) —
-      double-collect restarts, registration CAS retries, store batch
-      fallbacks, store rebuilds, shard queue depth.  A family is the
+      double-collect restarts, store batch fallbacks, store rebuilds,
+      shard queue depth, seqlock retries, scan escalations, classifier
+      descents.  A family is the
       object-level attribution axis (shard index for the store,
       register family otherwise); each pid increments only its own
       cells, so recording is uncontended.
@@ -22,9 +23,9 @@
 
     Everything follows the repo's off-by-default discipline: telemetry
     rides in [Runtime.Sink] next to the metrics recorder and the tracing
-    journal, handles cache the [Counters.t option] at attach time, and
-    the [None] guard ({!record_opt}) is a single pattern match — zero
-    accesses, zero allocation (pinned by the Gc-measured test in
+    journal, algorithms report a cause through [Runtime.Ctx.cause], and
+    without a grid that call is a single pattern match — zero accesses,
+    zero allocation (pinned by the Gc-measured tests in
     [test_tracing]). *)
 
 (** The named event classes — the mechanical causes a p99 regression is
@@ -35,9 +36,6 @@ module Event : sig
     | Double_collect_restart
         (** a double-collect pass observed a changed tag and retried
             (the lock-free baseline's unbounded loop) *)
-    | Registration_cas_retry
-        (** a failed CAS in [Pram.Native]'s counter-cell registration
-            (the [cpu_relax] back-off loop) *)
     | Store_batch_fallback
         (** a store chunk was closed early because the next operation
             broke the commute/read-only check (Property 1 fallback) *)
@@ -104,23 +102,12 @@ module Counters : sig
   (** Aggregations over the grid. *)
   val total : t -> Event.t -> int
 
-  val pid_total : t -> pid:int -> Event.t -> int
   val family_total : t -> family:int -> Event.t -> int
 
   (** All event totals at once, indexed by {!Event.index} — the
       snapshot the sampler diffs windows against. *)
   val totals : t -> int array
-
-  (** Zero every cell.  Call only while recorders are quiescent. *)
-  val reset : t -> unit
 end
-
-(** The free guards for instrumented hot paths: a single match on the
-    cached option, nothing else on the [None] path. *)
-val record_opt : Counters.t option -> pid:int -> family:int -> Event.t -> unit
-
-val add_opt :
-  Counters.t option -> pid:int -> family:int -> Event.t -> int -> unit
 
 (** One closed sampling window. *)
 module Window : sig
@@ -153,8 +140,9 @@ module Sampler : sig
       [interval] (seconds, default [0.1]) is the fixed window width;
       [capacity] (default [4096]) bounds the ring — when it overflows,
       the oldest window is dropped (and counted in {!dropped}).
-      [clock] defaults to [Unix.gettimeofday]; tests inject a manual
-      clock for deterministic windows (the simulator has no real time).
+      [clock] (seconds) defaults to the monotonic clock
+      ([Monotonic_clock.now]); tests inject a manual clock for
+      deterministic windows (the simulator has no real time).
       @raise Invalid_argument
         if [interval <= 0] or [capacity <= 0]. *)
   val create :

@@ -12,9 +12,9 @@
    - [`Logical]: time = seq.  Deterministic, so a simulator trace
      replayed under the same schedule re-exports byte-identically — the
      property the save/parse round-trip tests pin down.
-   - [`Monotonic]: nanoseconds since journal creation, clamped
-     non-decreasing under the journal lock (gettimeofday can step
-     backwards; the clamp keeps Chrome span nesting sane). *)
+   - [`Monotonic]: nanoseconds since journal creation on
+     [Monotonic_clock.now], read under the journal lock, so times never
+     decrease in seq order and Chrome span nesting stays sane. *)
 
 type event_kind =
   | Access of { kind : Pram.Trace.kind; reg_id : int; reg_name : string }
@@ -38,23 +38,23 @@ module Journal = struct
   type t = {
     procs : int;
     clock : clock;
-    epoch : float;  (* gettimeofday at creation; `Monotonic origin *)
+    epoch : int;  (* monotonic ns at creation; `Monotonic origin *)
     lock : Mutex.t;
     mutable events_rev : event list;
     mutable next_seq : int;
-    mutable last_time : int;
   }
+
+  let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
   let create ?(clock = `Logical) ~procs () =
     if procs <= 0 then invalid_arg "Tracing.Journal.create: procs <= 0";
     {
       procs;
       clock;
-      epoch = Unix.gettimeofday ();
+      epoch = now_ns ();
       lock = Mutex.create ();
       events_rev = [];
       next_seq = 0;
-      last_time = 0;
     }
 
   let procs t = t.procs
@@ -68,15 +68,8 @@ module Journal = struct
     Mutex.lock t.lock;
     let seq = t.next_seq in
     let time =
-      match t.clock with
-      | `Logical -> seq
-      | `Monotonic ->
-          let ns =
-            int_of_float ((Unix.gettimeofday () -. t.epoch) *. 1e9)
-          in
-          max ns t.last_time
+      match t.clock with `Logical -> seq | `Monotonic -> now_ns () - t.epoch
     in
-    t.last_time <- time;
     t.next_seq <- seq + 1;
     t.events_rev <- { seq; pid; time; ev } :: t.events_rev;
     Mutex.unlock t.lock
@@ -107,32 +100,7 @@ module Journal = struct
     let evs = t.events_rev in
     Mutex.unlock t.lock;
     List.rev evs
-
-  let clear t =
-    Mutex.lock t.lock;
-    t.events_rev <- [];
-    t.next_seq <- 0;
-    t.last_time <- 0;
-    Mutex.unlock t.lock
 end
-
-(* Optional-journal helpers: algorithms take [?journal] and call these,
-   so the untraced ([None]) path is a match and nothing else. *)
-let annotate_opt j ~pid note =
-  match j with None -> () | Some j -> Journal.annotate j ~pid note
-
-(* Formatted annotation that does not render the message on the [None]
-   path.  ikfprintf still builds per-argument closures, so per-access
-   hot loops should guard with an explicit match instead (see
-   Snapshot.Scan's pass loop); everywhere else this is convenient and
-   near-free. *)
-let annotatef_opt j ~pid fmt =
-  match j with
-  | None -> Printf.ikfprintf (fun () -> ()) () fmt
-  | Some j -> Printf.ksprintf (fun s -> Journal.annotate j ~pid s) fmt
-
-let span_opt j ~pid ~op f =
-  match j with None -> f () | Some j -> Journal.with_span j ~pid ~op f
 
 (* Pid attribution for native domains lives in [Runtime] (one
    [Domain.DLS] slot shared with metrics); [Runtime.Instrument] wraps a
@@ -353,12 +321,6 @@ let save a =
       Buffer.add_char buf '\n')
     a.a_events;
   Buffer.contents buf
-
-let save_file ~path a =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (save a))
 
 (* The parser: split into lines, then a tiny per-line tokenizer (ints,
    bare words, quoted strings). *)

@@ -20,8 +20,9 @@
       byte-identical re-export.
 
     Everything is {e off by default}: no journal attached means no
-    events, no allocation, no extra accesses — algorithms take the
-    journal as an option and the [None] path is free. *)
+    events, no allocation, no extra accesses — algorithms reach the
+    journal only through [Runtime.Ctx], whose journal-less path is
+    free. *)
 
 type event_kind =
   | Access of { kind : Pram.Trace.kind; reg_id : int; reg_name : string }
@@ -36,8 +37,9 @@ type event = {
   pid : int;  (** process the event belongs to *)
   time : int;
       (** [`Logical] clock: equals [seq] (deterministic, replayable);
-          [`Monotonic] clock: nanoseconds since journal creation,
-          clamped non-decreasing *)
+          [`Monotonic] clock: nanoseconds since journal creation, read
+          from [Monotonic_clock.now] under the journal lock, so
+          non-decreasing in [seq] order *)
   ev : event_kind;
 }
 
@@ -79,25 +81,7 @@ module Journal : sig
   (** The streaming hook for [Pram.Driver.create ?observer]: one
       {!Access} event per fired step, in firing order. *)
   val observer : t -> Pram.Trace.access -> unit
-
-  (** Drop every event and restart [seq] at 0 (the clock epoch is kept). *)
-  val clear : t -> unit
 end
-
-(** Optional-journal helpers: the [None] path performs no work and no
-    allocation, so algorithms can take [?journal] parameters without
-    taxing untraced runs. *)
-val annotate_opt : Journal.t option -> pid:int -> string -> unit
-
-(** Like {!annotate_opt} with a format string; on [None] the message is
-    never rendered.  Note the [None] path still builds a few small
-    closures per call ([ikfprintf]); in per-access hot loops prefer an
-    explicit [match] on the journal with [Printf.sprintf] in the [Some]
-    branch, which keeps the untraced path allocation-free. *)
-val annotatef_opt :
-  Journal.t option -> pid:int -> ('a, unit, string, unit) format4 -> 'a
-
-val span_opt : Journal.t option -> pid:int -> op:string -> (unit -> 'a) -> 'a
 
 (** A self-contained, serializable trace: the journal's events plus the
     encoded schedule that produced them (empty for native runs, where
@@ -142,7 +126,5 @@ val write_chrome_file : path:string -> archive -> unit
     archive [a], [parse (save a) = Ok a] — so on the simulator,
     [save -> load -> replay schedule -> re-export] is byte-identical. *)
 val save : archive -> string
-
-val save_file : path:string -> archive -> unit
 val parse : string -> (archive, string) result
 val load_file : path:string -> (archive, string) result

@@ -124,12 +124,6 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     pid : int;
     ctx : Runtime.Ctx.t;
     anchor : Anchor.handle;  (* the underlying snapshot-array session *)
-    journal : Tracing.Journal.t option;
-        (* cached from [ctx] at attach time: the execute hot path guards
-           its annotations with a single allocation-free match *)
-    quiet : bool;
-        (* no journal and no metrics: [execute] skips the span bracket,
-           so the unobserved path never builds a closure *)
     mode : mode;
     memo : memo;  (* counters only in [Reference] mode *)
   }
@@ -158,9 +152,6 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
       pid;
       ctx;
       anchor = Anchor.attach obj.anchor ctx;
-      journal = Runtime.Ctx.journal ctx;
-      quiet =
-        Runtime.Ctx.journal ctx = None && Runtime.Ctx.metrics ctx = None;
       mode;
       memo = fresh_memo obj.procs;
     }
@@ -393,22 +384,13 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
           end
           else rebuild memo view
 
-  (* Inline journal guard, not Ctx.annotate/annotatef: this is the
-     per-operation hot path, and the match keeps the unobserved path at
-     literally zero extra allocation (ikfprintf builds small
-     per-argument closures even when dropping its output). *)
-  let annotate h msg =
-    match h.journal with
-    | None -> ()
-    | Some j -> Tracing.Journal.annotate j ~pid:h.pid msg
-
   (* Figure 4: execute an invocation — the span-less body, so that the
      [Sink.none] path never builds the span closure. *)
   let execute_inner h op =
     let t = h.obj and pid = h.pid in
     (* Step 1: atomic snapshot of the anchor, linearize (from scratch or
        by delta-merge), compute the response. *)
-    annotate h "snapshot";
+    Runtime.Ctx.annotate h.ctx "snapshot";
     let view = Anchor.snapshot h.anchor in
     let state, replayed =
       match h.mode with
@@ -421,11 +403,10 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
           let n = advance h.memo view in
           (h.memo.m_state, n)
     in
-    (match h.journal with
-    | None -> ()
-    | Some j ->
-        Tracing.Journal.annotate j ~pid:h.pid
-          (Printf.sprintf "replay %d entries" replayed));
+    (* the [traced] guard, not [Ctx.annotatef]: on the per-operation hot
+       path ikfprintf would build closures even when untraced *)
+    if Runtime.Ctx.traced h.ctx then
+      Runtime.Ctx.annotate h.ctx (Printf.sprintf "replay %d entries" replayed);
     let state', resp = O.apply state op in
     t.seq.(pid) <- t.seq.(pid) + 1;
     let e =
@@ -439,7 +420,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
       }
     in
     (* Step 2: write out the entry. *)
-    annotate h "publish";
+    Runtime.Ctx.annotate h.ctx "publish";
     Anchor.update h.anchor (Some e);
     (match h.mode with
     | Incremental ->
@@ -453,7 +434,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     resp
 
   let execute h op =
-    if h.quiet then execute_inner h op
+    if Runtime.Ctx.quiet h.ctx then execute_inner h op
     else
       Runtime.Ctx.span h.ctx ~op:"uc.execute" (fun () -> execute_inner h op)
 

@@ -137,6 +137,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
 
   type handle = {
     store : t;
+    ctx : Runtime.Ctx.t;
     uhs : U.handle array;  (** one construction session per shard *)
     max_batch : int;  (** 1 = unbatched *)
     pending : (string, O.operation list ref) Hashtbl.t;  (** reversed *)
@@ -146,11 +147,6 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     mutable h_batched_ops : int;
     mutable h_largest_batch : int;
     mutable h_fallbacks : int;
-    h_pid : int;
-    h_tel : Telemetry.Counters.t option;
-        (* cached at attach (the journal idiom): every bump below goes
-           through the free [record_opt]/[add_opt] guard, so the
-           telemetry-off paths stay allocation-free *)
   }
 
   type stats = {
@@ -177,20 +173,20 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
       | Incremental -> U.Incremental
       | Reference -> U.Reference
     in
-    let pid = Runtime.Ctx.pid ctx in
-    let tel =
-      (* only kept when the grid can attribute every shard and this pid:
-         a mis-sized grid silently recording nothing beats raising from
-         deep inside a flush *)
-      match Runtime.Ctx.telemetry ctx with
-      | Some c
-        when pid < Telemetry.Counters.procs c
-             && Array.length t.shards <= Telemetry.Counters.families c ->
-          Some c
-      | _ -> None
-    in
+    (* causes are attributed to their shard: a grid that cannot
+       attribute every shard fails here, not deep inside a flush *)
+    (match Runtime.Ctx.telemetry ctx with
+    | Some c when Telemetry.Counters.families c < Array.length t.shards ->
+        invalid_arg
+          (Printf.sprintf
+             "Store.attach: telemetry grid has %d families, store has %d \
+              shards"
+             (Telemetry.Counters.families c)
+             (Array.length t.shards))
+    | _ -> ());
     {
       store = t;
+      ctx;
       uhs = Array.map (fun u -> U.attach ~mode:umode u ctx) t.shards;
       max_batch = (match batching with Unbatched -> 1 | Batched n -> n);
       pending = Hashtbl.create 16;
@@ -200,8 +196,6 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
       h_batched_ops = 0;
       h_largest_batch = 0;
       h_fallbacks = 0;
-      h_pid = pid;
-      h_tel = tel;
     }
 
   (* Attribute to [shard] the rebuilds its construction handle performed
@@ -210,8 +204,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
   let note_rebuilds h ~shard ~before =
     let d = U.rebuilds h.uhs.(shard) - before in
     if d > 0 then
-      Telemetry.add_opt h.h_tel ~pid:h.h_pid ~family:shard
-        Telemetry.Event.Store_rebuild d
+      Runtime.Ctx.causes h.ctx ~family:shard Telemetry.Event.Store_rebuild d
 
   let commit_batch h ~shard key ops =
     let n = List.length ops in
@@ -253,7 +246,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
               && List.length chunk < h.max_batch
             then begin
               h.h_fallbacks <- h.h_fallbacks + 1;
-              Telemetry.record_opt h.h_tel ~pid:h.h_pid ~family:shard
+              Runtime.Ctx.cause h.ctx ~family:shard
                 Telemetry.Event.Store_batch_fallback
             end;
             go (close chunk acc) [ op ] (if ro then `Ro else `Mu) rest
@@ -279,7 +272,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
         let ops = List.rev !(Hashtbl.find h.pending key) in
         Hashtbl.remove h.pending key;
         let shard = shard_of h.store key in
-        Telemetry.add_opt h.h_tel ~pid:h.h_pid ~family:shard
+        Runtime.Ctx.causes h.ctx ~family:shard
           Telemetry.Event.Shard_queue_depth (List.length ops);
         let resps =
           List.concat_map (fun chunk -> commit_batch h ~shard key chunk)

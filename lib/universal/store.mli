@@ -74,10 +74,13 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) : sig
       shard.  [batching] defaults to [Batched 64]; [mode] to
       [Incremental].  The shards' scan variant is
       {!Construction.default_variant}, fixed at {!create}; [variant]
-      can only restate it.
+      can only restate it.  Batch fallbacks, memo rebuilds and drained
+      queue depth are reported through {!Runtime.Ctx.causes} at the
+      serving shard's family.
       @raise Invalid_argument
         if the context pid exceeds [t]'s procs, [Batched n] with
-        [n < 2], or [variant] is not the shards' variant. *)
+        [n < 2], [variant] is not the shards' variant, or the context's
+        telemetry grid has fewer families than [t] has shards. *)
   val attach :
     ?mode:mode ->
     ?batching:batching ->

@@ -138,8 +138,10 @@ let keyed_gset_script ~seed ~keys ~theta ~read_fraction ~ops_per_proc :
    falls behind is charged to the system — the coordinated-omission
    correction.  Latency is recorded per operation at flush granularity
    (an operation completes when the flush containing it returns) into a
-   [Metrics.Histogram] in nanoseconds. *)
+   [Metrics.Histogram] in nanoseconds, on the monotonic clock. *)
 module Traffic = struct
+  let now_ns () = Int64.to_int (Monotonic_clock.now ())
+
   type loop = Closed | Open of { rate : float }
 
   type report = {
@@ -160,14 +162,14 @@ module Traffic = struct
     let lat = Metrics.Histogram.create () in
     let starts = Queue.create () in
     let count = ref 0 in
-    let t0 = Unix.gettimeofday () in
+    let t0 = now_ns () in
     let flush_now () =
       if not (Queue.is_empty starts) then begin
         flush ();
-        let now = Unix.gettimeofday () in
+        let now = now_ns () in
         Queue.iter
           (fun t ->
-            let ns = int_of_float (Float.max 0.0 ((now -. t) *. 1e9)) in
+            let ns = max 0 (now - t) in
             Metrics.Histogram.add lat ns;
             (* sampler feed: one observation per completed operation, at
                flush granularity — the window it lands in is the flush's
@@ -183,13 +185,13 @@ module Traffic = struct
       (fun i (key, op) ->
         let start =
           match loop with
-          | Closed -> Unix.gettimeofday ()
+          | Closed -> now_ns ()
           | Open { rate } ->
-              let arrival = t0 +. (float_of_int i /. rate) in
+              let arrival = t0 + int_of_float (float_of_int i *. 1e9 /. rate) in
               (* wait until the scheduled arrival; if the system is
                  already behind, submit immediately and let the latency
                  measurement absorb the backlog *)
-              while Unix.gettimeofday () < arrival do
+              while now_ns () < arrival do
                 Domain.cpu_relax ()
               done;
               arrival
@@ -200,7 +202,7 @@ module Traffic = struct
         if (i + 1) mod flush_every = 0 then flush_now ())
       ops;
     flush_now ();
-    let elapsed = Float.max (Unix.gettimeofday () -. t0) 1e-9 in
+    let elapsed = Float.max (float_of_int (now_ns () - t0) /. 1e9) 1e-9 in
     {
       ops = !count;
       elapsed;

@@ -80,7 +80,8 @@ module Traffic : sig
   (** [drive ~ops ~submit ~flush ()] pushes each [(key, op)] through
       [submit] and calls [flush] every [flush_every] submissions
       (default 64 — the effective batch-size ceiling) and once at the
-      end.  Wall-clock based: meaningful on the native/direct backends.
+      end.  Timed on the monotonic clock: meaningful on the native/direct
+      backends.
       [telemetry], when given, receives every completed operation's
       latency via [Telemetry.Sampler.observe] at flush granularity —
       share one sampler across the driving processes to get one

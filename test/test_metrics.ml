@@ -105,11 +105,7 @@ let test_instrument_direct () =
   check_int "a reads" 1 (by_name "a").Metrics.rs_reads;
   check_int "a writes" 1 (by_name "a").Metrics.rs_writes;
   check_int "b reads" 1 (by_name "b").Metrics.rs_reads;
-  check_int "b writes" 2 (by_name "b").Metrics.rs_writes;
-  Metrics.Recorder.reset recorder;
-  check_int "reset clears totals" 0 (Metrics.Recorder.total_reads recorder);
-  check_int "reset clears registers" 0
-    (Metrics.Recorder.registers_created recorder)
+  check_int "b writes" 2 (by_name "b").Metrics.rs_writes
 
 let test_instrument_native_domains () =
   (* Each domain sets its pid once; per-pid counts stay exact under real
@@ -415,14 +411,16 @@ let test_sink_equals_legacy_paths () =
    finished) and no escalation would fire.  The event reaches the
    context's telemetry counters and, from there, the OpenMetrics
    exposition under its registered name — the same surface
-   `wfa_cli top` renders. *)
+   `wfa_cli top` renders — and is journaled exactly once, under the
+   same name. *)
 let test_scan_escalation_reaches_exporters () =
   let c = Telemetry.Counters.create ~procs:2 () in
+  let journal = Tracing.Journal.create ~procs:2 () in
   let module A = Snapshot.Scan.Make (Semilattice.Nat_max) (Pram.Memory.Sim_v) in
   let program () =
     let t = A.create ~variant:Snapshot.Scan.Adaptive ~procs:2 in
     fun pid ->
-      let sink = Runtime.Sink.make ~telemetry:c () in
+      let sink = Runtime.Sink.make ~telemetry:c ~journal () in
       let h = A.attach ~retries:1 t (Runtime.Ctx.make ~sink ~procs:2 ~pid ()) in
       if pid = 0 then begin
         A.write_l h 7;
@@ -443,6 +441,11 @@ let test_scan_escalation_reaches_exporters () =
     (match Pram.Driver.result d 1 with Some v -> v | None -> min_int);
   check_int "exactly one escalation counted" 1
     (Telemetry.Counters.total c Telemetry.Event.Scan_escalation);
+  check_int "exactly one scan_escalation annotation" 1
+    (List.length
+       (List.filter
+          (fun e -> e.Tracing.ev = Tracing.Annotate "scan_escalation")
+          (Tracing.Journal.events journal)));
   match Telemetry.Openmetrics.parse (Telemetry.Openmetrics.render c) with
   | Error e -> Alcotest.failf "openmetrics rejected its own render: %s" e
   | Ok samples ->

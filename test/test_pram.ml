@@ -162,72 +162,6 @@ let test_native_parallel_counter () =
   check_bool "each domain did its 1000 increments" true
     (List.for_all (fun v -> v = 1000) results)
 
-let test_native_counting () =
-  let module C = Pram.Native.Counting (Pram.Native.Mem) in
-  C.reset ();
-  let r = C.create 0 in
-  C.write r 5;
-  check_int "read back" 5 (C.read r);
-  ignore (C.read r);
-  check_int "reads counted" 2 (C.reads ());
-  check_int "writes counted" 1 (C.writes ())
-
-let test_native_counting_per_domain_totals () =
-  (* Regression for the per-domain cell rewrite: the aggregated totals
-     must equal what the old single-pair-of-global-atomics version
-     reported — exactly procs * per-domain work, with nothing lost when
-     the domains have already joined, and reset must zero every cell. *)
-  let module C = Pram.Native.Counting (Pram.Native.Mem) in
-  let procs = 4 and reads = 300 and writes = 120 in
-  C.reset ();
-  let r = C.create 0 in
-  let _ =
-    Pram.Native.run_parallel ~procs (fun pid ->
-        for _ = 1 to reads do
-          ignore (C.read r)
-        done;
-        for i = 1 to writes do
-          C.write r (pid + i)
-        done)
-  in
-  (* every domain has joined; its cell's counts must still be visible *)
-  check_int "reads = procs * per-domain reads" (procs * reads) (C.reads ());
-  check_int "writes = procs * per-domain writes" (procs * writes)
-    (C.writes ());
-  C.reset ();
-  check_int "reset zeroes reads" 0 (C.reads ());
-  check_int "reset zeroes writes" 0 (C.writes ());
-  (* and a second parallel round counts from zero again *)
-  let _ =
-    Pram.Native.run_parallel ~procs (fun _ -> ignore (C.read r))
-  in
-  check_int "fresh round counts fresh" procs (C.reads ())
-
-let test_native_counting_registration_stress () =
-  (* Registration stampede: every domain registers its cell on its FIRST
-     wrapped access, so spawning many domains that immediately touch the
-     same register makes them all hit the registry CAS at once — the
-     contended path the [Domain.cpu_relax] back-off protects.  Several
-     rounds accumulate cells from already-joined domains; the aggregate
-     must never lose a registration or an increment. *)
-  let module C = Pram.Native.Counting (Pram.Native.Mem) in
-  let procs = 12 and rounds = 5 and per = 50 in
-  C.reset ();
-  let r = C.create 0 in
-  for round = 1 to rounds do
-    let _ =
-      Pram.Native.run_parallel ~procs (fun pid ->
-          for i = 1 to per do
-            C.write r ((round * 1000) + (pid * per) + i);
-            ignore (C.read r)
-          done)
-    in
-    check_int "no write lost across registrations"
-      (round * procs * per) (C.writes ());
-    check_int "no read lost across registrations"
-      (round * procs * per) (C.reads ())
-  done
-
 (* --- cache-line padding ------------------------------------------------------ *)
 
 let test_padding_semantics () =
@@ -551,11 +485,6 @@ let suite =
     Alcotest.test_case "run_solo budget" `Quick test_run_solo_budget;
     Alcotest.test_case "prefer_register fallback" `Quick test_prefer_register_scheduler;
     Alcotest.test_case "native parallel counter" `Quick test_native_parallel_counter;
-    Alcotest.test_case "native counting wrapper" `Quick test_native_counting;
-    Alcotest.test_case "native counting per-domain totals" `Quick
-      test_native_counting_per_domain_totals;
-    Alcotest.test_case "native counting registration stress" `Slow
-      test_native_counting_registration_stress;
     Alcotest.test_case "padding semantics" `Quick test_padding_semantics;
     Alcotest.test_case "padding under domains" `Quick
       test_padding_under_domains;

@@ -196,9 +196,18 @@ let test_sequential_differential () =
 
 (* --- chunking, fallbacks, and the API guards -------------------------------- *)
 
+(* Run under a telemetry + journal sink: each fallback is reported once,
+   so the counter, the journal and the handle's stats agree. *)
 let test_chunking_fallbacks () =
   let store = S_direct.create ~shards:2 ~procs:1 () in
-  let h = S_direct.attach ~batching:(Universal.Store.Batched 16) store ctx0 in
+  let counters = Telemetry.Counters.create ~families:2 ~procs:1 () in
+  let journal = Tracing.Journal.create ~procs:1 () in
+  let ctx =
+    Runtime.Ctx.make
+      ~sink:(Runtime.Sink.make ~telemetry:counters ~journal ())
+      ~procs:1 ~pid:0 ()
+  in
+  let h = S_direct.attach ~batching:(Universal.Store.Batched 16) store ctx in
   List.iter
     (fun op -> S_direct.submit h ~key:"k" op)
     [ C.Inc 1; C.Inc 2; C.Reset 7; C.Dec 3; C.Read ];
@@ -213,6 +222,13 @@ let test_chunking_fallbacks () =
   check_int "batched ops" 2 st.S_direct.batched_ops;
   check_int "largest batch" 2 st.S_direct.largest_batch;
   check_int "fallbacks" 3 st.S_direct.fallbacks;
+  check_int "fallback events" 3
+    (Telemetry.Counters.total counters Telemetry.Event.Store_batch_fallback);
+  check_int "fallback annotations" 3
+    (List.length
+       (List.filter
+          (fun e -> e.Tracing.ev = Tracing.Annotate "store_batch_fallback")
+          (Tracing.Journal.events journal)));
   check_int "pending drained" 0 (S_direct.pending_ops h);
   check_bool "query sees the committed state" true
     (S_direct.query h ~key:"k" C.Read = C.Value 4)
@@ -223,7 +239,7 @@ let test_api_guards () =
      ignore (S_direct.attach ~batching:(Universal.Store.Batched 1) store ctx0);
      Alcotest.fail "Batched 1 should be rejected"
    with Invalid_argument _ -> ());
-  let h = Runtime.Ctx.attach ctx0 (S_direct.attach store) in
+  let h = S_direct.attach store ctx0 in
   check_bool "execute commits a singleton" true
     (S_direct.execute h ~key:"a" (C.Inc 2) = C.Unit);
   S_direct.submit h ~key:"a" (C.Inc 1);
@@ -260,6 +276,25 @@ let test_attach_variant_fixed_at_create () =
     Snapshot.Scan.[ Lattice; Optimized; Plain ];
   let h = S_direct.attach ~variant:Snapshot.Scan.Adaptive store ctx0 in
   check_bool "restating the shards' variant is accepted" true
+    (S_direct.execute h ~key:"a" (C.Inc 1) = C.Unit)
+
+(* Causes are attributed to their shard, so a grid with fewer families
+   than the store has shards is refused at attach, not silently ignored. *)
+let test_attach_rejects_narrow_grid () =
+  let store = S_direct.create ~shards:4 ~procs:1 () in
+  let ctx families =
+    Runtime.Ctx.make
+      ~sink:
+        (Runtime.Sink.make
+           ~telemetry:(Telemetry.Counters.create ~families ~procs:1 ())
+           ())
+      ~procs:1 ~pid:0 ()
+  in
+  (match S_direct.attach store (ctx 3) with
+  | _ -> Alcotest.fail "attach with 3 families for 4 shards should raise"
+  | exception Invalid_argument _ -> ());
+  let h = S_direct.attach store (ctx 4) in
+  check_bool "a grid with a family per shard is accepted" true
     (S_direct.execute h ~key:"a" (C.Inc 1) = C.Unit)
 
 let test_rebuilds_attributed_to_their_shard () =
@@ -605,6 +640,8 @@ let suite =
     Alcotest.test_case "O(batch) regression" `Quick test_obatch_regression;
     Alcotest.test_case "attach keeps the variant fixed at create" `Quick
       test_attach_variant_fixed_at_create;
+    Alcotest.test_case "attach rejects a grid narrower than the shards"
+      `Quick test_attach_rejects_narrow_grid;
     Alcotest.test_case "rebuilds attributed to their shard" `Quick
       test_rebuilds_attributed_to_their_shard;
   ]

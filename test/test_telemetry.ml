@@ -6,7 +6,9 @@
    whole series is checked for determinism by running the same script
    twice.  The counter-attribution test runs on real domains: 8 pids
    bump their own rows concurrently and every cell must come out
-   exact — the padded-atomic grid loses nothing. *)
+   exact — the padded-atomic grid loses nothing.  The wiring tests pin
+   how [Runtime] feeds the grid: through [Ctx.cause], and through the
+   native seqlock hook that [Backend.run] installs. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -55,22 +57,24 @@ let test_counter_bounds () =
            Telemetry.Event.Shard_queue_depth (-1)));
   check_bool "create with procs 0 raises" true
     (raises (fun () -> ignore (Telemetry.Counters.create ~procs:0 ())));
-  (* record_opt/add_opt on Some delegate; on None do nothing *)
-  Telemetry.record_opt (Some c) ~pid:1 ~family:1
-    Telemetry.Event.Double_collect_restart;
-  Telemetry.add_opt (Some c) ~pid:1 ~family:1
-    Telemetry.Event.Shard_queue_depth 4;
-  Telemetry.record_opt None ~pid:99 ~family:99
-    Telemetry.Event.Double_collect_restart;
-  check_int "record_opt Some recorded" 1
+  (* Ctx.cause/causes bump the context pid's cell; a context without a
+     grid records nothing *)
+  let ctx =
+    Runtime.Ctx.make
+      ~sink:(Runtime.Sink.make ~telemetry:c ())
+      ~procs:3 ~pid:1 ()
+  in
+  Runtime.Ctx.cause ctx ~family:1 Telemetry.Event.Double_collect_restart;
+  Runtime.Ctx.causes ctx ~family:1 Telemetry.Event.Shard_queue_depth 4;
+  Runtime.Ctx.cause
+    (Runtime.Ctx.make ~procs:1 ~pid:0 ())
+    ~family:99 Telemetry.Event.Double_collect_restart;
+  check_int "cause recorded" 1
     (Telemetry.Counters.get c ~pid:1 ~family:1
        Telemetry.Event.Double_collect_restart);
-  check_int "add_opt Some recorded" 4
+  check_int "causes recorded" 4
     (Telemetry.Counters.get c ~pid:1 ~family:1
-       Telemetry.Event.Shard_queue_depth);
-  Telemetry.Counters.reset c;
-  check_int "reset zeroes" 0
-    (Telemetry.Counters.total c Telemetry.Event.Shard_queue_depth)
+       Telemetry.Event.Shard_queue_depth)
 
 (* Every pid bumps only its own row, concurrently, with a pid-dependent
    pattern; afterwards every cell, row total, family total and grand
@@ -82,7 +86,7 @@ let test_counter_attribution_8_domains () =
     Pram.Native.run_parallel ~procs (fun pid ->
         for _ = 1 to pid + 1 do
           Telemetry.Counters.record c ~pid ~family:(pid mod families)
-            Telemetry.Event.Registration_cas_retry
+            Telemetry.Event.Double_collect_restart
         done;
         Telemetry.Counters.add c ~pid ~family:(pid mod families)
           Telemetry.Event.Shard_queue_depth
@@ -90,33 +94,72 @@ let test_counter_attribution_8_domains () =
   in
   for pid = 0 to procs - 1 do
     check_int
-      (Printf.sprintf "pid %d cas retries" pid)
+      (Printf.sprintf "pid %d restarts" pid)
       (pid + 1)
       (Telemetry.Counters.get c ~pid ~family:(pid mod families)
-         Telemetry.Event.Registration_cas_retry);
+         Telemetry.Event.Double_collect_restart);
     check_int
       (Printf.sprintf "pid %d queue depth" pid)
       (10 * (pid + 1))
-      (Telemetry.Counters.pid_total c ~pid Telemetry.Event.Shard_queue_depth)
+      (Telemetry.Counters.get c ~pid ~family:(pid mod families)
+         Telemetry.Event.Shard_queue_depth)
   done;
   for family = 0 to families - 1 do
     (* pids [family] and [family + 4] land in this family *)
     let expect = (family + 1) + (family + 5) in
     check_int
-      (Printf.sprintf "family %d cas retries" family)
+      (Printf.sprintf "family %d restarts" family)
       expect
       (Telemetry.Counters.family_total c ~family
-         Telemetry.Event.Registration_cas_retry)
+         Telemetry.Event.Double_collect_restart)
   done;
-  check_int "grand total cas retries" 36
-    (Telemetry.Counters.total c Telemetry.Event.Registration_cas_retry);
+  check_int "grand total restarts" 36
+    (Telemetry.Counters.total c Telemetry.Event.Double_collect_restart);
   check_int "grand total queue depth" 360
     (Telemetry.Counters.total c Telemetry.Event.Shard_queue_depth);
   let totals = Telemetry.Counters.totals c in
   check_int "totals array agrees" 36
-    totals.(Telemetry.Event.index Telemetry.Event.Registration_cas_retry);
+    totals.(Telemetry.Event.index Telemetry.Event.Double_collect_restart);
   check_int "untouched event stays zero" 0
     (Telemetry.Counters.total c Telemetry.Event.Store_rebuild)
+
+(* --- wiring into Runtime ---------------------------------------------------- *)
+
+(* A grid must attribute every pid of the session it rides in: one with
+   fewer pids than the context fails at [Ctx.make], not silently. *)
+let test_ctx_rejects_narrow_grid () =
+  let sink =
+    Runtime.Sink.make ~telemetry:(Telemetry.Counters.create ~procs:2 ()) ()
+  in
+  check_bool "Ctx.make with fewer grid pids than procs raises" true
+    (match Runtime.Ctx.make ~sink ~procs:3 ~pid:0 () with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  check_int "a grid as wide as the session is accepted" 1
+    (Runtime.Ctx.pid (Runtime.Ctx.make ~sink ~procs:2 ~pid:1 ()))
+
+(* [Backend.run Native] installs the seqlock hook for the run: a retry
+   lands in the retrying domain's own pid cell, and once the run is over
+   the hook counts nothing. *)
+let test_native_hooks_attribute_per_pid () =
+  let procs = 3 in
+  let c = Telemetry.Counters.create ~procs () in
+  let sink = Runtime.Sink.make ~telemetry:c () in
+  ignore
+    (Runtime.Backend.run Runtime.Backend.Native ~sink ~procs
+       (fun _mem () pid ->
+         for _ = 0 to pid do
+           !Pram.Native.on_seqlock_retry ()
+         done));
+  for pid = 0 to procs - 1 do
+    check_int
+      (Printf.sprintf "pid %d seqlock retries" pid)
+      (pid + 1)
+      (Telemetry.Counters.get c ~pid ~family:0 Telemetry.Event.Seqlock_retry)
+  done;
+  !Pram.Native.on_seqlock_retry ();
+  check_int "the hook is uninstalled after the run" 6
+    (Telemetry.Counters.total c Telemetry.Event.Seqlock_retry)
 
 (* --- sampler --------------------------------------------------------------- *)
 
@@ -342,6 +385,13 @@ let () =
           Alcotest.test_case "bounds and guards" `Quick test_counter_bounds;
           Alcotest.test_case "attribution exact under 8 domains" `Quick
             test_counter_attribution_8_domains;
+        ] );
+      ( "wiring",
+        [
+          Alcotest.test_case "Ctx.make rejects a narrow grid" `Quick
+            test_ctx_rejects_narrow_grid;
+          Alcotest.test_case "native hooks attribute per pid" `Quick
+            test_native_hooks_attribute_per_pid;
         ] );
       ( "sampler",
         [

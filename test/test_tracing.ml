@@ -33,9 +33,7 @@ let test_journal_basics () =
   (try
      Tracing.Journal.annotate j ~pid:2 "out of range";
      Alcotest.fail "pid out of range accepted"
-   with Invalid_argument _ -> ());
-  Tracing.Journal.clear j;
-  check_int "clear drops everything" 0 (Tracing.Journal.length j)
+   with Invalid_argument _ -> ())
 
 let test_with_span_on_exception () =
   let j = Tracing.Journal.create ~procs:1 () in
@@ -387,43 +385,11 @@ let test_tracing_adds_zero_accesses () =
       check_int "writes = 2 scans" (2 * fw) w)
     off
 
-let test_disabled_helpers_allocate_nothing () =
-  (* annotate_opt/span_opt on None, and the guarded-match idiom the scan
-     hot loop uses, must not allocate at all. *)
-  let f = ref (fun () -> 0) in
-  (f := fun () -> 1);
-  let measure g =
-    let b0 = Gc.allocated_bytes () in
-    g ();
-    let b1 = Gc.allocated_bytes () in
-    b1 -. b0
-  in
-  (* both measurements carry the same fixed cost (the boxed floats
-     Gc.allocated_bytes returns), so equality means the helpers added
-     zero bytes *)
-  let journal = None in
-  let empty = measure (fun () -> for _ = 0 to 9_999 do () done) in
-  let helpers =
-    measure (fun () ->
-        for i = 0 to 9_999 do
-          Tracing.annotate_opt journal ~pid:0 "static label";
-          (match journal with
-          | None -> ()
-          | Some j ->
-              Tracing.Journal.annotate j ~pid:0 (Printf.sprintf "pass %d" i));
-          ignore (Tracing.span_opt journal ~pid:0 ~op:"op" !f)
-        done)
-  in
-  check_bool
-    (Printf.sprintf
-       "no allocation on the disabled path (empty loop %.0f, helpers %.0f)"
-       empty helpers)
-    true (helpers = empty)
-
 let test_ctx_no_sink_allocates_nothing () =
-  (* the Ctx generalization of the guarantee: a context carrying
-     [Sink.none] (the default) must make annotation and span sites free —
-     no bytes allocated, no events recorded. *)
+  (* a context carrying [Sink.none] (the default) must make every
+     reporting site free — annotations, spans, causes, and the
+     [traced]-guarded [sprintf] of the per-pass hot loops: no bytes
+     allocated, no events recorded. *)
   let ctx = Runtime.Ctx.make ~procs:1 ~pid:0 () in
   check_bool "default sink is none" true
     (Runtime.Sink.is_none (Runtime.Ctx.sink ctx));
@@ -438,9 +404,13 @@ let test_ctx_no_sink_allocates_nothing () =
   let empty = measure (fun () -> for _ = 0 to 9_999 do () done) in
   let ctx_sites =
     measure (fun () ->
-        for _ = 0 to 9_999 do
+        for i = 0 to 9_999 do
           Runtime.Ctx.annotate ctx "static label";
-          ignore (Runtime.Ctx.span ctx ~op:"op" !f)
+          ignore (Runtime.Ctx.span ctx ~op:"op" !f);
+          Runtime.Ctx.cause ctx ~family:0 Telemetry.Event.Scan_escalation;
+          Runtime.Ctx.causes ctx ~family:0 Telemetry.Event.Shard_queue_depth 7;
+          if Runtime.Ctx.traced ctx then
+            Runtime.Ctx.annotate ctx (Printf.sprintf "pass %d" i)
         done)
   in
   check_bool
@@ -450,11 +420,11 @@ let test_ctx_no_sink_allocates_nothing () =
     true (ctx_sites = empty)
 
 let test_store_disabled_telemetry_allocates_nothing () =
-  (* The zero-overhead guarantee on the store hot path: the telemetry
-     guards submit/flush gained (record_opt/add_opt on the handle's
-     attach-time-cached [Counters.t option]) must be free when telemetry
-     is off.  Two measurements: the guard sites on [None] allocate zero
-     words, and a full submit/flush run under [Sink.none] is
+  (* The zero-overhead guarantee on the store hot path: the causes
+     submit/flush report ([Ctx.cause]/[Ctx.causes] on the handle's
+     context) must be free when telemetry is off.  Two measurements: the
+     report sites on a sink-less context allocate zero words, and a full
+     submit/flush run under [Sink.none] is
      allocation-deterministic and allocates exactly what the same run
      with a live counter grid does — bumping a counter, including the
      per-commit rebuild attribution, allocates nothing either. *)
@@ -465,19 +435,18 @@ let test_store_disabled_telemetry_allocates_nothing () =
     b1 -. b0
   in
   let empty = measure (fun () -> for _ = 0 to 9_999 do () done) in
+  let ctx = Runtime.Ctx.make ~procs:1 ~pid:0 () in
   let guards =
     measure (fun () ->
         for _ = 0 to 9_999 do
-          Telemetry.record_opt None ~pid:0 ~family:0
-            Telemetry.Event.Store_batch_fallback;
-          Telemetry.add_opt None ~pid:0 ~family:0
-            Telemetry.Event.Shard_queue_depth 7
+          Runtime.Ctx.cause ctx ~family:0 Telemetry.Event.Store_batch_fallback;
+          Runtime.Ctx.causes ctx ~family:0 Telemetry.Event.Shard_queue_depth 7
         done)
   in
   check_bool
     (Printf.sprintf
-       "telemetry guards on None allocate nothing (empty loop %.0f, guards \
-        %.0f)"
+       "cause sites without a sink allocate nothing (empty loop %.0f, \
+        guards %.0f)"
        empty guards)
     true (guards = empty);
   let module S = Universal.Store.Make (Spec.Counter_spec) (Pram.Memory.Direct_v)
@@ -643,8 +612,6 @@ let () =
         [
           Alcotest.test_case "tracing off adds zero accesses" `Quick
             test_tracing_adds_zero_accesses;
-          Alcotest.test_case "disabled helpers allocate nothing" `Quick
-            test_disabled_helpers_allocate_nothing;
           Alcotest.test_case "sink-less Ctx allocates nothing" `Quick
             test_ctx_no_sink_allocates_nothing;
           Alcotest.test_case "store with telemetry off allocates nothing \
