@@ -9,7 +9,6 @@
      counter --procs N --ops M   torture a wait-free counter on domains
      explore                     model-check snapshot implementations
      trace                       run a workload under the structured tracer
-     lincheck-demo               show the checker catching a naive collect
      top [--once]                live per-shard telemetry view of the store
      bench [--quick] [--out F]   run the bench and gate its rows (BENCH.json)
      bench-validate FILE         check a bench JSON file against the gates
@@ -203,48 +202,31 @@ let counter_cmd =
 (* --- explore ------------------------------------------------------------------ *)
 
 let explore_cmd =
-  let naive_flag =
-    Arg.(
-      value & flag
-      & info [ "naive" ]
-          ~doc:
-            "Enumerate every maximal schedule (the default; sound for \
-             linearizability).  Mutually exclusive with $(b,--dpor).")
-  in
-  let dpor_flag =
-    Arg.(
-      value & flag
-      & info [ "dpor" ]
-          ~doc:
-            "Use dynamic partial-order reduction: orders of magnitude \
-             fewer schedules, but violations living purely in the \
-             real-time order of independent accesses (such as the naive \
-             collect's) can be missed — states are preserved under \
-             commuting, event order is not.")
-  in
   let way_arg =
     Arg.(
       value
       & opt
-          (some
-             (enum
-                [
-                  ("systematic", `Systematic);
-                  ("uniform", `Uniform);
-                  ("weighted", `Weighted);
-                ]))
-          None
+          (enum
+             [
+               ("naive", `Naive);
+               ("systematic", `Systematic);
+               ("uniform", `Uniform);
+               ("weighted", `Weighted);
+             ])
+          `Naive
       & info [ "way" ] ~docv:"WAY"
           ~doc:
-            "Search strategy (dejafu-style).  $(b,systematic): parallel \
-             DPOR under the $(b,--bound-*) filters (sound for bug \
-             finding; exhaustive per Mazurkiewicz trace when unbounded).  \
-             $(b,uniform): $(b,--samples) seeded random maximal \
-             schedules.  $(b,weighted): random with $(b,--bias) towards \
-             staying on the current process — near-serial schedules that \
-             catch real-time-order bugs uniform sampling rarely hits.  \
-             Without $(b,--way) the legacy $(b,--naive)/$(b,--dpor) \
-             exhaustive search runs.")
+            "Search strategy (dejafu-style).  $(b,naive) (the default): \
+             every maximal schedule, sequentially — the ground truth.  \
+             $(b,systematic): parallel DPOR under the $(b,--bound-*) \
+             filters (sound for bug finding; exactly one schedule per \
+             Mazurkiewicz trace when unbounded, so violations living \
+             purely in the real-time order of independent accesses, such \
+             as the naive collect's, can be missed).  $(b,uniform): \
+             $(b,--samples) seeded random maximal schedules.  \
+             $(b,weighted): random with $(b,--bias) towards staying on \
+             the current process — near-serial schedules that catch \
+             real-time-order bugs uniform sampling rarely hits.")
   in
   let seed_arg =
     Arg.(
@@ -301,9 +283,10 @@ let explore_cmd =
       value & opt int 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "Explore subtree/sample tasks on N domains.  The task \
-             partition is fixed up front, so coverage counts and \
-             counterexamples are identical for any N.")
+            "Explore subtree/sample tasks on N domains (the naive way \
+             is one sequential task).  The task partition is fixed up \
+             front, so coverage counts and counterexamples are identical \
+             for any N.")
   in
   let procs_arg =
     Arg.(
@@ -351,26 +334,19 @@ let explore_cmd =
              crashes N) on the 3-process naive collect, print its \
              timeline and linearizability verdict.")
   in
-  let run naive dpor way_opt seed samples bias b_pre b_fair b_len jobs procs
-      shrink max_schedules trace_out replay =
-    if naive && dpor then `Error (false, "--naive and --dpor are exclusive")
-    else if procs < 2 || procs > 8 then
-      `Error (false, "--procs must be in 2..8")
+  let run way seed samples bias b_pre b_fair b_len jobs procs shrink
+      max_schedules trace_out replay =
+    if procs < 2 || procs > 8 then `Error (false, "--procs must be in 2..8")
     else begin
-      let mode =
-        if dpor then Pram.Explore.Dpor else Pram.Explore.Naive
-      in
       let way =
-        match way_opt with
-        | None -> None
-        | Some `Systematic ->
-            Some
-              (Pram.Explore.Way.Systematic
-                 (Pram.Explore.Bounds.make ?preempt:b_pre ?fair:b_fair
-                    ?length:b_len ()))
-        | Some `Uniform -> Some (Pram.Explore.Way.Uniform { seed; count = samples })
-        | Some `Weighted ->
-            Some (Pram.Explore.Way.Weighted { seed; count = samples; bias })
+        match way with
+        | `Naive -> Pram.Explore.Way.Naive
+        | `Systematic ->
+            Pram.Explore.Way.Systematic
+              (Pram.Explore.Bounds.make ?preempt:b_pre ?fair:b_fair
+                 ?length:b_len ())
+        | `Uniform -> Pram.Explore.Way.Uniform { seed; count = samples }
+        | `Weighted -> Pram.Explore.Way.Weighted { seed; count = samples; bias }
       in
       let module V = Snapshot.Slot_value.Int in
       let module Arr = Snapshot.Snapshot_array.Make (V) (Pram.Memory.Sim_v) in
@@ -438,7 +414,6 @@ let explore_cmd =
         in
         (recorder, program)
       in
-      let recorder2, atomic_program = mk_atomic () in
       let recorderN, collect_program = mk_collect () in
       let collect_label =
         Printf.sprintf "naive collect, %d updaters vs snapshotter (%d \
@@ -475,24 +450,14 @@ let explore_cmd =
           print_endline
             "atomic scan, updater vs snapshotter (2 processes, correct):";
           let atomic_report =
-            match way with
-            | None ->
-                Check2.explore_check ~mode ~shrink ~max_schedules ~procs:2
-                  ~recorder:recorder2 atomic_program
-            | Some w ->
-                Check2.search_check ~way:w ~jobs ~shrink ~max_schedules
-                  ~procs:2 mk_atomic
+            Check2.search_check ~way ~jobs ~shrink ~max_schedules ~procs:2
+              mk_atomic
           in
           Format.printf "  @[<v>%a@]@." Pram.Explore.pp_report atomic_report;
           print_endline collect_label;
           let collect_report =
-            match way with
-            | None ->
-                CheckN.explore_check ~mode ~shrink ~max_schedules ~procs
-                  ~recorder:recorderN collect_program
-            | Some w ->
-                CheckN.search_check ~way:w ~jobs ~shrink ~max_schedules ~procs
-                  mk_collect
+            CheckN.search_check ~way ~jobs ~shrink ~max_schedules ~procs
+              mk_collect
           in
           Format.printf "  @[<v>%a@]@." Pram.Explore.pp_report collect_report;
           (match collect_report.Pram.Explore.r_counterexample with
@@ -518,16 +483,13 @@ let explore_cmd =
              collect — either failure means a real bug, in the algorithm or
              in the explorer.  Exception: the collect's violation lives
              purely in the real-time order of independent accesses, which
-             DPOR-based searches (legacy --dpor and --way systematic) are
-             documented to miss — a clean report there is a warning, not a
-             failure.  Random ways check real executions and must find it. *)
+             the systematic (DPOR) way is documented to miss — a clean
+             report there is a warning, not a failure.  The naive and
+             random ways check real executions and must find it. *)
           let dpor_based =
             match way with
-            | None -> mode = Pram.Explore.Dpor
-            | Some (Pram.Explore.Way.Systematic _) -> true
-            | Some (Pram.Explore.Way.Uniform _ | Pram.Explore.Way.Weighted _)
-              ->
-                false
+            | Pram.Explore.Way.Systematic _ -> true
+            | Naive | Uniform _ | Weighted _ -> false
           in
           if not (Pram.Explore.report_ok atomic_report) then
             `Error
@@ -539,7 +501,7 @@ let explore_cmd =
               print_endline
                 "note: the DPOR-based search missed the collect's \
                  real-time-order violation (a documented limitation); rerun \
-                 with --naive or a random --way for the ground truth";
+                 with --way naive or a random --way for the ground truth";
               `Ok ()
             end
             else
@@ -554,17 +516,17 @@ let explore_cmd =
        ~doc:
          "Model-check the atomic snapshot (clean) and the naive collect \
           (broken); failing schedules are shrunk to minimal \
-          counterexamples.  $(b,--dpor) prunes the search to one \
-          representative per Mazurkiewicz trace; $(b,--way) selects \
-          bounded-systematic or seeded-random search, parallelizable with \
-          $(b,--jobs).  $(b,--trace-out) exports the counterexample as a \
-          Chrome trace; $(b,--replay) re-executes a pasted schedule under \
-          the tracer.")
+          counterexamples.  $(b,--way) selects every schedule (naive, the \
+          default), one representative per Mazurkiewicz trace under \
+          optional bounds (systematic), or seeded-random search; the last \
+          two parallelize with $(b,--jobs).  $(b,--trace-out) exports the \
+          counterexample as a Chrome trace; $(b,--replay) re-executes a \
+          pasted schedule under the tracer.")
     Term.(
       ret
-        (const run $ naive_flag $ dpor_flag $ way_arg $ seed_arg $ samples_arg
-       $ bias_arg $ bound_preempt $ bound_fair $ bound_length $ jobs_arg
-       $ procs_arg $ shrink_flag $ max_schedules $ trace_out $ replay))
+        (const run $ way_arg $ seed_arg $ samples_arg $ bias_arg
+       $ bound_preempt $ bound_fair $ bound_length $ jobs_arg $ procs_arg
+       $ shrink_flag $ max_schedules $ trace_out $ replay))
 
 (* --- trace -------------------------------------------------------------------- *)
 
@@ -838,65 +800,6 @@ let trace_cmd =
       ret
         (const run $ workload $ backend $ procs $ format_arg $ out $ seed
        $ sched_arg $ depth_arg $ check $ variant_arg))
-
-(* --- lincheck-demo ----------------------------------------------------------- *)
-
-let lincheck_demo_cmd =
-  let run () =
-    let module V = Snapshot.Slot_value.Int in
-    let module Naive = Snapshot.Collect.Make (V) (Pram.Memory.Sim) in
-    let module Spec3 =
-      Snapshot.Array_spec.Make
-        (V)
-        (struct
-          let procs = 3
-        end)
-    in
-    let module Check = Lincheck.Make (Spec3) in
-    let rec search seed =
-      if seed > 5000 then None
-      else begin
-        let recorder = Spec.History.Recorder.create () in
-        let program () =
-          let t = Naive.create ~procs:3 in
-          fun pid ->
-            let h = Naive.attach t (Runtime.Ctx.make ~procs:3 ~pid ()) in
-            ignore
-              (Spec.History.Recorder.record recorder ~pid
-                 (`Update (pid, pid + 10)) (fun () ->
-                   Naive.update h (pid + 10);
-                   `Unit));
-            ignore
-              (Spec.History.Recorder.record recorder ~pid `Snapshot (fun () ->
-                   `View (Naive.snapshot h)))
-        in
-        let d = Pram.Driver.create ~procs:3 program in
-        Pram.Scheduler.run (Pram.Scheduler.random ~seed ()) d;
-        let events = Spec.History.Recorder.events recorder in
-        if Check.is_linearizable events then search (seed + 1)
-        else Some (seed, events)
-      end
-    in
-    match search 0 with
-    | Some (seed, events) ->
-        Printf.printf
-          "naive collect: non-linearizable history found at scheduler seed %d:\n"
-          seed;
-        Format.printf "%a@."
-          (Spec.History.pp Spec3.pp_operation Spec3.pp_response)
-          events;
-        `Ok ()
-    | None ->
-        `Error
-          ( false,
-            "no violation found in 5000 seeds: the checker or the schedules \
-             regressed" )
-  in
-  Cmd.v
-    (Cmd.info "lincheck-demo"
-       ~doc:
-         "Find and print a non-linearizable history of the naive collect.")
-    Term.(ret (const run $ const ()))
 
 (* --- top ---------------------------------------------------------------------- *)
 
@@ -1195,7 +1098,6 @@ let () =
             counter_cmd;
             explore_cmd;
             trace_cmd;
-            lincheck_demo_cmd;
             top_cmd;
             bench_cmd;
             bench_validate_cmd;

@@ -1,12 +1,12 @@
 (* Experiment E12: DPOR vs naive exhaustive exploration.
 
    Not a paper claim but a claim about the test harness: dynamic
-   partial-order reduction explores one representative per Mazurkiewicz
-   trace instead of every maximal schedule, with the same verdict on
-   every seed program.  One row per program: the schedules each mode
-   explores, the reduction, both search times, and both verdicts.  The
-   reduction is what makes the 3-process configurations of the tier-1
-   suite checkable at all. *)
+   partial-order reduction ([Way.systematic]) explores one representative
+   per Mazurkiewicz trace instead of every maximal schedule ([Way.Naive]),
+   with the same verdict on every seed program.  One row per program: the
+   schedules each way explores, the reduction, both search times, and
+   both verdicts.  The reduction is what makes the 3-process
+   configurations of the tier-1 suite checkable at all. *)
 
 module Scan = Snapshot.Scan.Make (Semilattice.Nat_max) (Pram.Memory.Sim_v)
 module Scan_check =
@@ -21,15 +21,16 @@ let verdict (o : Pram.Explore.outcome) =
   else "violation"
 
 let add_row t name ~procs ?max_schedules program check =
-  let run mode =
+  let run way =
     let t0 = Monotonic_clock.now () in
     let outcome =
-      Pram.Explore.exhaustive ~mode ?max_schedules ~procs program check
+      Pram.Explore.search ~way ?max_schedules ~procs (fun () ->
+          Pram.Explore.instance ~check program)
     in
     (outcome, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9)
   in
-  let naive, t_naive = run Pram.Explore.Naive in
-  let dpor, t_dpor = run Pram.Explore.Dpor in
+  let naive, t_naive = run Pram.Explore.Way.Naive in
+  let dpor, t_dpor = run Pram.Explore.Way.systematic in
   let n = naive.Pram.Explore.explored and d = dpor.Pram.Explore.explored in
   (* a truncated naive search has no verdict to contradict DPOR's *)
   let holds =

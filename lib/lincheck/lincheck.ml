@@ -117,29 +117,14 @@ module Make (O : Spec.Object_spec.S) = struct
           c.Spec.History.c_op)
       ppf calls
 
-  (* The unified checker entry point: wire Pram.Explore (DPOR by
-     default) straight to this checker.  [recorder] must be re-created
-     by every instantiation of [program] — the recorder-by-reference
-     idiom the exhaustive tests already use — so that at every leaf the
-     ref holds exactly the just-completed execution's history. *)
-  let explore_check ?mode ?way ?shrink ?max_schedules ?max_crashes ~procs
-      ~recorder program =
-    Pram.Explore.check_linearizable ?mode ?way ?shrink ?max_schedules
-      ?max_crashes ~procs program
-      ~linearizable:(fun () ->
-        is_linearizable (Spec.History.Recorder.events !recorder))
-      ~pp_history:(fun ppf () ->
-        Spec.History.pp O.pp_operation O.pp_response ppf
-          (Spec.History.Recorder.events !recorder))
-      ()
-
-  (* Parallel-capable variant: [mk] mints a FRESH (recorder, program)
-     pair per search worker, so by-reference history state never
-     crosses domains.  The returned instance's check ignores the driver
-     and consults that worker's recorder — the per-worker leaf-instance
+  (* Wire Pram.Explore straight to this checker.  [mk] mints a
+     (recorder, program) pair per search worker, so by-reference history
+     state never crosses domains; [program] re-creates the recorder on
+     each instantiation.  The instance's check ignores the driver and
+     consults that worker's recorder — the per-worker leaf-instance
      invariant of [Pram.Explore.search] makes this sound. *)
-  let search_check ?way ?jobs ?shrink ?max_schedules ?max_crashes ~procs mk =
-    Pram.Explore.search_check ?way ?jobs ?shrink ?max_schedules ?max_crashes
+  let search_check ~way ?jobs ?shrink ?max_schedules ?max_crashes ~procs mk =
+    Pram.Explore.search_check ~way ?jobs ?shrink ?max_schedules ?max_crashes
       ~procs (fun () ->
         let recorder, program = mk () in
         {

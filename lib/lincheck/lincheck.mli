@@ -10,7 +10,8 @@
     The search is complete (it decides the property exactly, unlike the
     specific witness orders used in the paper's proofs) and memoized on
     (linearized set, canonically printed state); worst case exponential,
-    ample for the history sizes the tests produce. *)
+    ample for the history sizes the tests produce.  [search_check] runs
+    it on every execution a {!Pram.Explore.search} visits. *)
 
 module Make (O : Spec.Object_spec.S) : sig
   type call = (O.operation, O.response) Spec.History.call
@@ -33,35 +34,19 @@ module Make (O : Spec.Object_spec.S) : sig
 
   val pp_witness : Format.formatter -> call list -> unit
 
-  (** [explore_check ~procs ~recorder program] explores every schedule
-      of [program] (naive enumeration by default; [~mode:Dpor] for
-      partial-order reduction, with the caveat documented at
-      {!Pram.Explore.check_linearizable}) and checks the history in
-      [!recorder] at each completed execution.  [program] must re-create
-      [recorder] on each instantiation.  On failure the counterexample
-      schedule is shrunk and rendered along with its history.  Passing
-      [?way] selects bounded/random search (see {!Pram.Explore.Way});
-      it runs single-worker here because [recorder] is shared — use
-      {!search_check} for parallel search. *)
-  val explore_check :
-    ?mode:Pram.Explore.mode ->
-    ?way:Pram.Explore.Way.t ->
-    ?shrink:bool ->
-    ?max_schedules:int ->
-    ?max_crashes:int ->
-    procs:int ->
-    recorder:(O.operation, O.response) Spec.History.Recorder.t ref ->
-    (unit -> int -> 'x) ->
-    Pram.Explore.report
-
-  (** [search_check ~procs mk] is the parallel-capable counterpart of
-      {!explore_check}: [mk] must mint a {e fresh} (recorder, program)
-      pair on every call — {!Pram.Explore.search} calls it once per
-      worker domain, keeping the by-reference recorder domain-local.
-      Results (coverage counts, failures, counterexample) are
-      deterministic and independent of [jobs]. *)
+  (** [search_check ~way ~procs mk] wires {!Pram.Explore.search_check}
+      to this checker: it checks the history in the recorder at each
+      completed execution and, on failure, shrinks the counterexample
+      schedule and renders it along with its history.  [mk] must mint a
+      {e fresh} (recorder, program) pair on every call, and [program]
+      must re-create its recorder on each instantiation —
+      {!Pram.Explore.search} calls [mk] once per worker domain, keeping
+      the by-reference recorder domain-local.  Results (coverage counts,
+      failures, counterexample) are deterministic and independent of
+      [jobs].  A sequential caller ([jobs] 1, or {!Pram.Explore.Way.Naive})
+      may return the same pair on every call. *)
   val search_check :
-    ?way:Pram.Explore.Way.t ->
+    way:Pram.Explore.Way.t ->
     ?jobs:int ->
     ?shrink:bool ->
     ?max_schedules:int ->
@@ -79,7 +64,8 @@ module Make (O : Spec.Object_spec.S) : sig
       and crash actions are marked — one causally ordered journal.  The
       returned archive (with the normalized schedule) renders via
       {!Tracing.pp_timeline} / {!Tracing.chrome_json}.  [program] and
-      [recorder] must be the pair given to {!explore_check}. *)
+      [recorder] must be a pair minted by the [mk] given to
+      {!search_check}. *)
   val trace_counterexample :
     ?completion_fuel:int ->
     procs:int ->

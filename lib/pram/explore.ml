@@ -1,59 +1,56 @@
-(* Schedule exploration (bounded model checking), naive, DPOR-pruned,
-   bounded, and randomized.
+(* Schedule exploration (bounded model checking): naive, DPOR-pruned,
+   bounded, and randomized, behind one entry point, [search ~way].
 
    Because executions are deterministic functions of their schedules
    ([Driver.replay]), the set of all behaviours of a program up to a step
    bound is exactly the set of maximal schedules — enumerable by DFS.
-   [exhaustive] enumerates schedules (optionally with crash injection)
-   and calls a user check on each completed execution; the test suite
-   uses this to verify linearizability of the paper's algorithms over
-   EVERY interleaving of small configurations, not just random samples.
+   [search] runs a user check on each completed execution it visits; the
+   test suite uses this to verify linearizability of the paper's
+   algorithms over EVERY interleaving of small configurations, not just
+   random samples.  A [Way.t] selects how:
 
-   Two modes:
+   - [Naive] enumerates every maximal schedule in one sequential DFS
+     under a global [max_schedules].  This is the right tool when the
+     user check counts schedules (violation censuses) or when crash
+     branches are injected — it is the only systematic way that crashes.
 
-   - [Naive] enumerates every maximal schedule.  This is the right tool
-     when the user check counts schedules (violation censuses) or when
-     crash branches are injected.
-
-   - [Dpor] is dynamic partial-order reduction in the style of Flanagan
-     and Godefroid (POPL 2005) with sleep sets (Godefroid's thesis; see
-     also dejafu's BPOR).  Two accesses are DEPENDENT iff they touch the
-     same register and at least one is a write; schedules that only
-     reorder independent accesses reach the same final state, so it
-     suffices to explore one representative per Mazurkiewicz trace.
-     After each step of the search the explorer computes backtrack
-     points from the happens-before relation of the executed prefix
-     (tracked with vector clocks) and only revisits schedules that flip
-     a dependent pair; sleep sets additionally prune branches whose
+   - [Systematic] is dynamic partial-order reduction in the style of
+     Flanagan and Godefroid (POPL 2005) with sleep sets (Godefroid's
+     thesis; see also dejafu's BPOR).  Two accesses are DEPENDENT iff
+     they touch the same register and at least one is a write; schedules
+     that only reorder independent accesses reach the same final state,
+     so it suffices to explore one representative per Mazurkiewicz
+     trace.  After each step of the search the explorer computes
+     backtrack points from the happens-before relation of the executed
+     prefix (tracked with vector clocks) and only revisits schedules that
+     flip a dependent pair; sleep sets additionally prune branches whose
      first step commutes with an already-explored sibling.  On the
-     paper's algorithms this cuts schedule counts by orders of
-     magnitude, making 3-4 process configurations checkable.
+     paper's algorithms this cuts schedule counts by orders of magnitude,
+     making 3-4 process configurations checkable.  Composable schedule
+     bounds ([Bounds.t]: pre-emption, fairness, length) filter branches
+     by a prefix-invariant predicate; a bounded search is sound for BUG
+     FINDING (every execution it visits is a real execution) but NOT
+     exhaustive — a violation needing more pre-emptions than the bound
+     will be missed.
 
-   On top of these, [search] provides WAYS in the style of dejafu's SCT
-   layer: a [Way.t] selects systematic exploration under composable
-   schedule bounds ([Bounds.t]: pre-emption, fairness, length), or
-   uniform / weighted random sampling of maximal schedules.  Bounded
-   systematic search keeps the DPOR machinery (backtrack sets, sleep
-   sets) and filters branches by a prefix-invariant bound predicate;
-   it is sound for BUG FINDING (every execution it visits is a real
-   execution) but NOT exhaustive — a violation needing more pre-emptions
-   than the bound will be missed.  Random ways check real, complete
-   executions, so unlike DPOR they can also catch violations living
-   purely in the real-time order of independent accesses.
+   - [Uniform] / [Weighted] sample maximal schedules at random.  They
+     check real, complete executions, so unlike DPOR they can also catch
+     violations living purely in the real-time order of independent
+     accesses.
 
-   [search] additionally parallelizes systematic exploration across
-   domains: the schedule tree is partitioned into a deterministic
-   frontier of prefixes (naive full branching with sleep-set seeding —
-   each frontier node inherits the sleep entries of its already-covered
-   left siblings, the standard Godefroid argument), and each subtree is
-   explored by an independent DPOR instance whose backtrack points are
-   clamped to the subtree (races reaching into the frozen prefix are
-   ignored: the frontier already enumerates every enabled, non-slept
-   choice at those depths).  The frontier shape is independent of
-   [jobs], so coverage counts and failures are identical for any job
-   count.  Random ways shard their sample indices the same way; each
-   sample's RNG is seeded by (seed, index), so the set of sampled
-   schedules is also independent of the sharding.
+   Systematic search is parallel across domains: the schedule tree is
+   partitioned into a deterministic frontier of prefixes (naive full
+   branching with sleep-set seeding — each frontier node inherits the
+   sleep entries of its already-covered left siblings, the standard
+   Godefroid argument), and each subtree is explored by an independent
+   DPOR instance whose backtrack points are clamped to the subtree
+   (races reaching into the frozen prefix are ignored: the frontier
+   already enumerates every enabled, non-slept choice at those depths).
+   The frontier shape is independent of [jobs], so coverage counts and
+   failures are identical for any job count.  Random ways shard their
+   sample indices the same way; each sample's RNG is seeded by
+   (seed, index), so the set of sampled schedules is also independent of
+   the sharding.
 
    Soundness caveat (inherent to any POR): DPOR preserves properties
    that are invariant under commuting independent accesses.  Final
@@ -62,19 +59,18 @@
    processes is not, so a history that is non-linearizable only due to
    the relative order of two commuting boundary events may be reported
    via a different (equivalent, still-failing-or-passing) representative.
-   Every state-dependent violation is still found, and [Naive] mode
-   remains available as the ground truth; the test suite compares both
-   modes on the paper's algorithms.
+   Every state-dependent violation is still found, and [Naive] remains
+   the ground truth; the test suite compares both ways on the paper's
+   algorithms.
 
    The enumeration replays the whole prefix for each extension, costing
    O(length) per node; the first child of every node consumes the
    current driver, so the leftmost spine is never replayed.  At every
    leaf the most recently created program instance is the one whose
    execution just completed — an invariant user checks may rely on
-   (e.g. history recorders captured by reference); all modes preserve
-   it, and parallel [search] preserves it PER WORKER DOMAIN, which is
-   why it takes an instance factory rather than closures over shared
-   state. *)
+   (e.g. history recorders captured by reference); every way preserves
+   it PER WORKER DOMAIN, which is why [search] takes an instance factory
+   rather than closures over shared state. *)
 
 (* --- ways and bounds -------------------------------------------------------- *)
 
@@ -122,13 +118,14 @@ module Bounds = struct
 end
 
 module Way = struct
-  (* How to explore the schedule space (dejafu's [Way]): systematically
-     under bounds, or by seeded random sampling.  [Weighted] biases
-     each decision towards staying on the previously stepped process
-     ([bias] >= 1 is the relative weight of not switching), producing
-     near-serial schedules that catch real-time-order bugs uniform
-     sampling almost never hits. *)
+  (* How to explore the schedule space (dejafu's [Way]): every schedule,
+     one per trace under bounds, or by seeded random sampling.
+     [Weighted] biases each decision towards staying on the previously
+     stepped process ([bias] >= 1 is the relative weight of not
+     switching), producing near-serial schedules that catch
+     real-time-order bugs uniform sampling almost never hits. *)
   type t =
+    | Naive
     | Systematic of Bounds.t
     | Uniform of { seed : int; count : int }
     | Weighted of { seed : int; count : int; bias : float }
@@ -136,6 +133,7 @@ module Way = struct
   let systematic = Systematic Bounds.none
 
   let to_string = function
+    | Naive -> "naive"
     | Systematic b -> Printf.sprintf "systematic(%s)" (Bounds.to_string b)
     | Uniform { seed; count } ->
         Printf.sprintf "uniform(seed=%d,count=%d)" seed count
@@ -143,17 +141,12 @@ module Way = struct
         Printf.sprintf "weighted(seed=%d,count=%d,bias=%g)" seed count bias
 end
 
-type mode =
-  | Naive
-  | Dpor
-  | Way_search of Way.t
-
 type coverage = {
   cov_explored : int;  (** completed executions visited (incl. samples) *)
   cov_pruned : int;
       (** branches cut by bounds or sleep sets (a lower bound on skipped
           subtrees, not on skipped schedules) *)
-  cov_sampled : int;  (** random samples drawn (0 for systematic modes) *)
+  cov_sampled : int;  (** random samples drawn (0 for systematic ways) *)
   cov_tasks : int;  (** parallel subtree/shard tasks the search ran *)
 }
 
@@ -169,9 +162,8 @@ type outcome = {
       (** branch points abandoned because of [max_schedules]; a lower
           bound on the number of unexplored schedules (0 iff the search
           completed) *)
-  mode : mode;  (** the mode that produced this outcome *)
+  way : Way.t;  (** the way that produced this outcome *)
   coverage : coverage;
-  way_desc : string;  (** human-readable way description, e.g. "dpor" *)
 }
 
 let ok outcome = outcome.failures = [] && not outcome.truncated
@@ -239,9 +231,24 @@ let replay_encoded ?record_trace ?observer ?on_crash ?completion_fuel ~procs
   let tail = complete ?completion_fuel d in
   (d, applied @ tail)
 
+(* A program instance: everything a worker needs to explore on its own
+   domain.  [search] calls the factory once per worker, so checks that
+   capture state by reference (history recorders re-created by the
+   setup) stay domain-local — sharing one recorder across domains would
+   race. *)
+type 'r instance = {
+  i_setup : unit -> int -> 'r;
+  i_check : 'r Driver.t -> int list -> bool;
+  i_pp_history : (Format.formatter -> unit -> unit) option;
+}
+
+let instance ?pp_history ~check setup =
+  { i_setup = setup; i_check = check; i_pp_history = pp_history }
+
 (* --- naive exhaustive DFS ------------------------------------------------- *)
 
-let naive ~max_schedules ~max_crashes ~procs setup check =
+let naive ~max_schedules ~max_crashes ~procs
+    { i_setup = setup; i_check = check; _ } =
   let explored = ref 0 in
   let pending = ref 0 in
   let failures = ref [] in
@@ -291,7 +298,7 @@ let naive ~max_schedules ~max_crashes ~procs setup check =
     failure_tags = [];
     truncated = !pending > 0;
     pending = !pending;
-    mode = Naive;
+    way = Way.Naive;
     coverage =
       {
         cov_explored = !explored;
@@ -299,7 +306,6 @@ let naive ~max_schedules ~max_crashes ~procs setup check =
         cov_sampled = 0;
         cov_tasks = 1;
       };
-    way_desc = "naive";
   }
 
 (* --- DPOR with sleep sets --------------------------------------------------
@@ -396,27 +402,25 @@ type task_result = {
    - [prefix] is replayed first (building its happens-before frames);
      backtrack points that race detection would place INSIDE the prefix
      are ignored — sound only because the caller (the frontier
-     expansion in [search], or the trivial empty prefix) guarantees
-     every enabled, non-slept choice at those depths is covered by a
-     sibling task.
+     expansion in [search]) guarantees every enabled, non-slept choice
+     at those depths is covered by a sibling task.
 
    - [bounds] is applied as a branch filter: at each node the set of
      in-bounds continuations is computed from the node state; branches
      outside it are counted in [t_pruned] and NOT added to sibling
      sleep sets (they were cut, not covered).
 
-   Bounded mode is therefore sound for bug finding (every visited
+   A bounded search is therefore sound for bug finding (every visited
    execution is real) but not exhaustive. *)
 let dpor_task ~bounds ~max_schedules ~procs ~setup ~check ~prefix ~init_sleep =
-  if procs >= Sys.int_size - 1 then
-    invalid_arg "Explore: too many processes for DPOR bitmask";
   let explored = ref 0 in
   let pruned = ref 0 in
   let pending_ctr = ref 0 in
   let failures = ref [] in
-  (* backtrack set (bitmask of pids) of the node at each depth of the
-     current DFS path; depths inside the frozen prefix have no entry *)
-  let bt : (int, int ref) Hashtbl.t = Hashtbl.create 64 in
+  (* backtrack set, entry sleep set and enabled set (bitmasks of pids)
+     of the node at each depth of the current DFS path; depths inside
+     the frozen prefix have no entry *)
+  let bt : (int, int ref * int * int) Hashtbl.t = Hashtbl.create 64 in
   let zero = Array.make procs 0 in
   let clock_of_proc frames_rev p =
     match List.find_opt (fun f -> f.f_pid = p) frames_rev with
@@ -458,8 +462,12 @@ let dpor_task ~bounds ~max_schedules ~procs ~setup ~check ~prefix ~init_sleep =
   (* Race detection: for each enabled p, the most recent prefix event
      that is dependent with p's next access, by a different process, and
      not ordered before it by happens-before, marks a backtrack point at
-     its pre-state.  Races whose pre-state lies in the frozen prefix
-     (no bt entry) are ignored: sibling frontier tasks cover them. *)
+     its pre-state.  If p is asleep there, adding p would run nothing
+     new, and the races that running p first would expose are never
+     seen — so the pre-state backtracks on every enabled process
+     instead (a full sleep-set search of that node).  Races whose
+     pre-state lies in the frozen prefix (no bt entry) are ignored:
+     sibling frontier tasks cover them. *)
   let add_backtracks frames_rev pendings =
     List.iter
       (fun (p, pe) ->
@@ -475,7 +483,12 @@ let dpor_task ~bounds ~max_schedules ~procs ~setup ~check ~prefix ~init_sleep =
                     && cp.(f.f_pid) < f.f_pidx
                   then (
                     match Hashtbl.find_opt bt i with
-                    | Some r -> r := !r lor (1 lsl p)
+                    | Some (r, sleep, enabled) ->
+                        r :=
+                          !r
+                          lor
+                          if sleep land (1 lsl p) <> 0 then enabled
+                          else 1 lsl p
                     | None -> ())
                   else scan (i - 1) rest
             in
@@ -555,7 +568,7 @@ let dpor_task ~bounds ~max_schedules ~procs ~setup ~check ~prefix ~init_sleep =
               else allowed_mask d ~depth ~last ~preempts runnable
             in
             let my_bt = ref 0 in
-            Hashtbl.replace bt depth my_bt;
+            Hashtbl.replace bt depth (my_bt, sleep_mask, enabled_mask);
             let p0 =
               List.find (fun p -> sleep_mask land (1 lsl p) = 0) runnable
             in
@@ -686,49 +699,6 @@ let dpor_task ~bounds ~max_schedules ~procs ~setup ~check ~prefix ~init_sleep =
     t_failures = List.rev !failures;
   }
 
-let dpor ~max_schedules ~procs setup check =
-  let r =
-    dpor_task ~bounds:Bounds.none ~max_schedules ~procs ~setup ~check
-      ~prefix:[] ~init_sleep:[]
-  in
-  {
-    explored = r.t_explored;
-    failures = r.t_failures;
-    failure_tags = [];
-    truncated = r.t_pending > 0;
-    pending = r.t_pending;
-    mode = Dpor;
-    coverage =
-      {
-        cov_explored = r.t_explored;
-        cov_pruned = r.t_pruned;
-        cov_sampled = 0;
-        cov_tasks = 1;
-      };
-    way_desc = "dpor";
-  }
-
-(* --- unified front door ---------------------------------------------------- *)
-
-let exhaustive ?(mode = Naive) ?(max_schedules = 1_000_000) ?(max_crashes = 0)
-    ~procs setup check =
-  match mode with
-  | Naive -> naive ~max_schedules ~max_crashes ~procs setup check
-  | Dpor ->
-      if max_crashes > 0 then
-        invalid_arg
-          "Explore.exhaustive: DPOR does not support crash injection; use \
-           ~mode:Naive for crash exploration";
-      dpor ~max_schedules ~procs setup check
-  | Way_search _ ->
-      invalid_arg "Explore.exhaustive: use Explore.search for way-based search"
-
-(* Count the executions without checking anything — useful to size a
-   configuration before committing to it in a test, and to measure the
-   DPOR reduction factor. *)
-let count ?mode ?(max_schedules = 1_000_000) ~procs setup =
-  (exhaustive ?mode ~max_schedules ~procs setup (fun _ _ -> true)).explored
-
 (* --- random schedule sampling ----------------------------------------------
 
    One sample = one maximal schedule drawn decision-by-decision.  The
@@ -754,17 +724,12 @@ let weighted_pick rng ~bias ~last runnable =
 let sample_crash_prob = 0.03
 
 let sample_schedule ?(max_crashes = 0) ~way ~index ~procs setup =
-  let bias =
+  let seed, bias =
     match way with
-    | Way.Uniform _ -> 1.0
-    | Way.Weighted { bias; _ } -> Float.max 1e-6 bias
-    | Way.Systematic _ ->
-        invalid_arg "Explore.sample_schedule: systematic way has no sampler"
-  in
-  let seed =
-    match way with
-    | Way.Uniform { seed; _ } | Way.Weighted { seed; _ } -> seed
-    | Way.Systematic _ -> assert false
+    | Way.Uniform { seed; _ } -> (seed, 1.0)
+    | Way.Weighted { seed; bias; _ } -> (seed, Float.max 1e-6 bias)
+    | Way.Naive | Way.Systematic _ ->
+        invalid_arg "Explore.sample_schedule: systematic ways have no sampler"
   in
   let rng = Random.State.make [| 0x5eed; seed; index |] in
   let d = Driver.create ~procs setup in
@@ -804,20 +769,6 @@ let sample_schedule ?(max_crashes = 0) ~way ~index ~procs setup =
   (List.rev !enc_rev, d)
 
 (* --- parallel search -------------------------------------------------------- *)
-
-(* A program instance: everything a worker needs to explore on its own
-   domain.  [search] calls the factory once per worker, so checks that
-   capture state by reference (history recorders re-created by the
-   setup) stay domain-local — sharing one recorder across domains would
-   race. *)
-type 'r instance = {
-  i_setup : unit -> int -> 'r;
-  i_check : 'r Driver.t -> int list -> bool;
-  i_pp_history : (Format.formatter -> unit -> unit) option;
-}
-
-let instance ?pp_history ~check setup =
-  { i_setup = setup; i_check = check; i_pp_history = pp_history }
 
 (* Deterministic work-sharing pool: a fixed task array and an atomic
    next-task counter.  Idle workers grab the next unclaimed index, so
@@ -920,17 +871,18 @@ let expand_frontier ~procs setup =
   let actives, leaves = grow 0 [ ([], []) ] [] in
   (Array.of_list (List.rev leaves @ actives), !pruned)
 
-let search ?(way = Way.Systematic Bounds.none) ?(jobs = 1)
-    ?(max_schedules = 1_000_000) ?(max_crashes = 0) ~procs mk_instance =
-  if procs >= Sys.int_size - 1 then
-    invalid_arg "Explore.search: too many processes for the DPOR bitmask";
+let search ~way ?(jobs = 1) ?(max_schedules = 1_000_000) ?(max_crashes = 0)
+    ~procs mk_instance =
   let jobs = max 1 jobs in
   match way with
+  | Way.Naive -> naive ~max_schedules ~max_crashes ~procs (mk_instance ())
   | Way.Systematic bounds ->
+      if procs >= Sys.int_size - 1 then
+        invalid_arg "Explore.search: too many processes for the DPOR bitmask";
       if max_crashes > 0 then
         invalid_arg
-          "Explore.search: systematic ways do not support crash injection; \
-           use a random way or exhaustive ~mode:Naive";
+          "Explore.search: DPOR does not support crash injection; use \
+           Way.Naive or a random way";
       let inst0 = mk_instance () in
       let tasks, expansion_pruned = expand_frontier ~procs inst0.i_setup in
       let results =
@@ -961,7 +913,7 @@ let search ?(way = Way.Systematic Bounds.none) ?(jobs = 1)
         failure_tags;
         truncated = pending > 0;
         pending;
-        mode = Way_search way;
+        way;
         coverage =
           {
             cov_explored = explored;
@@ -969,7 +921,6 @@ let search ?(way = Way.Systematic Bounds.none) ?(jobs = 1)
             cov_sampled = 0;
             cov_tasks = Array.length tasks;
           };
-        way_desc = Way.to_string way;
       }
   | Way.Uniform { count; _ } | Way.Weighted { count; _ } ->
       let count = max 0 count in
@@ -997,7 +948,7 @@ let search ?(way = Way.Systematic Bounds.none) ?(jobs = 1)
           List.map (fun (i, _) -> Printf.sprintf "sample=%d" i) fails;
         truncated = false;
         pending = 0;
-        mode = Way_search way;
+        way;
         coverage =
           {
             cov_explored = count;
@@ -1005,7 +956,6 @@ let search ?(way = Way.Systematic Bounds.none) ?(jobs = 1)
             cov_sampled = count;
             cov_tasks = ntasks;
           };
-        way_desc = Way.to_string way;
       }
 
 (* --- counterexample shrinking ----------------------------------------------
@@ -1088,14 +1038,12 @@ type report = {
 
 let report_ok r = ok r.r_outcome && r.r_counterexample = None
 
-let shrink_fn = shrink
-
 (* Shrink + replay a failing schedule and render the counterexample.
-   The final replay leaves the caller's by-reference history (if any)
-   holding the SHRUNK execution, which [pp_history] then renders. *)
-let build_counterexample ~procs ~setup ~check ~pp_history ~do_shrink ~way_line
-    first =
-  let shrunk = if do_shrink then shrink_fn ~procs setup check first else first in
+   The final replay leaves the instance's by-reference history (if any)
+   holding the SHRUNK execution, which [i_pp_history] then renders. *)
+let build_counterexample ~procs inst ~do_shrink ~way_line first =
+  let setup = inst.i_setup and check = inst.i_check in
+  let shrunk = if do_shrink then shrink ~procs setup check first else first in
   let d, norm = replay_encoded ~procs setup shrunk in
   let still_fails = not (check d norm) in
   let message =
@@ -1107,7 +1055,7 @@ let build_counterexample ~procs ~setup ~check ~pp_history ~do_shrink ~way_line
       (List.length norm) (List.length first) way_line
       Trace.pp_encoded_schedule norm
       (fun ppf () ->
-        match pp_history with
+        match inst.i_pp_history with
         | None -> ()
         | Some pp -> Format.fprintf ppf "@,history:@,  @[<v>%a@]" pp ())
       ()
@@ -1119,54 +1067,30 @@ let build_counterexample ~procs ~setup ~check ~pp_history ~do_shrink ~way_line
   { cex_schedule = first; cex_shrunk = shrunk; cex_way = way_line;
     cex_message = message }
 
-let search_check ?way ?jobs ?(shrink = true) ?max_schedules ?max_crashes
+let search_check ~way ?jobs ?(shrink = true) ?max_schedules ?max_crashes
     ~procs mk_instance =
-  let outcome = search ?way ?jobs ?max_schedules ?max_crashes ~procs
+  let outcome = search ~way ?jobs ?max_schedules ?max_crashes ~procs
       mk_instance
   in
   match outcome.failures with
   | [] -> { r_outcome = outcome; r_counterexample = None }
   | first :: _ ->
-      let inst = mk_instance () in
       let way_line =
         match outcome.failure_tags with
-        | tag :: _ -> outcome.way_desc ^ " " ^ tag
-        | [] -> outcome.way_desc
+        | tag :: _ -> Way.to_string way ^ " " ^ tag
+        | [] -> Way.to_string way
       in
       let cex =
-        build_counterexample ~procs ~setup:inst.i_setup ~check:inst.i_check
-          ~pp_history:inst.i_pp_history ~do_shrink:shrink ~way_line first
+        build_counterexample ~procs (mk_instance ()) ~do_shrink:shrink
+          ~way_line first
       in
       { r_outcome = outcome; r_counterexample = Some cex }
-
-let check_linearizable ?(mode = Naive) ?way ?(shrink = true) ?max_schedules
-    ?(max_crashes = 0) ?pp_history ~procs setup ~linearizable () =
-  let check _d _sched = linearizable () in
-  match way with
-  | Some w ->
-      (* way-based searches are routed through [search_check] with a
-         single worker: the caller's closures share state (recorder by
-         reference), which is only safe sequentially *)
-      search_check ~way:w ~jobs:1 ~shrink ?max_schedules ~max_crashes ~procs
-        (fun () -> { i_setup = setup; i_check = check; i_pp_history = pp_history })
-  | None -> (
-      let outcome =
-        exhaustive ~mode ?max_schedules ~max_crashes ~procs setup check
-      in
-      match outcome.failures with
-      | [] -> { r_outcome = outcome; r_counterexample = None }
-      | first :: _ ->
-          let cex =
-            build_counterexample ~procs ~setup ~check ~pp_history
-              ~do_shrink:shrink ~way_line:outcome.way_desc first
-          in
-          { r_outcome = outcome; r_counterexample = Some cex })
 
 let pp_report ppf r =
   let o = r.r_outcome in
   let cov = o.coverage in
   Format.fprintf ppf "@[<v>%d schedule(s) explored (%s%s)%s%s@]" o.explored
-    o.way_desc
+    (Way.to_string o.way)
     (if cov.cov_pruned > 0 || cov.cov_sampled > 0 || cov.cov_tasks > 1 then
        Printf.sprintf "; %d pruned, %d sampled, %d task(s)" cov.cov_pruned
          cov.cov_sampled cov.cov_tasks

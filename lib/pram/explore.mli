@@ -1,5 +1,5 @@
-(** Schedule exploration (bounded model checking): naive, DPOR-pruned,
-    bounded, and randomized.
+(** Schedule exploration (bounded model checking) behind one entry
+    point, {!search}[ ~way]: naive, DPOR-pruned, bounded, and randomized.
 
     Executions are deterministic functions of their schedules, so all
     behaviours of a small program can be enumerated by DFS over maximal
@@ -7,18 +7,18 @@
     paper's algorithms over {e every} interleaving of small
     configurations — a much stronger guarantee than random scheduling.
 
-    {!Dpor} mode applies dynamic partial-order reduction with sleep sets
-    (Flanagan-Godefroid 2005): two accesses are dependent iff they touch
-    the same register and at least one is a write, and only schedules
-    that flip a dependent pair are revisited.  It explores at least one
-    representative of every Mazurkiewicz trace, typically orders of
-    magnitude fewer schedules than {!Naive}.
-
-    {!search} layers dejafu-style {e ways} on top: systematic
-    exploration under composable {!Bounds} (sound for bug finding, not
-    exhaustive) or seeded uniform/weighted random sampling, optionally
-    parallelized across domains with deterministic, jobs-independent
-    results. *)
+    {!Way.Naive} enumerates every maximal schedule; it is the ground
+    truth, and the only systematic way that injects crashes.
+    {!Way.Systematic} applies dynamic partial-order reduction with sleep
+    sets (Flanagan-Godefroid 2005): two accesses are dependent iff they
+    touch the same register and at least one is a write, and only
+    schedules that flip a dependent pair are revisited.  Unbounded, it
+    explores exactly one representative of every Mazurkiewicz trace,
+    typically orders of magnitude fewer schedules than {!Way.Naive};
+    composable {!Bounds} make it sound for bug finding only.  Seeded
+    {!Way.Uniform}/{!Way.Weighted} random sampling reaches past
+    exhaustive sizes.  Systematic and random ways parallelize across
+    domains with deterministic, jobs-independent results. *)
 
 (** Composable schedule bounds (dejafu's SCT bounds).  Every bound is
     prefix-invariant, so the explorer prunes a subtree as soon as its
@@ -52,6 +52,10 @@ end
 (** How to explore the schedule space (dejafu's [Way]). *)
 module Way : sig
   type t =
+    | Naive
+        (** every maximal schedule, in one sequential depth-first task
+            under a global [max_schedules]; crash branches with
+            [max_crashes > 0] *)
     | Systematic of Bounds.t
         (** DPOR with sleep sets, filtered by the bounds.  With
             {!Bounds.none} this is exhaustive (per Mazurkiewicz trace);
@@ -72,20 +76,15 @@ module Way : sig
   val to_string : t -> string
 end
 
-type mode =
-  | Naive  (** enumerate every maximal schedule *)
-  | Dpor  (** dynamic partial-order reduction with sleep sets *)
-  | Way_search of Way.t  (** produced by {!search} outcomes *)
-
-(** Merged exploration counters, one per {!search} (or exhaustive)
-    run; flows into the bench JSON so coverage regressions show up in
-    the committed trajectory. *)
+(** Merged exploration counters, one per {!search} run; flows into the
+    bench JSON so coverage regressions show up in the committed
+    trajectory. *)
 type coverage = {
   cov_explored : int;  (** completed executions visited (incl. samples) *)
   cov_pruned : int;
       (** branches cut by bounds or sleep sets — a lower bound on the
           number of skipped subtrees *)
-  cov_sampled : int;  (** random samples drawn (0 for systematic modes) *)
+  cov_sampled : int;  (** random samples drawn (0 for systematic ways) *)
   cov_tasks : int;  (** parallel subtree/shard tasks the search ran *)
 }
 
@@ -102,37 +101,12 @@ type outcome = {
       (** branch points abandoned because of [max_schedules]; a lower
           bound on the number of unexplored schedules (0 iff the search
           ran to completion) *)
-  mode : mode;  (** the mode that produced this outcome *)
+  way : Way.t;  (** the way that produced this outcome *)
   coverage : coverage;
-  way_desc : string;
-      (** human-readable search description: ["naive"], ["dpor"], or
-          [Way.to_string] *)
 }
-
-(** [exhaustive ~procs setup check] runs [check driver schedule] on every
-    completed execution of the program ({!Dpor}: on one representative
-    per equivalence class).  With [max_crashes > 0], also branches on
-    crashing each runnable process at every prefix, up to that many
-    crashes per execution (Naive mode only).  The program must be finite
-    (every schedule terminates).
-    @raise Invalid_argument for [Dpor] with [max_crashes > 0], and for
-    [Way_search] (use {!search}). *)
-val exhaustive :
-  ?mode:mode ->
-  ?max_schedules:int ->
-  ?max_crashes:int ->
-  procs:int ->
-  (unit -> int -> 'r) ->
-  ('r Driver.t -> int list -> bool) ->
-  outcome
 
 (** No failures and the search was not truncated. *)
 val ok : outcome -> bool
-
-(** Number of maximal schedules of the program (no checking); under
-    [~mode:Dpor], the number of representatives DPOR explores. *)
-val count :
-  ?mode:mode -> ?max_schedules:int -> procs:int -> (unit -> int -> 'r) -> int
 
 (** A program instance: everything one search worker needs on its own
     domain.  {!search} calls the factory once per worker, keeping
@@ -160,7 +134,7 @@ val instance :
     {!search} shards samples.  With [max_crashes > 0] each decision may
     crash a runnable process with small probability until the budget is
     spent.
-    @raise Invalid_argument on a [Systematic] way. *)
+    @raise Invalid_argument on a [Naive] or [Systematic] way. *)
 val sample_schedule :
   ?max_crashes:int ->
   way:Way.t ->
@@ -171,8 +145,10 @@ val sample_schedule :
 
 (** [search ~way ~jobs ~procs mk_instance] explores the program's
     schedule space according to [way], in parallel on up to [jobs]
-    domains.
+    domains.  It is the only exploration entry point.
 
+    {!Way.Naive} is one sequential depth-first task (on the calling
+    domain, whatever [jobs]) and [max_schedules] is a global budget.
     Systematic ways partition the schedule tree into a deterministic
     frontier of subtree roots (with sleep-set seeding from left
     siblings, so cross-subtree duplication is pruned) and run an
@@ -181,17 +157,23 @@ val sample_schedule :
     across tasks.  Either way the task partition — and therefore every
     counter and the failure list — is independent of [jobs].
 
-    Soundness: [Systematic Bounds.none] is exhaustive per Mazurkiewicz
-    trace (same caveat as {!Dpor}: violations living purely in the
-    real-time order of independent accesses can be missed).  Bounded
-    systematic search and random ways are sound for bug finding only —
-    every reported failure is a real execution, but absence of failures
+    Soundness: [Naive] checks every maximal schedule.
+    [Systematic Bounds.none] checks exactly one schedule per
+    Mazurkiewicz trace, so it finds every state-dependent violation,
+    but it can miss violations living purely in the real-time order of
+    independent accesses (e.g. a reader missing a completed write it
+    never reads the registers of): commuting independent accesses
+    preserves states, not event order, so a class's representative may
+    linearize though another member does not.  Bounded systematic
+    search and random ways are sound for bug finding only — every
+    reported failure is a real execution, but absence of failures
     proves nothing outside the bounds / sample set.  Random ways check
     complete concrete executions and so CAN catch real-time-order
     violations DPOR misses.
-    @raise Invalid_argument for a systematic way with [max_crashes > 0]. *)
+    @raise Invalid_argument for a [Systematic] way with
+    [max_crashes > 0]. *)
 val search :
-  ?way:Way.t ->
+  way:Way.t ->
   ?jobs:int ->
   ?max_schedules:int ->
   ?max_crashes:int ->
@@ -263,60 +245,21 @@ type report = {
   r_counterexample : counterexample option;
 }
 
-(** [search_check ~procs mk_instance] is {!search} plus counterexample
-    handling: the first failing schedule is ddmin-shrunk (against a
-    fresh main-domain instance) and replayed, so the final instance's
-    history is the minimal failing one and [i_pp_history] renders it
-    into the message.  [cex_way] records the search provenance. *)
+(** [search_check ~way ~procs mk_instance] is {!search} plus
+    counterexample handling: the first failing schedule is ddmin-shrunk
+    (unless [shrink:false], against a fresh main-domain instance) and
+    replayed, so the final instance's history is the minimal failing one
+    and [i_pp_history] renders it into the message.  [cex_way] records
+    the search provenance.  [Lincheck.Make] wraps this with a recorder
+    and an object specification. *)
 val search_check :
-  ?way:Way.t ->
+  way:Way.t ->
   ?jobs:int ->
   ?shrink:bool ->
   ?max_schedules:int ->
   ?max_crashes:int ->
   procs:int ->
   (unit -> 'r instance) ->
-  report
-
-(** [check_linearizable ~procs setup ~linearizable ()] explores every
-    schedule and calls [linearizable ()] at each completed execution —
-    the callback should consult the history of the {e most recently
-    created} program instance, e.g. a {!Spec.History.Recorder} captured
-    by reference and re-created by [setup].  On failure the first
-    failing schedule is shrunk (unless [shrink:false]) and replayed, so
-    [pp_history] renders the minimal failing history into the
-    counterexample message.
-
-    The default mode is {!Naive} — the sound ground truth.  Opting into
-    [~mode:Dpor] accelerates the search by orders of magnitude and finds
-    every state-dependent violation, but can miss violations that live
-    {e purely} in the real-time order of operations whose accesses are
-    independent (e.g. a reader missing a completed write it never reads
-    the registers of): commuting independent accesses preserves states,
-    not event order, so such a class's representative may linearize even
-    though another member does not.  Use DPOR for configurations the
-    naive search cannot finish, and keep a naive run (possibly truncated)
-    alongside it.
-
-    Passing [?way] overrides [mode] and routes through {!search_check}
-    with a single worker (the closures here share state, which is only
-    safe sequentially); use {!search_check} directly for parallel
-    search.
-
-    [Lincheck.Make] provides a convenience wrapper that fills in
-    [linearizable] and [pp_history] from a recorder and an object
-    specification. *)
-val check_linearizable :
-  ?mode:mode ->
-  ?way:Way.t ->
-  ?shrink:bool ->
-  ?max_schedules:int ->
-  ?max_crashes:int ->
-  ?pp_history:(Format.formatter -> unit -> unit) ->
-  procs:int ->
-  (unit -> int -> 'r) ->
-  linearizable:(unit -> bool) ->
-  unit ->
   report
 
 (** Search complete, no violation. *)

@@ -11,6 +11,15 @@ let check_int = Alcotest.(check int)
 
 let ctx ~procs pid = Runtime.Ctx.make ~procs ~pid ()
 
+module Way = Pram.Explore.Way
+
+(* [Pram.Explore.search] with one instance shared by every worker: sound
+   here because every search below runs on one domain (the naive way, or
+   a systematic way at the default jobs 1). *)
+let search ~way ?max_schedules ?max_crashes ~procs program check =
+  Pram.Explore.search ~way ?max_schedules ?max_crashes ~procs (fun () ->
+      Pram.Explore.instance ~check program)
+
 (* --- explorer sanity ------------------------------------------------------ *)
 
 let test_count_small () =
@@ -20,7 +29,9 @@ let test_count_small () =
     let a = Pram.Memory.Sim.create 0 and b = Pram.Memory.Sim.create 0 in
     fun pid -> if pid = 0 then Pram.Memory.Sim.write a 1 else Pram.Memory.Sim.write b 1
   in
-  check_int "2 interleavings" 2 (Pram.Explore.count ~procs:2 program)
+  check_int "2 interleavings" 2
+    (search ~way:Way.Naive ~procs:2 program (fun _ _ -> true))
+      .Pram.Explore.explored
 
 let test_count_binomial () =
   (* 3 steps each: C(6,3) = 20 *)
@@ -31,7 +42,9 @@ let test_count_binomial () =
         Pram.Memory.Sim.write regs.(pid) i
       done
   in
-  check_int "C(6,3)" 20 (Pram.Explore.count ~procs:2 program)
+  check_int "C(6,3)" 20
+    (search ~way:Way.Naive ~procs:2 program (fun _ _ -> true))
+      .Pram.Explore.explored
 
 let test_explorer_finds_bugs () =
   (* the lost-update counter: exploration must find schedules where the
@@ -44,7 +57,7 @@ let test_explorer_finds_bugs () =
       Pram.Register.get r
   in
   let outcome =
-    Pram.Explore.exhaustive ~procs:2 program (fun d _sched ->
+    search ~way:Way.Naive ~procs:2 program (fun d _sched ->
         match (Pram.Driver.result d 0, Pram.Driver.result d 1) with
         | Some a, Some b -> max a b = 2
         | _ -> true)
@@ -62,7 +75,7 @@ let test_truncation () =
       done
   in
   let outcome =
-    Pram.Explore.exhaustive ~max_schedules:10 ~procs:2 program (fun _ _ -> true)
+    search ~way:Way.Naive ~max_schedules:10 ~procs:2 program (fun _ _ -> true)
   in
   check_bool "truncated" true outcome.Pram.Explore.truncated;
   check_bool "pending branches reported" true (outcome.Pram.Explore.pending > 0);
@@ -82,14 +95,14 @@ let test_truncation_exact_count () =
   in
   (* C(6,3) = 20 maximal schedules *)
   let exact =
-    Pram.Explore.exhaustive ~max_schedules:20 ~procs:2 program (fun _ _ -> true)
+    search ~way:Way.Naive ~max_schedules:20 ~procs:2 program (fun _ _ -> true)
   in
   check_int "explored all 20" 20 exact.Pram.Explore.explored;
   check_bool "exact count is not truncated" false exact.Pram.Explore.truncated;
   check_int "no pending branches" 0 exact.Pram.Explore.pending;
   check_bool "exact count is ok" true (Pram.Explore.ok exact);
   let short =
-    Pram.Explore.exhaustive ~max_schedules:19 ~procs:2 program (fun _ _ -> true)
+    search ~way:Way.Naive ~max_schedules:19 ~procs:2 program (fun _ _ -> true)
   in
   check_int "stopped at 19" 19 short.Pram.Explore.explored;
   check_bool "one short is truncated" true short.Pram.Explore.truncated;
@@ -126,7 +139,10 @@ let test_scan_exhaustive () =
           (Spec.History.Recorder.record !recorder ~pid `Read_max (fun () ->
                `Join (Scan.read_max h)))
   in
-  let report = Scan_check.explore_check ~procs:2 ~recorder program in
+  let report =
+    Scan_check.search_check ~way:Way.Naive ~procs:2 (fun () ->
+        (recorder, program))
+  in
   check_bool "no interleaving violates linearizability" true
     (Pram.Explore.report_ok report);
   check_bool "meaningful state space" true
@@ -148,7 +164,7 @@ let test_scan_exhaustive_with_crash () =
              `Unit))
   in
   let outcome =
-    Pram.Explore.exhaustive ~max_crashes:1 ~procs:2 program (fun d sched ->
+    search ~way:Way.Naive ~max_crashes:1 ~procs:2 program (fun d sched ->
         (* wait-freedom: every process the adversary did not crash runs to
            completion regardless of where the crash landed *)
         let crashed = List.filter_map (fun a ->
@@ -188,7 +204,7 @@ let test_direct_counter_exhaustive () =
              (fun () -> Spec.Counter_spec.Value (DC.read h)))
   in
   let outcome =
-    Pram.Explore.exhaustive ~max_crashes:1 ~procs:2 program (fun d sched ->
+    search ~way:Way.Naive ~max_crashes:1 ~procs:2 program (fun d sched ->
         let crashed = List.filter_map (fun a ->
             if a < 0 then Some (-1 - a) else None) sched
         in
@@ -237,14 +253,14 @@ let test_naive_collect_violations_counted () =
                `View (Naive.snapshot h)))
   in
   let outcome =
-    Pram.Explore.exhaustive ~procs:3 program (fun _d _sched ->
+    search ~way:Way.Naive ~procs:3 program (fun _d _sched ->
         Arr_check.is_linearizable (Spec.History.Recorder.events !recorder))
   in
   check_bool "naive collect has violating schedules" true
     (outcome.Pram.Explore.failures <> []);
   (* determinism: the same count every run *)
   let outcome2 =
-    Pram.Explore.exhaustive ~procs:3 program (fun _d _sched ->
+    search ~way:Way.Naive ~procs:3 program (fun _d _sched ->
         Arr_check.is_linearizable (Spec.History.Recorder.events !recorder))
   in
   check_int "violation count deterministic"
@@ -281,7 +297,10 @@ let test_atomic_snapshot_no_violations () =
           (Spec.History.Recorder.record !recorder ~pid `Snapshot (fun () ->
                `View (Arr.snapshot h)))
   in
-  let report = Arr_check2.explore_check ~procs:2 ~recorder program in
+  let report =
+    Arr_check2.search_check ~way:Way.Naive ~procs:2 (fun () ->
+        (recorder, program))
+  in
   check_bool "atomic snapshot: zero violating schedules" true
     (Pram.Explore.report_ok report);
   check_int "C(12,6) executions" 924
@@ -313,7 +332,7 @@ let test_afek_bounded_exhaustive () =
                `View (AB.snapshot h)))
   in
   let outcome =
-    Pram.Explore.exhaustive ~max_schedules:2_000_000 ~procs:2 program
+    search ~way:Way.Naive ~max_schedules:2_000_000 ~procs:2 program
       (fun _d _sched ->
         Arr_check2.is_linearizable (Spec.History.Recorder.events !recorder))
   in
@@ -375,7 +394,7 @@ let test_agreement_exhaustive () =
       AA.output h
   in
   let outcome =
-    Pram.Explore.exhaustive ~max_schedules:500_000 ~procs:2 program
+    search ~way:Way.Naive ~max_schedules:500_000 ~procs:2 program
       (fun d _sched ->
         match (Pram.Driver.result d 0, Pram.Driver.result d 1) with
         | Some a, Some b ->
@@ -396,7 +415,7 @@ let test_agreement_exhaustive () =
    trace). *)
 
 let test_dpor_vs_naive_lost_update () =
-  (* a program WITH a bug: both modes must report the violation *)
+  (* a program WITH a bug: both ways must report the violation *)
   let program () =
     let r = Pram.Memory.Sim.create 0 in
     fun _pid ->
@@ -409,8 +428,8 @@ let test_dpor_vs_naive_lost_update () =
     | Some a, Some b -> max a b = 2
     | _ -> true
   in
-  let naive = Pram.Explore.exhaustive ~mode:Pram.Explore.Naive ~procs:2 program check in
-  let dpor = Pram.Explore.exhaustive ~mode:Pram.Explore.Dpor ~procs:2 program check in
+  let naive = search ~way:Way.Naive ~procs:2 program check in
+  let dpor = search ~way:Way.systematic ~procs:2 program check in
   check_bool "naive finds the violation" true (naive.Pram.Explore.failures <> []);
   check_bool "dpor finds the violation" true (dpor.Pram.Explore.failures <> []);
   check_int "naive explores C(4,2)" 6 naive.Pram.Explore.explored;
@@ -441,8 +460,8 @@ let test_dpor_vs_naive_scan () =
   let check _d _sched =
     Scan_check.is_linearizable (Spec.History.Recorder.events !recorder)
   in
-  let naive = Pram.Explore.exhaustive ~mode:Pram.Explore.Naive ~procs:2 program check in
-  let dpor = Pram.Explore.exhaustive ~mode:Pram.Explore.Dpor ~procs:2 program check in
+  let naive = search ~way:Way.Naive ~procs:2 program check in
+  let dpor = search ~way:Way.systematic ~procs:2 program check in
   check_bool "naive verdict ok" true (Pram.Explore.ok naive);
   check_bool "dpor verdict ok" true (Pram.Explore.ok dpor);
   check_int "naive explores C(18,6)" 18564 naive.Pram.Explore.explored;
@@ -472,8 +491,8 @@ let test_dpor_vs_naive_counter () =
   let check _d _sched =
     Check_counter.is_linearizable (Spec.History.Recorder.events !recorder)
   in
-  let naive = Pram.Explore.exhaustive ~mode:Pram.Explore.Naive ~procs:2 program check in
-  let dpor = Pram.Explore.exhaustive ~mode:Pram.Explore.Dpor ~procs:2 program check in
+  let naive = search ~way:Way.Naive ~procs:2 program check in
+  let dpor = search ~way:Way.systematic ~procs:2 program check in
   check_bool "naive verdict ok" true (Pram.Explore.ok naive);
   check_bool "dpor verdict ok" true (Pram.Explore.ok dpor);
   check_int "naive explores C(12,6)" 924 naive.Pram.Explore.explored;
@@ -511,10 +530,10 @@ let test_dpor_vs_naive_agreement_3procs () =
         List.for_all (fun y -> Float.abs (x -. y) < epsilon) rest
   in
   let naive =
-    Pram.Explore.exhaustive ~mode:Pram.Explore.Naive ~max_schedules:20_000
+    search ~way:Way.Naive ~max_schedules:20_000
       ~procs:3 program check
   in
-  let dpor = Pram.Explore.exhaustive ~mode:Pram.Explore.Dpor ~procs:3 program check in
+  let dpor = search ~way:Way.systematic ~procs:3 program check in
   check_bool "naive cannot finish (truncated)" true naive.Pram.Explore.truncated;
   check_bool "naive finds no violation in its prefix" true
     (naive.Pram.Explore.failures = []);
@@ -545,7 +564,7 @@ let test_scan_3procs_dpor () =
                `Join (Scan.read_max h)))
   in
   let outcome =
-    Pram.Explore.exhaustive ~mode:Pram.Explore.Dpor ~max_schedules:2_000_000
+    search ~way:Way.systematic ~max_schedules:2_000_000
       ~procs:3 program (fun _d _sched ->
         Scan_check.is_linearizable (Spec.History.Recorder.events !recorder))
   in
@@ -573,7 +592,7 @@ let test_counter_3procs_dpor () =
              (fun () -> Spec.Counter_spec.Value (DC.read h)))
   in
   let outcome =
-    Pram.Explore.exhaustive ~mode:Pram.Explore.Dpor ~max_schedules:2_000_000
+    search ~way:Way.systematic ~max_schedules:2_000_000
       ~procs:3 program (fun _d _sched ->
         Check_counter.is_linearizable (Spec.History.Recorder.events !recorder))
   in
@@ -593,7 +612,7 @@ let test_agreement_3procs_dpor () =
       AA.output h
   in
   let outcome =
-    Pram.Explore.exhaustive ~mode:Pram.Explore.Dpor ~procs:3 program
+    search ~way:Way.systematic ~procs:3 program
       (fun d _sched ->
         match List.init 3 (fun p -> Pram.Driver.result d p) with
         | [ Some a; Some b; Some c ] ->
@@ -613,7 +632,7 @@ let test_agreement_3procs_dpor () =
    completed strictly before its scan began — a real-time linearizability
    violation the explorer must find, and the shrinker must minimize.
 
-   Naive mode is required here, and deliberately so: the bug removes the
+   The naive way is required here, and deliberately so: the bug removes the
    very accesses that made reader and writer dependent, so entire
    interleavings of the two operations collapse into one Mazurkiewicz
    trace whose representative happens to linearize.  This is the
@@ -679,10 +698,10 @@ let test_injected_bug_shrinks () =
   let recorder = ref (Spec.History.Recorder.create ()) in
   let program = buggy_scan_program recorder in
   let report =
-    Pram.Explore.check_linearizable ~mode:Pram.Explore.Naive ~procs:2 program
-      ~linearizable:(fun () ->
-        Scan_check.is_linearizable (Spec.History.Recorder.events !recorder))
-      ()
+    Pram.Explore.search_check ~way:Way.Naive ~procs:2 (fun () ->
+        Pram.Explore.instance program ~check:(fun _ _ ->
+            Scan_check.is_linearizable
+              (Spec.History.Recorder.events !recorder)))
   in
   check_bool "violation found" false (Pram.Explore.report_ok report);
   match report.Pram.Explore.r_counterexample with
@@ -714,12 +733,12 @@ let test_injected_bug_shrinks () =
         (contains_substring cex.Pram.Explore.cex_message "UNSTABLE")
 
 let test_explore_check_wrapper () =
-  (* the Lincheck-side convenience wrapper: failing fixture yields a
+  (* the Lincheck-side wrapper ([search_check]): failing fixture yields a
      counterexample with a rendered history; correct object passes *)
   let recorder = ref (Spec.History.Recorder.create ()) in
   let report =
-    Scan_check.explore_check ~mode:Pram.Explore.Naive ~procs:2 ~recorder
-      (buggy_scan_program recorder)
+    Scan_check.search_check ~way:Way.Naive ~procs:2 (fun () ->
+        (recorder, buggy_scan_program recorder))
   in
   check_bool "wrapper finds the violation" false (Pram.Explore.report_ok report);
   (match report.Pram.Explore.r_counterexample with
@@ -746,7 +765,8 @@ let test_explore_check_wrapper () =
                `Unit))
   in
   let report2 =
-    Scan_check.explore_check ~procs:2 ~recorder:recorder2 good_program
+    Scan_check.search_check ~way:Way.Naive ~procs:2 (fun () ->
+        (recorder2, good_program))
   in
   check_bool "correct scan passes under the wrapper" true
     (Pram.Explore.report_ok report2)

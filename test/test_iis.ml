@@ -66,13 +66,14 @@ let test_is_exhaustive_two_procs () =
     fun pid -> IS.participate (IS.attach t (ctx ~procs:2 pid)) (pid + 10)
   in
   let outcome =
-    Pram.Explore.exhaustive ~max_crashes:1 ~max_schedules:2_000_000 ~procs:2
-      program
-      (fun d _ ->
-        is_properties
-          (List.filter_map
-             (fun p -> Option.map (fun v -> (p, v)) (Pram.Driver.result d p))
-             [ 0; 1 ]))
+    Pram.Explore.search ~way:Pram.Explore.Way.Naive ~max_crashes:1
+      ~max_schedules:2_000_000 ~procs:2 (fun () ->
+        Pram.Explore.instance program ~check:(fun d _ ->
+            is_properties
+              (List.filter_map
+                 (fun p ->
+                   Option.map (fun v -> (p, v)) (Pram.Driver.result d p))
+                 [ 0; 1 ])))
   in
   check_bool "IS properties on every interleaving (with crashes)" true
     (Pram.Explore.ok outcome)
@@ -222,11 +223,12 @@ let test_two_proc_exhaustive_one_layer () =
         (if pid = 0 then 0.0 else 1.0)
   in
   let outcome =
-    Pram.Explore.exhaustive ~max_schedules:2_000_000 ~procs:2 program
-      (fun d _ ->
-        match (Pram.Driver.result d 0, Pram.Driver.result d 1) with
-        | Some a, Some b -> Float.abs (a -. b) <= (1.0 /. 3.0) +. 1e-12
-        | _ -> false)
+    Pram.Explore.search ~way:Pram.Explore.Way.Naive ~max_schedules:2_000_000
+      ~procs:2 (fun () ->
+        Pram.Explore.instance program ~check:(fun d _ ->
+            match (Pram.Driver.result d 0, Pram.Driver.result d 1) with
+            | Some a, Some b -> Float.abs (a -. b) <= (1.0 /. 3.0) +. 1e-12
+            | _ -> false))
   in
   check_bool "gap <= 1/3 after one layer, all interleavings" true
     (Pram.Explore.ok outcome)

@@ -54,20 +54,19 @@ module Diff (O : Spec.Object_spec.S) = struct
      schedule, replay the SAME encoded schedule against the Reference
      program and demand identical responses and identical per-pid step
      counts.  Returns the explore outcome for the caller to gate on. *)
-  let explore_diff ?mode ?max_schedules ?max_crashes ~procs ~script () =
+  let explore_diff ~way ?max_schedules ?max_crashes ~procs ~script () =
     let out_inc = ref [] and out_ref = ref [] in
     let inc_program = program ~mode:U.Incremental ~procs ~script out_inc in
     let ref_program = program ~mode:U.Reference ~procs ~script out_ref in
-    Pram.Explore.exhaustive ?mode ?max_schedules ?max_crashes ~procs
-      inc_program
-      (fun d sched ->
-        let d_ref, _ =
-          Pram.Explore.replay_encoded ~procs ref_program sched
-        in
-        same_responses (List.rev !out_inc) (List.rev !out_ref)
-        && List.for_all
-             (fun p -> Pram.Driver.steps d p = Pram.Driver.steps d_ref p)
-             (List.init procs Fun.id))
+    Pram.Explore.search ~way ?max_schedules ?max_crashes ~procs (fun () ->
+        Pram.Explore.instance inc_program ~check:(fun d sched ->
+            let d_ref, _ =
+              Pram.Explore.replay_encoded ~procs ref_program sched
+            in
+            same_responses (List.rev !out_inc) (List.rev !out_ref)
+            && List.for_all
+                 (fun p -> Pram.Driver.steps d p = Pram.Driver.steps d_ref p)
+                 (List.init procs Fun.id)))
 
   (* One random schedule (seeded), both modes: identical responses and
      per-pid steps.  Completion after the scheduler gives up is part of
@@ -106,7 +105,8 @@ let test_explore_diff_counter_p2 () =
     | _ -> Spec.Counter_spec.[ Reset 5 ]
   in
   let outcome =
-    Diff_counter.explore_diff ~mode:Pram.Explore.Dpor ~procs:2 ~script ()
+    Diff_counter.explore_diff ~way:Pram.Explore.Way.systematic ~procs:2
+      ~script ()
   in
   check_bool "all DPOR schedules agree (counter, procs 2)" true
     (Pram.Explore.ok outcome);
@@ -132,7 +132,8 @@ let test_explore_diff_gset_p3 () =
     | _ -> []
   in
   let outcome =
-    Diff_gset.explore_diff ~mode:Pram.Explore.Dpor ~procs:3 ~script ()
+    Diff_gset.explore_diff ~way:Pram.Explore.Way.systematic ~procs:3
+      ~script ()
   in
   check_bool "all DPOR schedules agree (gset, procs 3)" true
     (Pram.Explore.ok outcome);
@@ -151,8 +152,8 @@ let test_explore_diff_gset_p3_sampled () =
     | _ -> Spec.Gset_spec.[ Members ]
   in
   let outcome =
-    Diff_gset.explore_diff ~mode:Pram.Explore.Dpor ~max_schedules:60_000
-      ~procs:3 ~script ()
+    Diff_gset.explore_diff ~way:Pram.Explore.Way.systematic
+      ~max_schedules:60_000 ~procs:3 ~script ()
   in
   check_bool "all DPOR schedules agree (gset, all active)" true
     (Pram.Explore.ok outcome);
@@ -169,7 +170,7 @@ let test_explore_diff_counter_crashes () =
     | _ -> Spec.Counter_spec.[ Reset 5 ]
   in
   let outcome =
-    Diff_counter.explore_diff ~mode:Pram.Explore.Naive ~max_crashes:1
+    Diff_counter.explore_diff ~way:Pram.Explore.Way.Naive ~max_crashes:1
       ~max_schedules:4_000 ~procs:2 ~script ()
   in
   check_bool "no disagreement under crashes" true

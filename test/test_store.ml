@@ -425,10 +425,11 @@ let test_explore_differential () =
         store_setup ~batching ~procs:2 ~script:small_script ~keys:[ "a" ]
       in
       let outcome =
-        Pram.Explore.exhaustive ~mode:Pram.Explore.Dpor ~procs:2 setup
-          (fun _d sched ->
-            verifier_sees ~batching ~procs:2 ~script:small_script
-              ~keys:[ "a" ] ~expected:small_expected sched)
+        Pram.Explore.search ~way:Pram.Explore.Way.systematic ~procs:2
+          (fun () ->
+            Pram.Explore.instance setup ~check:(fun _d sched ->
+                verifier_sees ~batching ~procs:2 ~script:small_script
+                  ~keys:[ "a" ] ~expected:small_expected sched))
       in
       check_bool "every DPOR schedule folds to the spec" true
         (Pram.Explore.ok outcome);
@@ -449,11 +450,11 @@ let test_explore_differential_sampled () =
           ~keys:explore_keys
       in
       let outcome =
-        Pram.Explore.exhaustive ~mode:Pram.Explore.Dpor ~max_schedules:1_500
-          ~procs:2 setup
-          (fun _d sched ->
-            verifier_sees ~batching ~procs:2 ~script:explore_script
-              ~keys:explore_keys ~expected:explore_expected sched)
+        Pram.Explore.search ~way:Pram.Explore.Way.systematic
+          ~max_schedules:1_500 ~procs:2 (fun () ->
+            Pram.Explore.instance setup ~check:(fun _d sched ->
+                verifier_sees ~batching ~procs:2 ~script:explore_script
+                  ~keys:explore_keys ~expected:explore_expected sched))
       in
       check_bool "every DPOR schedule folds to the spec" true
         (Pram.Explore.ok outcome);

@@ -227,8 +227,8 @@ let test_counterexample_trace () =
      explorer finds and shrinks a counterexample, and the trace of that
      schedule carries both operation spans and raw accesses *)
   let report =
-    Check3.explore_check ~mode:Pram.Explore.Naive ~procs:3
-      ~recorder:collect_recorder collect_program
+    Check3.search_check ~way:Pram.Explore.Way.Naive ~procs:3 (fun () ->
+        (collect_recorder, collect_program))
   in
   match report.Pram.Explore.r_counterexample with
   | None -> Alcotest.fail "explorer must find the collect violation"
