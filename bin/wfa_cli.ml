@@ -331,8 +331,8 @@ let explore_cmd =
           ~doc:
             "Skip the search: replay an encoded schedule (the printed \
              counterexample syntax, e.g. 'p2 p0 p1 !p2' where !pN \
-             crashes N) on the 3-process naive collect, print its \
-             timeline and linearizability verdict.")
+             crashes N) on the naive collect of $(b,--procs) processes, \
+             print its timeline and linearizability verdict.")
   in
   let run way seed samples bias b_pre b_fair b_len jobs procs shrink
       max_schedules trace_out replay =
@@ -368,53 +368,34 @@ let explore_cmd =
       let module Check2 = Lincheck.Make (Spec2) in
       let module CheckN = Lincheck.Make (SpecN) in
       (* the atomic snapshot: updater vs snapshotter, every interleaving
-         (or one representative of each equivalence class) is clean.
-         Factories mint a fresh (recorder, program) pair per search
-         worker: the recorder-by-reference idiom is domain-local. *)
-      let mk_atomic () =
-        let recorder = ref (Spec.History.Recorder.create ()) in
-        let program () =
-          recorder := Spec.History.Recorder.create ();
-          let t = Arr.create ~variant:Snapshot.Scan.Optimized ~procs:2 in
-          fun pid ->
-            let h = Arr.attach t (Runtime.Ctx.make ~procs:2 ~pid ()) in
-            if pid = 0 then
-              ignore
-                (Spec.History.Recorder.record !recorder ~pid (`Update (0, 10))
-                   (fun () ->
-                     Arr.update h 10;
-                     `Unit))
-            else
-              ignore
-                (Spec.History.Recorder.record !recorder ~pid `Snapshot
-                   (fun () -> `View (Arr.snapshot h)))
-        in
-        (recorder, program)
+         (or one representative of each equivalence class) is clean *)
+      let atomic_program record =
+        let t = Arr.create ~variant:Snapshot.Scan.Optimized ~procs:2 in
+        fun pid ->
+          let h = Arr.attach t (Runtime.Ctx.make ~procs:2 ~pid ()) in
+          if pid = 0 then
+            ignore
+              (record ~pid (`Update (0, 10)) (fun () ->
+                   Arr.update h 10;
+                   `Unit))
+          else ignore (record ~pid `Snapshot (fun () -> `View (Arr.snapshot h)))
       in
       (* the naive collect: N-1 updaters vs a snapshotter is NOT
          linearizable; the explorer finds, shrinks and prints a
          counterexample schedule with its history *)
-      let mk_collect () =
-        let recorder = ref (Spec.History.Recorder.create ()) in
-        let program () =
-          recorder := Spec.History.Recorder.create ();
-          let t = Naive_c.create ~procs in
-          fun pid ->
-            let h = Naive_c.attach t (Runtime.Ctx.make ~procs ~pid ()) in
-            if pid < procs - 1 then
-              ignore
-                (Spec.History.Recorder.record !recorder ~pid
-                   (`Update (pid, pid + 10)) (fun () ->
-                     Naive_c.update h (pid + 10);
-                     `Unit))
-            else
-              ignore
-                (Spec.History.Recorder.record !recorder ~pid `Snapshot
-                   (fun () -> `View (Naive_c.snapshot h)))
-        in
-        (recorder, program)
+      let collect_program record =
+        let t = Naive_c.create ~procs in
+        fun pid ->
+          let h = Naive_c.attach t (Runtime.Ctx.make ~procs ~pid ()) in
+          if pid < procs - 1 then
+            ignore
+              (record ~pid (`Update (pid, pid + 10)) (fun () ->
+                   Naive_c.update h (pid + 10);
+                   `Unit))
+          else
+            ignore
+              (record ~pid `Snapshot (fun () -> `View (Naive_c.snapshot h)))
       in
-      let recorderN, collect_program = mk_collect () in
       let collect_label =
         Printf.sprintf "naive collect, %d updaters vs snapshotter (%d \
                         processes, buggy):"
@@ -427,19 +408,15 @@ let explore_cmd =
           match Pram.Trace.parse_encoded_schedule sched with
           | Error msg -> `Error (false, "--replay: " ^ msg)
           | Ok enc ->
-              let a =
-                CheckN.trace_counterexample ~procs ~recorder:recorderN
-                  collect_program enc
+              let a, history =
+                CheckN.trace_counterexample ~procs collect_program enc
               in
               Printf.printf
                 "replay on the naive collect (%d updaters vs snapshotter):\n"
                 (procs - 1);
               print_endline (Tracing.timeline a);
-              let linearizable =
-                CheckN.is_linearizable
-                  (Spec.History.Recorder.events !recorderN)
-              in
-              Printf.printf "history linearizable: %b\n" linearizable;
+              Printf.printf "history linearizable: %b\n"
+                (CheckN.is_linearizable history);
               (match trace_out with
               | None -> ()
               | Some path ->
@@ -451,13 +428,13 @@ let explore_cmd =
             "atomic scan, updater vs snapshotter (2 processes, correct):";
           let atomic_report =
             Check2.search_check ~way ~jobs ~shrink ~max_schedules ~procs:2
-              mk_atomic
+              atomic_program
           in
           Format.printf "  @[<v>%a@]@." Pram.Explore.pp_report atomic_report;
           print_endline collect_label;
           let collect_report =
             CheckN.search_check ~way ~jobs ~shrink ~max_schedules ~procs
-              mk_collect
+              collect_program
           in
           Format.printf "  @[<v>%a@]@." Pram.Explore.pp_report collect_report;
           (match collect_report.Pram.Explore.r_counterexample with
@@ -470,9 +447,9 @@ let explore_cmd =
           | Some _, None ->
               print_endline "no counterexample to trace (search was clean)"
           | Some path, Some cex ->
-              let a =
-                CheckN.trace_counterexample ~procs ~recorder:recorderN
-                  collect_program cex.Pram.Explore.cex_shrunk
+              let a, _ =
+                CheckN.trace_counterexample ~procs collect_program
+                  cex.Pram.Explore.cex_shrunk
               in
               print_endline "counterexample timeline:";
               print_endline (Tracing.timeline a);

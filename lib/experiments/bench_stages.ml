@@ -297,40 +297,30 @@ let sim_store_rows ~quick ~procs =
    All stages are deterministic (fixed seeds, jobs-independent task
    partition), so the committed counts are exactly reproducible. *)
 
+(* A program over one shared register, initially 0, whose runs pass iff
+   the register ends at [procs]. *)
+let ends_at ~procs body () =
+  let r = Pram.Memory.Sim.create 0 in
+  {
+    Pram.Explore.body = body r;
+    check = (fun _d _sched -> Pram.Register.get r = procs);
+    pp_history = None;
+  }
+
 (* Every process increments a shared counter non-atomically (read, then
-   write v+1).  The final value is [procs] iff no update was lost; the
-   register is smuggled out of the setup closure by reference, relying
-   on the explorer's leaf-instance invariant. *)
-let lost_update_instance ~procs () =
-  let cell = ref None in
-  let setup () =
-    let r = Pram.Memory.Sim.create 0 in
-    cell := Some r;
-    fun _pid ->
+   write v+1).  The final value is [procs] iff no update was lost. *)
+let lost_update ~procs =
+  ends_at ~procs (fun r _pid ->
       let v = Pram.Memory.Sim.read r in
-      Pram.Memory.Sim.write r (v + 1)
-  in
-  Pram.Explore.instance setup ~check:(fun _d _sched ->
-      match !cell with
-      | Some r -> Pram.Register.get r = procs
-      | None -> true)
+      Pram.Memory.Sim.write r (v + 1))
 
 (* Each process proposes pid+1 with a racy read-test-write maximum: a
    process holding a stale read can overwrite a larger proposal, so the
    final value can undershoot the true maximum [procs]. *)
-let racy_max_instance ~procs () =
-  let cell = ref None in
-  let setup () =
-    let r = Pram.Memory.Sim.create 0 in
-    cell := Some r;
-    fun pid ->
+let racy_max ~procs =
+  ends_at ~procs (fun r pid ->
       let v = Pram.Memory.Sim.read r in
-      if v < pid + 1 then Pram.Memory.Sim.write r (pid + 1)
-  in
-  Pram.Explore.instance setup ~check:(fun _d _sched ->
-      match !cell with
-      | Some r -> Pram.Register.get r = procs
-      | None -> true)
+      if v < pid + 1 then Pram.Memory.Sim.write r (pid + 1))
 
 module Scan_spec_nm = Snapshot.Scan_spec.Make (Semilattice.Nat_max)
 module Scan_lin = Lincheck.Make (Scan_spec_nm)
@@ -338,29 +328,17 @@ module Scan_lin = Lincheck.Make (Scan_spec_nm)
 (* The 2-process atomic-scan fixture from the exhaustive tests (writer +
    two scanners' worth of history), checked through the full
    linearizability oracle. *)
-let scan_mk () =
+let scan_program record =
   let procs = 2 in
-  let recorder = ref (Spec.History.Recorder.create ()) in
-  let program () =
-    recorder := Spec.History.Recorder.create ();
-    let t = Scan_sim.create ~variant:Snapshot.Scan.Optimized ~procs in
-    fun pid ->
-      let h = Scan_sim.attach t (Runtime.Ctx.make ~procs ~pid ()) in
-      if pid = 0 then begin
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid (`Write_l 1) (fun () ->
-               Scan_sim.write_l h 1;
-               `Unit));
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid `Read_max (fun () ->
-               `Join (Scan_sim.read_max h)))
-      end
-      else
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid `Read_max (fun () ->
-               `Join (Scan_sim.read_max h)))
-  in
-  (recorder, program)
+  let t = Scan_sim.create ~variant:Snapshot.Scan.Optimized ~procs in
+  fun pid ->
+    let h = Scan_sim.attach t (Runtime.Ctx.make ~procs ~pid ()) in
+    if pid = 0 then
+      ignore
+        (record ~pid (`Write_l 1) (fun () ->
+             Scan_sim.write_l h 1;
+             `Unit));
+    ignore (record ~pid `Read_max (fun () -> `Join (Scan_sim.read_max h)))
 
 module Collect_sim =
   Snapshot.Collect.Make (Snapshot.Slot_value.Int) (Pram.Memory.Sim)
@@ -372,26 +350,18 @@ module Collect_spec6 =
     end)
 module Collect_check6 = Lincheck.Make (Collect_spec6)
 
-let collect6_mk () =
+let collect6_program record =
   let procs = 6 in
-  let recorder = ref (Spec.History.Recorder.create ()) in
-  let program () =
-    recorder := Spec.History.Recorder.create ();
-    let t = Collect_sim.create ~procs in
-    fun pid ->
-      let h = Collect_sim.attach t (Runtime.Ctx.make ~procs ~pid ()) in
-      if pid < procs - 1 then
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid
-             (`Update (pid, pid + 10)) (fun () ->
-               Collect_sim.update h (pid + 10);
-               `Unit))
-      else
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid `Snapshot (fun () ->
-               `View (Collect_sim.snapshot h)))
-  in
-  (recorder, program)
+  let t = Collect_sim.create ~procs in
+  fun pid ->
+    let h = Collect_sim.attach t (Runtime.Ctx.make ~procs ~pid ()) in
+    if pid < procs - 1 then
+      ignore
+        (record ~pid (`Update (pid, pid + 10)) (fun () ->
+             Collect_sim.update h (pid + 10);
+             `Unit))
+    else
+      ignore (record ~pid `Snapshot (fun () -> `View (Collect_sim.snapshot h)))
 
 let coverage_rows ~bench ~procs (o : Pram.Explore.outcome) =
   let mk metric value =
@@ -411,25 +381,23 @@ let explore_rows ~quick =
   let uniform = Pram.Explore.Way.Uniform { seed; count = samples } in
   let scan_dpor =
     (Scan_lin.search_check ~way:Pram.Explore.Way.systematic ~jobs:2 ~procs:2
-       scan_mk)
+       scan_program)
       .Pram.Explore.r_outcome
   in
   let counter_bounded =
     Pram.Explore.search
       ~way:(Pram.Explore.Way.Systematic Pram.Explore.Bounds.default)
-      ~jobs:2 ~procs:3 (lost_update_instance ~procs:3)
+      ~jobs:2 ~procs:3 (lost_update ~procs:3)
   in
   let lost_uniform =
-    Pram.Explore.search ~way:uniform ~jobs:2 ~procs:6
-      (lost_update_instance ~procs:6)
+    Pram.Explore.search ~way:uniform ~jobs:2 ~procs:6 (lost_update ~procs:6)
   in
   let racy_uniform =
-    Pram.Explore.search ~way:uniform ~jobs:2 ~procs:6
-      (racy_max_instance ~procs:6)
+    Pram.Explore.search ~way:uniform ~jobs:2 ~procs:6 (racy_max ~procs:6)
   in
   let collect_uniform =
     (Collect_check6.search_check ~way:uniform ~jobs:2 ~shrink:false ~procs:6
-       collect6_mk)
+       collect6_program)
       .Pram.Explore.r_outcome
   in
   List.concat

@@ -20,13 +20,10 @@ let verdict (o : Pram.Explore.outcome) =
   else if o.Pram.Explore.failures = [] then "ok"
   else "violation"
 
-let add_row t name ~procs ?max_schedules program check =
+let add_row t name ~procs ?max_schedules program =
   let run way =
     let t0 = Monotonic_clock.now () in
-    let outcome =
-      Pram.Explore.search ~way ?max_schedules ~procs (fun () ->
-          Pram.Explore.instance ~check program)
-    in
+    let outcome = Pram.Explore.search ~way ?max_schedules ~procs program in
     (outcome, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9)
   in
   let naive, t_naive = run Pram.Explore.Way.Naive in
@@ -71,51 +68,40 @@ let e12 ?(agreement = true) () =
       Pram.Memory.Sim.write r (v + 1);
       Pram.Register.get r
   in
-  add_row t "lost-update counter" ~procs:2 lost_update (fun d _ ->
-      match (Pram.Driver.result d 0, Pram.Driver.result d 1) with
-      | Some a, Some b -> max a b = 2
-      | _ -> true);
+  add_row t "lost-update counter" ~procs:2
+    (Pram.Explore.instance lost_update ~check:(fun d _ ->
+         match (Pram.Driver.result d 0, Pram.Driver.result d 1) with
+         | Some a, Some b -> max a b = 2
+         | _ -> true));
   (* 2-proc snapshot scan: write_l+read_max vs read_max *)
-  let scan_recorder = ref (Spec.History.Recorder.create ()) in
-  let scan_program () =
-    scan_recorder := Spec.History.Recorder.create ();
+  let scan_program record =
     let s = Scan.create ~variant:Snapshot.Scan.Optimized ~procs:2 in
     fun pid ->
       let h = Scan.attach s (Runtime.Ctx.make ~procs:2 ~pid ()) in
       if pid = 0 then
         ignore
-          (Spec.History.Recorder.record !scan_recorder ~pid (`Write_l 1)
-             (fun () ->
+          (record ~pid (`Write_l 1) (fun () ->
                Scan.write_l h 1;
                `Unit));
-      ignore
-        (Spec.History.Recorder.record !scan_recorder ~pid `Read_max (fun () ->
-             `Join (Scan.read_max h)))
+      ignore (record ~pid `Read_max (fun () -> `Join (Scan.read_max h)))
   in
-  add_row t "snapshot scan" ~procs:2 scan_program (fun _ _ ->
-      Scan_check.is_linearizable (Spec.History.Recorder.events !scan_recorder));
+  add_row t "snapshot scan" ~procs:2 (Scan_check.instance scan_program);
   (* 2-proc universal (direct) counter: inc vs read *)
-  let ctr_recorder = ref (Spec.History.Recorder.create ()) in
-  let ctr_program () =
-    ctr_recorder := Spec.History.Recorder.create ();
+  let ctr_program record =
     let c = Counter.create ~procs:2 in
     fun pid ->
       let h = Counter.attach c (Runtime.Ctx.make ~procs:2 ~pid ()) in
       if pid = 0 then
         ignore
-          (Spec.History.Recorder.record !ctr_recorder ~pid
-             (Spec.Counter_spec.Inc 1) (fun () ->
+          (record ~pid (Spec.Counter_spec.Inc 1) (fun () ->
                Counter.inc h 1;
                Spec.Counter_spec.Unit))
       else
         ignore
-          (Spec.History.Recorder.record !ctr_recorder ~pid
-             Spec.Counter_spec.Read (fun () ->
+          (record ~pid Spec.Counter_spec.Read (fun () ->
                Spec.Counter_spec.Value (Counter.read h)))
   in
-  add_row t "universal counter" ~procs:2 ctr_program (fun _ _ ->
-      Counter_check.is_linearizable
-        (Spec.History.Recorder.events !ctr_recorder));
+  add_row t "universal counter" ~procs:2 (Counter_check.instance ctr_program);
   if agreement then begin
     (* 3-proc approximate agreement: inputs already within epsilon/2 *)
     let aa_program () =
@@ -125,14 +111,14 @@ let e12 ?(agreement = true) () =
         AA.input h [| 0.0; 1.0; 2.0 |].(pid);
         AA.output h
     in
-    add_row t "approx agreement" ~procs:3 ~max_schedules:20_000_000 aa_program
-      (fun d _ ->
-        let out p = Pram.Driver.result d p in
-        match (out 0, out 1, out 2) with
-        | Some a, Some b, Some c ->
-            let lo = Float.min a (Float.min b c)
-            and hi = Float.max a (Float.max b c) in
-            hi -. lo < 8.0 && lo >= 0.0 && hi <= 2.0
-        | _ -> false)
+    add_row t "approx agreement" ~procs:3 ~max_schedules:20_000_000
+      (Pram.Explore.instance aa_program ~check:(fun d _ ->
+           let out p = Pram.Driver.result d p in
+           match (out 0, out 1, out 2) with
+           | Some a, Some b, Some c ->
+               let lo = Float.min a (Float.min b c)
+               and hi = Float.max a (Float.max b c) in
+               hi -. lo < 8.0 && lo >= 0.0 && hi <= 2.0
+           | _ -> false))
   end;
   t

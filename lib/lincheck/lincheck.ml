@@ -117,59 +117,51 @@ module Make (O : Spec.Object_spec.S) = struct
           c.Spec.History.c_op)
       ppf calls
 
-  (* Wire Pram.Explore straight to this checker.  [mk] mints a
-     (recorder, program) pair per search worker, so by-reference history
-     state never crosses domains; [program] re-creates the recorder on
-     each instantiation.  The instance's check ignores the driver and
-     consults that worker's recorder — the per-worker leaf-instance
-     invariant of [Pram.Explore.search] makes this sound. *)
-  let search_check ~way ?jobs ?shrink ?max_schedules ?max_crashes ~procs mk =
+  type record = pid:int -> O.operation -> (unit -> O.response) -> O.response
+
+  (* One run of [program] with a fresh recorder: its check and its
+     rendered history read the events of this execution only. *)
+  let instance program () =
+    let r = Spec.History.Recorder.create () in
+    let history () = Spec.History.Recorder.events r in
+    {
+      Pram.Explore.body = program (Spec.History.Recorder.record r);
+      check = (fun _d _sched -> is_linearizable (history ()));
+      pp_history =
+        Some
+          (fun ppf () ->
+            Spec.History.pp O.pp_operation O.pp_response ppf (history ()));
+    }
+
+  let search_check ~way ?jobs ?shrink ?max_schedules ?max_crashes ~procs
+      program =
     Pram.Explore.search_check ~way ?jobs ?shrink ?max_schedules ?max_crashes
-      ~procs (fun () ->
-        let recorder, program = mk () in
-        {
-          Pram.Explore.i_setup = program;
-          i_check =
-            (fun _d _sched ->
-              is_linearizable (Spec.History.Recorder.events !recorder));
-          i_pp_history =
-            Some
-              (fun ppf () ->
-                Spec.History.pp O.pp_operation O.pp_response ppf
-                  (Spec.History.Recorder.events !recorder));
-        })
+      ~procs (instance program)
 
   (* Replay an encoded (counterexample) schedule with a tracing journal
-     attached: the driver observer streams accesses, a recorder sink
-     streams invoke/response events, and crashes are marked from the
-     schedule — all into one journal, so the timeline and Chrome
-     renderings show the operations AND the accesses they fired, in the
-     exact interleaved order.
-
-     Ordering note: [Driver.create] runs [program ()] eagerly (which
-     re-creates [!recorder]), but processes start lazily, so installing
-     the sink between creation and the first step loses no events. *)
-  let trace_counterexample ?completion_fuel ~procs ~recorder program enc =
+     attached: the driver observer streams accesses, the [record] given
+     to [program] streams invoke/response events, and crashes are marked
+     from the schedule — all into one journal, so the timeline and
+     Chrome renderings show the operations AND the accesses they fired,
+     in the exact interleaved order. *)
+  let trace_counterexample ?completion_fuel ~procs program enc =
     let j = Tracing.Journal.create ~procs () in
-    let d =
-      Pram.Driver.create ~observer:(Tracing.Journal.observer j) ~procs program
+    let r = Spec.History.Recorder.create () in
+    let record ~pid op run =
+      Spec.History.Recorder.record r ~pid op (fun () ->
+          Tracing.Journal.invoke j ~pid
+            (Format.asprintf "%a" O.pp_operation op);
+          let resp = run () in
+          Tracing.Journal.response j ~pid
+            (Format.asprintf "%a" O.pp_response resp);
+          resp)
     in
-    Spec.History.Recorder.set_sink !recorder
-      (Some
-         (fun ev ->
-           match ev with
-           | Spec.History.Invoke { pid; op } ->
-               Tracing.Journal.invoke j ~pid
-                 (Format.asprintf "%a" O.pp_operation op)
-           | Spec.History.Return { pid; resp } ->
-               Tracing.Journal.response j ~pid
-                 (Format.asprintf "%a" O.pp_response resp)));
-    let applied =
-      Pram.Explore.apply_encoded
+    let _, schedule =
+      Pram.Explore.replay_encoded ~observer:(Tracing.Journal.observer j)
         ~on_crash:(fun p -> Tracing.Journal.crash j ~pid:p)
-        d enc
+        ?completion_fuel ~procs
+        (fun () -> program record)
+        enc
     in
-    let tail = Pram.Explore.complete ?completion_fuel d in
-    Spec.History.Recorder.set_sink !recorder None;
-    Tracing.archive ~schedule:(applied @ tail) j
+    (Tracing.archive ~schedule j, Spec.History.Recorder.events r)
 end

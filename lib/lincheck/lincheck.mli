@@ -11,7 +11,10 @@
     specific witness orders used in the paper's proofs) and memoized on
     (linearized set, canonically printed state); worst case exponential,
     ample for the history sizes the tests produce.  [search_check] runs
-    it on every execution a {!Pram.Explore.search} visits. *)
+    it on every execution a {!Pram.Explore.search} visits.  A fixture
+    is a [record -> int -> 'x]: every execution hands it the [record]
+    of a fresh recorder, so each execution's check reads its own
+    history. *)
 
 module Make (O : Spec.Object_spec.S) : sig
   type call = (O.operation, O.response) Spec.History.call
@@ -34,17 +37,23 @@ module Make (O : Spec.Object_spec.S) : sig
 
   val pp_witness : Format.formatter -> call list -> unit
 
-  (** [search_check ~way ~procs mk] wires {!Pram.Explore.search_check}
-      to this checker: it checks the history in the recorder at each
-      completed execution and, on failure, shrinks the counterexample
-      schedule and renders it along with its history.  [mk] must mint a
-      {e fresh} (recorder, program) pair on every call, and [program]
-      must re-create its recorder on each instantiation —
-      {!Pram.Explore.search} calls [mk] once per worker domain, keeping
-      the by-reference recorder domain-local.  Results (coverage counts,
-      failures, counterexample) are deterministic and independent of
-      [jobs].  A sequential caller ([jobs] 1, or {!Pram.Explore.Way.Naive})
-      may return the same pair on every call. *)
+  (** How a program records one operation: [record ~pid op run] brackets
+      [run ()] with [op]'s invocation and response events and returns
+      the response. *)
+  type record = pid:int -> O.operation -> (unit -> O.response) -> O.response
+
+  (** [instance program] is the {!Pram.Explore} program whose every run
+      calls [program] with a fresh recorder's [record] (allocating the
+      execution's object and returning its per-process body) and checks
+      that recorder's history for linearizability.  Combine its [check]
+      with driver checks (e.g. survivors finish) by wrapping the run. *)
+  val instance : (record -> int -> 'x) -> unit -> 'x Pram.Explore.run
+
+  (** [search_check ~way ~procs program] is {!Pram.Explore.search_check}
+      on [instance program]: it checks each visited execution's history
+      and, on failure, shrinks the counterexample schedule and renders
+      it along with its history.  Results (coverage counts, failures,
+      counterexample) are deterministic and independent of [jobs]. *)
   val search_check :
     way:Pram.Explore.Way.t ->
     ?jobs:int ->
@@ -52,25 +61,21 @@ module Make (O : Spec.Object_spec.S) : sig
     ?max_schedules:int ->
     ?max_crashes:int ->
     procs:int ->
-    (unit ->
-      (O.operation, O.response) Spec.History.Recorder.t ref
-      * (unit -> int -> 'x)) ->
+    (record -> int -> 'x) ->
     Pram.Explore.report
 
-  (** [trace_counterexample ~procs ~recorder program enc] replays the
-      encoded schedule [enc] (e.g. a report's [cex_shrunk]) with a
+  (** [trace_counterexample ~procs program enc] replays the encoded
+      schedule [enc] (e.g. a report's [cex_shrunk]) with a
       {!Tracing.Journal} attached: accesses stream in via the driver
-      observer, operation invoke/response events via a recorder sink,
-      and crash actions are marked — one causally ordered journal.  The
-      returned archive (with the normalized schedule) renders via
-      {!Tracing.pp_timeline} / {!Tracing.chrome_json}.  [program] and
-      [recorder] must be a pair minted by the [mk] given to
-      {!search_check}. *)
+      observer, operation invoke/response events via the [record] given
+      to [program], and crash actions are marked — one causally ordered
+      journal.  Returns the archive (with the normalized schedule),
+      which renders via {!Tracing.pp_timeline} / {!Tracing.chrome_json},
+      and the replayed execution's history. *)
   val trace_counterexample :
     ?completion_fuel:int ->
     procs:int ->
-    recorder:(O.operation, O.response) Spec.History.Recorder.t ref ->
-    (unit -> int -> 'x) ->
+    (record -> int -> 'x) ->
     int list ->
-    Tracing.archive
+    Tracing.archive * (O.operation, O.response) Spec.History.event list
 end

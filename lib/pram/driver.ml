@@ -47,8 +47,6 @@ type 'r t = {
   steps : int array;
   mutable total_steps : int;
   mutable schedule_rev : int list;
-  mutable trace_rev : Trace.access list;
-  record_trace : bool;
   observer : (Trace.access -> unit) option;
       (* called once per fired access, in firing order; the metrics layer
          plugs in here without the driver depending on it *)
@@ -100,7 +98,7 @@ let start_process (type r) (t : r t) p =
           | _ -> None);
     }
 
-let create ?(record_trace = false) ?observer ~procs setup =
+let create ?observer ~procs setup =
   if procs <= 0 then invalid_arg "Driver.create: procs must be positive";
   (* Make register ids a function of the step sequence alone, so that
      explorers can compare ids across instances replaying the same
@@ -114,8 +112,6 @@ let create ?(record_trace = false) ?observer ~procs setup =
     steps = Array.make procs 0;
     total_steps = 0;
     schedule_rev = [];
-    trace_rev = [];
-    record_trace;
     observer;
   }
 
@@ -184,19 +180,17 @@ let step t p =
          treat the step as the (free) completion of the process *)
       ()
   | Suspended pd ->
-      if t.record_trace || Option.is_some t.observer then begin
-        let access =
-          {
-            Trace.step = t.total_steps;
-            pid = p;
-            reg_id = pd.reg_id;
-            reg_name = pd.reg_name;
-            kind = pd.kind;
-          }
-        in
-        if t.record_trace then t.trace_rev <- access :: t.trace_rev;
-        match t.observer with Some f -> f access | None -> ()
-      end;
+      (match t.observer with
+      | Some f ->
+          f
+            {
+              Trace.step = t.total_steps;
+              pid = p;
+              reg_id = pd.reg_id;
+              reg_name = pd.reg_name;
+              kind = pd.kind;
+            }
+      | None -> ());
       t.steps.(p) <- t.steps.(p) + 1;
       t.total_steps <- t.total_steps + 1;
       t.schedule_rev <- p :: t.schedule_rev;
@@ -213,7 +207,6 @@ let crash t p =
   | Crashed -> ()
 
 let schedule t = List.rev t.schedule_rev
-let trace t = List.rev t.trace_rev
 
 let run_solo ?(max_steps = max_int) t p =
   let rec loop budget =
@@ -226,7 +219,7 @@ let run_solo ?(max_steps = max_int) t p =
   in
   loop max_steps
 
-let replay ?record_trace ?observer ~procs setup sched =
-  let t = create ?record_trace ?observer ~procs setup in
+let replay ?observer ~procs setup sched =
+  let t = create ?observer ~procs setup in
   List.iter (fun p -> step t p) sched;
   t

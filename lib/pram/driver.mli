@@ -42,12 +42,12 @@ exception Process_not_runnable of int
     process are stamped when the scheduler first gives it control, keeping
     real-time precedence between operations faithful.
 
-    [observer] is called once per fired access, in firing order, with the
-    same record a trace would hold — the streaming hook the metrics layer
-    attaches to without the cost of retaining a trace.  It must not
-    perform shared-memory accesses of the simulated program. *)
+    [observer] is called once per fired access, in firing order, with
+    its {!Trace.access} record — the driver's one access feed, which the
+    metrics layer, the tracing journal and trace-collecting tests attach
+    to.  It must not perform shared-memory accesses of the simulated
+    program. *)
 val create :
-  ?record_trace:bool ->
   ?observer:(Trace.access -> unit) ->
   procs:int ->
   (unit -> int -> 'r) ->
@@ -91,9 +91,6 @@ val crash : 'r t -> int -> unit
     with the same [setup] reproduces the execution. *)
 val schedule : 'r t -> int list
 
-(** The access trace (only populated when [record_trace] was set). *)
-val trace : 'r t -> Trace.access list
-
 (** [run_solo t p] steps [p] repeatedly until it is no longer runnable.
     Returns [false] if [max_steps] ran out first — used as a watchdog when
     exercising implementations that might not be wait-free. *)
@@ -102,7 +99,6 @@ val run_solo : ?max_steps:int -> 'r t -> int -> bool
 (** [replay ~procs setup sched] creates a fresh execution and fires
     [sched] in order. *)
 val replay :
-  ?record_trace:bool ->
   ?observer:(Trace.access -> unit) ->
   procs:int ->
   (unit -> int -> 'r) ->

@@ -65,12 +65,11 @@
 
    The enumeration replays the whole prefix for each extension, costing
    O(length) per node; the first child of every node consumes the
-   current driver, so the leftmost spine is never replayed.  At every
-   leaf the most recently created program instance is the one whose
-   execution just completed — an invariant user checks may rely on
-   (e.g. history recorders captured by reference); every way preserves
-   it PER WORKER DOMAIN, which is why [search] takes an instance factory
-   rather than closures over shared state. *)
+   current driver, so the leftmost spine is never replayed.  A program
+   is [unit -> 'r run]: every driver the explorer creates starts its own
+   run, which allocates that execution's registers and whatever state
+   its check reads, and each leaf is judged by the check of the run
+   that started its driver. *)
 
 (* --- ways and bounds -------------------------------------------------------- *)
 
@@ -224,60 +223,73 @@ let complete ?(completion_fuel = 1_000_000) d =
 
 (* Fresh driver + apply_encoded + complete: the normalized replay used
    by shrinking and counterexample rendering. *)
-let replay_encoded ?record_trace ?observer ?on_crash ?completion_fuel ~procs
-    setup enc =
-  let d = Driver.create ?record_trace ?observer ~procs setup in
+let replay_encoded ?observer ?on_crash ?completion_fuel ~procs setup enc =
+  let d = Driver.create ?observer ~procs setup in
   let applied = apply_encoded ?on_crash d enc in
   let tail = complete ?completion_fuel d in
   (d, applied @ tail)
 
-(* A program instance: everything a worker needs to explore on its own
-   domain.  [search] calls the factory once per worker, so checks that
-   capture state by reference (history recorders re-created by the
-   setup) stay domain-local — sharing one recorder across domains would
-   race. *)
-type 'r instance = {
-  i_setup : unit -> int -> 'r;
-  i_check : 'r Driver.t -> int list -> bool;
-  i_pp_history : (Format.formatter -> unit -> unit) option;
+(* One execution of a program: the body its driver runs and the check
+   that judges the completed execution.  A program is [unit -> 'r run];
+   each call allocates one execution's registers and whatever state its
+   check reads, so a check sees its own execution and no other. *)
+type 'r run = {
+  body : int -> 'r;
+  check : 'r Driver.t -> int list -> bool;
+  pp_history : (Format.formatter -> unit -> unit) option;
 }
 
-let instance ?pp_history ~check setup =
-  { i_setup = setup; i_check = check; i_pp_history = pp_history }
+let instance ~check setup () = { body = setup (); check; pp_history = None }
+
+(* [with_run program start] hands [start] (a driver constructor:
+   [Driver.create], [sample_schedule] or [replay_encoded], partially
+   applied) a setup that calls [program] once, from inside the driver's
+   own setup call, after the driver has reset register ids.  It returns
+   that call's run next to [start]'s result, so a driver and the run
+   that judges it always come out together. *)
+let with_run program start =
+  let made = ref None in
+  let x =
+    start (fun () ->
+        let r = program () in
+        made := Some r;
+        r.body)
+  in
+  (Option.get !made, x)
+
+let start ~procs program = with_run program (Driver.create ~procs)
 
 (* --- naive exhaustive DFS ------------------------------------------------- *)
 
-let naive ~max_schedules ~max_crashes ~procs
-    { i_setup = setup; i_check = check; _ } =
+let naive ~max_schedules ~max_crashes ~procs program =
   let explored = ref 0 in
   let pending = ref 0 in
   let failures = ref [] in
   let replay actions_rev =
-    let d = Driver.create ~procs setup in
+    let run, d = start ~procs program in
     List.iter (fun a -> apply_action d a) (List.rev actions_rev);
-    d
+    (run, d)
   in
-  let rec dfs actions_rev d crashes_used =
+  let rec dfs actions_rev (run, d) crashes_used =
     if !explored >= max_schedules then incr pending
     else
       match Driver.runnable_list d with
       | [] ->
           incr explored;
           let sched = List.rev actions_rev in
-          if not (check d sched) then failures := sched :: !failures
+          if not (run.check d sched) then failures := sched :: !failures
       | first :: rest ->
-          (* The first child consumes [d] and is explored FIRST: along
-             the reused chain no new [setup] runs (see the leaf-instance
-             invariant in the header comment). *)
+          (* the first child consumes [d]; every other child replays the
+             prefix on a fresh run *)
           Driver.step d first;
-          dfs (first :: actions_rev) d crashes_used;
+          dfs (first :: actions_rev) (run, d) crashes_used;
           List.iter
             (fun p ->
               if !explored >= max_schedules then incr pending
               else begin
-                let d' = replay actions_rev in
+                let ((_, d') as rd) = replay actions_rev in
                 Driver.step d' p;
-                dfs (p :: actions_rev) d' crashes_used
+                dfs (p :: actions_rev) rd crashes_used
               end)
             rest;
           if crashes_used < max_crashes then
@@ -285,13 +297,13 @@ let naive ~max_schedules ~max_crashes ~procs
               (fun p ->
                 if !explored >= max_schedules then incr pending
                 else begin
-                  let d' = replay actions_rev in
+                  let ((_, d') as rd) = replay actions_rev in
                   Driver.crash d' p;
-                  dfs ((-1 - p) :: actions_rev) d' (crashes_used + 1)
+                  dfs ((-1 - p) :: actions_rev) rd (crashes_used + 1)
                 end)
               (first :: rest)
   in
-  dfs [] (Driver.create ~procs setup) 0;
+  dfs [] (start ~procs program) 0;
   {
     explored = !explored;
     failures = List.rev !failures;
@@ -412,7 +424,7 @@ type task_result = {
 
    A bounded search is therefore sound for bug finding (every visited
    execution is real) but not exhaustive. *)
-let dpor_task ~bounds ~max_schedules ~procs ~setup ~check ~prefix ~init_sleep =
+let dpor_task ~bounds ~max_schedules ~procs ~program ~prefix ~init_sleep =
   let explored = ref 0 in
   let pruned = ref 0 in
   let pending_ctr = ref 0 in
@@ -458,6 +470,17 @@ let dpor_task ~bounds ~max_schedules ~procs ~setup ~check ~prefix ~init_sleep =
         scan frames_rev);
     c.(p) <- count_proc frames_rev p + 1;
     c
+  in
+  (* the frame of the access (p, pe) about to execute after frames_rev *)
+  let frame_of frames_rev p pe =
+    {
+      f_pid = p;
+      f_kind =
+        (match pe with P_acc (k, _) -> Some k | P_unknown | P_done -> None);
+      f_reg = (match pe with P_acc (_, r) -> r | P_unknown | P_done -> -1);
+      f_clock = event_clock frames_rev p pe;
+      f_pidx = count_proc frames_rev p + 1;
+    }
   in
   (* Race detection: for each enabled p, the most recent prefix event
      that is dependent with p's next access, by a different process, and
@@ -532,14 +555,14 @@ let dpor_task ~bounds ~max_schedules ~procs ~setup ~check ~prefix ~init_sleep =
   in
   (* sleep: assoc list (pid, its sleeping transition); pends of sleeping
      processes cannot change while they sleep (they never step). *)
-  let rec explore depth frames_rev d sleep ~last ~preempts =
+  let rec explore depth frames_rev (run, d) sleep ~last ~preempts =
     if !explored >= max_schedules then incr pending_ctr
     else
       match Driver.runnable_list d with
       | [] ->
           incr explored;
           let sched = List.rev_map (fun f -> f.f_pid) frames_rev in
-          if not (check d sched) then failures := sched :: !failures
+          if not (run.check d sched) then failures := sched :: !failures
       | runnable ->
           let pendings =
             List.map
@@ -593,17 +616,17 @@ let dpor_task ~bounds ~max_schedules ~procs ~setup ~check ~prefix ~init_sleep =
                     loop ()
                   end
                   else begin
-                    let d' =
+                    let ((_, d') as rd) =
                       if not !consumed then begin
                         consumed := true;
-                        d
+                        (run, d)
                       end
                       else begin
-                        let d' = Driver.create ~procs setup in
+                        let ((_, d') as rd) = start ~procs program in
                         List.iter
                           (fun f -> Driver.step d' f.f_pid)
                           (List.rev frames_rev);
-                        d'
+                        rd
                       end
                     in
                     (* exact lookahead for the chosen process only: if it
@@ -616,26 +639,12 @@ let dpor_task ~bounds ~max_schedules ~procs ~setup ~check ~prefix ~init_sleep =
                         (fun (_, pq) -> not (dependent_pp pq pe))
                         !slept
                     in
-                    let frame =
-                      {
-                        f_pid = p;
-                        f_kind =
-                          (match pe with
-                          | P_acc (k, _) -> Some k
-                          | P_unknown | P_done -> None);
-                        f_reg =
-                          (match pe with
-                          | P_acc (_, r) -> r
-                          | P_unknown | P_done -> -1);
-                        f_clock = event_clock frames_rev p pe;
-                        f_pidx = count_proc frames_rev p + 1;
-                      }
-                    in
+                    let frame = frame_of frames_rev p pe in
                     let is_pre =
                       last >= 0 && last <> p && Driver.runnable d' last
                     in
                     Driver.step d' p;
-                    explore (depth + 1) (frame :: frames_rev) d' child_sleep
+                    explore (depth + 1) (frame :: frames_rev) rd child_sleep
                       ~last:p
                       ~preempts:(preempts + if is_pre then 1 else 0);
                     slept := (p, pe) :: !slept;
@@ -651,7 +660,7 @@ let dpor_task ~bounds ~max_schedules ~procs ~setup ~check ~prefix ~init_sleep =
   (* Replay the frozen prefix, building its frames and bound state.
      A prefix that itself violates the bounds makes the whole task one
      pruned branch. *)
-  let d0 = Driver.create ~procs setup in
+  let ((_, d0) as rd0) = start ~procs program in
   let rec replay_prefix frames_rev last preempts = function
     | [] -> Some (frames_rev, last, preempts)
     | p :: rest ->
@@ -665,22 +674,7 @@ let dpor_task ~bounds ~max_schedules ~procs ~setup ~check ~prefix ~init_sleep =
         in
         if (not (Driver.runnable d0 p)) || not in_bounds then None
         else begin
-          let pe = pend_exact d0 p in
-          let frame =
-            {
-              f_pid = p;
-              f_kind =
-                (match pe with
-                | P_acc (k, _) -> Some k
-                | P_unknown | P_done -> None);
-              f_reg =
-                (match pe with
-                | P_acc (_, r) -> r
-                | P_unknown | P_done -> -1);
-              f_clock = event_clock frames_rev p pe;
-              f_pidx = count_proc frames_rev p + 1;
-            }
-          in
+          let frame = frame_of frames_rev p (pend_exact d0 p) in
           let is_pre = last >= 0 && last <> p && Driver.runnable d0 last in
           Driver.step d0 p;
           replay_prefix (frame :: frames_rev) p
@@ -691,7 +685,7 @@ let dpor_task ~bounds ~max_schedules ~procs ~setup ~check ~prefix ~init_sleep =
   (match replay_prefix [] (-1) 0 prefix with
   | None -> incr pruned
   | Some (frames_rev, last, preempts) ->
-      explore (List.length prefix) frames_rev d0 init_sleep ~last ~preempts);
+      explore (List.length prefix) frames_rev rd0 init_sleep ~last ~preempts);
   {
     t_explored = !explored;
     t_pruned = !pruned;
@@ -776,16 +770,15 @@ let sample_schedule ?(max_crashes = 0) ~way ~index ~procs setup =
    results land in per-task slots (disjoint writes, publication via
    Domain.join).  Task ORDER in the array is fixed before any worker
    starts, which is what makes merged results independent of [jobs]. *)
-let run_tasks ~jobs ~mk tasks f =
+let run_tasks ~jobs tasks f =
   let n = Array.length tasks in
   let results = Array.make n None in
   let next = Atomic.make 0 in
   let worker () =
-    let inst = mk () in
     let rec go () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
-        results.(i) <- Some (f inst tasks.(i));
+        results.(i) <- Some (f tasks.(i));
         go ()
       end
     in
@@ -818,10 +811,10 @@ let run_tasks ~jobs ~mk tasks f =
 let frontier_target = 48
 let frontier_depth_cap = 64
 
-let expand_frontier ~procs setup =
+let expand_frontier ~procs program =
   let pruned = ref 0 in
   let expand (prefix, sleep) =
-    let d = Driver.create ~procs setup in
+    let d = Driver.create ~procs (fun () -> (program ()).body) in
     List.iter (fun p -> Driver.step d p) prefix;
     match Driver.runnable_list d with
     | [] -> `Leaf
@@ -872,10 +865,10 @@ let expand_frontier ~procs setup =
   (Array.of_list (List.rev leaves @ actives), !pruned)
 
 let search ~way ?(jobs = 1) ?(max_schedules = 1_000_000) ?(max_crashes = 0)
-    ~procs mk_instance =
+    ~procs program =
   let jobs = max 1 jobs in
   match way with
-  | Way.Naive -> naive ~max_schedules ~max_crashes ~procs (mk_instance ())
+  | Way.Naive -> naive ~max_schedules ~max_crashes ~procs program
   | Way.Systematic bounds ->
       if procs >= Sys.int_size - 1 then
         invalid_arg "Explore.search: too many processes for the DPOR bitmask";
@@ -883,14 +876,13 @@ let search ~way ?(jobs = 1) ?(max_schedules = 1_000_000) ?(max_crashes = 0)
         invalid_arg
           "Explore.search: DPOR does not support crash injection; use \
            Way.Naive or a random way";
-      let inst0 = mk_instance () in
-      let tasks, expansion_pruned = expand_frontier ~procs inst0.i_setup in
+      let tasks, expansion_pruned = expand_frontier ~procs program in
       let results =
-        run_tasks ~jobs ~mk:mk_instance tasks (fun inst (prefix, sleep) ->
+        run_tasks ~jobs tasks (fun (prefix, sleep) ->
             (* each subtree gets the full budget: a shared countdown
                would make results depend on worker timing *)
-            dpor_task ~bounds ~max_schedules ~procs ~setup:inst.i_setup
-              ~check:inst.i_check ~prefix ~init_sleep:sleep)
+            dpor_task ~bounds ~max_schedules ~procs ~program ~prefix
+              ~init_sleep:sleep)
       in
       let explored = Array.fold_left (fun a r -> a + r.t_explored) 0 results in
       let pending = Array.fold_left (fun a r -> a + r.t_pending) 0 results in
@@ -930,13 +922,14 @@ let search ~way ?(jobs = 1) ?(max_schedules = 1_000_000) ?(max_crashes = 0)
         Array.init ntasks (fun j -> (j * chunk, min count ((j + 1) * chunk)))
       in
       let results =
-        run_tasks ~jobs ~mk:mk_instance tasks (fun inst (lo, hi) ->
+        run_tasks ~jobs tasks (fun (lo, hi) ->
             let fails = ref [] in
             for index = lo to hi - 1 do
-              let enc, d =
-                sample_schedule ~max_crashes ~way ~index ~procs inst.i_setup
+              let run, (enc, d) =
+                with_run program
+                  (sample_schedule ~max_crashes ~way ~index ~procs)
               in
-              if not (inst.i_check d enc) then fails := (index, enc) :: !fails
+              if not (run.check d enc) then fails := (index, enc) :: !fails
             done;
             List.rev !fails)
       in
@@ -976,10 +969,14 @@ let context_switches enc =
   in
   go (-1) 0 enc
 
-let shrink ?(max_rounds = 10_000) ~procs setup check enc0 =
+(* [replay_encoded] on a fresh run of [program]. *)
+let replay_run ~procs program enc =
+  with_run program (fun setup -> replay_encoded ~procs setup enc)
+
+let shrink ?(max_rounds = 10_000) ~procs program enc0 =
   let fails enc =
-    let d, norm = replay_encoded ~procs setup enc in
-    if check d norm then None else Some norm
+    let run, (d, norm) = replay_run ~procs program enc in
+    if run.check d norm then None else Some norm
   in
   let measure enc = (List.length enc, context_switches enc, enc) in
   match fails enc0 with
@@ -1038,14 +1035,12 @@ type report = {
 
 let report_ok r = ok r.r_outcome && r.r_counterexample = None
 
-(* Shrink + replay a failing schedule and render the counterexample.
-   The final replay leaves the instance's by-reference history (if any)
-   holding the SHRUNK execution, which [i_pp_history] then renders. *)
-let build_counterexample ~procs inst ~do_shrink ~way_line first =
-  let setup = inst.i_setup and check = inst.i_check in
-  let shrunk = if do_shrink then shrink ~procs setup check first else first in
-  let d, norm = replay_encoded ~procs setup shrunk in
-  let still_fails = not (check d norm) in
+(* Shrink + replay a failing schedule and render the counterexample
+   with the history of the shrunk execution's own run. *)
+let build_counterexample ~procs program ~do_shrink ~way_line first =
+  let shrunk = if do_shrink then shrink ~procs program first else first in
+  let run, (d, norm) = replay_run ~procs program shrunk in
+  let still_fails = not (run.check d norm) in
   let message =
     Format.asprintf
       "@[<v>%s execution, %d action(s) (shrunk from %d):@,\
@@ -1055,7 +1050,7 @@ let build_counterexample ~procs inst ~do_shrink ~way_line first =
       (List.length norm) (List.length first) way_line
       Trace.pp_encoded_schedule norm
       (fun ppf () ->
-        match inst.i_pp_history with
+        match run.pp_history with
         | None -> ()
         | Some pp -> Format.fprintf ppf "@,history:@,  @[<v>%a@]" pp ())
       ()
@@ -1068,10 +1063,8 @@ let build_counterexample ~procs inst ~do_shrink ~way_line first =
     cex_message = message }
 
 let search_check ~way ?jobs ?(shrink = true) ?max_schedules ?max_crashes
-    ~procs mk_instance =
-  let outcome = search ~way ?jobs ?max_schedules ?max_crashes ~procs
-      mk_instance
-  in
+    ~procs program =
+  let outcome = search ~way ?jobs ?max_schedules ?max_crashes ~procs program in
   match outcome.failures with
   | [] -> { r_outcome = outcome; r_counterexample = None }
   | first :: _ ->
@@ -1081,8 +1074,7 @@ let search_check ~way ?jobs ?(shrink = true) ?max_schedules ?max_crashes
         | [] -> Way.to_string way
       in
       let cex =
-        build_counterexample ~procs (mk_instance ()) ~do_shrink:shrink
-          ~way_line first
+        build_counterexample ~procs program ~do_shrink:shrink ~way_line first
       in
       { r_outcome = outcome; r_counterexample = Some cex }
 

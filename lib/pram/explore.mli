@@ -18,7 +18,12 @@
     composable {!Bounds} make it sound for bug finding only.  Seeded
     {!Way.Uniform}/{!Way.Weighted} random sampling reaches past
     exhaustive sizes.  Systematic and random ways parallelize across
-    domains with deterministic, jobs-independent results. *)
+    domains with deterministic, jobs-independent results.
+
+    A program is [unit -> 'r run]: each call allocates one execution's
+    registers and whatever state its check reads (e.g. a history
+    recorder), and the explorer judges every execution by the check of
+    the run that started it. *)
 
 (** Composable schedule bounds (dejafu's SCT bounds).  Every bound is
     prefix-invariant, so the explorer prunes a subtree as soon as its
@@ -108,24 +113,26 @@ type outcome = {
 (** No failures and the search was not truncated. *)
 val ok : outcome -> bool
 
-(** A program instance: everything one search worker needs on its own
-    domain.  {!search} calls the factory once per worker, keeping
-    by-reference state (e.g. a history recorder re-created by
-    [i_setup]) domain-local.  [i_check] receives the driver of the
-    completed execution and its schedule; the leaf-instance invariant
-    holds per worker (the most recently created instance on that domain
-    is the one whose execution just completed). *)
-type 'r instance = {
-  i_setup : unit -> int -> 'r;
-  i_check : 'r Driver.t -> int list -> bool;
-  i_pp_history : (Format.formatter -> unit -> unit) option;
+(** One execution of a program.  [body] is the per-process body the
+    driver runs; [check] judges the completed execution, given its
+    driver and encoded schedule; [pp_history], if any, renders the
+    execution's history into a counterexample message.  [check] and
+    [pp_history] read state allocated by the same program call as
+    [body], so they see this execution and no other. *)
+type 'r run = {
+  body : int -> 'r;
+  check : 'r Driver.t -> int list -> bool;
+  pp_history : (Format.formatter -> unit -> unit) option;
 }
 
+(** [instance ~check setup] is the program whose runs take their body
+    from [setup ()] and judge it with [check] — for checks that read
+    only the driver and the schedule. *)
 val instance :
-  ?pp_history:(Format.formatter -> unit -> unit) ->
   check:('r Driver.t -> int list -> bool) ->
   (unit -> int -> 'r) ->
-  'r instance
+  unit ->
+  'r run
 
 (** [sample_schedule ~way ~index ~procs setup] draws the [index]-th
     random schedule of a {!Way.Uniform}/{!Way.Weighted} way, runs it to
@@ -143,7 +150,7 @@ val sample_schedule :
   (unit -> int -> 'r) ->
   int list * 'r Driver.t
 
-(** [search ~way ~jobs ~procs mk_instance] explores the program's
+(** [search ~way ~jobs ~procs program] explores the program's
     schedule space according to [way], in parallel on up to [jobs]
     domains.  It is the only exploration entry point.
 
@@ -178,7 +185,7 @@ val search :
   ?max_schedules:int ->
   ?max_crashes:int ->
   procs:int ->
-  (unit -> 'r instance) ->
+  (unit -> 'r run) ->
   outcome
 
 (** [apply_encoded d enc] applies an encoded schedule ([p >= 0] steps
@@ -201,7 +208,6 @@ val complete : ?completion_fuel:int -> 'r Driver.t -> int list
     streaming consumers (e.g. a tracing journal) during the replay.
     @raise Failure if completion exceeds [completion_fuel] steps. *)
 val replay_encoded :
-  ?record_trace:bool ->
   ?observer:(Trace.access -> unit) ->
   ?on_crash:(int -> unit) ->
   ?completion_fuel:int ->
@@ -210,17 +216,17 @@ val replay_encoded :
   int list ->
   'r Driver.t * int list
 
-(** [shrink ~procs setup check failing] delta-debugs a failing schedule
+(** [shrink ~procs program failing] delta-debugs a failing schedule
     to a locally minimal one: repeatedly deletes action chunks,
-    renormalizes with {!replay_encoded}, and keeps candidates that still
-    fail [check] with a strictly smaller (length, context switches)
-    measure.  The result is never longer than the input and still fails
-    on replay; a non-failing input is returned unchanged. *)
+    renormalizes with {!replay_encoded} on a fresh run, and keeps
+    candidates that still fail that run's check with a strictly smaller
+    (length, context switches) measure.  The result is never longer
+    than the input and still fails on replay; a non-failing input is
+    returned unchanged. *)
 val shrink :
   ?max_rounds:int ->
   procs:int ->
-  (unit -> int -> 'r) ->
-  ('r Driver.t -> int list -> bool) ->
+  (unit -> 'r run) ->
   int list ->
   int list
 
@@ -245,13 +251,12 @@ type report = {
   r_counterexample : counterexample option;
 }
 
-(** [search_check ~way ~procs mk_instance] is {!search} plus
+(** [search_check ~way ~procs program] is {!search} plus
     counterexample handling: the first failing schedule is ddmin-shrunk
-    (unless [shrink:false], against a fresh main-domain instance) and
-    replayed, so the final instance's history is the minimal failing one
-    and [i_pp_history] renders it into the message.  [cex_way] records
-    the search provenance.  [Lincheck.Make] wraps this with a recorder
-    and an object specification. *)
+    (unless [shrink:false]) and replayed on a fresh run, whose
+    [pp_history] renders the minimal failing history into the message.
+    [cex_way] records the search provenance.  [Lincheck.Make] builds
+    the runs from a recorder and an object specification. *)
 val search_check :
   way:Way.t ->
   ?jobs:int ->
@@ -259,7 +264,7 @@ val search_check :
   ?max_schedules:int ->
   ?max_crashes:int ->
   procs:int ->
-  (unit -> 'r instance) ->
+  (unit -> 'r run) ->
   report
 
 (** Search complete, no violation. *)

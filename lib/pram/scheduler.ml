@@ -14,8 +14,7 @@ type action =
 
 type 'r t = 'r Driver.t -> action
 
-let run ?(max_steps = 1_000_000) ?on_action sched driver =
-  let notify a = match on_action with Some f -> f a | None -> () in
+let run ?(max_steps = 1_000_000) sched driver =
   let rec loop fuel =
     if fuel = 0 then
       failwith "Scheduler.run: step budget exhausted (livelock or unfair \
@@ -27,13 +26,11 @@ let run ?(max_steps = 1_000_000) ?on_action sched driver =
          unchanged, so a scheduler stuck on such a crash would otherwise
          spin this loop forever without touching the step budget *)
       match sched driver with
-      | Stop -> notify Stop
+      | Stop -> ()
       | Crash p ->
-          notify (Crash p);
           Driver.crash driver p;
           loop (fuel - 1)
       | Step p ->
-          notify (Step p);
           Driver.step driver p;
           loop (fuel - 1)
   in
@@ -80,63 +77,6 @@ let random ?(crash_prob = 0.0) ?(min_alive = 1) ~seed () =
            && Random.State.float rng 1.0 < crash_prob
         then Crash (pick runnable)
         else Step (pick runnable)
-
-(* Replays an encoded action list as produced by [Explore] (crashes as
-   [-1 - p]), tolerantly skipping steps of no-longer-runnable processes;
-   used to re-drive shrunk counterexample schedules. *)
-let of_encoded sched_list =
-  let remaining = ref sched_list in
-  fun driver ->
-    let rec next () =
-      match !remaining with
-      | [] -> Stop
-      | a :: rest ->
-          remaining := rest;
-          if a >= 0 then
-            if Driver.runnable driver a then Step a else next ()
-          else Crash (-1 - a)
-    in
-    next ()
-
-(* Replays an explicit pid list, then stops. *)
-let of_list sched_list =
-  let remaining = ref sched_list in
-  fun driver ->
-    match !remaining with
-    | [] -> Stop
-    | p :: rest ->
-        if Driver.runnable driver p then (
-          remaining := rest;
-          Step p)
-        else Stop
-
-(* Runs each process to completion one after the other (no concurrency);
-   useful as a sanity baseline: any implementation must behave like its
-   sequential specification under this scheduler. *)
-let sequential () =
-  fun driver ->
-    let n = Driver.procs driver in
-    let rec find p =
-      if p = n then Stop
-      else if Driver.runnable driver p then Step p
-      else find (p + 1)
-    in
-    find 0
-
-(* Adversarial building block: always prefer the process whose pending
-   access targets the register with the given id, otherwise round-robin.
-   Used in tests to provoke specific interleavings. *)
-let prefer_register ~reg_id fallback =
-  fun driver ->
-    let n = Driver.procs driver in
-    let rec find p =
-      if p = n then fallback driver
-      else
-        match Driver.pending driver p with
-        | Some pv when pv.Driver.v_reg_id = reg_id -> Step p
-        | _ -> find (p + 1)
-    in
-    find 0
 
 (* Probabilistic Concurrency Testing (Burckhardt et al.): assign random
    priorities to processes and always run the highest-priority runnable

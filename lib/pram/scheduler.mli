@@ -17,12 +17,9 @@ type 'r t = 'r Driver.t -> action
     scheduled actions (a watchdog against non-wait-free implementations).
     Every action — [Step] {e and} [Crash] — consumes one unit of budget,
     so a scheduler stuck re-crashing a dead process fails loudly instead
-    of spinning.  [on_action] observes each decision just before it is
-    applied (the metrics layer uses it to attribute scheduler decisions,
-    e.g. crash counts, without wrapping the policy).
+    of spinning.
     @raise Failure if the budget is exhausted. *)
-val run :
-  ?max_steps:int -> ?on_action:(action -> unit) -> 'r t -> 'r Driver.t -> unit
+val run : ?max_steps:int -> 'r t -> 'r Driver.t -> unit
 
 (** Fair round-robin over runnable processes. *)
 val round_robin : unit -> 'r t
@@ -31,22 +28,6 @@ val round_robin : unit -> 'r t
     is positive, each decision may crash a random runnable process while
     more than [min_alive] processes remain un-crashed. *)
 val random : ?crash_prob:float -> ?min_alive:int -> seed:int -> unit -> 'r t
-
-(** Replay an explicit pid sequence, stopping at its end or at the first
-    non-runnable pid. *)
-val of_list : int list -> 'r t
-
-(** Replay an encoded action sequence as recorded by {!Explore}
-    (crashes encoded as [-1 - p]), skipping steps of processes that are
-    no longer runnable; used to re-drive counterexample schedules. *)
-val of_encoded : int list -> 'r t
-
-(** Run process 0 to completion, then process 1, and so on. *)
-val sequential : unit -> 'r t
-
-(** Step any process about to access register [reg_id]; otherwise defer to
-    [fallback]. *)
-val prefer_register : reg_id:int -> 'r t -> 'r t
 
 (** Probabilistic Concurrency Testing (PCT): random priorities, highest
     runnable first, with [depth] {e distinct} random priority-demotion

@@ -1,7 +1,7 @@
 (** Execution traces: the totally ordered sequence of shared-memory
-    accesses fired by {!Driver} (when created with [~record_trace:true]).
-    One access is one step of the paper's cost model; experiment E5
-    counts reads and writes from these records. *)
+    accesses fired by {!Driver}, streamed to its [~observer].  One
+    access is one step of the paper's cost model; experiment E5 counts
+    reads and writes from these records. *)
 
 type kind =
   | Read

@@ -62,40 +62,11 @@ let is_pending c = c.c_ret = None
    another if its response occurs before the other's invocation. *)
 let precedes a b = match a.c_ret with Some r -> r < b.c_inv | None -> false
 
-(* A recorder usable from simulator fibers (single-threaded: plain list)
-   or from domains (callers should use [Concurrent_recorder] instead). *)
+(* The recorder: events carry a globally ordered ticket taken with an
+   atomic fetch-and-add at the event's linearization-relevant instant,
+   so domains may record concurrently.  On one domain (simulator
+   fibers) ticket order is call order. *)
 module Recorder = struct
-  type ('op, 'resp) t = {
-    mutable rev_events : ('op, 'resp) event list;
-    mutable sink : (('op, 'resp) event -> unit) option;
-        (* streaming tap, fired after each append; the tracing layer
-           uses it to interleave invoke/response events with the access
-           stream of a replayed counterexample *)
-  }
-
-  let create () = { rev_events = []; sink = None }
-  let set_sink t sink = t.sink <- sink
-
-  let push t ev =
-    t.rev_events <- ev :: t.rev_events;
-    match t.sink with None -> () | Some f -> f ev
-
-  let invoke t ~pid op = push t (Invoke { pid; op })
-  let return t ~pid resp = push t (Return { pid; resp })
-  let events t = List.rev t.rev_events
-
-  (* Wrap an operation execution so invocation and response events bracket
-     it in the recorded order. *)
-  let record t ~pid op run =
-    invoke t ~pid op;
-    let resp = run () in
-    return t ~pid resp;
-    resp
-end
-
-(* Domain-safe recorder: events carry a globally ordered ticket taken with
-   an atomic fetch-and-add at the event's linearization-relevant instant. *)
-module Concurrent_recorder = struct
   type ('op, 'resp) stamped = { ticket : int; event : ('op, 'resp) event }
   type ('op, 'resp) t = {
     ticket_source : int Atomic.t;

@@ -1,10 +1,10 @@
 (** Concurrent histories (Section 3.2): invocation/response event
     sequences recorded at an object's boundary, in real-time order.
 
-    Harnesses record events with {!Recorder} (simulator fibers: the
-    global scheduling order is the real-time order) or
-    {!Concurrent_recorder} (domains: an atomic ticket stamps each
-    event); {!Lincheck} consumes the result. *)
+    Harnesses record events with {!Recorder}, on simulator fibers (the
+    global scheduling order is the real-time order) and on domains
+    alike (an atomic ticket stamps each event); {!Lincheck} consumes
+    the result. *)
 
 type ('op, 'resp) event =
   | Invoke of { pid : int; op : 'op }
@@ -32,8 +32,8 @@ val is_pending : ('op, 'resp) call -> bool
     [b]'s invocation (the paper's [<_H]). *)
 val precedes : ('op, 'resp) call -> ('op, 'resp) call -> bool
 
-(** Single-threaded recorder (simulator fibers share one scheduler
-    thread, so a plain list records the true order). *)
+(** Domain-safe recorder: events are ordered by an atomic
+    fetch-and-add ticket, which on one domain is call order. *)
 module Recorder : sig
   type ('op, 'resp) t
 
@@ -45,25 +45,6 @@ module Recorder : sig
       response events; returns [run ()]'s result. *)
   val record : ('op, 'resp) t -> pid:int -> 'op -> (unit -> 'resp) -> 'resp
 
-  val events : ('op, 'resp) t -> ('op, 'resp) event list
-
-  (** Install (or remove, with [None]) a streaming tap fired after each
-      recorded event.  Used by the tracing layer to interleave
-      invoke/response events with the access stream when replaying a
-      counterexample; events are still recorded normally. *)
-  val set_sink :
-    ('op, 'resp) t -> (('op, 'resp) event -> unit) option -> unit
-end
-
-(** Domain-safe recorder: events are ordered by an atomic
-    fetch-and-add ticket. *)
-module Concurrent_recorder : sig
-  type ('op, 'resp) t
-
-  val create : unit -> ('op, 'resp) t
-  val invoke : ('op, 'resp) t -> pid:int -> 'op -> unit
-  val return : ('op, 'resp) t -> pid:int -> 'resp -> unit
-  val record : ('op, 'resp) t -> pid:int -> 'op -> (unit -> 'resp) -> 'resp
   val events : ('op, 'resp) t -> ('op, 'resp) event list
 end
 

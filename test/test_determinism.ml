@@ -32,33 +32,42 @@ let program () =
     done;
     !last
 
+(* [f observer] builds a driver whose observer logs every fired access;
+   returns the driver and its access trace, oldest first. *)
+let traced f =
+  let log = ref [] in
+  let d = f (fun a -> log := a :: !log) in
+  (d, List.rev !log)
+
 let run_with sched =
-  let d = Pram.Driver.create ~record_trace:true ~procs:3 program in
-  Pram.Scheduler.run ~max_steps:100_000 sched d;
-  d
+  traced (fun observer ->
+      let d = Pram.Driver.create ~observer ~procs:3 program in
+      Pram.Scheduler.run ~max_steps:100_000 sched d;
+      d)
+
+let replay sched =
+  traced (fun observer -> Pram.Driver.replay ~observer ~procs:3 program sched)
 
 let results d = List.init 3 (fun p -> Pram.Driver.result d p)
 
 let traces_equal a b =
-  List.equal
-    (fun (x : Pram.Trace.access) (y : Pram.Trace.access) -> x = y)
-    (Pram.Driver.trace a) (Pram.Driver.trace b)
+  List.equal (fun (x : Pram.Trace.access) (y : Pram.Trace.access) -> x = y) a b
 
 (* --- seed determinism ----------------------------------------------------- *)
 
 let test_random_same_seed () =
-  let d1 = run_with (Pram.Scheduler.random ~seed:42 ()) in
-  let d2 = run_with (Pram.Scheduler.random ~seed:42 ()) in
+  let d1, t1 = run_with (Pram.Scheduler.random ~seed:42 ()) in
+  let d2, t2 = run_with (Pram.Scheduler.random ~seed:42 ()) in
   check_sched "same seed, same schedule" (Pram.Driver.schedule d1)
     (Pram.Driver.schedule d2);
-  check_bool "same seed, same trace" true (traces_equal d1 d2);
+  check_bool "same seed, same trace" true (traces_equal t1 t2);
   check_bool "same seed, same results" true (results d1 = results d2)
 
 let test_random_different_seeds () =
   (* fixed seeds, so this is a deterministic assertion, not a flaky
      probabilistic one *)
-  let d1 = run_with (Pram.Scheduler.random ~seed:1 ()) in
-  let d2 = run_with (Pram.Scheduler.random ~seed:2 ()) in
+  let d1, _ = run_with (Pram.Scheduler.random ~seed:1 ()) in
+  let d2, _ = run_with (Pram.Scheduler.random ~seed:2 ()) in
   check_bool "different seeds explore different interleavings" true
     (Pram.Driver.schedule d1 <> Pram.Driver.schedule d2)
 
@@ -66,8 +75,8 @@ let test_random_with_crashes_same_seed () =
   let mk () =
     Pram.Scheduler.random ~crash_prob:0.1 ~min_alive:1 ~seed:7 ()
   in
-  let d1 = run_with (mk ()) in
-  let d2 = run_with (mk ()) in
+  let d1, _ = run_with (mk ()) in
+  let d2, _ = run_with (mk ()) in
   check_sched "crashing scheduler: same schedule" (Pram.Driver.schedule d1)
     (Pram.Driver.schedule d2);
   check_bool "crashing scheduler: same statuses" true
@@ -77,15 +86,15 @@ let test_random_with_crashes_same_seed () =
 
 let test_pct_same_seed () =
   let mk () = Pram.Scheduler.pct ~seed:11 ~depth:3 ~max_steps:50 () in
-  let d1 = run_with (mk ()) in
-  let d2 = run_with (mk ()) in
+  let d1, t1 = run_with (mk ()) in
+  let d2, t2 = run_with (mk ()) in
   check_sched "pct: same seed, same schedule" (Pram.Driver.schedule d1)
     (Pram.Driver.schedule d2);
-  check_bool "pct: same seed, same trace" true (traces_equal d1 d2)
+  check_bool "pct: same seed, same trace" true (traces_equal t1 t2)
 
 let test_pct_seed_sensitivity () =
   let run seed =
-    run_with (Pram.Scheduler.pct ~seed ~depth:3 ~max_steps:50 ())
+    fst (run_with (Pram.Scheduler.pct ~seed ~depth:3 ~max_steps:50 ()))
   in
   let scheds = List.init 8 (fun s -> Pram.Driver.schedule (run s)) in
   let distinct = List.sort_uniq compare scheds in
@@ -95,23 +104,22 @@ let test_pct_seed_sensitivity () =
 (* --- replay fidelity ------------------------------------------------------ *)
 
 let test_replay_reproduces_execution () =
-  let d1 = run_with (Pram.Scheduler.random ~seed:123 ()) in
+  let d1, t1 = run_with (Pram.Scheduler.random ~seed:123 ()) in
   let sched = Pram.Driver.schedule d1 in
-  let d2 = Pram.Driver.replay ~record_trace:true ~procs:3 program sched in
+  let d2, t2 = replay sched in
   check_sched "replay fires the same schedule" sched
     (Pram.Driver.schedule d2);
   check_bool "replay reproduces results" true (results d1 = results d2);
-  check_bool "replay reproduces the trace" true (traces_equal d1 d2);
+  check_bool "replay reproduces the trace" true (traces_equal t1 t2);
   check_int "replay reproduces total steps" (Pram.Driver.total_steps d1)
     (Pram.Driver.total_steps d2)
 
 let test_of_encoded_replays_schedule () =
-  (* [Scheduler.of_encoded] must re-drive a pure step schedule exactly,
-     and skip encoded crashes of already-finished processes. *)
-  let d1 = run_with (Pram.Scheduler.random ~seed:5 ()) in
+  (* [Explore.apply_encoded] must re-drive a pure step schedule exactly. *)
+  let d1, _ = run_with (Pram.Scheduler.random ~seed:5 ()) in
   let enc = Pram.Driver.schedule d1 in
-  let d2 = Pram.Driver.create ~record_trace:true ~procs:3 program in
-  Pram.Scheduler.run ~max_steps:100_000 (Pram.Scheduler.of_encoded enc) d2;
+  let d2 = Pram.Driver.create ~procs:3 program in
+  ignore (Pram.Explore.apply_encoded d2 enc);
   check_sched "of_encoded fires the same schedule" enc
     (Pram.Driver.schedule d2);
   check_bool "of_encoded reproduces results" true (results d1 = results d2)
@@ -120,12 +128,9 @@ let qcheck_replay_any_seed =
   QCheck.Test.make ~name:"replay reproduces results for any seed" ~count:100
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let d1 = run_with (Pram.Scheduler.random ~seed ()) in
-      let d2 =
-        Pram.Driver.replay ~record_trace:true ~procs:3 program
-          (Pram.Driver.schedule d1)
-      in
-      results d1 = results d2 && traces_equal d1 d2)
+      let d1, t1 = run_with (Pram.Scheduler.random ~seed ()) in
+      let d2, t2 = replay (Pram.Driver.schedule d1) in
+      results d1 = results d2 && traces_equal t1 t2)
 
 let () =
   Alcotest.run "determinism"

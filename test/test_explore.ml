@@ -13,12 +13,25 @@ let ctx ~procs pid = Runtime.Ctx.make ~procs ~pid ()
 
 module Way = Pram.Explore.Way
 
-(* [Pram.Explore.search] with one instance shared by every worker: sound
-   here because every search below runs on one domain (the naive way, or
-   a systematic way at the default jobs 1). *)
+(* [Pram.Explore.search] with a check that reads only the driver. *)
 let search ~way ?max_schedules ?max_crashes ~procs program check =
-  Pram.Explore.search ~way ?max_schedules ?max_crashes ~procs (fun () ->
-      Pram.Explore.instance ~check program)
+  Pram.Explore.search ~way ?max_schedules ?max_crashes ~procs
+    (Pram.Explore.instance ~check program)
+
+(* [lin_program] whose runs also demand wait-freedom under crashes:
+   every process the adversary did not crash (encoded [-1 - p]) runs to
+   completion, wherever the crash landed. *)
+let with_survivors ~procs lin_program () =
+  let run = lin_program () in
+  let survivors_finish d sched =
+    List.for_all
+      (fun p -> List.mem (-1 - p) sched || Pram.Driver.result d p <> None)
+      (List.init procs Fun.id)
+  in
+  let check d sched =
+    survivors_finish d sched && run.Pram.Explore.check d sched
+  in
+  { run with Pram.Explore.check }
 
 (* --- explorer sanity ------------------------------------------------------ *)
 
@@ -116,33 +129,22 @@ module Scan = Snapshot.Scan.Make (L) (Pram.Memory.Sim_v)
 module Scan_spec = Snapshot.Scan_spec.Make (L)
 module Scan_check = Lincheck.Make (Scan_spec)
 
-(* p0: write_l 1 then read_max; p1: read_max.  18 steps total,
-   C(18,6) = 18564 interleavings — every one must be linearizable. *)
+(* p0: write_l 1 then read_max; p1: read_max. *)
+let scan_program record =
+  let t = Scan.create ~variant:Snapshot.Scan.Optimized ~procs:2 in
+  fun pid ->
+    let h = Scan.attach t (ctx ~procs:2 pid) in
+    if pid = 0 then
+      ignore
+        (record ~pid (`Write_l 1) (fun () ->
+             Scan.write_l h 1;
+             `Unit));
+    ignore (record ~pid `Read_max (fun () -> `Join (Scan.read_max h)))
+
+(* 18 steps total, C(18,6) = 18564 interleavings — every one must be
+   linearizable. *)
 let test_scan_exhaustive () =
-  let recorder = ref (Spec.History.Recorder.create ()) in
-  let program () =
-    recorder := Spec.History.Recorder.create ();
-    let t = Scan.create ~variant:Snapshot.Scan.Optimized ~procs:2 in
-    fun pid ->
-      let h = Scan.attach t (ctx ~procs:2 pid) in
-      if pid = 0 then begin
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid (`Write_l 1) (fun () ->
-               Scan.write_l h 1;
-               `Unit));
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid `Read_max (fun () ->
-               `Join (Scan.read_max h)))
-      end
-      else
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid `Read_max (fun () ->
-               `Join (Scan.read_max h)))
-  in
-  let report =
-    Scan_check.search_check ~way:Way.Naive ~procs:2 (fun () ->
-        (recorder, program))
-  in
+  let report = Scan_check.search_check ~way:Way.Naive ~procs:2 scan_program in
   check_bool "no interleaving violates linearizability" true
     (Pram.Explore.report_ok report);
   check_bool "meaningful state space" true
@@ -151,30 +153,18 @@ let test_scan_exhaustive () =
 (* Same workload, plus one crash anywhere: pending operations must still
    linearize (or be droppable). *)
 let test_scan_exhaustive_with_crash () =
-  let recorder = ref (Spec.History.Recorder.create ()) in
-  let program () =
-    recorder := Spec.History.Recorder.create ();
+  let program record =
     let t = Scan.create ~variant:Snapshot.Scan.Optimized ~procs:2 in
     fun pid ->
       let h = Scan.attach t (ctx ~procs:2 pid) in
       ignore
-        (Spec.History.Recorder.record !recorder ~pid (`Write_l (pid + 1))
-           (fun () ->
+        (record ~pid (`Write_l (pid + 1)) (fun () ->
              Scan.write_l h (pid + 1);
              `Unit))
   in
   let outcome =
-    search ~way:Way.Naive ~max_crashes:1 ~procs:2 program (fun d sched ->
-        (* wait-freedom: every process the adversary did not crash runs to
-           completion regardless of where the crash landed *)
-        let crashed = List.filter_map (fun a ->
-            if a < 0 then Some (-1 - a) else None) sched
-        in
-        List.for_all
-          (fun p ->
-            List.mem p crashed || Pram.Driver.result d p <> None)
-          [ 0; 1 ]
-        && Scan_check.is_linearizable (Spec.History.Recorder.events !recorder))
+    Pram.Explore.search ~way:Way.Naive ~max_crashes:1 ~procs:2
+      (with_survivors ~procs:2 (Scan_check.instance program))
   in
   check_bool "no interleaving+crash violates wait-freedom or linearizability"
     true
@@ -185,34 +175,26 @@ let test_scan_exhaustive_with_crash () =
 module DC = Universal.Direct.Counter (Pram.Memory.Sim_v)
 module Check_counter = Lincheck.Make (Spec.Counter_spec)
 
+(* The last process reads; every other one increments by 1. *)
+let counter_program ~procs record =
+  let t = DC.create ~procs in
+  fun pid ->
+    let h = DC.attach t (ctx ~procs pid) in
+    if pid < procs - 1 then
+      ignore
+        (record ~pid (Spec.Counter_spec.Inc 1) (fun () ->
+             DC.inc h 1;
+             Spec.Counter_spec.Unit))
+    else
+      ignore
+        (record ~pid Spec.Counter_spec.Read (fun () ->
+             Spec.Counter_spec.Value (DC.read h)))
+
 let test_direct_counter_exhaustive () =
-  let recorder = ref (Spec.History.Recorder.create ()) in
-  let program () =
-    recorder := Spec.History.Recorder.create ();
-    let t = DC.create ~procs:2 in
-    fun pid ->
-      let h = DC.attach t (ctx ~procs:2 pid) in
-      if pid = 0 then
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid (Spec.Counter_spec.Inc 1)
-             (fun () ->
-               DC.inc h 1;
-               Spec.Counter_spec.Unit))
-      else
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid Spec.Counter_spec.Read
-             (fun () -> Spec.Counter_spec.Value (DC.read h)))
-  in
   let outcome =
-    search ~way:Way.Naive ~max_crashes:1 ~procs:2 program (fun d sched ->
-        let crashed = List.filter_map (fun a ->
-            if a < 0 then Some (-1 - a) else None) sched
-        in
-        List.for_all
-          (fun p ->
-            List.mem p crashed || Pram.Driver.result d p <> None)
-          [ 0; 1 ]
-        && Check_counter.is_linearizable (Spec.History.Recorder.events !recorder))
+    Pram.Explore.search ~way:Way.Naive ~max_crashes:1 ~procs:2
+      (with_survivors ~procs:2
+         (Check_counter.instance (counter_program ~procs:2)))
   in
   check_bool "direct counter exhaustively wait-free and linearizable" true
     (Pram.Explore.ok outcome)
@@ -235,33 +217,25 @@ let test_naive_collect_violations_counted () =
      Exhaustive search must find a nonzero number of violating
      interleavings — the checker and the explorer agree on exactly which
      interleavings are broken, deterministically. *)
-  let recorder = ref (Spec.History.Recorder.create ()) in
-  let program () =
-    recorder := Spec.History.Recorder.create ();
+  let program record =
     let t = Naive.create ~procs:3 in
     fun pid ->
       let h = Naive.attach t (ctx ~procs:3 pid) in
       if pid < 2 then
         ignore
-          (Spec.History.Recorder.record !recorder ~pid (`Update (pid, pid + 10))
-             (fun () ->
+          (record ~pid (`Update (pid, pid + 10)) (fun () ->
                Naive.update h (pid + 10);
                `Unit))
-      else
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid `Snapshot (fun () ->
-               `View (Naive.snapshot h)))
+      else ignore (record ~pid `Snapshot (fun () -> `View (Naive.snapshot h)))
   in
   let outcome =
-    search ~way:Way.Naive ~procs:3 program (fun _d _sched ->
-        Arr_check.is_linearizable (Spec.History.Recorder.events !recorder))
+    Pram.Explore.search ~way:Way.Naive ~procs:3 (Arr_check.instance program)
   in
   check_bool "naive collect has violating schedules" true
     (outcome.Pram.Explore.failures <> []);
   (* determinism: the same count every run *)
   let outcome2 =
-    search ~way:Way.Naive ~procs:3 program (fun _d _sched ->
-        Arr_check.is_linearizable (Spec.History.Recorder.events !recorder))
+    Pram.Explore.search ~way:Way.Naive ~procs:3 (Arr_check.instance program)
   in
   check_int "violation count deterministic"
     (List.length outcome.Pram.Explore.failures)
@@ -280,27 +254,18 @@ module Arr_spec2 =
 module Arr_check2 = Lincheck.Make (Arr_spec2)
 
 let test_atomic_snapshot_no_violations () =
-  let recorder = ref (Spec.History.Recorder.create ()) in
-  let program () =
-    recorder := Spec.History.Recorder.create ();
+  let program record =
     let t = Arr.create ~variant:Snapshot.Scan.Optimized ~procs:2 in
     fun pid ->
       let h = Arr.attach t (ctx ~procs:2 pid) in
       if pid = 0 then
         ignore
-          (Spec.History.Recorder.record !recorder ~pid (`Update (0, 10))
-             (fun () ->
+          (record ~pid (`Update (0, 10)) (fun () ->
                Arr.update h 10;
                `Unit))
-      else
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid `Snapshot (fun () ->
-               `View (Arr.snapshot h)))
+      else ignore (record ~pid `Snapshot (fun () -> `View (Arr.snapshot h)))
   in
-  let report =
-    Arr_check2.search_check ~way:Way.Naive ~procs:2 (fun () ->
-        (recorder, program))
-  in
+  let report = Arr_check2.search_check ~way:Way.Naive ~procs:2 program in
   check_bool "atomic snapshot: zero violating schedules" true
     (Pram.Explore.report_ok report);
   check_int "C(12,6) executions" 924
@@ -314,27 +279,20 @@ let test_afek_bounded_exhaustive () =
   (* p0 updates, p1 snapshots: every interleaving must linearize.  The
      handshake-bit protocol is the subtlest code in the repository, so
      this exhaustive check matters more than random sampling. *)
-  let recorder = ref (Spec.History.Recorder.create ()) in
-  let program () =
-    recorder := Spec.History.Recorder.create ();
+  let program record =
     let t = AB.create ~procs:2 in
     fun pid ->
       let h = AB.attach t (ctx ~procs:2 pid) in
       if pid = 0 then
         ignore
-          (Spec.History.Recorder.record !recorder ~pid (`Update (0, 10))
-             (fun () ->
+          (record ~pid (`Update (0, 10)) (fun () ->
                AB.update h 10;
                `Unit))
-      else
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid `Snapshot (fun () ->
-               `View (AB.snapshot h)))
+      else ignore (record ~pid `Snapshot (fun () -> `View (AB.snapshot h)))
   in
   let outcome =
-    search ~way:Way.Naive ~max_schedules:2_000_000 ~procs:2 program
-      (fun _d _sched ->
-        Arr_check2.is_linearizable (Spec.History.Recorder.events !recorder))
+    Pram.Explore.search ~way:Way.Naive ~max_schedules:2_000_000 ~procs:2
+      (Arr_check2.instance program)
   in
   check_bool "bounded afek: zero violating schedules" true
     (Pram.Explore.ok outcome)
@@ -437,31 +395,9 @@ let test_dpor_vs_naive_lost_update () =
     (dpor.Pram.Explore.explored < naive.Pram.Explore.explored)
 
 let test_dpor_vs_naive_scan () =
-  let recorder = ref (Spec.History.Recorder.create ()) in
-  let program () =
-    recorder := Spec.History.Recorder.create ();
-    let t = Scan.create ~variant:Snapshot.Scan.Optimized ~procs:2 in
-    fun pid ->
-      let h = Scan.attach t (ctx ~procs:2 pid) in
-      if pid = 0 then begin
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid (`Write_l 1) (fun () ->
-               Scan.write_l h 1;
-               `Unit));
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid `Read_max (fun () ->
-               `Join (Scan.read_max h)))
-      end
-      else
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid `Read_max (fun () ->
-               `Join (Scan.read_max h)))
-  in
-  let check _d _sched =
-    Scan_check.is_linearizable (Spec.History.Recorder.events !recorder)
-  in
-  let naive = search ~way:Way.Naive ~procs:2 program check in
-  let dpor = search ~way:Way.systematic ~procs:2 program check in
+  let program = Scan_check.instance scan_program in
+  let naive = Pram.Explore.search ~way:Way.Naive ~procs:2 program in
+  let dpor = Pram.Explore.search ~way:Way.systematic ~procs:2 program in
   check_bool "naive verdict ok" true (Pram.Explore.ok naive);
   check_bool "dpor verdict ok" true (Pram.Explore.ok dpor);
   check_int "naive explores C(18,6)" 18564 naive.Pram.Explore.explored;
@@ -471,28 +407,9 @@ let test_dpor_vs_naive_scan () =
     (dpor.Pram.Explore.explored * 10 < naive.Pram.Explore.explored)
 
 let test_dpor_vs_naive_counter () =
-  let recorder = ref (Spec.History.Recorder.create ()) in
-  let program () =
-    recorder := Spec.History.Recorder.create ();
-    let t = DC.create ~procs:2 in
-    fun pid ->
-      let h = DC.attach t (ctx ~procs:2 pid) in
-      if pid = 0 then
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid (Spec.Counter_spec.Inc 1)
-             (fun () ->
-               DC.inc h 1;
-               Spec.Counter_spec.Unit))
-      else
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid Spec.Counter_spec.Read
-             (fun () -> Spec.Counter_spec.Value (DC.read h)))
-  in
-  let check _d _sched =
-    Check_counter.is_linearizable (Spec.History.Recorder.events !recorder)
-  in
-  let naive = search ~way:Way.Naive ~procs:2 program check in
-  let dpor = search ~way:Way.systematic ~procs:2 program check in
+  let program = Check_counter.instance (counter_program ~procs:2) in
+  let naive = Pram.Explore.search ~way:Way.Naive ~procs:2 program in
+  let dpor = Pram.Explore.search ~way:Way.systematic ~procs:2 program in
   check_bool "naive verdict ok" true (Pram.Explore.ok naive);
   check_bool "dpor verdict ok" true (Pram.Explore.ok dpor);
   check_int "naive explores C(12,6)" 924 naive.Pram.Explore.explored;
@@ -546,27 +463,20 @@ let test_dpor_vs_naive_agreement_3procs () =
 let test_scan_3procs_dpor () =
   (* two writers and a reader: far beyond naive reach (~10^12 maximal
      schedules), ~10^5 DPOR representatives *)
-  let recorder = ref (Spec.History.Recorder.create ()) in
-  let program () =
-    recorder := Spec.History.Recorder.create ();
+  let program record =
     let t = Scan.create ~variant:Snapshot.Scan.Optimized ~procs:3 in
     fun pid ->
       let h = Scan.attach t (ctx ~procs:3 pid) in
       if pid < 2 then
         ignore
-          (Spec.History.Recorder.record !recorder ~pid (`Write_l (pid + 1))
-             (fun () ->
+          (record ~pid (`Write_l (pid + 1)) (fun () ->
                Scan.write_l h (pid + 1);
                `Unit))
-      else
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid `Read_max (fun () ->
-               `Join (Scan.read_max h)))
+      else ignore (record ~pid `Read_max (fun () -> `Join (Scan.read_max h)))
   in
   let outcome =
-    search ~way:Way.systematic ~max_schedules:2_000_000
-      ~procs:3 program (fun _d _sched ->
-        Scan_check.is_linearizable (Spec.History.Recorder.events !recorder))
+    Pram.Explore.search ~way:Way.systematic ~max_schedules:2_000_000 ~procs:3
+      (Scan_check.instance program)
   in
   check_bool "3-process scan linearizable on all representatives" true
     (Pram.Explore.ok outcome);
@@ -574,27 +484,9 @@ let test_scan_3procs_dpor () =
     (outcome.Pram.Explore.explored > 50_000)
 
 let test_counter_3procs_dpor () =
-  let recorder = ref (Spec.History.Recorder.create ()) in
-  let program () =
-    recorder := Spec.History.Recorder.create ();
-    let t = DC.create ~procs:3 in
-    fun pid ->
-      let h = DC.attach t (ctx ~procs:3 pid) in
-      if pid < 2 then
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid (Spec.Counter_spec.Inc 1)
-             (fun () ->
-               DC.inc h 1;
-               Spec.Counter_spec.Unit))
-      else
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid Spec.Counter_spec.Read
-             (fun () -> Spec.Counter_spec.Value (DC.read h)))
-  in
   let outcome =
-    search ~way:Way.systematic ~max_schedules:2_000_000
-      ~procs:3 program (fun _d _sched ->
-        Check_counter.is_linearizable (Spec.History.Recorder.events !recorder))
+    Pram.Explore.search ~way:Way.systematic ~max_schedules:2_000_000 ~procs:3
+      (Check_counter.instance (counter_program ~procs:3))
   in
   check_bool "3-process counter linearizable on all representatives" true
     (Pram.Explore.ok outcome);
@@ -680,28 +572,22 @@ module Buggy_scan = struct
   let read_max t ~pid = scan t ~pid L.bottom
 end
 
-let buggy_scan_program recorder () =
-  recorder := Spec.History.Recorder.create ();
+let buggy_scan_program record =
   let t = Buggy_scan.create ~procs:2 in
   fun pid ->
     if pid = 0 then
       ignore
-        (Spec.History.Recorder.record !recorder ~pid `Read_max (fun () ->
-             `Join (Buggy_scan.read_max t ~pid)))
+        (record ~pid `Read_max (fun () -> `Join (Buggy_scan.read_max t ~pid)))
     else
       ignore
-        (Spec.History.Recorder.record !recorder ~pid (`Write_l 2) (fun () ->
+        (record ~pid (`Write_l 2) (fun () ->
              Buggy_scan.write_l t ~pid 2;
              `Unit))
 
 let test_injected_bug_shrinks () =
-  let recorder = ref (Spec.History.Recorder.create ()) in
-  let program = buggy_scan_program recorder in
   let report =
-    Pram.Explore.search_check ~way:Way.Naive ~procs:2 (fun () ->
-        Pram.Explore.instance program ~check:(fun _ _ ->
-            Scan_check.is_linearizable
-              (Spec.History.Recorder.events !recorder)))
+    Pram.Explore.search_check ~way:Way.Naive ~procs:2
+      (Scan_check.instance buggy_scan_program)
   in
   check_bool "violation found" false (Pram.Explore.report_ok report);
   match report.Pram.Explore.r_counterexample with
@@ -715,10 +601,14 @@ let test_injected_bug_shrinks () =
         (Pram.Explore.context_switches shrunk
         <= Pram.Explore.context_switches orig);
       (* the shrunk schedule must still fail when replayed from scratch *)
-      let d, _ = Pram.Explore.replay_encoded ~procs:2 program shrunk in
-      ignore d;
+      let recorder = Spec.History.Recorder.create () in
+      let record = Spec.History.Recorder.record recorder in
+      ignore
+        (Pram.Explore.replay_encoded ~procs:2
+           (fun () -> buggy_scan_program record)
+           shrunk);
       check_bool "shrunk schedule still fails on replay" false
-        (Scan_check.is_linearizable (Spec.History.Recorder.events !recorder));
+        (Scan_check.is_linearizable (Spec.History.Recorder.events recorder));
       check_bool "message renders the schedule" true
         (String.length cex.Pram.Explore.cex_message > 0);
       let contains_substring hay needle =
@@ -735,10 +625,8 @@ let test_injected_bug_shrinks () =
 let test_explore_check_wrapper () =
   (* the Lincheck-side wrapper ([search_check]): failing fixture yields a
      counterexample with a rendered history; correct object passes *)
-  let recorder = ref (Spec.History.Recorder.create ()) in
   let report =
-    Scan_check.search_check ~way:Way.Naive ~procs:2 (fun () ->
-        (recorder, buggy_scan_program recorder))
+    Scan_check.search_check ~way:Way.Naive ~procs:2 buggy_scan_program
   in
   check_bool "wrapper finds the violation" false (Pram.Explore.report_ok report);
   (match report.Pram.Explore.r_counterexample with
@@ -747,27 +635,19 @@ let test_explore_check_wrapper () =
       check_bool "message includes the failing history" true
         (String.length cex.Pram.Explore.cex_message > 40));
   (* and the real scan on the same workload is clean under the wrapper *)
-  let recorder2 = ref (Spec.History.Recorder.create ()) in
-  let good_program () =
-    recorder2 := Spec.History.Recorder.create ();
+  let good_program record =
     let t = Scan.create ~variant:Snapshot.Scan.Optimized ~procs:2 in
     fun pid ->
       let h = Scan.attach t (ctx ~procs:2 pid) in
       if pid = 0 then
-        ignore
-          (Spec.History.Recorder.record !recorder2 ~pid `Read_max (fun () ->
-               `Join (Scan.read_max h)))
+        ignore (record ~pid `Read_max (fun () -> `Join (Scan.read_max h)))
       else
         ignore
-          (Spec.History.Recorder.record !recorder2 ~pid (`Write_l 2)
-             (fun () ->
+          (record ~pid (`Write_l 2) (fun () ->
                Scan.write_l h 2;
                `Unit))
   in
-  let report2 =
-    Scan_check.search_check ~way:Way.Naive ~procs:2 (fun () ->
-        (recorder2, good_program))
-  in
+  let report2 = Scan_check.search_check ~way:Way.Naive ~procs:2 good_program in
   check_bool "correct scan passes under the wrapper" true
     (Pram.Explore.report_ok report2)
 

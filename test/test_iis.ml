@@ -67,13 +67,13 @@ let test_is_exhaustive_two_procs () =
   in
   let outcome =
     Pram.Explore.search ~way:Pram.Explore.Way.Naive ~max_crashes:1
-      ~max_schedules:2_000_000 ~procs:2 (fun () ->
-        Pram.Explore.instance program ~check:(fun d _ ->
-            is_properties
-              (List.filter_map
-                 (fun p ->
-                   Option.map (fun v -> (p, v)) (Pram.Driver.result d p))
-                 [ 0; 1 ])))
+      ~max_schedules:2_000_000 ~procs:2
+      (Pram.Explore.instance program ~check:(fun d _ ->
+           is_properties
+             (List.filter_map
+                (fun p ->
+                  Option.map (fun v -> (p, v)) (Pram.Driver.result d p))
+                [ 0; 1 ])))
   in
   check_bool "IS properties on every interleaving (with crashes)" true
     (Pram.Explore.ok outcome)
@@ -224,11 +224,11 @@ let test_two_proc_exhaustive_one_layer () =
   in
   let outcome =
     Pram.Explore.search ~way:Pram.Explore.Way.Naive ~max_schedules:2_000_000
-      ~procs:2 (fun () ->
-        Pram.Explore.instance program ~check:(fun d _ ->
-            match (Pram.Driver.result d 0, Pram.Driver.result d 1) with
-            | Some a, Some b -> Float.abs (a -. b) <= (1.0 /. 3.0) +. 1e-12
-            | _ -> false))
+      ~procs:2
+      (Pram.Explore.instance program ~check:(fun d _ ->
+           match (Pram.Driver.result d 0, Pram.Driver.result d 1) with
+           | Some a, Some b -> Float.abs (a -. b) <= (1.0 /. 3.0) +. 1e-12
+           | _ -> false))
   in
   check_bool "gap <= 1/3 after one layer, all interleavings" true
     (Pram.Explore.ok outcome)

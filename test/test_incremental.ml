@@ -31,7 +31,6 @@ module Diff (O : Spec.Object_spec.S) = struct
      response (with its pid) to [out] as it is produced, so crashed
      processes still contribute their completed prefix. *)
   let program ~mode ~procs ~script out () =
-    out := [];
     let t = U.create ~procs () in
     fun pid ->
       let h = U.attach ~mode t (ctx ~procs pid) in
@@ -55,18 +54,25 @@ module Diff (O : Spec.Object_spec.S) = struct
      program and demand identical responses and identical per-pid step
      counts.  Returns the explore outcome for the caller to gate on. *)
   let explore_diff ~way ?max_schedules ?max_crashes ~procs ~script () =
-    let out_inc = ref [] and out_ref = ref [] in
-    let inc_program = program ~mode:U.Incremental ~procs ~script out_inc in
-    let ref_program = program ~mode:U.Reference ~procs ~script out_ref in
     Pram.Explore.search ~way ?max_schedules ?max_crashes ~procs (fun () ->
-        Pram.Explore.instance inc_program ~check:(fun d sched ->
-            let d_ref, _ =
-              Pram.Explore.replay_encoded ~procs ref_program sched
-            in
-            same_responses (List.rev !out_inc) (List.rev !out_ref)
-            && List.for_all
-                 (fun p -> Pram.Driver.steps d p = Pram.Driver.steps d_ref p)
-                 (List.init procs Fun.id)))
+        let out_inc = ref [] in
+        {
+          Pram.Explore.body =
+            program ~mode:U.Incremental ~procs ~script out_inc ();
+          check =
+            (fun d sched ->
+              let out_ref = ref [] in
+              let d_ref, _ =
+                Pram.Explore.replay_encoded ~procs
+                  (program ~mode:U.Reference ~procs ~script out_ref)
+                  sched
+              in
+              same_responses (List.rev !out_inc) (List.rev !out_ref)
+              && List.for_all
+                   (fun p -> Pram.Driver.steps d p = Pram.Driver.steps d_ref p)
+                   (List.init procs Fun.id));
+          pp_history = None;
+        })
 
   (* One random schedule (seeded), both modes: identical responses and
      per-pid steps.  Completion after the scheduler gives up is part of

@@ -133,9 +133,8 @@ let test_exhaustive_two_procs () =
   in
   let outcome =
     Pram.Explore.search ~way:Pram.Explore.Way.Naive ~max_crashes:1 ~procs:2
-      (fun () ->
-        Pram.Explore.instance program ~check:(fun d _ ->
-            la_properties (module LA_cls) ~procs:2 d))
+      (Pram.Explore.instance program ~check:(fun d _ ->
+           la_properties (module LA_cls) ~procs:2 d))
   in
   check_bool "classifier exhaustively correct (with crashes)" true
     (Pram.Explore.ok outcome)

@@ -1,6 +1,6 @@
 (* Native-backend tests: the same algorithms on real OCaml domains with
    Atomic registers.  Histories are recorded with the ticketed
-   Concurrent_recorder and checked by the same linearizability oracle as
+   Spec.History.Recorder and checked by the same linearizability oracle as
    the simulator tests — demonstrating that nothing here is a simulator
    artifact.
 
@@ -38,89 +38,89 @@ let rounds = 30
 
 let test_counter_linearizable_on_domains () =
   for _ = 1 to rounds do
-    let recorder = Spec.History.Concurrent_recorder.create () in
+    let recorder = Spec.History.Recorder.create () in
     let t = C.create ~procs in
     let _ =
       Pram.Native.run_parallel ~procs (fun pid ->
           let h = C.attach t (ctx pid) in
           ignore
-            (Spec.History.Concurrent_recorder.record recorder ~pid
+            (Spec.History.Recorder.record recorder ~pid
                (Spec.Counter_spec.Inc (pid + 1)) (fun () ->
                  C.inc h (pid + 1);
                  Spec.Counter_spec.Unit));
           ignore
-            (Spec.History.Concurrent_recorder.record recorder ~pid
+            (Spec.History.Recorder.record recorder ~pid
                Spec.Counter_spec.Read (fun () ->
                  Spec.Counter_spec.Value (C.read h))))
     in
     check_bool "counter history linearizable" true
       (Check_counter.is_linearizable
-         (Spec.History.Concurrent_recorder.events recorder));
+         (Spec.History.Recorder.events recorder));
     check_int "final value" 6 (C.read (C.attach t (ctx 0)))
   done
 
 let test_snapshot_array_linearizable_on_domains () =
   for _ = 1 to rounds do
-    let recorder = Spec.History.Concurrent_recorder.create () in
+    let recorder = Spec.History.Recorder.create () in
     let t = Arr.create ~variant:Snapshot.Scan.Optimized ~procs in
     let _ =
       Pram.Native.run_parallel ~procs (fun pid ->
           let h = Arr.attach t (ctx pid) in
           ignore
-            (Spec.History.Concurrent_recorder.record recorder ~pid
+            (Spec.History.Recorder.record recorder ~pid
                (`Update (pid, pid + 10)) (fun () ->
                  Arr.update h (pid + 10);
                  `Unit));
           ignore
-            (Spec.History.Concurrent_recorder.record recorder ~pid `Snapshot
+            (Spec.History.Recorder.record recorder ~pid `Snapshot
                (fun () -> `View (Arr.snapshot h))))
     in
     check_bool "snapshot history linearizable" true
       (Check_arr.is_linearizable
-         (Spec.History.Concurrent_recorder.events recorder))
+         (Spec.History.Recorder.events recorder))
   done
 
 let test_bounded_afek_linearizable_on_domains () =
   for _ = 1 to rounds do
-    let recorder = Spec.History.Concurrent_recorder.create () in
+    let recorder = Spec.History.Recorder.create () in
     let t = AB.create ~procs in
     let _ =
       Pram.Native.run_parallel ~procs (fun pid ->
           let h = AB.attach t (ctx pid) in
           ignore
-            (Spec.History.Concurrent_recorder.record recorder ~pid
+            (Spec.History.Recorder.record recorder ~pid
                (`Update (pid, pid + 10)) (fun () ->
                  AB.update h (pid + 10);
                  `Unit));
           ignore
-            (Spec.History.Concurrent_recorder.record recorder ~pid `Snapshot
+            (Spec.History.Recorder.record recorder ~pid `Snapshot
                (fun () -> `View (AB.snapshot h))))
     in
     check_bool "bounded afek history linearizable" true
       (Check_arr.is_linearizable
-         (Spec.History.Concurrent_recorder.events recorder))
+         (Spec.History.Recorder.events recorder))
   done
 
 let test_max_register_on_domains () =
   for _ = 1 to rounds do
-    let recorder = Spec.History.Concurrent_recorder.create () in
+    let recorder = Spec.History.Recorder.create () in
     let t = MR.create ~procs in
     let _ =
       Pram.Native.run_parallel ~procs (fun pid ->
           let h = MR.attach t (ctx pid) in
           ignore
-            (Spec.History.Concurrent_recorder.record recorder ~pid
+            (Spec.History.Recorder.record recorder ~pid
                (Spec.Max_register_spec.Write_max ((pid + 1) * 5)) (fun () ->
                  MR.write_max h ((pid + 1) * 5);
                  Spec.Max_register_spec.Unit));
           ignore
-            (Spec.History.Concurrent_recorder.record recorder ~pid
+            (Spec.History.Recorder.record recorder ~pid
                Spec.Max_register_spec.Read_max (fun () ->
                  Spec.Max_register_spec.Value (MR.read_max h))))
     in
     check_bool "max register history linearizable" true
       (Check_maxreg.is_linearizable
-         (Spec.History.Concurrent_recorder.events recorder));
+         (Spec.History.Recorder.events recorder));
     check_int "final max" 15 (MR.read_max (MR.attach t (ctx 0)))
   done
 

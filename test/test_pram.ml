@@ -42,7 +42,8 @@ let test_lost_update_interleaving () =
 
 let test_sequential_no_lost_update () =
   let d = Pram.Driver.create ~procs:2 (incr_program ~rounds:5) in
-  Pram.Scheduler.run (Pram.Scheduler.sequential ()) d;
+  ignore (Pram.Driver.run_solo d 0);
+  ignore (Pram.Driver.run_solo d 1);
   check_int "sequential total" 10 (match Pram.Driver.result d 1 with Some v -> v | None -> -1)
 
 let test_determinism_replay () =
@@ -92,9 +93,13 @@ let test_pending_view () =
   | None -> Alcotest.fail "expected a pending access"
 
 let test_trace_recording () =
-  let d = Pram.Driver.create ~record_trace:true ~procs:2 slot_program in
+  let log = ref [] in
+  let d =
+    Pram.Driver.create ~observer:(fun a -> log := a :: !log) ~procs:2
+      slot_program
+  in
   Pram.Scheduler.run (Pram.Scheduler.round_robin ()) d;
-  let tr = Pram.Driver.trace d in
+  let tr = List.rev !log in
   check_int "4 accesses traced" 4 (List.length tr);
   let steps = List.map (fun a -> a.Pram.Trace.step) tr in
   check_bool "step indices are 0..3" true (steps = [ 0; 1; 2; 3 ])
@@ -105,12 +110,6 @@ let test_round_robin_fair () =
   check_int "p0 took its 20 steps" 20 (Pram.Driver.steps d 0);
   check_int "p1 took its 20 steps" 20 (Pram.Driver.steps d 1);
   check_int "p2 took its 20 steps" 20 (Pram.Driver.steps d 2)
-
-let test_of_list_scheduler () =
-  let d = Pram.Driver.create ~procs:2 (incr_program ~rounds:2) in
-  Pram.Scheduler.run (Pram.Scheduler.of_list [ 0; 0; 1; 0 ]) d;
-  check_int "p0 stepped thrice" 3 (Pram.Driver.steps d 0);
-  check_int "p1 stepped once" 1 (Pram.Driver.steps d 1)
 
 let test_zero_access_process () =
   (* A body with no shared accesses finishes at its (lazy) start; the
@@ -127,25 +126,6 @@ let test_run_solo_budget () =
   let d = Pram.Driver.create ~procs:1 (incr_program ~rounds:100) in
   check_bool "budget too small" false (Pram.Driver.run_solo ~max_steps:10 d 0);
   check_bool "budget large enough" true (Pram.Driver.run_solo d 0)
-
-let test_prefer_register_scheduler () =
-  let program () =
-    let a = Pram.Memory.Sim.create ~name:"a" 0 in
-    let b = Pram.Memory.Sim.create ~name:"b" 0 in
-    let reg_b_id = Pram.Register.id b in
-    ignore reg_b_id;
-    fun pid ->
-      if pid = 0 then Pram.Memory.Sim.write a 1 else Pram.Memory.Sim.write b 2;
-      0
-  in
-  (* We cannot easily learn register ids from outside [setup]; exercise
-     the combinator by preferring an id that does not exist, checking it
-     degrades to the fallback. *)
-  let d = Pram.Driver.create ~procs:2 program in
-  Pram.Scheduler.run
-    (Pram.Scheduler.prefer_register ~reg_id:(-1) (Pram.Scheduler.round_robin ()))
-    d;
-  check_bool "completes via fallback" true (Pram.Driver.all_quiescent d)
 
 let test_native_parallel_counter () =
   (* Same read/write interface, real domains: per-process independent
@@ -283,10 +263,14 @@ let test_swap_independent_accesses_preserves_results () =
             Pram.Memory.Sim.read slots.((pid + 1) mod procs)
             + Pram.Memory.Sim.read slots.(pid)
         in
-        let d = Pram.Driver.create ~record_trace:true ~procs program in
+        let log = ref [] in
+        let d =
+          Pram.Driver.create ~observer:(fun a -> log := a :: !log) ~procs
+            program
+        in
         Pram.Scheduler.run (Pram.Scheduler.random ~seed ()) d;
         let sched = Array.of_list (Pram.Driver.schedule d) in
-        let trace = Array.of_list (Pram.Driver.trace d) in
+        let trace = Array.of_list (List.rev !log) in
         let results d = List.init procs (fun p -> Pram.Driver.result d p) in
         let baseline = results d in
         for i = 0 to Array.length trace - 2 do
@@ -480,10 +464,8 @@ let suite =
     Alcotest.test_case "pending access view" `Quick test_pending_view;
     Alcotest.test_case "trace recording" `Quick test_trace_recording;
     Alcotest.test_case "round robin fairness" `Quick test_round_robin_fair;
-    Alcotest.test_case "of_list scheduler" `Quick test_of_list_scheduler;
     Alcotest.test_case "zero-access process" `Quick test_zero_access_process;
     Alcotest.test_case "run_solo budget" `Quick test_run_solo_budget;
-    Alcotest.test_case "prefer_register fallback" `Quick test_prefer_register_scheduler;
     Alcotest.test_case "native parallel counter" `Quick test_native_parallel_counter;
     Alcotest.test_case "padding semantics" `Quick test_padding_semantics;
     Alcotest.test_case "padding under domains" `Quick

@@ -225,11 +225,11 @@ let variant_outcome_set ?retries ~procs ~active variant =
       else []
   in
   let outcome =
-    Pram.Explore.search ~way:Pram.Explore.Way.systematic ~procs (fun () ->
-        Pram.Explore.instance program ~check:(fun d _sched ->
-            let v = List.init procs (fun p -> Pram.Driver.result d p) in
-            Hashtbl.replace results v ();
-            true))
+    Pram.Explore.search ~way:Pram.Explore.Way.systematic ~procs
+      (Pram.Explore.instance program ~check:(fun d _sched ->
+           let v = List.init procs (fun p -> Pram.Driver.result d p) in
+           Hashtbl.replace results v ();
+           true))
   in
   let set = Hashtbl.fold (fun k () acc -> k :: acc) results [] in
   (outcome, List.sort compare set)
@@ -255,11 +255,11 @@ let dc_outcome_set ~procs ~active =
       else []
   in
   let outcome =
-    Pram.Explore.search ~way:Pram.Explore.Way.systematic ~procs (fun () ->
-        Pram.Explore.instance program ~check:(fun d _sched ->
-            let v = List.init procs (fun p -> Pram.Driver.result d p) in
-            Hashtbl.replace results v ();
-            true))
+    Pram.Explore.search ~way:Pram.Explore.Way.systematic ~procs
+      (Pram.Explore.instance program ~check:(fun d _sched ->
+           let v = List.init procs (fun p -> Pram.Driver.result d p) in
+           Hashtbl.replace results v ();
+           true))
   in
   let set = Hashtbl.fold (fun k () acc -> k :: acc) results [] in
   (outcome, List.sort compare set)
@@ -351,24 +351,24 @@ let test_lattice_crash_mid_descend () =
   in
   let outcome =
     Pram.Explore.search ~way:Pram.Explore.Way.Naive ~max_crashes:1
-      ~max_schedules:4_000 ~procs (fun () ->
-        Pram.Explore.instance program ~check:(fun d _sched ->
-            let done_ =
-              List.filter_map
-                (fun p ->
-                  match Pram.Driver.result d p with
-                  | Some r -> Some (p, r)
-                  | None -> None)
-                (List.init procs Fun.id)
-            in
-            List.for_all
-              (fun (p, r) ->
-                Set_lat.elements r |> List.mem (p + 1)
-                && List.for_all
-                     (fun (_, r') ->
-                       Semilattice.comparable (module Set_lat) r r')
-                     done_)
-              done_))
+      ~max_schedules:4_000 ~procs
+      (Pram.Explore.instance program ~check:(fun d _sched ->
+           let done_ =
+             List.filter_map
+               (fun p ->
+                 match Pram.Driver.result d p with
+                 | Some r -> Some (p, r)
+                 | None -> None)
+               (List.init procs Fun.id)
+           in
+           List.for_all
+             (fun (p, r) ->
+               Set_lat.elements r |> List.mem (p + 1)
+               && List.for_all
+                    (fun (_, r') ->
+                      Semilattice.comparable (module Set_lat) r r')
+                    done_)
+             done_))
   in
   check_bool "no violation in any crash branch" true
     (outcome.Pram.Explore.failures = []);

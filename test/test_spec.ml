@@ -237,12 +237,12 @@ let history_tests =
         Alcotest.(check int) "passthrough" 42 resp;
         Alcotest.(check int) "two events" 2 (List.length (Recorder.events r)));
     Alcotest.test_case "concurrent recorder orders by ticket" `Quick (fun () ->
-        let r = Concurrent_recorder.create () in
-        Concurrent_recorder.invoke r ~pid:0 "a";
-        Concurrent_recorder.invoke r ~pid:1 "b";
-        Concurrent_recorder.return r ~pid:0 1;
-        Concurrent_recorder.return r ~pid:1 2;
-        match Concurrent_recorder.events r with
+        let r = Recorder.create () in
+        Recorder.invoke r ~pid:0 "a";
+        Recorder.invoke r ~pid:1 "b";
+        Recorder.return r ~pid:0 1;
+        Recorder.return r ~pid:1 2;
+        match Recorder.events r with
         | [ Invoke { pid = 0; _ }; Invoke { pid = 1; _ }; Return { pid = 0; _ };
             Return { pid = 1; _ } ] ->
             ()

@@ -426,10 +426,9 @@ let test_explore_differential () =
       in
       let outcome =
         Pram.Explore.search ~way:Pram.Explore.Way.systematic ~procs:2
-          (fun () ->
-            Pram.Explore.instance setup ~check:(fun _d sched ->
-                verifier_sees ~batching ~procs:2 ~script:small_script
-                  ~keys:[ "a" ] ~expected:small_expected sched))
+          (Pram.Explore.instance setup ~check:(fun _d sched ->
+               verifier_sees ~batching ~procs:2 ~script:small_script
+                 ~keys:[ "a" ] ~expected:small_expected sched))
       in
       check_bool "every DPOR schedule folds to the spec" true
         (Pram.Explore.ok outcome);
@@ -451,10 +450,10 @@ let test_explore_differential_sampled () =
       in
       let outcome =
         Pram.Explore.search ~way:Pram.Explore.Way.systematic
-          ~max_schedules:1_500 ~procs:2 (fun () ->
-            Pram.Explore.instance setup ~check:(fun _d sched ->
-                verifier_sees ~batching ~procs:2 ~script:explore_script
-                  ~keys:explore_keys ~expected:explore_expected sched))
+          ~max_schedules:1_500 ~procs:2
+          (Pram.Explore.instance setup ~check:(fun _d sched ->
+               verifier_sees ~batching ~procs:2 ~script:explore_script
+                 ~keys:explore_keys ~expected:explore_expected sched))
       in
       check_bool "every DPOR schedule folds to the spec" true
         (Pram.Explore.ok outcome);
@@ -473,12 +472,11 @@ let test_random_ways_differential () =
         Pram.Explore.search
           ~way:(Pram.Explore.Way.Uniform { seed = 2026; count = 40 })
           ~jobs:1 ~procs:2
-          (fun () ->
-            Pram.Explore.instance
-              ~check:(fun _d sched ->
-                verifier_sees ~batching ~procs:2 ~script:explore_script
-                  ~keys:explore_keys ~expected:explore_expected sched)
-              setup)
+          (Pram.Explore.instance
+             ~check:(fun _d sched ->
+               verifier_sees ~batching ~procs:2 ~script:explore_script
+                 ~keys:explore_keys ~expected:explore_expected sched)
+             setup)
       in
       check_bool "random ways: no failures" true
         (outcome.Pram.Explore.failures = []);

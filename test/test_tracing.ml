@@ -204,38 +204,30 @@ module Spec3 =
 
 module Check3 = Lincheck.Make (Spec3)
 
-let collect_recorder = ref (Spec.History.Recorder.create ())
-
-let collect_program () =
-  collect_recorder := Spec.History.Recorder.create ();
+let collect_program record =
   let t = Naive_c.create ~procs:3 in
   fun pid ->
     let h = Naive_c.attach t (Runtime.Ctx.make ~procs:3 ~pid ()) in
     if pid < 2 then
       ignore
-        (Spec.History.Recorder.record !collect_recorder ~pid
-           (`Update (pid, pid + 10)) (fun () ->
+        (record ~pid (`Update (pid, pid + 10)) (fun () ->
              Naive_c.update h (pid + 10);
              `Unit))
-    else
-      ignore
-        (Spec.History.Recorder.record !collect_recorder ~pid `Snapshot
-           (fun () -> `View (Naive_c.snapshot h)))
+    else ignore (record ~pid `Snapshot (fun () -> `View (Naive_c.snapshot h)))
 
 let test_counterexample_trace () =
   (* the injected bug: the naive collect is not linearizable; the
      explorer finds and shrinks a counterexample, and the trace of that
      schedule carries both operation spans and raw accesses *)
   let report =
-    Check3.search_check ~way:Pram.Explore.Way.Naive ~procs:3 (fun () ->
-        (collect_recorder, collect_program))
+    Check3.search_check ~way:Pram.Explore.Way.Naive ~procs:3 collect_program
   in
   match report.Pram.Explore.r_counterexample with
   | None -> Alcotest.fail "explorer must find the collect violation"
   | Some cex ->
-      let a =
-        Check3.trace_counterexample ~procs:3 ~recorder:collect_recorder
-          collect_program cex.Pram.Explore.cex_shrunk
+      let a, history =
+        Check3.trace_counterexample ~procs:3 collect_program
+          cex.Pram.Explore.cex_shrunk
       in
       let has p = List.exists p a.Tracing.a_events in
       check_bool "has invokes" true
@@ -249,8 +241,7 @@ let test_counterexample_trace () =
              match e.Tracing.ev with Tracing.Access _ -> true | _ -> false));
       (* the replayed history is the failing one *)
       check_bool "replayed history is non-linearizable" false
-        (Check3.is_linearizable
-           (Spec.History.Recorder.events !collect_recorder));
+        (Check3.is_linearizable history);
       (* and the trace survives every renderer *)
       (match Experiments.Bench_json.Json.parse (Tracing.chrome_json a) with
       | Ok _ -> ()
@@ -262,9 +253,8 @@ let test_counterexample_trace () =
         (String.length (Tracing.timeline a) > 0)
 
 let test_crash_schedule_traced () =
-  let a =
-    Check3.trace_counterexample ~procs:3 ~recorder:collect_recorder
-      collect_program [ 2; -1; 1; 1; 2; 2 ]
+  let a, _ =
+    Check3.trace_counterexample ~procs:3 collect_program [ 2; -1; 1; 1; 2; 2 ]
   in
   check_bool "crash event recorded for p0" true
     (List.exists

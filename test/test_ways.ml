@@ -43,47 +43,38 @@ let contains hay needle =
 
 (* Every process increments a shared counter non-atomically; any
    pre-emption between a read and its write loses an update. *)
-let lost_update_setup () =
-  let r = M.create 0 in
-  fun _pid ->
-    let v = M.read r in
-    M.write r (v + 1)
+let lost_update_body r _pid =
+  let v = M.read r in
+  M.write r (v + 1)
 
-let lost_update_instance ~procs () =
-  let cell = ref None in
-  let setup () =
-    let r = M.create 0 in
-    cell := Some r;
-    fun _pid ->
-      let v = M.read r in
-      M.write r (v + 1)
-  in
-  E.instance setup ~check:(fun _d _sched ->
-      match !cell with Some r -> Pram.Register.get r = procs | None -> true)
+let lost_update_setup () = lost_update_body (M.create 0)
+
+(* A program over one shared register, initially 0, whose runs pass iff
+   the register ends at [procs]. *)
+let ends_at ~procs body () =
+  let r = M.create 0 in
+  {
+    E.body = body r;
+    check = (fun _d _sched -> Pram.Register.get r = procs);
+    pp_history = None;
+  }
+
+let lost_update ~procs = ends_at ~procs lost_update_body
 
 (* Racy maximum: a process holding a stale read can overwrite a larger
    proposal, so the final value can undershoot the true maximum. *)
-let racy_max_instance ~procs () =
-  let cell = ref None in
-  let setup () =
-    let r = M.create 0 in
-    cell := Some r;
-    fun pid ->
+let racy_max ~procs =
+  ends_at ~procs (fun r pid ->
       let v = M.read r in
-      if v < pid + 1 then M.write r (pid + 1)
-  in
-  E.instance setup ~check:(fun _d _sched ->
-      match !cell with Some r -> Pram.Register.get r = procs | None -> true)
+      if v < pid + 1 then M.write r (pid + 1))
 
 (* Disjoint registers: nothing to race on, every check passes. *)
-let disjoint_instance ~procs () =
-  let setup () =
-    let regs = Array.init procs (fun _ -> M.create 0) in
-    fun pid ->
-      M.write regs.(pid) (pid + 1);
-      ignore (M.read regs.(pid))
-  in
-  E.instance setup ~check:(fun _ _ -> true)
+let disjoint ~procs =
+  E.instance ~check:(fun _ _ -> true) (fun () ->
+      let regs = Array.init procs (fun _ -> M.create 0) in
+      fun pid ->
+        M.write regs.(pid) (pid + 1);
+        ignore (M.read regs.(pid)))
 
 (* --- bounds / way descriptions -------------------------------------------- *)
 
@@ -105,8 +96,8 @@ let test_bounds_and_way_strings () =
 
 let test_legacy_outcomes_carry_coverage () =
   let o =
-    E.search ~way:E.Way.Naive ~jobs:4 ~procs:2 (fun () ->
-        E.instance ~check:(fun _ _ -> true) lost_update_setup)
+    E.search ~way:E.Way.Naive ~jobs:4 ~procs:2
+      (E.instance ~check:(fun _ _ -> true) lost_update_setup)
   in
   check_bool "naive way recorded" true (o.E.way = E.Way.Naive);
   check_int "naive coverage mirrors explored" o.E.explored
@@ -214,7 +205,7 @@ let test_cex_provenance_rederives_schedule () =
   let procs = 4 in
   let way = E.Way.Uniform { seed = 42; count = 200 } in
   let report =
-    E.search_check ~way ~jobs:2 ~procs (lost_update_instance ~procs)
+    E.search_check ~way ~jobs:2 ~procs (lost_update ~procs)
   in
   check_bool "bug found" false (E.report_ok report);
   match report.E.r_counterexample with
@@ -229,9 +220,8 @@ let test_cex_provenance_rederives_schedule () =
       match int_after cex.E.cex_way "sample=" with
       | None -> Alcotest.fail "unparsable sample tag"
       | Some index ->
-          let inst = lost_update_instance ~procs () in
           let sched, _ =
-            E.sample_schedule ~way ~index ~procs inst.E.i_setup
+            E.sample_schedule ~way ~index ~procs lost_update_setup
           in
           check_bool "sample index re-derives the failing schedule" true
             (sched = cex.E.cex_schedule);
@@ -258,10 +248,10 @@ let test_bounded_matches_exhaustive_small () =
       check_bool (name ^ ": bounded explores no more schedules") true
         (bd.E.coverage.E.cov_explored <= ex.E.coverage.E.cov_explored))
     [
-      ("lost_update/2", 2, lost_update_instance ~procs:2);
-      ("lost_update/3", 3, lost_update_instance ~procs:3);
-      ("racy_max/3", 3, racy_max_instance ~procs:3);
-      ("disjoint/3", 3, disjoint_instance ~procs:3);
+      ("lost_update/2", 2, lost_update ~procs:2);
+      ("lost_update/3", 3, lost_update ~procs:3);
+      ("racy_max/3", 3, racy_max ~procs:3);
+      ("disjoint/3", 3, disjoint ~procs:3);
     ]
 
 let test_random_ways_find_corpus_bugs_at_scale () =
@@ -270,7 +260,7 @@ let test_random_ways_find_corpus_bugs_at_scale () =
   List.iter
     (fun procs ->
       let way = E.Way.Uniform { seed = 11; count = 300 } in
-      let o = E.search ~way ~jobs:2 ~procs (lost_update_instance ~procs) in
+      let o = E.search ~way ~jobs:2 ~procs (lost_update ~procs) in
       check_bool
         (Printf.sprintf "lost update found at procs=%d" procs)
         true (o.E.failures <> []);
@@ -281,7 +271,7 @@ let test_random_ways_find_corpus_bugs_at_scale () =
   let o =
     E.search
       ~way:(E.Way.Uniform { seed = 11; count = 400 })
-      ~jobs:2 ~procs:6 (racy_max_instance ~procs:6)
+      ~jobs:2 ~procs:6 (racy_max ~procs:6)
   in
   check_bool "racy max found at procs=6" true (o.E.failures <> [])
 
@@ -290,13 +280,13 @@ let test_preempt_bound_is_bug_finding_only () =
      serial increments never lose an update, so the bounded search
      reports clean — and must account for what it cut *)
   let way = E.Way.Systematic (E.Bounds.make ~preempt:0 ()) in
-  let o = E.search ~way ~procs:3 (lost_update_instance ~procs:3) in
+  let o = E.search ~way ~procs:3 (lost_update ~procs:3) in
   check_bool "no violation within the bound" true (o.E.failures = []);
   check_bool "pruning recorded" true (o.E.coverage.E.cov_pruned > 0);
   check_bool "way recorded" true (o.E.way = way);
   (* a length bound below the shortest maximal schedule prunes all *)
   let short = E.Way.Systematic (E.Bounds.make ~length:3 ()) in
-  let o = E.search ~way:short ~procs:2 (lost_update_instance ~procs:2) in
+  let o = E.search ~way:short ~procs:2 (lost_update ~procs:2) in
   check_int "nothing completes within 3 steps" 0 o.E.explored;
   check_bool "everything pruned" true (o.E.coverage.E.cov_pruned > 0)
 
@@ -353,27 +343,21 @@ end
 module Scan_spec = Snapshot.Scan_spec.Make (L)
 module Scan_check = Lincheck.Make (Scan_spec)
 
-let buggy_scan_mk () =
-  let recorder = ref (Spec.History.Recorder.create ()) in
-  let program () =
-    recorder := Spec.History.Recorder.create ();
-    let t = Buggy_scan.create ~procs:2 in
-    fun pid ->
-      if pid = 0 then
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid `Read_max (fun () ->
-               `Join (Buggy_scan.read_max t ~pid)))
-      else
-        ignore
-          (Spec.History.Recorder.record !recorder ~pid (`Write_l 2) (fun () ->
-               Buggy_scan.write_l t ~pid 2;
-               `Unit))
-  in
-  (recorder, program)
+let buggy_scan_program record =
+  let t = Buggy_scan.create ~procs:2 in
+  fun pid ->
+    if pid = 0 then
+      ignore
+        (record ~pid `Read_max (fun () -> `Join (Buggy_scan.read_max t ~pid)))
+    else
+      ignore
+        (record ~pid (`Write_l 2) (fun () ->
+             Buggy_scan.write_l t ~pid 2;
+             `Unit))
 
 let test_weighted_catches_realtime_bug () =
   let sys =
-    Scan_check.search_check ~way:E.Way.systematic ~procs:2 buggy_scan_mk
+    Scan_check.search_check ~way:E.Way.systematic ~procs:2 buggy_scan_program
   in
   check_bool "DPOR misses the real-time-order violation" true
     (E.report_ok sys);
@@ -381,14 +365,14 @@ let test_weighted_catches_realtime_bug () =
   let uni =
     Scan_check.search_check
       ~way:(E.Way.Uniform { seed; count = budget })
-      ~shrink:false ~procs:2 buggy_scan_mk
+      ~shrink:false ~procs:2 buggy_scan_program
   in
   check_bool "uniform sampling misses it at the same budget" true
     (E.report_ok uni);
   let wei =
     Scan_check.search_check
       ~way:(E.Way.Weighted { seed; count = budget; bias = 16.0 })
-      ~procs:2 buggy_scan_mk
+      ~procs:2 buggy_scan_program
   in
   check_bool "weighted near-serial sampling finds it" false (E.report_ok wei);
   match wei.E.r_counterexample with
@@ -456,26 +440,16 @@ module Set_scan_check = Lincheck.Make (Set_scan_spec)
 module Adaptive_set_workload (M : Pram.Memory.VERSIONED) = struct
   module Scan = Snapshot.Scan.Make (Set_lat) (M)
 
-  let mk () =
-    let recorder = ref (Spec.History.Recorder.create ()) in
-    let program () =
-      recorder := Spec.History.Recorder.create ();
-      let t = Scan.create ~variant:Snapshot.Scan.Adaptive ~procs:4 in
-      fun pid ->
-        let h = Scan.attach t (Runtime.Ctx.make ~procs:4 ~pid ()) in
-        if pid < 2 then
-          ignore
-            (Spec.History.Recorder.record !recorder ~pid
-               (`Write_l (Set_lat.of_list [ pid + 1 ]))
-               (fun () ->
-                 Scan.write_l h (Set_lat.of_list [ pid + 1 ]);
-                 `Unit))
-        else
-          ignore
-            (Spec.History.Recorder.record !recorder ~pid `Read_max (fun () ->
-                 `Join (Scan.read_max h)))
-    in
-    (recorder, program)
+  let program record =
+    let t = Scan.create ~variant:Snapshot.Scan.Adaptive ~procs:4 in
+    fun pid ->
+      let h = Scan.attach t (Runtime.Ctx.make ~procs:4 ~pid ()) in
+      if pid < 2 then
+        ignore
+          (record ~pid (`Write_l (Set_lat.of_list [ pid + 1 ])) (fun () ->
+               Scan.write_l h (Set_lat.of_list [ pid + 1 ]);
+               `Unit))
+      else ignore (record ~pid `Read_max (fun () -> `Join (Scan.read_max h)))
 end
 
 module Torn_workload = Adaptive_set_workload (Torn_versioned)
@@ -493,7 +467,7 @@ let test_weighted_catches_torn_seqlock_read () =
   let bounded =
     Set_scan_check.search_check
       ~way:(E.Way.Systematic (E.Bounds.make ~preempt:1 ()))
-      ~procs:4 Torn_workload.mk
+      ~procs:4 Torn_workload.program
   in
   check_bool "one-preemption systematic search is clean" true
     (E.report_ok bounded);
@@ -502,13 +476,13 @@ let test_weighted_catches_torn_seqlock_read () =
   let uni =
     Set_scan_check.search_check
       ~way:(E.Way.Uniform { seed; count = budget })
-      ~shrink:false ~procs:4 Torn_workload.mk
+      ~shrink:false ~procs:4 Torn_workload.program
   in
   check_bool "uniform sampling misses it at the same budget" true
     (E.report_ok uni);
   let catching_way = E.Way.Weighted { seed; count = budget; bias = 16.0 } in
   let wei =
-    Set_scan_check.search_check ~way:catching_way ~procs:4 Torn_workload.mk
+    Set_scan_check.search_check ~way:catching_way ~procs:4 Torn_workload.program
   in
   check_bool "weighted near-serial sampling finds the torn read" false
     (E.report_ok wei);
@@ -521,7 +495,8 @@ let test_weighted_catches_torn_seqlock_read () =
      clean — the sampler is catching the injected tear, not the adaptive
      algorithm *)
   let honest =
-    Set_scan_check.search_check ~way:catching_way ~procs:4 Honest_workload.mk
+    Set_scan_check.search_check ~way:catching_way ~procs:4
+      Honest_workload.program
   in
   check_bool "honest seqlock backend is clean under the catching way" true
     (E.report_ok honest)
@@ -584,8 +559,8 @@ let trace_class prog sched =
 (* Every complete schedule a way visits: a check that always fails
    lists them all, in the search's deterministic order. *)
 let visited ~way ?jobs prog =
-  (E.search ~way ?jobs ~procs:(Array.length prog) (fun () ->
-       E.instance ~check:(fun _ _ -> false) (straight_line prog)))
+  (E.search ~way ?jobs ~procs:(Array.length prog)
+     (E.instance ~check:(fun _ _ -> false) (straight_line prog)))
     .E.failures
 
 (* The classes of the naive enumeration, and whether unbounded
@@ -637,25 +612,22 @@ let test_jobs_determinism () =
       and b = E.search ~way ~jobs:4 ~procs mk in
       check_bool (name ^ ": jobs=1 and jobs=4 outcomes identical") true (a = b))
     [
-      ("systematic", E.Way.systematic, 3, racy_max_instance ~procs:3);
-      ( "bounded",
-        E.Way.Systematic E.Bounds.default,
-        3,
-        lost_update_instance ~procs:3 );
+      ("systematic", E.Way.systematic, 3, racy_max ~procs:3);
+      ("bounded", E.Way.Systematic E.Bounds.default, 3, lost_update ~procs:3);
       ( "uniform",
         E.Way.Uniform { seed = 5; count = 200 },
         5,
-        lost_update_instance ~procs:5 );
+        lost_update ~procs:5 );
       ( "weighted",
         E.Way.Weighted { seed = 5; count = 200; bias = 8.0 },
         4,
-        racy_max_instance ~procs:4 );
+        racy_max ~procs:4 );
     ]
 
 let test_jobs_determinism_counterexamples () =
   let way = E.Way.Uniform { seed = 5; count = 200 } in
   let run jobs =
-    E.search_check ~way ~jobs ~procs:5 (lost_update_instance ~procs:5)
+    E.search_check ~way ~jobs ~procs:5 (lost_update ~procs:5)
   in
   let r1 = run 1 and r4 = run 4 in
   check_bool "both find the bug" false
