@@ -148,10 +148,57 @@ let adversary_cmd =
          "Attack the Figure 2 algorithm with the replay adversary of Lemma 6.")
     Term.(ret (const run $ k))
 
-(* --- counter ---------------------------------------------------------------- *)
+(* --- backends ------------------------------------------------------------------ *)
 
-let backend_enum =
-  List.map (fun k -> (Runtime.Backend.name k, k)) Runtime.Backend.all
+(* The three ways [counter] and [trace] can run a program.  Every arm
+   hands the program versioned registers — [S]-only algorithms take them
+   as plain registers — and attaches the sink the canonical way. *)
+type backend = Sim | Direct | Native
+
+let backend_enum = [ ("sim", Sim); ("direct", Direct); ("native", Native) ]
+let backend_name b = fst (List.find (fun (_, b') -> b' = b) backend_enum)
+
+(* [run_on b ~procs program] runs [program mem () pid] for every pid and
+   returns the per-pid results ([None] for a process that never
+   finished) with the fired schedule.  [Sim]: fibers on [Sim_v] under
+   [scheduler] (default round-robin), accesses through the driver
+   observer.  [Direct]: pid after pid on [Direct_v].  [Native]: one
+   domain per pid through [Runtime.run_domains] on the seqlock
+   registers.  Off the simulator the memory is [Runtime.Instrument]ed
+   and the schedule is empty. *)
+let run_on backend ?(sink = Runtime.Sink.none) ?scheduler ~procs
+    (program : (module Pram.Memory.VERSIONED) -> unit -> int -> 'r) =
+  let instrumented (module M : Pram.Memory.VERSIONED) =
+    (module Runtime.Instrument
+              (M)
+              (struct
+                let sink = sink
+              end) : Pram.Memory.VERSIONED)
+  in
+  match backend with
+  | Sim ->
+      let d =
+        Pram.Driver.create ?observer:(Runtime.Sink.observer sink) ~procs
+          (program (module Pram.Memory.Sim_v))
+      in
+      Pram.Scheduler.run ~max_steps:10_000_000
+        (Option.value scheduler ~default:(Pram.Scheduler.round_robin ()))
+        d;
+      (List.init procs (Pram.Driver.result d), Pram.Driver.schedule d)
+  | Direct ->
+      let body = program (instrumented (module Pram.Memory.Direct_v)) () in
+      let results =
+        List.init procs (fun pid ->
+            Runtime.set_pid pid;
+            Some (body pid))
+      in
+      Runtime.set_pid 0;
+      (results, [])
+  | Native ->
+      let body = program (instrumented (module Pram.Native.Versioned)) () in
+      (List.map Option.some (Runtime.run_domains ~sink ~procs body), [])
+
+(* --- counter ---------------------------------------------------------------- *)
 
 let counter_cmd =
   let procs =
@@ -163,34 +210,28 @@ let counter_cmd =
   let backend =
     Arg.(
       value
-      & opt (enum backend_enum) Runtime.Backend.Native
+      & opt (enum backend_enum) Native
       & info [ "backend" ] ~docv:"B"
           ~doc:"Backend: $(b,native) real domains, $(b,sim) deterministic \
                 simulator, $(b,direct) sequential.")
   in
   let run procs ops backend =
-    (* The same functorized program runs on whichever backend the
-       registry hands us; only the memory module differs. *)
-    let final_read = ref (fun () -> 0) in
-    let program (module M : Pram.Memory.S) () =
-      let module MV = Pram.Memory.Versioned (M) in
-      let module C = Universal.Direct.Counter (MV) in
+    (* Each process reads after its own increments.  The read linearized
+       last follows every increment, so the largest read is the total. *)
+    let program (module M : Pram.Memory.VERSIONED) () =
+      let module C = Universal.Direct.Counter (M) in
       let counter = C.create ~procs in
-      (final_read :=
-         fun () ->
-           C.read (C.attach counter (Runtime.Ctx.make ~procs ~pid:0 ())));
       fun pid ->
         let h = C.attach counter (Runtime.Ctx.make ~procs ~pid ()) in
         for _ = 1 to ops do
           C.inc h 1
-        done
+        done;
+        C.read h
     in
-    let _ = Runtime.Backend.run backend ~procs program in
-    let final = !final_read () in
+    let reads, _ = run_on backend ~procs program in
+    let final = List.fold_left max 0 (List.filter_map Fun.id reads) in
     Printf.printf "%d processes (%s) x %d increments -> %d (expected %d): %s\n"
-      procs
-      (Runtime.Backend.name backend)
-      ops final (procs * ops)
+      procs (backend_name backend) ops final (procs * ops)
       (if final = procs * ops then "OK" else "LOST UPDATES");
     if final = procs * ops then `Ok () else `Error (false, "counter lost updates")
   in
@@ -260,17 +301,6 @@ let explore_cmd =
              context switches (a step by p while the previously stepped \
              process is still runnable).")
   in
-  let bound_fair =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "bound-fair" ] ~docv:"K"
-          ~doc:
-            "Systematic way: prune schedules where a process gets more \
-             than K steps ahead of the least-stepped still-runnable \
-             process (aimed at busy-wait loops; rarely useful for the \
-             paper's wait-free algorithms).")
-  in
   let bound_length =
     Arg.(
       value
@@ -334,7 +364,7 @@ let explore_cmd =
              crashes N) on the naive collect of $(b,--procs) processes, \
              print its timeline and linearizability verdict.")
   in
-  let run way seed samples bias b_pre b_fair b_len jobs procs shrink
+  let run way seed samples bias b_pre b_len jobs procs shrink
       max_schedules trace_out replay =
     if procs < 2 || procs > 8 then `Error (false, "--procs must be in 2..8")
     else begin
@@ -343,8 +373,7 @@ let explore_cmd =
         | `Naive -> Pram.Explore.Way.Naive
         | `Systematic ->
             Pram.Explore.Way.Systematic
-              (Pram.Explore.Bounds.make ?preempt:b_pre ?fair:b_fair
-                 ?length:b_len ())
+              (Pram.Explore.Bounds.make ?preempt:b_pre ?length:b_len ())
         | `Uniform -> Pram.Explore.Way.Uniform { seed; count = samples }
         | `Weighted -> Pram.Explore.Way.Weighted { seed; count = samples; bias }
       in
@@ -502,7 +531,7 @@ let explore_cmd =
     Term.(
       ret
         (const run $ way_arg $ seed_arg $ samples_arg $ bias_arg
-       $ bound_preempt $ bound_fair $ bound_length $ jobs_arg $ procs_arg
+       $ bound_preempt $ bound_length $ jobs_arg $ procs_arg
        $ shrink_flag $ max_schedules $ trace_out $ replay))
 
 (* --- trace -------------------------------------------------------------------- *)
@@ -524,14 +553,14 @@ let trace_cmd =
   let backend =
     Arg.(
       value
-      & opt (enum backend_enum) Runtime.Backend.Sim
+      & opt (enum backend_enum) Sim
       & info [ "backend" ] ~docv:"B"
           ~doc:
             "$(b,sim): the deterministic simulator (accesses via the driver \
              observer, logical clock, schedule recorded for replay).  \
-             $(b,native): real domains (accesses via the Runtime.Instrument \
-             memory wrapper, monotonic clock).  $(b,direct): sequential, \
-             instrumented like native.")
+             $(b,native): real domains on the seqlock registers (accesses \
+             via the Runtime.Instrument wrapper, monotonic clock).  \
+             $(b,direct): sequential, instrumented like native.")
   in
   let procs =
     Arg.(value & opt int 3 & info [ "procs" ] ~docv:"N" ~doc:"Process count.")
@@ -631,19 +660,17 @@ let trace_cmd =
     else if workload = `Agreement && variant <> None then
       `Error (true, "--variant does not apply to the agreement workload")
     else begin
-      (* One workload program over any backend from the registry: the
-         context carries the journal, so the same code paths are traced
-         whichever arm runs it.  Accesses are fed by the driver observer
-         under sim and by the Runtime.Instrument wrapper otherwise; both
-         come out of the same [Runtime.Sink]. *)
-      let make_program j (module M : Pram.Memory.S) () =
+      (* One workload program over any backend: the context carries the
+         journal, so the same code paths are traced whichever arm runs
+         it.  Accesses are fed by the driver observer under sim and by
+         the Runtime.Instrument wrapper otherwise; both come out of the
+         same [Runtime.Sink]. *)
+      let make_program j (module M : Pram.Memory.VERSIONED) () =
         let sink = Runtime.Sink.make ~journal:j () in
         let ctx pid = Runtime.Ctx.make ~sink ~procs ~pid () in
         match workload with
         | `Scan ->
-            let module S =
-              Snapshot.Scan.Make (Semilattice.Int_max) (Pram.Memory.Versioned (M))
-            in
+            let module S = Snapshot.Scan.Make (Semilattice.Int_max) (M) in
             let t =
               S.create
                 ~variant:(Option.value variant ~default:Snapshot.Scan.Optimized)
@@ -662,9 +689,7 @@ let trace_cmd =
               ignore (AA.output h)
         | `Counter ->
             let module UC =
-              Universal.Construction.Make
-                (Spec.Counter_spec)
-                (Pram.Memory.Versioned (M))
+              Universal.Construction.Make (Spec.Counter_spec) (M)
             in
             let t = UC.create ?variant ~procs () in
             fun pid ->
@@ -672,41 +697,31 @@ let trace_cmd =
               ignore (UC.execute h (Spec.Counter_spec.Inc 1));
               ignore (UC.execute h Spec.Counter_spec.Read)
       in
-      let fresh_journal () =
-        match kind with
-        | Runtime.Backend.Native ->
-            Tracing.Journal.create ~clock:`Monotonic ~procs ()
-        | _ -> Tracing.Journal.create ~procs ()
-      in
       let run_once () =
-        let j = fresh_journal () in
-        let scheduler =
+        let j =
           match kind with
-          | Runtime.Backend.Sim -> (
-              match (sched, seed) with
-              | Some `Rr, _ -> Some (Pram.Scheduler.round_robin ())
-              | Some `Random, _ | None, Some _ ->
-                  Some
-                    (Pram.Scheduler.random
-                       ~seed:(Option.value seed ~default:42)
-                       ())
-              | Some `Pct, _ ->
-                  Some
-                    (Pram.Scheduler.pct
-                       ~seed:(Option.value seed ~default:42)
-                       ~depth ~max_steps:1_000 ())
-              | None, None -> None)
-          | _ -> None
+          | Native -> Tracing.Journal.create ~clock:`Monotonic ~procs ()
+          | Sim | Direct -> Tracing.Journal.create ~procs ()
         in
-        let outcome =
-          Runtime.Backend.run kind
+        let scheduler =
+          match (sched, seed) with
+          | Some `Rr, _ -> Some (Pram.Scheduler.round_robin ())
+          | Some `Random, _ | None, Some _ ->
+              Some
+                (Pram.Scheduler.random ~seed:(Option.value seed ~default:42) ())
+          | Some `Pct, _ ->
+              Some
+                (Pram.Scheduler.pct
+                   ~seed:(Option.value seed ~default:42)
+                   ~depth ~max_steps:1_000 ())
+          | None, None -> None
+        in
+        let _, schedule =
+          run_on kind
             ~sink:(Runtime.Sink.make ~journal:j ())
             ?scheduler ~procs (make_program j)
         in
-        match kind with
-        | Runtime.Backend.Sim ->
-            Tracing.archive ~schedule:outcome.Runtime.Backend.schedule j
-        | _ -> Tracing.archive j
+        Tracing.archive ~schedule j
       in
       (* replay a saved simulator schedule with a fresh journal: the basis
          of the --check byte-identity guarantee *)
@@ -716,7 +731,7 @@ let trace_cmd =
           Pram.Driver.create
             ~observer:(Tracing.Journal.observer j)
             ~procs
-            (make_program j (Runtime.Backend.memory Runtime.Backend.Sim))
+            (make_program j (module Pram.Memory.Sim_v))
         in
         ignore (Pram.Explore.apply_encoded d sched);
         Tracing.archive ~schedule:sched j
@@ -749,7 +764,7 @@ let trace_cmd =
         | Ok a' ->
             if Tracing.save a' <> Tracing.save a then
               err "text save -> parse -> save is not byte-identical";
-            if kind = Runtime.Backend.Sim then begin
+            if kind = Sim then begin
               (* the full acceptance loop: save -> load -> replay the
                  schedule -> re-export, byte-for-byte *)
               let a'' = replay_sim a'.Tracing.a_schedule in
@@ -916,19 +931,14 @@ let top_cmd =
           rate
       in
       let t0 = Monotonic_clock.now () in
-      (* hand-spawned domains: bracket the run with the native hooks so
-         seqlock retries reach the grid, attributed by [set_pid] *)
       let drive () =
-        Runtime.install_native_hooks sink;
-        Fun.protect ~finally:Runtime.uninstall_native_hooks (fun () ->
-            Pram.Native.run_parallel ~procs (fun pid ->
-                Runtime.set_pid pid;
-                let h = S.attach t (Runtime.Ctx.make ~sink ~procs ~pid ()) in
-                Workload.Traffic.drive ~telemetry:sampler ?loop
-                  ~flush_every:64 ~ops:(script pid)
-                  ~submit:(fun key op -> S.submit h ~key op)
-                  ~flush:(fun () -> ignore (S.flush h))
-                  ()))
+        Runtime.run_domains ~sink ~procs (fun pid ->
+            let h = S.attach t (Runtime.Ctx.make ~sink ~procs ~pid ()) in
+            Workload.Traffic.drive ~telemetry:sampler ?loop ~flush_every:64
+              ~ops:(script pid)
+              ~submit:(fun key op -> S.submit h ~key op)
+              ~flush:(fun () -> ignore (S.flush h))
+              ())
       in
       let reports =
         if once then drive ()

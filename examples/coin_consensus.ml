@@ -70,7 +70,7 @@ let native_demo () =
   let inputs = [| true; false; true; false |] in
   let t = RC_native.create ~procs ~max_rounds:64 in
   let decisions =
-    Pram.Native.run_parallel ~procs (fun pid ->
+    Runtime.run_domains ~procs (fun pid ->
         let h = RC_native.attach t (Runtime.Ctx.make ~seed:7 ~procs ~pid ()) in
         RC_native.propose h inputs.(pid))
   in

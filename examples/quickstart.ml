@@ -18,7 +18,7 @@ let native_demo () =
   let counter = Wfa.Native.Counter.create ~procs in
   let increments_per_proc = 1000 in
   let results =
-    Wfa.Pram.Native.run_parallel ~procs (fun pid ->
+    Wfa.Runtime.run_domains ~procs (fun pid ->
         (* each process mints its session handle from its own context *)
         let h =
           Wfa.Native.Counter.attach counter (Wfa.Ctx.make ~procs ~pid ())

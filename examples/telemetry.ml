@@ -33,7 +33,7 @@ let () =
   let samples_per_worker = 5_000 in
   let reports = Atomic.make [] in
   let _ =
-    Pram.Native.run_parallel ~procs (fun pid ->
+    Runtime.run_domains ~procs (fun pid ->
         let ctx = Runtime.Ctx.make ~procs ~pid () in
         let hh = Histogram.attach hist ctx in
         let ch = VClock.attach clock ctx in

@@ -5,7 +5,7 @@
    for the map and DESIGN.md for the architecture.
 
    - {!Pram}: the asynchronous-PRAM substrate (simulator + native
-     domains backend);
+     seqlock registers);
    - {!Semilattice}: join-semilattices for the Section 6 scan;
    - {!Spec}: sequential specifications, histories, and the
      commute/overwrite algebra of Section 5.1;
@@ -23,8 +23,9 @@
      traces with timeline, Chrome-trace and round-trippable text
      renderers;
    - {!Runtime}: the per-process execution context ({!Ctx}) bundling
-     pid, observer sink, deterministic RNG and backend selection
-     ({!Backend}) — the seam every algorithm's [attach] consumes. *)
+     pid, observer sink and deterministic RNG — the seam every
+     algorithm's [attach] consumes — and [Runtime.run_domains], the one
+     way to put processes on domains. *)
 
 module Pram = Pram
 module Semilattice = Semilattice
@@ -40,11 +41,10 @@ module Telemetry = Telemetry
 module Tracing = Tracing
 module Runtime = Runtime
 
-(* The context and backend registry, re-exported unprefixed: [Wfa.Ctx]
-   and [Wfa.Backend] are the intended spellings — as is [Wfa.Store],
-   the sharded keyed store of universal-construction instances. *)
+(* The context, re-exported unprefixed: [Wfa.Ctx] is the intended
+   spelling — as is [Wfa.Store], the sharded keyed store of
+   universal-construction instances. *)
 module Ctx = Runtime.Ctx
-module Backend = Runtime.Backend
 module Store = Universal.Store
 
 (* Convenience aliases for the most common instantiations: simulator and
@@ -64,7 +64,7 @@ module Native = struct
   module Gset = Universal.Direct.Gset (Pram.Native.Versioned)
   module Max_register = Universal.Direct.Max_register (Pram.Native.Versioned)
   module Logical_clock = Universal.Direct.Logical_clock (Pram.Native.Versioned)
-  module Approx_agreement = Agreement.Approx_agreement.Make (Pram.Native.Mem)
+  module Approx_agreement = Agreement.Approx_agreement.Make (Pram.Native.Versioned)
   module Universal_counter =
     Universal.Construction.Make (Spec.Counter_spec) (Pram.Native.Versioned)
 end

@@ -466,7 +466,7 @@ let native_counter_rows ~quick ~procs =
   let counter = Counter_native.create ~procs in
   let _, elapsed =
     timed (fun () ->
-        Pram.Native.run_parallel ~procs (fun pid ->
+        Runtime.run_domains ~procs (fun pid ->
             let h =
               Counter_native.attach counter (Runtime.Ctx.make ~procs ~pid ())
             in
@@ -500,7 +500,7 @@ let native_universal_counter_rows ~quick ~procs =
   let t = UC_native.create ~procs () in
   let _, elapsed =
     timed (fun () ->
-        Pram.Native.run_parallel ~procs (fun pid ->
+        Runtime.run_domains ~procs (fun pid ->
             let h = UC_native.attach t (Runtime.Ctx.make ~procs ~pid ()) in
             List.iter
               (fun op -> ignore (UC_native.execute h op))
@@ -575,26 +575,21 @@ let native_store_stage ~bench ~procs ~batching ~read_fraction ~seed ~loop
     | Universal.Store.Batched n -> n
     | Universal.Store.Unbatched -> 64
   in
-  (* hand-spawned domains: bracket the run with the native hooks so
-     seqlock retries reach the grid, attributed by [set_pid] *)
-  Runtime.install_native_hooks sink;
   let results, elapsed =
-    Fun.protect ~finally:Runtime.uninstall_native_hooks (fun () ->
-        timed (fun () ->
-            Pram.Native.run_parallel ~procs (fun pid ->
-                Runtime.set_pid pid;
-                let h =
-                  Store_native.attach ~batching t
-                    (Runtime.Ctx.make ~sink ~procs ~pid ())
-                in
-                let report =
-                  Workload.Traffic.drive ~telemetry:sampler ?loop ~flush_every
-                    ~ops:(script pid)
-                    ~submit:(fun key op -> Store_native.submit h ~key op)
-                    ~flush:(fun () -> ignore (Store_native.flush h))
-                    ()
-                in
-                (report, Store_native.stats h))))
+    timed (fun () ->
+        Runtime.run_domains ~sink ~procs (fun pid ->
+            let h =
+              Store_native.attach ~batching t
+                (Runtime.Ctx.make ~sink ~procs ~pid ())
+            in
+            let report =
+              Workload.Traffic.drive ~telemetry:sampler ?loop ~flush_every
+                ~ops:(script pid)
+                ~submit:(fun key op -> Store_native.submit h ~key op)
+                ~flush:(fun () -> ignore (Store_native.flush h))
+                ()
+            in
+            (report, Store_native.stats h)))
   in
   Telemetry.Sampler.finish sampler;
   let series = Telemetry.Series.of_sampler sampler in
@@ -688,7 +683,7 @@ let native_universal_gset_rows ~quick ~procs =
   let t = UG_native.create ~procs () in
   let _, elapsed =
     timed (fun () ->
-        Pram.Native.run_parallel ~procs (fun pid ->
+        Runtime.run_domains ~procs (fun pid ->
             let h = UG_native.attach t (Runtime.Ctx.make ~procs ~pid ()) in
             List.iter
               (fun op -> ignore (UG_native.execute h op))
@@ -713,7 +708,7 @@ let native_scan_variant_rows ~quick ~variant ~procs ~contended =
   let domains = if contended then procs else 1 in
   let _, elapsed =
     timed (fun () ->
-        Pram.Native.run_parallel ~procs:domains (fun pid -> body pid ()))
+        Runtime.run_domains ~procs:domains (fun pid -> body pid ()))
   in
   let bench =
     Printf.sprintf "%s_%s" (variant_name variant)
@@ -729,14 +724,12 @@ let native_scan_footprint_rows ~procs =
   let sink = Runtime.Sink.make ~metrics:recorder () in
   let module Inst =
     Runtime.Instrument
-      (Pram.Native.Mem)
+      (Pram.Native.Versioned)
       (struct
         let sink = sink
       end)
   in
-  let module Scan_inst =
-    Snapshot.Scan.Make (Semilattice.Nat_max) (Pram.Memory.Versioned (Inst))
-  in
+  let module Scan_inst = Snapshot.Scan.Make (Semilattice.Nat_max) (Inst) in
   let t = Scan_inst.create ~variant:Snapshot.Scan.Optimized ~procs in
   Runtime.set_pid 0;
   let h = Scan_inst.attach t (Runtime.Ctx.make ~procs ~pid:0 ()) in
@@ -753,7 +746,7 @@ let native_array_rows ~quick ~procs ~contended =
   let domains = if contended then procs else 1 in
   let _, elapsed =
     timed (fun () ->
-        Pram.Native.run_parallel ~procs:domains (fun pid ->
+        Runtime.run_domains ~procs:domains (fun pid ->
             let h = Arr_native.attach t (Runtime.Ctx.make ~procs ~pid ()) in
             for i = 1 to pairs do
               Arr_native.update h i;

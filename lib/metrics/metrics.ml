@@ -4,9 +4,9 @@
    - simulator: [Recorder.observer] plugs into [Driver.create ?observer],
      so attribution follows the firing schedule exactly (one count per
      step, the paper's cost unit);
-   - native: [Runtime.Instrument] wraps a backend via [Memory.Hooked]
-     and attributes each access to the calling domain's
-     [Runtime.set_pid].
+   - native: [Runtime.Instrument] wraps the seqlock registers via
+     [Memory.Hooked] and attributes each access to the pid that
+     [Runtime.run_domains] set for the calling domain.
 
    Counter layout: per-pid counts are plain [Atomic.t] cells (uncontended
    — each pid bumps only its own), per-register and span tables live
@@ -120,7 +120,6 @@ module Recorder = struct
       spans = Hashtbl.create 8;
     }
 
-  let procs t = t.n
 
   let check_pid t pid =
     if pid < 0 || pid >= t.n then
@@ -173,9 +172,8 @@ module Recorder = struct
     check_pid t pid;
     Atomic.get t.pid_writes.(pid)
 
-  let total_over a = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 a
-  let total_reads t = total_over t.pid_reads
-  let total_writes t = total_over t.pid_writes
+  let total_reads t =
+    Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.pid_reads
   let registers_created t = Atomic.get t.created
 
   let add_span t ~op steps =
@@ -251,5 +249,6 @@ module Recorder = struct
 end
 
 (* Pid attribution for native domains lives in [Runtime] (one
-   [Domain.DLS] slot shared with tracing); [Runtime.Instrument] wraps a
-   backend and feeds this recorder through a [Runtime.Sink]. *)
+   [Domain.DLS] slot shared with tracing, set by [Runtime.run_domains]);
+   [Runtime.Instrument] wraps the versioned registers and feeds this
+   recorder through a [Runtime.Sink]. *)

@@ -20,8 +20,9 @@
       [?observer]; accesses are attributed by the driver, exactly one
       count per fired step;
     - native domains: instantiate [Runtime.Instrument] over
-      {!Pram.Native.Mem} with a sink carrying this recorder, and have
-      each domain call [Runtime.set_pid] once at the top of its body.
+      {!Pram.Native.Versioned} with a sink carrying this recorder, and
+      run the processes with [Runtime.run_domains], which sets each
+      domain's pid.
 
     Both feeds populate the same {!Recorder.t} and render to the same
     {!Snapshot.t}. *)
@@ -96,8 +97,6 @@ module Recorder : sig
       @raise Invalid_argument if [procs <= 0]. *)
   val create : procs:int -> t
 
-  val procs : t -> int
-
   (** Raw feeds.  [pid] out of range raises [Invalid_argument]; register
       identity is optional (accesses fed without it still count toward
       pid totals). *)
@@ -111,7 +110,6 @@ module Recorder : sig
 
   val writes : t -> pid:int -> int
   val total_reads : t -> int
-  val total_writes : t -> int
   val registers_created : t -> int
 
   (** [with_span t ~pid ~op f] runs [f ()] and files the number of

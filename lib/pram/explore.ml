@@ -27,7 +27,7 @@
      first step commutes with an already-explored sibling.  On the
      paper's algorithms this cuts schedule counts by orders of magnitude,
      making 3-4 process configurations checkable.  Composable schedule
-     bounds ([Bounds.t]: pre-emption, fairness, length) filter branches
+     bounds ([Bounds.t]: pre-emption, length) filter branches
      by a prefix-invariant predicate; a bounded search is sound for BUG
      FINDING (every execution it visits is a real execution) but NOT
      exhaustive — a violation needing more pre-emptions than the bound
@@ -83,26 +83,19 @@ module Bounds = struct
     bd_preempt : int option;
         (* max pre-emptive context switches: steps by p while the
            previously stepped process is still runnable *)
-    bd_fair : int option;
-        (* max difference between a process's step count and the
-           minimum step count among the other still-runnable processes;
-           aimed at busy-wait loops — the paper's algorithms are
-           wait-free, so this is off by default *)
     bd_length : int option;  (* max schedule length *)
   }
 
-  let none = { bd_preempt = None; bd_fair = None; bd_length = None }
+  let none = { bd_preempt = None; bd_length = None }
 
   (* dejafu's defaultBounds: a small pre-emption bound catches almost
-     all bugs in practice (Musuvathi & Qadeer); fairness off (wait-free
-     programs have no busy-wait loops to cut), length off (the simulator
-     already requires terminating programs). *)
-  let default = { bd_preempt = Some 3; bd_fair = None; bd_length = None }
-  let make ?preempt ?fair ?length () =
-    { bd_preempt = preempt; bd_fair = fair; bd_length = length }
-
-  let is_none b =
-    b.bd_preempt = None && b.bd_fair = None && b.bd_length = None
+     all bugs in practice (Musuvathi & Qadeer); length off (the simulator
+     already requires terminating programs).  dejafu's fairness bound is
+     left out: it cuts busy-wait loops, and wait-free programs have
+     none. *)
+  let default = { bd_preempt = Some 3; bd_length = None }
+  let make ?preempt ?length () = { bd_preempt = preempt; bd_length = length }
+  let is_none b = b.bd_preempt = None && b.bd_length = None
 
   let to_string b =
     if is_none b then "unbounded"
@@ -111,7 +104,6 @@ module Bounds = struct
         (List.filter_map Fun.id
            [
              Option.map (Printf.sprintf "preempt<=%d") b.bd_preempt;
-             Option.map (Printf.sprintf "fair<=%d") b.bd_fair;
              Option.map (Printf.sprintf "length<=%d") b.bd_length;
            ])
 end
@@ -526,27 +518,11 @@ let dpor_task ~bounds ~max_schedules ~procs ~program ~prefix ~init_sleep =
       (match bounds.Bounds.bd_length with
       | Some l -> depth < l
       | None -> true)
-      && (match bounds.Bounds.bd_preempt with
-         | Some k ->
-             let is_pre = last >= 0 && last <> p && Driver.runnable d last in
-             (not is_pre) || preempts < k
-         | None -> true)
       &&
-      match bounds.Bounds.bd_fair with
+      match bounds.Bounds.bd_preempt with
       | Some k ->
-          let others_min =
-            List.fold_left
-              (fun acc q ->
-                if q = p then acc
-                else
-                  match acc with
-                  | None -> Some (Driver.steps d q)
-                  | Some m -> Some (min m (Driver.steps d q)))
-              None runnable
-          in
-          (match others_min with
-          | None -> true
-          | Some m -> Driver.steps d p + 1 - m <= k)
+          let is_pre = last >= 0 && last <> p && Driver.runnable d last in
+          (not is_pre) || preempts < k
       | None -> true
     in
     List.fold_left

@@ -34,11 +34,6 @@ module Bounds : sig
     bd_preempt : int option;
         (** max pre-emptive context switches — steps by [p] while the
             previously stepped process is still runnable *)
-    bd_fair : int option;
-        (** max excess of a process's step count over the minimum step
-            count among the other still-runnable processes (aimed at
-            busy-wait loops; the paper's algorithms are wait-free, so
-            off by default) *)
     bd_length : int option;  (** max schedule length *)
   }
 
@@ -46,10 +41,10 @@ module Bounds : sig
   (** No bounds: plain DPOR. *)
 
   val default : t
-  (** [preempt <= 3], fairness and length off — a small pre-emption
-      bound catches almost all bugs in practice (Musuvathi-Qadeer). *)
+  (** [preempt <= 3], length off — a small pre-emption bound catches
+      almost all bugs in practice (Musuvathi-Qadeer). *)
 
-  val make : ?preempt:int -> ?fair:int -> ?length:int -> unit -> t
+  val make : ?preempt:int -> ?length:int -> unit -> t
   val is_none : t -> bool
   val to_string : t -> string
 end

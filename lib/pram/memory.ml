@@ -1,10 +1,10 @@
 (* The portable shared-memory interface.
 
-   Every algorithm in this repository is a functor over [Memory.S], so the
-   same source code runs (a) deterministically under the simulator, where
-   each access is an effect intercepted by [Driver], and (b) in parallel on
-   OCaml 5 domains, where each access is an [Atomic] operation
-   (see {!Native}). *)
+   Every algorithm in this repository is a functor over [Memory.S] (or
+   [VERSIONED]), so the same source code runs (a) deterministically under
+   the simulator, where each access is an effect intercepted by [Driver],
+   and (b) in parallel on OCaml 5 domains, on the seqlock registers of
+   [Native.Versioned]. *)
 
 module type S = sig
   type 'a reg
@@ -64,9 +64,9 @@ module type VERSIONED = sig
   val epoch : 'a reg -> int
 end
 
-(* Generic twin over any [S] backend: the underlying register holds the
-   (value, epoch) pair, so every versioned operation is exactly ONE
-   scheduled access — DPOR dependency tracking and the sim cost model
+(* The pair twin behind [Sim_v] and [Direct_v]: the underlying register
+   holds the (value, epoch) pair, so every versioned operation is exactly
+   ONE scheduled access — DPOR dependency tracking and the sim cost model
    see the same access sequence whichever projection the reader uses.
    The writer-local [next] field never touches shared memory. *)
 module Versioned (M : S) : VERSIONED = struct
@@ -86,10 +86,8 @@ module Versioned (M : S) : VERSIONED = struct
   let epoch r = snd (M.read r.cell)
 end
 
-(* The standard instantiations algorithms are tested against.  Each
-   functor application mints fresh abstract types, so call sites that
-   share registers must share one of these modules rather than applying
-   [Versioned] twice. *)
+(* The two instantiations, applied once so call sites share their
+   abstract types. *)
 module Sim_v = Versioned (Sim)
 module Direct_v = Versioned (Direct)
 
@@ -131,15 +129,18 @@ module type Hooks = sig
   val on_write : reg_id:int -> reg_name:string -> unit
 end
 
-(* Wrap any backend with access hooks.  This is the generic "counters
-   behind a functor" mechanism: the unwrapped backends pay nothing, and an
-   instrumented instantiation is a separate module the caller opts into
-   (see Runtime.Instrument).  Hooks fire when the access completes at this
-   layer: after the underlying read returns and after the underlying write
-   is applied.  Under [Sim] that is invocation order, not firing order —
-   prefer the [Driver] observer for scheduled executions. *)
-module Hooked (M : S) (H : Hooks) : S = struct
+(* Wrap a versioned backend with access hooks.  This is the generic
+   "counters behind a functor" mechanism: the unwrapped backends pay
+   nothing, and an instrumented instantiation is a separate module the
+   caller opts into (see Runtime.Instrument).  Hooks fire when the access
+   completes at this layer: after the underlying read returns and after
+   the underlying write is applied.  [read], [read_versioned] and [epoch]
+   are each one access, so each fires [on_read] once.  Under [Sim_v] that
+   is invocation order, not firing order — prefer the [Driver] observer
+   for scheduled executions. *)
+module Hooked (M : VERSIONED) (H : Hooks) : VERSIONED = struct
   type 'a reg = { r : 'a M.reg; id : int; name : string }
+  type 'a versioned = 'a M.versioned
 
   let next_id = Atomic.make 0
 
@@ -156,6 +157,19 @@ module Hooked (M : S) (H : Hooks) : S = struct
     let v = M.read rg.r in
     H.on_read ~reg_id:rg.id ~reg_name:rg.name;
     v
+
+  let read_versioned rg =
+    let v = M.read_versioned rg.r in
+    H.on_read ~reg_id:rg.id ~reg_name:rg.name;
+    v
+
+  let value = M.value
+  let version = M.version
+
+  let epoch rg =
+    let e = M.epoch rg.r in
+    H.on_read ~reg_id:rg.id ~reg_name:rg.name;
+    e
 
   let write rg v =
     M.write rg.r v;

@@ -1,15 +1,18 @@
 (** The portable shared-memory interface of the asynchronous PRAM model.
 
-    Every algorithm in this repository is a functor over {!S}, so one
-    source of truth runs against three backends:
+    Every algorithm in this repository is a functor over {!S} (or its
+    versioned extension {!VERSIONED}), so one source of truth runs
+    against three backends:
 
-    - {!Sim}: accesses suspend the calling fiber and are fired one at a
-      time by {!Driver} — the deterministic, adversarially schedulable
-      model used for all experiments and most tests;
-    - {!Direct}: accesses happen immediately — equivalent to a solo
-      execution; for sequential unit tests and single-threaded use;
-    - {!Native.Mem} (in {!Native}): accesses are [Atomic] operations on
-      real OCaml domains. *)
+    - {!Sim} / {!Sim_v}: accesses suspend the calling fiber and are
+      fired one at a time by {!Driver} — the deterministic,
+      adversarially schedulable model used for all experiments and most
+      tests;
+    - {!Direct} / {!Direct_v}: accesses happen immediately — equivalent
+      to a solo execution; for sequential unit tests and
+      single-threaded use;
+    - {!Native.Versioned} (in {!Native}): seqlock single-writer
+      registers on real OCaml domains, the one native register. *)
 
 module type S = sig
   type 'a reg
@@ -66,16 +69,14 @@ module type VERSIONED = sig
       increase by exactly 1 per [write]. *)
 end
 
-(** Generic versioned twin over any backend: the underlying register
-    holds the (value, epoch) pair, so every versioned operation is
-    exactly one scheduled access — sim cost accounting and DPOR
-    dependency tracking are unchanged. *)
-module Versioned (M : S) : VERSIONED
-
-(** [Versioned (Sim)], applied once so call sites can share it. *)
+(** Versioned simulator registers: each holds the (value, epoch) pair
+    in one {!Sim} register, so every versioned operation is exactly one
+    scheduled access — sim cost accounting and DPOR dependency tracking
+    see the same access sequence whichever projection a reader uses. *)
 module Sim_v : VERSIONED
 
-(** [Versioned (Direct)], applied once so call sites can share it. *)
+(** Versioned immediate registers: the same pair representation over
+    {!Direct}. *)
 module Direct_v : VERSIONED
 
 (** Stamped write-once slots: single-writer registers holding at most
@@ -87,7 +88,7 @@ module Direct_v : VERSIONED
 
     The write-once discipline is the caller's: the slot's single writer
     posts at most once per stamp.  Each operation is exactly one
-    scheduled access, like {!Versioned}. *)
+    scheduled access, like {!Sim_v}'s. *)
 module Stamped_slot (M : S) : sig
   type 'a slot
   (** A stamped slot over an [M] register. *)
@@ -117,9 +118,13 @@ module type Hooks = sig
 end
 
 (** [Hooked (M) (H)] is [M] with [H]'s hooks fired on every completed
-    access — the generic opt-in counter wrapper behind [Metrics].  The
-    unwrapped backends are untouched, so timing runs pay nothing unless
-    they instantiate this functor.  Under {!Sim} the hooks fire at
-    invocation (suspension) time rather than at scheduler firing time;
-    scheduled executions should use {!Driver}'s [observer] instead. *)
-module Hooked (M : S) (H : Hooks) : S
+    access — the generic opt-in counter wrapper behind [Metrics].
+    [read], [read_versioned] and [epoch] each fire [on_read] once, so a
+    wrapped run counts exactly the accesses of the paper's cost model;
+    [S]-only algorithms run on the wrapper as on any [VERSIONED]
+    backend.  The unwrapped backends are untouched, so timing runs pay
+    nothing unless they instantiate this functor.  Under {!Sim_v} the
+    hooks fire at invocation (suspension) time rather than at scheduler
+    firing time; scheduled executions should use {!Driver}'s [observer]
+    instead. *)
+module Hooked (M : VERSIONED) (H : Hooks) : VERSIONED

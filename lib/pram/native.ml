@@ -1,13 +1,9 @@
 (* Native multicore backend.
 
-   Provides the same [Memory.S] interface as the simulator, implemented
-   with [Atomic] references, plus a [spawn]/[join] helper for running
-   one OCaml domain per process.  This backend demonstrates that the algorithms are not
-   simulator artifacts and supplies the wall-clock Bechamel benches.
-
-   [Atomic.t] gives sequentially consistent single-cell reads and writes —
-   exactly the atomic-register semantics of the asynchronous PRAM model.
-   Values stored are immutable OCaml values, so publication is safe.
+   Provides the [Memory.VERSIONED] interface as seqlock single-writer
+   registers, plus a [spawn]/[join] helper for running one OCaml domain
+   per process.  This backend demonstrates that the algorithms are not
+   simulator artifacts and supplies the wall-clock benches.
 
    Registers are padded to cache-line granularity ([Padding]): the
    algorithms allocate whole arrays of registers at once (grid rows,
@@ -15,22 +11,11 @@
    single-writer registers into one line and serialize unrelated
    domains on coherence traffic. *)
 
-module Mem : Memory.S with type 'a reg = 'a Atomic.t = struct
-  type 'a reg = 'a Atomic.t
-
-  let create ?name init =
-    ignore name;
-    Padding.padded_atomic init
-
-  let read = Atomic.get
-  let write = Atomic.set
-end
-
 (* Observation hook for seqlock read retries in [Versioned].  This
    layer cannot see the telemetry library (pram sits below it), so
-   contention attribution is injected: [Runtime.install_native_hooks]
-   points this at the sink's [seqlock_retry] counter for the duration
-   of a native run.  Only the stale-slot slow path dereferences it. *)
+   contention attribution is injected: [Runtime.run_domains] points
+   this at the sink's [seqlock_retry] counter for the duration of its
+   run.  Only the stale-slot slow path dereferences it. *)
 let on_seqlock_retry : (unit -> unit) ref = ref (fun () -> ())
 
 (* Seqlock-style versioned single-writer registers.
@@ -98,13 +83,12 @@ module Versioned : Memory.VERSIONED = struct
 end
 
 (* Run [body p] for p = 0..procs-1, each in its own domain, and return the
-   results in pid order.  The caller is responsible for keeping [procs]
-   within the machine's recommended domain count. *)
+   results in pid order.  Every domain is joined before a failure is
+   re-raised, so none outlives the call.  The caller is responsible for
+   keeping [procs] within the machine's recommended domain count. *)
 let run_parallel ~procs body =
   let domains =
     List.init procs (fun p -> Domain.spawn (fun () -> body p))
   in
-  List.map Domain.join domains
-
-let recommended_procs () =
-  max 2 (min 8 (Domain.recommended_domain_count ()))
+  List.map (fun d -> try Ok (Domain.join d) with e -> Error e) domains
+  |> List.map (function Ok v -> v | Error e -> raise e)

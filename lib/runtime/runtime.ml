@@ -9,8 +9,8 @@
 
 (* One domain-local pid for every instrumentation consumer.  Metrics and
    Tracing used to keep parallel copies of this key; with both feeds
-   behind [Sink] a single key suffices — and a single [set_pid] at the
-   top of a domain body attributes both. *)
+   behind [Sink] a single key suffices — and [run_domains] sets it once
+   per domain, which attributes both. *)
 let pid_key = Domain.DLS.new_key (fun () -> 0)
 let set_pid p = Domain.DLS.set pid_key p
 let current_pid () = Domain.DLS.get pid_key
@@ -32,11 +32,6 @@ module Sink = struct
 
   let none = { metrics = None; journal = None; telemetry = None }
   let make ?metrics ?journal ?telemetry () = { metrics; journal; telemetry }
-
-  let is_none t =
-    match (t.metrics, t.journal, t.telemetry) with
-    | None, None, None -> true
-    | _ -> false
 
   let observer t =
     match (t.metrics, t.journal) with
@@ -68,7 +63,7 @@ module Sink = struct
     | Some j -> Tracing.Journal.access j ~pid ~kind ~reg_id ~reg_name
 end
 
-module Instrument (M : Pram.Memory.S) (S : sig
+module Instrument (M : Pram.Memory.VERSIONED) (S : sig
   val sink : Sink.t
 end) =
   Pram.Memory.Hooked
@@ -121,7 +116,6 @@ module Ctx = struct
 
   let pid t = t.pid
   let procs t = t.procs
-  let sink t = t.sink
   let telemetry t = t.sink.Sink.telemetry
   let quiet t = t.quiet
   let traced t = t.traced
@@ -179,106 +173,25 @@ module Ctx = struct
   let cause t ~family e = causes t ~family e 1
 end
 
-(* Point the pram-layer observation hook at a sink's telemetry counters.
-   [Pram.Native] sits below the telemetry library, so it exposes a
-   mutable no-op hook instead of importing it; this is the one place
-   that closes the loop.  A seqlock retry is attributed to the calling
-   domain's pid at family 0 (the hook cannot tell which object's
-   register retried).  With no telemetry half the hook is reset. *)
-let install_native_hooks (sink : Sink.t) =
-  match sink.Sink.telemetry with
-  | None -> Pram.Native.on_seqlock_retry := fun () -> ()
-  | Some c ->
-      let procs = Telemetry.Counters.procs c in
+(* The one harness that puts processes on domains.  [Pram.Native] sits
+   below the telemetry library, so it exposes a mutable no-op seqlock
+   hook instead of importing it; this is the one place that closes the
+   loop, for exactly the span of the run.  A retry is attributed to the
+   retrying domain's pid at family 0 (the hook cannot tell which
+   object's register retried). *)
+let run_domains ?(sink = Sink.none) ~procs body =
+  Option.iter
+    (fun c ->
+      if Telemetry.Counters.procs c < procs then
+        invalid_arg "Runtime.run_domains: telemetry grid narrower than procs";
       Pram.Native.on_seqlock_retry :=
         fun () ->
-          let pid = current_pid () in
-          if pid >= 0 && pid < procs then
-            Telemetry.Counters.record c ~pid ~family:0
-              Telemetry.Event.Seqlock_retry
-
-let uninstall_native_hooks () = Pram.Native.on_seqlock_retry := fun () -> ()
-
-module Backend = struct
-  type kind =
-    | Sim
-    | Direct
-    | Native
-
-  let all = [ Sim; Direct; Native ]
-  let name = function Sim -> "sim" | Direct -> "direct" | Native -> "native"
-
-  let of_name = function
-    | "sim" -> Some Sim
-    | "direct" -> Some Direct
-    | "native" -> Some Native
-    | _ -> None
-
-  let pp ppf k = Format.pp_print_string ppf (name k)
-
-  let memory : kind -> (module Pram.Memory.S) = function
-    | Sim -> (module Pram.Memory.Sim)
-    | Direct -> (module Pram.Memory.Direct)
-    | Native -> (module Pram.Native.Mem)
-
-  (* [Direct] and [Native] memory fed to the sink.  The simulator is
-     never wrapped: its canonical instrumentation is the driver observer
-     (attribution by firing schedule), since fibers share one domain and
-     [set_pid] cannot track them. *)
-  let instrumented kind sink : (module Pram.Memory.S) =
-    let (module M) = memory kind in
-    (module Instrument
-              (M)
-              (struct
-                let sink = sink
-              end))
-
-  type 'r outcome = {
-    results : 'r option array;
-    schedule : int list;
-  }
-
-  let run kind ?(sink = Sink.none) ?scheduler ?(max_steps = 10_000_000)
-      ~procs program =
-    match kind with
-    | Sim ->
-        let mem = (module Pram.Memory.Sim : Pram.Memory.S) in
-        let driver =
-          Pram.Driver.create ?observer:(Sink.observer sink) ~procs
-            (program mem)
-        in
-        let sched =
-          match scheduler with
-          | Some s -> s
-          | None -> Pram.Scheduler.round_robin ()
-        in
-        Pram.Scheduler.run ~max_steps sched driver;
-        {
-          results = Array.init procs (Pram.Driver.result driver);
-          schedule = Pram.Driver.schedule driver;
-        }
-    | Direct ->
-        let mem = instrumented Direct sink in
-        let body = program mem () in
-        let results =
-          Array.init procs (fun p ->
-              set_pid p;
-              let r = body p in
-              set_pid 0;
-              Some r)
-        in
-        { results; schedule = [] }
-    | Native ->
-        let mem = instrumented Native sink in
-        let body = program mem () in
-        install_native_hooks sink;
-        let results =
-          Fun.protect
-            ~finally:(fun () -> uninstall_native_hooks ())
-            (fun () ->
-              Pram.Native.run_parallel ~procs (fun p ->
-                  set_pid p;
-                  body p))
-        in
-        { results = Array.of_list (List.map Option.some results); schedule = [] }
-end
+          Telemetry.Counters.record c ~pid:(current_pid ()) ~family:0
+            Telemetry.Event.Seqlock_retry)
+    sink.Sink.telemetry;
+  Fun.protect
+    ~finally:(fun () -> Pram.Native.on_seqlock_retry := fun () -> ())
+    (fun () ->
+      Pram.Native.run_parallel ~procs (fun pid ->
+          set_pid pid;
+          body pid))

@@ -1,5 +1,5 @@
-(** Per-process execution contexts: one object for pid, memory backend,
-    observability, and randomness.
+(** Per-process execution contexts: one object for pid, observability
+    and randomness, and the one way to put processes on domains.
 
     The asynchronous PRAM model is "a process with an identity executing
     against a memory".  Before this module, that identity and its
@@ -11,7 +11,7 @@
     ([X.attach obj ctx]), and every subsequent operation call carries no
     cross-cutting arguments.
 
-    Four design rules hold throughout:
+    Five design rules hold throughout:
 
     - {b Off by default is free}: a context with no sink performs no
       accesses and allocates nothing on any instrumentation path (the
@@ -26,15 +26,19 @@
     - {b One reporting surface}: algorithms observe only through their
       {!Ctx} — spans, annotations and mechanical causes
       ({!Ctx.cause}) — and never hold a journal, recorder or counter
-      grid of their own. *)
+      grid of their own.
+    - {b One native path}: {!run_domains} is the only harness that puts
+      processes on domains, and instrumented runs wrap the same
+      production seqlock registers ({!Instrument} over
+      [Pram.Native.Versioned]) that timing runs use bare. *)
 
 (** {1 Pid attribution} *)
 
 (** Set the calling domain's pid for {!Instrument} attribution (default
-    0).  Native harnesses call it once at the top of each domain body —
-    {!Backend.run} does so automatically.  Simulator code never needs
-    it: fibers share one domain, and the driver observer attributes by
-    firing schedule instead. *)
+    0).  {!run_domains} sets it in each domain it spawns, so only a
+    sequential instrumented run (one pid after another on one domain)
+    calls it.  Simulator code never needs it: fibers share one domain,
+    and the driver observer attributes by firing schedule instead. *)
 val set_pid : int -> unit
 
 val current_pid : unit -> int
@@ -70,8 +74,6 @@ module Sink : sig
     unit ->
     t
 
-  val is_none : t -> bool
-
   (** The streaming hook for [Pram.Driver.create ?observer]: [None] when
       the sink has neither recorder nor journal (so an observer-less
       driver stays on its free path), otherwise one callback feeding
@@ -80,14 +82,14 @@ module Sink : sig
 end
 
 (** [Instrument (M) (S)] is backend [M] with every completed access fed
-    to [S.sink], attributed to the calling domain's {!set_pid} — the
-    single replacement for the old [Metrics.Instrument] and
-    [Tracing.Instrument] pair.  Use it over [Direct] or [Native.Mem];
-    under [Memory.Sim] prefer the driver observer (hooks fire at
-    invocation, not firing, time). *)
-module Instrument (M : Pram.Memory.S) (S : sig
+    to [S.sink], attributed to the calling domain's pid — the single
+    replacement for the old [Metrics.Instrument] and
+    [Tracing.Instrument] pair.  Use it over [Memory.Direct_v] or
+    [Native.Versioned]; under [Memory.Sim_v] prefer the driver observer
+    (hooks fire at invocation, not firing, time). *)
+module Instrument (M : Pram.Memory.VERSIONED) (S : sig
   val sink : Sink.t
-end) : Pram.Memory.S
+end) : Pram.Memory.VERSIONED
 
 (** {1 The per-process context} *)
 
@@ -105,7 +107,6 @@ module Ctx : sig
 
   val pid : t -> int
   val procs : t -> int
-  val sink : t -> Sink.t
 
   (** The sink's contention-counter grid, if any — for attach-time
       checks of its shape (e.g. [Store.attach]'s families). *)
@@ -162,62 +163,16 @@ module Ctx : sig
   val causes : t -> family:int -> Telemetry.Event.t -> int -> unit
 end
 
-(** {1 Native observation hooks} *)
+(** {1 Processes on domains} *)
 
-(** Point [Pram.Native.on_seqlock_retry] at [sink]'s telemetry counters,
-    attributing each retry to the calling domain's {!current_pid} at
-    family 0.  [Pram] sits below the telemetry library, so the wiring is
-    injected here rather than imported there.  {!Backend.run}
-    installs/uninstalls around every [Native] run; a harness that drives
-    [Pram.Native.run_parallel] by hand brackets its run with these two
-    under [Fun.protect] and calls {!set_pid} in each domain.  A sink
-    without a telemetry half resets the hook to a no-op. *)
-val install_native_hooks : Sink.t -> unit
-
-val uninstall_native_hooks : unit -> unit
-
-(** {1 The backend registry} *)
-
-(** The three execution backends, each with its canonical instrumented
-    variant, behind one table — so the CLI, the bench pipeline and the
-    experiments select backends by name instead of duplicating match
-    arms. *)
-module Backend : sig
-  type kind =
-    | Sim  (** effect-handler fibers under {!Pram.Driver} *)
-    | Direct  (** immediate accesses, sequential *)
-    | Native  (** [Atomic] cells, one OCaml domain per process *)
-
-  val all : kind list
-  val name : kind -> string
-  val of_name : string -> kind option
-  val pp : Format.formatter -> kind -> unit
-
-  (** The uninstrumented memory module for a backend. *)
-  val memory : kind -> (module Pram.Memory.S)
-
-  (** The result of one multi-process run: per-pid results ([None] for a
-      process that was crashed or never ran to completion) and, on the
-      simulator, the fired schedule (empty for the other backends). *)
-  type 'r outcome = {
-    results : 'r option array;
-    schedule : int list;
-  }
-
-  (** [run kind ~procs program] executes [program mem () pid] for each
-      pid on the chosen backend, with the sink attached the canonical
-      way: driver observer under [Sim], {!Instrument}-wrapped memory
-      under [Direct]/[Native] (where each body's pid is {!set_pid}
-      before it runs).  [scheduler] (default round-robin) and
-      [max_steps] (default 1e7; watchdog, see {!Pram.Scheduler.run})
-      apply to [Sim] only.  [program] receives the memory module first
-      so one functor application serves all backends. *)
-  val run :
-    kind ->
-    ?sink:Sink.t ->
-    ?scheduler:'r Pram.Scheduler.t ->
-    ?max_steps:int ->
-    procs:int ->
-    ((module Pram.Memory.S) -> unit -> int -> 'r) ->
-    'r outcome
-end
+(** [run_domains ~procs body] runs [body pid] for every pid, each on its
+    own domain with its pid set ({!set_pid}), and returns the results in
+    pid order.  For the duration of the run [Pram.Native.on_seqlock_retry]
+    counts into [sink]'s telemetry grid, attributed to the retrying
+    domain's pid at family 0; the hook is a no-op again once the call
+    returns or raises.  Every domain is joined before a failure is
+    re-raised.  [sink] defaults to {!Sink.none}; a sink without a
+    telemetry half leaves the hook a no-op.
+    @raise Invalid_argument
+      if the sink's telemetry grid has fewer than [procs] pids. *)
+val run_domains : ?sink:Sink.t -> procs:int -> (int -> 'a) -> 'a list

@@ -103,8 +103,9 @@ module Journal = struct
 end
 
 (* Pid attribution for native domains lives in [Runtime] (one
-   [Domain.DLS] slot shared with metrics); [Runtime.Instrument] wraps a
-   backend and feeds this journal through a [Runtime.Sink]. *)
+   [Domain.DLS] slot shared with metrics, set by [Runtime.run_domains]);
+   [Runtime.Instrument] wraps the versioned registers and feeds this
+   journal through a [Runtime.Sink]. *)
 
 (* --- archives --------------------------------------------------------------- *)
 

@@ -6,7 +6,8 @@
     operation" for {e one} execution.  A {!Journal} records a totally
     ordered sequence of events — atomic accesses (fed from
     {!Pram.Driver}'s [?observer] on the simulator, or from the
-    [Runtime.Instrument] wrapper on real domains), operation {!Invoke} /
+    [Runtime.Instrument] wrapper over the seqlock registers on domains
+    that [Runtime.run_domains] spawned), operation {!Invoke} /
     {!Response} spans, free-form {!Annotate} marks (e.g. ["round 3"],
     ["linearization point"]) and {!Crash} events — and renders it three
     ways:

@@ -89,7 +89,7 @@ let test_consensus_on_domains () =
     let t = RC_native.create ~procs ~max_rounds:64 in
     let inputs = [| round mod 2 = 0; true; false |] in
     let decisions =
-      Pram.Native.run_parallel ~procs (fun pid ->
+      Runtime.run_domains ~procs (fun pid ->
           let h =
             RC_native.attach t (Runtime.Ctx.make ~seed:round ~procs ~pid ())
           in

@@ -110,7 +110,7 @@ let test_reads_per_propose_counted () =
     let recorder = Metrics.Recorder.create ~procs in
     let module M =
       Runtime.Instrument
-        (Pram.Memory.Direct)
+        (Pram.Memory.Direct_v)
         (struct
           let sink = Runtime.Sink.make ~metrics:recorder ()
         end)

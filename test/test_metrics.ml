@@ -74,7 +74,7 @@ let test_instrument_direct () =
   let recorder = Metrics.Recorder.create ~procs:2 in
   let module M =
     Runtime.Instrument
-      (Pram.Memory.Direct)
+      (Pram.Memory.Direct_v)
       (struct
         let sink = Runtime.Sink.make ~metrics:recorder ()
       end)
@@ -108,26 +108,27 @@ let test_instrument_direct () =
   check_int "b writes" 2 (by_name "b").Metrics.rs_writes
 
 let test_instrument_native_domains () =
-  (* Each domain sets its pid once; per-pid counts stay exact under real
-     parallelism because each pid only bumps its own counter. *)
+  (* [run_domains] sets each domain's pid; per-pid counts stay exact
+     under real parallelism because each pid only bumps its own counter.
+     Each pid reads its neighbour's register and writes its own: a
+     seqlock register has one writer. *)
   let procs = 4 in
   let reads_per_pid = 500 in
   let recorder = Metrics.Recorder.create ~procs in
   let module M =
     Runtime.Instrument
-      (Pram.Native.Mem)
+      (Pram.Native.Versioned)
       (struct
         let sink = Runtime.Sink.make ~metrics:recorder ()
       end)
   in
-  let r = M.create 0 in
+  let regs = Array.init procs (fun _ -> M.create 0) in
   let _ =
-    Pram.Native.run_parallel ~procs (fun pid ->
-        Runtime.set_pid pid;
+    Runtime.run_domains ~procs (fun pid ->
         for _ = 1 to reads_per_pid do
-          ignore (M.read r)
+          ignore (M.read regs.((pid + 1) mod procs))
         done;
-        M.write r pid)
+        M.write regs.(pid) pid)
   in
   for pid = 0 to procs - 1 do
     check_int
@@ -200,21 +201,21 @@ let test_spans_under_interleaving () =
 (* --- the Section 6.2 guard ------------------------------------------------- *)
 
 (* cost_formula vs counts observed through a counting backend, all four
-   variants, procs = 1..8.  Two independent counting paths must agree
-   with the formula: the Instrument wrapper over Direct, and the driver
-   observer under Sim. *)
-let scan_cost_via_instrument ~procs ~variant =
+   variants, procs = 1..8.  Three independent counting paths must agree
+   with the formula: the Instrument wrapper over Direct_v and over the
+   native seqlock registers (on one domain), and the driver observer
+   under Sim. *)
+let scan_cost_via_instrument (module Mem : Pram.Memory.VERSIONED) ~procs
+    ~variant =
   let recorder = Metrics.Recorder.create ~procs in
   let module M =
     Runtime.Instrument
-      (Pram.Memory.Direct)
+      (Mem)
       (struct
         let sink = Runtime.Sink.make ~metrics:recorder ()
       end)
   in
-  let module Scan =
-    Snapshot.Scan.Make (Semilattice.Nat_max) (Pram.Memory.Versioned (M))
-  in
+  let module Scan = Snapshot.Scan.Make (Semilattice.Nat_max) (M) in
   let t = Scan.create ~variant ~procs in
   Runtime.set_pid 0;
   let h = Scan.attach t (Runtime.Ctx.make ~procs ~pid:0 ()) in
@@ -263,7 +264,14 @@ let test_cost_formula_matches_counting_backend () =
     (fun variant ->
       for procs = 1 to 8 do
         let fr, fw = Snapshot.Scan.cost_formula ~procs variant in
-        let ir, iw, regs = scan_cost_via_instrument ~procs ~variant in
+        let ir, iw, regs =
+          scan_cost_via_instrument (module Pram.Memory.Direct_v) ~procs
+            ~variant
+        in
+        let nr, nw, nregs =
+          scan_cost_via_instrument (module Pram.Native.Versioned) ~procs
+            ~variant
+        in
         let label what =
           Printf.sprintf "%s procs=%d %s"
             (match variant with
@@ -276,6 +284,9 @@ let test_cost_formula_matches_counting_backend () =
         check_int (label "reads (instrument)") fr ir;
         check_int (label "writes (instrument)") fw iw;
         check_int (label "registers") (footprint ~procs variant) regs;
+        check_int (label "reads (instrument, native)") fr nr;
+        check_int (label "writes (instrument, native)") fw nw;
+        check_int (label "registers (native)") (footprint ~procs variant) nregs;
         (* round-robin lockstep fires every publish before any collect,
            so even the contended Adaptive run stays on the exact-count
            fast path (random schedules may escalate; see
@@ -308,14 +319,12 @@ let scan_workload_via_sink ~procs ~variant =
   let recorder = Metrics.Recorder.create ~procs in
   let module M =
     Runtime.Instrument
-      (Pram.Memory.Direct)
+      (Pram.Memory.Direct_v)
       (struct
         let sink = Runtime.Sink.make ~metrics:recorder ()
       end)
   in
-  let module Scan =
-    Snapshot.Scan.Make (Semilattice.Nat_max) (Pram.Memory.Versioned (M))
-  in
+  let module Scan = Snapshot.Scan.Make (Semilattice.Nat_max) (M) in
   let t = Scan.create ~variant ~procs in
   for pid = 0 to procs - 1 do
     Runtime.set_pid pid;
@@ -331,7 +340,7 @@ let scan_workload_via_hooked ~procs ~variant =
   let cur = ref 0 in
   let module M =
     Pram.Memory.Hooked
-      (Pram.Memory.Direct)
+      (Pram.Memory.Direct_v)
       (struct
         let on_create ~reg_id:_ ~reg_name:_ = ()
         let on_read ~reg_id:_ ~reg_name:_ = reads.(!cur) <- reads.(!cur) + 1
@@ -340,9 +349,7 @@ let scan_workload_via_hooked ~procs ~variant =
           writes.(!cur) <- writes.(!cur) + 1
       end)
   in
-  let module Scan =
-    Snapshot.Scan.Make (Semilattice.Nat_max) (Pram.Memory.Versioned (M))
-  in
+  let module Scan = Snapshot.Scan.Make (Semilattice.Nat_max) (M) in
   let t = Scan.create ~variant ~procs in
   for pid = 0 to procs - 1 do
     cur := pid;

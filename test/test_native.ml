@@ -1,5 +1,5 @@
 (* Native-backend tests: the same algorithms on real OCaml domains with
-   Atomic registers.  Histories are recorded with the ticketed
+   the seqlock registers of [Pram.Native.Versioned].  Histories are recorded with the ticketed
    Spec.History.Recorder and checked by the same linearizability oracle as
    the simulator tests — demonstrating that nothing here is a simulator
    artifact.
@@ -20,8 +20,8 @@ module C = Universal.Direct.Counter (Pram.Native.Versioned)
 module G = Universal.Direct.Gset (Pram.Native.Versioned)
 module MR = Universal.Direct.Max_register (Pram.Native.Versioned)
 module Arr = Snapshot.Snapshot_array.Make (Snapshot.Slot_value.Int) (Pram.Native.Versioned)
-module AB = Snapshot.Afek_bounded.Make (Snapshot.Slot_value.Int) (Pram.Native.Mem)
-module AA = Agreement.Approx_agreement.Make (Pram.Native.Mem)
+module AB = Snapshot.Afek_bounded.Make (Snapshot.Slot_value.Int) (Pram.Native.Versioned)
+module AA = Agreement.Approx_agreement.Make (Pram.Native.Versioned)
 module Check_counter = Lincheck.Make (Spec.Counter_spec)
 module Check_maxreg = Lincheck.Make (Spec.Max_register_spec)
 module Arr_spec =
@@ -41,7 +41,7 @@ let test_counter_linearizable_on_domains () =
     let recorder = Spec.History.Recorder.create () in
     let t = C.create ~procs in
     let _ =
-      Pram.Native.run_parallel ~procs (fun pid ->
+      Runtime.run_domains ~procs (fun pid ->
           let h = C.attach t (ctx pid) in
           ignore
             (Spec.History.Recorder.record recorder ~pid
@@ -64,7 +64,7 @@ let test_snapshot_array_linearizable_on_domains () =
     let recorder = Spec.History.Recorder.create () in
     let t = Arr.create ~variant:Snapshot.Scan.Optimized ~procs in
     let _ =
-      Pram.Native.run_parallel ~procs (fun pid ->
+      Runtime.run_domains ~procs (fun pid ->
           let h = Arr.attach t (ctx pid) in
           ignore
             (Spec.History.Recorder.record recorder ~pid
@@ -85,7 +85,7 @@ let test_bounded_afek_linearizable_on_domains () =
     let recorder = Spec.History.Recorder.create () in
     let t = AB.create ~procs in
     let _ =
-      Pram.Native.run_parallel ~procs (fun pid ->
+      Runtime.run_domains ~procs (fun pid ->
           let h = AB.attach t (ctx pid) in
           ignore
             (Spec.History.Recorder.record recorder ~pid
@@ -106,7 +106,7 @@ let test_max_register_on_domains () =
     let recorder = Spec.History.Recorder.create () in
     let t = MR.create ~procs in
     let _ =
-      Pram.Native.run_parallel ~procs (fun pid ->
+      Runtime.run_domains ~procs (fun pid ->
           let h = MR.attach t (ctx pid) in
           ignore
             (Spec.History.Recorder.record recorder ~pid
@@ -127,7 +127,7 @@ let test_max_register_on_domains () =
 let test_gset_on_domains () =
   let t = G.create ~procs in
   let _ =
-    Pram.Native.run_parallel ~procs (fun pid ->
+    Runtime.run_domains ~procs (fun pid ->
         let h = G.attach t (ctx pid) in
         for i = 0 to 9 do
           G.add h ((pid * 10) + i)
@@ -142,7 +142,7 @@ let test_agreement_on_domains () =
     let inputs = [| 0.0; float_of_int round; float_of_int round /. 2.0 |] in
     let t = AA.create ~procs ~epsilon in
     let outputs =
-      Pram.Native.run_parallel ~procs (fun pid ->
+      Runtime.run_domains ~procs (fun pid ->
           let h = AA.attach t (ctx pid) in
           AA.input h inputs.(pid);
           AA.output h)
@@ -159,7 +159,7 @@ let test_counter_torture () =
   let t = C.create ~procs in
   let per = 2_000 in
   let _ =
-    Pram.Native.run_parallel ~procs (fun pid ->
+    Runtime.run_domains ~procs (fun pid ->
         let h = C.attach t (ctx pid) in
         for _ = 1 to per do
           C.inc h 1

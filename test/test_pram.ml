@@ -130,7 +130,7 @@ let test_run_solo_budget () =
 let test_native_parallel_counter () =
   (* Same read/write interface, real domains: per-process independent
      registers so the result is deterministic. *)
-  let module M = Pram.Native.Mem in
+  let module M = Pram.Native.Versioned in
   let regs = Array.init 4 (fun _ -> M.create 0) in
   let results =
     Pram.Native.run_parallel ~procs:4 (fun p ->

@@ -534,7 +534,7 @@ let qcheck_store_native =
         let store = S_native.create ~shards:2 ~procs:(procs + 1) () in
         let ctxs = Runtime.Ctx.family ~procs:(procs + 1) () in
         ignore
-          (Pram.Native.run_parallel ~procs (fun pid ->
+          (Runtime.run_domains ~procs (fun pid ->
                let h = S_native.attach ~batching store ctxs.(pid) in
                List.iter
                  (fun (key, op) -> S_native.submit h ~key op)

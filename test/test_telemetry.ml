@@ -8,7 +8,7 @@
    bump their own rows concurrently and every cell must come out
    exact — the padded-atomic grid loses nothing.  The wiring tests pin
    how [Runtime] feeds the grid: through [Ctx.cause], and through the
-   native seqlock hook that [Backend.run] installs. *)
+   native seqlock hook that [Runtime.run_domains] installs. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -83,7 +83,7 @@ let test_counter_attribution_8_domains () =
   let procs = 8 and families = 4 in
   let c = Telemetry.Counters.create ~families ~procs () in
   let _ =
-    Pram.Native.run_parallel ~procs (fun pid ->
+    Runtime.run_domains ~procs (fun pid ->
         for _ = 1 to pid + 1 do
           Telemetry.Counters.record c ~pid ~family:(pid mod families)
             Telemetry.Event.Double_collect_restart
@@ -126,7 +126,8 @@ let test_counter_attribution_8_domains () =
 (* --- wiring into Runtime ---------------------------------------------------- *)
 
 (* A grid must attribute every pid of the session it rides in: one with
-   fewer pids than the context fails at [Ctx.make], not silently. *)
+   fewer pids than the context fails at [Ctx.make] (or [run_domains]),
+   not silently. *)
 let test_ctx_rejects_narrow_grid () =
   let sink =
     Runtime.Sink.make ~telemetry:(Telemetry.Counters.create ~procs:2 ()) ()
@@ -136,18 +137,22 @@ let test_ctx_rejects_narrow_grid () =
     | _ -> false
     | exception Invalid_argument _ -> true);
   check_int "a grid as wide as the session is accepted" 1
-    (Runtime.Ctx.pid (Runtime.Ctx.make ~sink ~procs:2 ~pid:1 ()))
+    (Runtime.Ctx.pid (Runtime.Ctx.make ~sink ~procs:2 ~pid:1 ()));
+  (* the check runs before any domain is spawned *)
+  check_bool "run_domains with fewer grid pids than procs raises" true
+    (match Runtime.run_domains ~sink ~procs:3 (fun _ -> ()) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
-(* [Backend.run Native] installs the seqlock hook for the run: a retry
+(* [Runtime.run_domains] installs the seqlock hook for the run: a retry
    lands in the retrying domain's own pid cell, and once the run is over
-   the hook counts nothing. *)
+   — normally or by a domain's exception — the hook counts nothing. *)
 let test_native_hooks_attribute_per_pid () =
   let procs = 3 in
   let c = Telemetry.Counters.create ~procs () in
   let sink = Runtime.Sink.make ~telemetry:c () in
   ignore
-    (Runtime.Backend.run Runtime.Backend.Native ~sink ~procs
-       (fun _mem () pid ->
+    (Runtime.run_domains ~sink ~procs (fun pid ->
          for _ = 0 to pid do
            !Pram.Native.on_seqlock_retry ()
          done));
@@ -159,7 +164,34 @@ let test_native_hooks_attribute_per_pid () =
   done;
   !Pram.Native.on_seqlock_retry ();
   check_int "the hook is uninstalled after the run" 6
-    (Telemetry.Counters.total c Telemetry.Event.Seqlock_retry)
+    (Telemetry.Counters.total c Telemetry.Event.Seqlock_retry);
+  (* every pid retries once, then the last pid fails *)
+  check_bool "run_domains re-raises a domain's exception" true
+    (match
+       Runtime.run_domains ~sink ~procs (fun pid ->
+           !Pram.Native.on_seqlock_retry ();
+           if pid = procs - 1 then failwith "last pid fails")
+     with
+    | _ -> false
+    | exception Failure _ -> true);
+  !Pram.Native.on_seqlock_retry ();
+  check_int "the hook is uninstalled after a failed run" 9
+    (Telemetry.Counters.total c Telemetry.Event.Seqlock_retry);
+  (* pid 0 fails at once; the others are still running when it does, yet
+     the exception arrives only after every domain finished *)
+  let finished = Atomic.make 0 in
+  (match
+     Runtime.run_domains ~procs (fun pid ->
+         if pid = 0 then failwith "first pid fails";
+         for _ = 1 to 1_000_000 do
+           Domain.cpu_relax ()
+         done;
+         Atomic.incr finished)
+   with
+  | _ -> Alcotest.fail "run_domains swallowed pid 0's exception"
+  | exception Failure _ -> ());
+  check_int "every domain is joined before the re-raise" (procs - 1)
+    (Atomic.get finished)
 
 (* --- sampler --------------------------------------------------------------- *)
 

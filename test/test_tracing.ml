@@ -271,15 +271,14 @@ let test_instrument_native_domains () =
   let j = Tracing.Journal.create ~clock:`Monotonic ~procs () in
   let module M =
     Runtime.Instrument
-      (Pram.Native.Mem)
+      (Pram.Native.Versioned)
       (struct
         let sink = Runtime.Sink.make ~journal:j ()
       end)
   in
   let regs = Array.init procs (fun _ -> M.create 0) in
   let _ =
-    Pram.Native.run_parallel ~procs (fun pid ->
-        Runtime.set_pid pid;
+    Runtime.run_domains ~procs (fun pid ->
         Tracing.Journal.with_span j ~pid ~op:"work" (fun () ->
             for i = 1 to 25 do
               M.write regs.(pid) i;
@@ -382,7 +381,9 @@ let test_ctx_no_sink_allocates_nothing () =
      allocated, no events recorded. *)
   let ctx = Runtime.Ctx.make ~procs:1 ~pid:0 () in
   check_bool "default sink is none" true
-    (Runtime.Sink.is_none (Runtime.Ctx.sink ctx));
+    (Runtime.Ctx.quiet ctx
+    && (not (Runtime.Ctx.traced ctx))
+    && Runtime.Ctx.telemetry ctx = None);
   let f = ref (fun () -> 0) in
   (f := fun () -> 1);
   let measure g =

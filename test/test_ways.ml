@@ -84,8 +84,8 @@ let test_bounds_and_way_strings () =
   check_string "none renders" "unbounded" (E.Bounds.to_string E.Bounds.none);
   check_string "default renders" "preempt<=3"
     (E.Bounds.to_string E.Bounds.default);
-  check_string "composed bounds render" "preempt<=2,fair<=5,length<=40"
-    (E.Bounds.to_string (E.Bounds.make ~preempt:2 ~fair:5 ~length:40 ()));
+  check_string "composed bounds render" "preempt<=2,length<=40"
+    (E.Bounds.to_string (E.Bounds.make ~preempt:2 ~length:40 ()));
   check_string "naive renders" "naive" (E.Way.to_string E.Way.Naive);
   check_string "systematic renders" "systematic(unbounded)"
     (E.Way.to_string E.Way.systematic);
