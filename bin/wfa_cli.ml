@@ -301,13 +301,6 @@ let explore_cmd =
              context switches (a step by p while the previously stepped \
              process is still runnable).")
   in
-  let bound_length =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "bound-length" ] ~docv:"K"
-          ~doc:"Systematic way: prune schedules longer than K steps.")
-  in
   let jobs_arg =
     Arg.(
       value & opt int 1
@@ -364,7 +357,7 @@ let explore_cmd =
              crashes N) on the naive collect of $(b,--procs) processes, \
              print its timeline and linearizability verdict.")
   in
-  let run way seed samples bias b_pre b_len jobs procs shrink
+  let run way seed samples bias b_pre jobs procs shrink
       max_schedules trace_out replay =
     if procs < 2 || procs > 8 then `Error (false, "--procs must be in 2..8")
     else begin
@@ -373,7 +366,7 @@ let explore_cmd =
         | `Naive -> Pram.Explore.Way.Naive
         | `Systematic ->
             Pram.Explore.Way.Systematic
-              (Pram.Explore.Bounds.make ?preempt:b_pre ?length:b_len ())
+              (Pram.Explore.Bounds.make ?preempt:b_pre ())
         | `Uniform -> Pram.Explore.Way.Uniform { seed; count = samples }
         | `Weighted -> Pram.Explore.Way.Weighted { seed; count = samples; bias }
       in
@@ -531,7 +524,7 @@ let explore_cmd =
     Term.(
       ret
         (const run $ way_arg $ seed_arg $ samples_arg $ bias_arg
-       $ bound_preempt $ bound_length $ jobs_arg $ procs_arg
+       $ bound_preempt $ jobs_arg $ procs_arg
        $ shrink_flag $ max_schedules $ trace_out $ replay))
 
 (* --- trace -------------------------------------------------------------------- *)

@@ -79,7 +79,6 @@ let outcome_of proto prefix iterations =
   }
 
 let max_forced o = Array.fold_left max 0 o.forced_steps
-let total_forced o = Array.fold_left ( + ) 0 o.forced_steps
 
 (* --- the two-process Lemma 6 strategy ---------------------------------- *)
 

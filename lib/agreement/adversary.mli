@@ -43,4 +43,3 @@ val run_two_process : ?max_iterations:int -> protocol -> outcome
 val run_greedy : ?max_iterations:int -> protocol -> outcome
 
 val max_forced : outcome -> int
-val total_forced : outcome -> int

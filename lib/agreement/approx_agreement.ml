@@ -137,11 +137,6 @@ module Make (M : Pram.Memory.S) = struct
       end
     in
     loop false
-
-  (* Current round of a process's entry (0 if it has not input yet);
-     test/bench introspection, not part of the algorithm. *)
-  let round_of t ~pid =
-    match M.read t.entries.(pid) with None -> 0 | Some e -> e.round
 end
 
 (* Theorem 5's upper bound on steps per process:

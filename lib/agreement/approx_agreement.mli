@@ -41,10 +41,6 @@ module Make (M : Pram.Memory.S) : sig
       Requires a prior [input] by this process.
       @raise Invalid_argument otherwise. *)
   val output : handle -> float
-
-  (** Current round of a process's entry (0 before its input) — test and
-      bench introspection, not part of the object's interface. *)
-  val round_of : t -> pid:int -> int
 end
 
 (** Theorem 5's explicit upper bound on steps per process:

@@ -351,8 +351,8 @@ let gates =
     (* only the uncontended adaptive fast path has an exact count: a
        contended adaptive scan may escalate *)
     cost_formula "scan_adaptive_uncontended" Snapshot.Scan.Adaptive;
-    (* contended or not, every lattice descent costs the same
-       ceil(log2 n) levels *)
+    (* one scan per process opens no later generation, so contended or
+       not each lattice scan is one descent of ceil(log2 n) levels *)
     cost_formula "scan_lattice" Snapshot.Scan.Lattice;
     each "scan_grid holds the Optimized footprint n(n+1)"
       ~applies:(fun r ->

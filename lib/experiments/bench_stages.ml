@@ -37,8 +37,9 @@ let variant_name = function
 (* One scan per process; [contended] interleaves all of them round-robin,
    otherwise only pid 0 runs.  Counts come from a Metrics recorder
    attached as the driver observer, so the rows exercise the same layer
-   users get — and wait-freedom makes the counts schedule-oblivious,
-   which the validator pins down against the formulas. *)
+   users get.  With one scan per process a Lattice scan never retries,
+   so its counts equal the formula on either schedule; Adaptive's do
+   only uncontended.  The validator pins both against the formulas. *)
 let sim_scan_rows ~variant ~procs ~contended =
   let recorder = Metrics.Recorder.create ~procs in
   let program () =

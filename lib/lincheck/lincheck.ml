@@ -110,13 +110,6 @@ module Make (O : Spec.Object_spec.S) = struct
   let is_linearizable events =
     match check events with Linearizable _ -> true | Not_linearizable -> false
 
-  let pp_witness ppf calls =
-    Format.pp_print_list ~pp_sep:Format.pp_print_newline
-      (fun ppf (c : call) ->
-        Format.fprintf ppf "p%d: %a" c.Spec.History.c_pid O.pp_operation
-          c.Spec.History.c_op)
-      ppf calls
-
   type record = pid:int -> O.operation -> (unit -> O.response) -> O.response
 
   (* One run of [program] with a fresh recorder: its check and its

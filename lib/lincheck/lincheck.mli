@@ -32,11 +32,6 @@ module Make (O : Spec.Object_spec.S) : sig
   val is_linearizable :
     (O.operation, O.response) Spec.History.event list -> bool
 
-  (** Decide a pre-parsed call array (see {!Spec.History.calls_of_events}). *)
-  val check_calls : call array -> verdict
-
-  val pp_witness : Format.formatter -> call list -> unit
-
   (** How a program records one operation: [record ~pid op run] brackets
       [run ()] with [op]'s invocation and response events and returns
       the response. *)

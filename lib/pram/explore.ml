@@ -26,12 +26,11 @@
      flip a dependent pair; sleep sets additionally prune branches whose
      first step commutes with an already-explored sibling.  On the
      paper's algorithms this cuts schedule counts by orders of magnitude,
-     making 3-4 process configurations checkable.  Composable schedule
-     bounds ([Bounds.t]: pre-emption, length) filter branches
-     by a prefix-invariant predicate; a bounded search is sound for BUG
-     FINDING (every execution it visits is a real execution) but NOT
-     exhaustive — a violation needing more pre-emptions than the bound
-     will be missed.
+     making 3-4 process configurations checkable.  Schedule bounds
+     ([Bounds.t]: pre-emption) filter branches by a prefix-invariant
+     predicate; a bounded search is sound for BUG FINDING (every
+     execution it visits is a real execution) but NOT exhaustive — a
+     violation needing more pre-emptions than the bound will be missed.
 
    - [Uniform] / [Weighted] sample maximal schedules at random.  They
      check real, complete executions, so unlike DPOR they can also catch
@@ -83,29 +82,22 @@ module Bounds = struct
     bd_preempt : int option;
         (* max pre-emptive context switches: steps by p while the
            previously stepped process is still runnable *)
-    bd_length : int option;  (* max schedule length *)
   }
 
-  let none = { bd_preempt = None; bd_length = None }
+  let none = { bd_preempt = None }
 
   (* dejafu's defaultBounds: a small pre-emption bound catches almost
-     all bugs in practice (Musuvathi & Qadeer); length off (the simulator
-     already requires terminating programs).  dejafu's fairness bound is
-     left out: it cuts busy-wait loops, and wait-free programs have
-     none. *)
-  let default = { bd_preempt = Some 3; bd_length = None }
-  let make ?preempt ?length () = { bd_preempt = preempt; bd_length = length }
-  let is_none b = b.bd_preempt = None && b.bd_length = None
+     all bugs in practice (Musuvathi & Qadeer).  dejafu's length and
+     fairness bounds are left out: the simulator runs only terminating
+     programs, and wait-free programs have no busy-wait loops to cut. *)
+  let default = { bd_preempt = Some 3 }
+  let make ?preempt () = { bd_preempt = preempt }
+  let is_none b = b.bd_preempt = None
 
   let to_string b =
-    if is_none b then "unbounded"
-    else
-      String.concat ","
-        (List.filter_map Fun.id
-           [
-             Option.map (Printf.sprintf "preempt<=%d") b.bd_preempt;
-             Option.map (Printf.sprintf "length<=%d") b.bd_length;
-           ])
+    match b.bd_preempt with
+    | None -> "unbounded"
+    | Some k -> Printf.sprintf "preempt<=%d" k
 end
 
 module Way = struct
@@ -513,12 +505,8 @@ let dpor_task ~bounds ~max_schedules ~procs ~program ~prefix ~init_sleep =
   (* Bitmask of processes whose step from this node keeps the schedule
      within [bounds].  [last] is the previously stepped pid (-1 at the
      root), [preempts] the pre-emption count so far. *)
-  let allowed_mask d ~depth ~last ~preempts runnable =
+  let allowed_mask d ~last ~preempts runnable =
     let step_allowed p =
-      (match bounds.Bounds.bd_length with
-      | Some l -> depth < l
-      | None -> true)
-      &&
       match bounds.Bounds.bd_preempt with
       | Some k ->
           let is_pre = last >= 0 && last <> p && Driver.runnable d last in
@@ -564,7 +552,7 @@ let dpor_task ~bounds ~max_schedules ~procs ~program ~prefix ~init_sleep =
                the first child consumes [d]) *)
             let am =
               if Bounds.is_none bounds then enabled_mask
-              else allowed_mask d ~depth ~last ~preempts runnable
+              else allowed_mask d ~last ~preempts runnable
             in
             let my_bt = ref 0 in
             Hashtbl.replace bt depth (my_bt, sleep_mask, enabled_mask);
@@ -643,10 +631,7 @@ let dpor_task ~bounds ~max_schedules ~procs ~program ~prefix ~init_sleep =
         let runnable = Driver.runnable_list d0 in
         let in_bounds =
           Bounds.is_none bounds
-          || allowed_mask d0 ~depth:(List.length frames_rev) ~last ~preempts
-               runnable
-             land (1 lsl p)
-             <> 0
+          || allowed_mask d0 ~last ~preempts runnable land (1 lsl p) <> 0
         in
         if (not (Driver.runnable d0 p)) || not in_bounds then None
         else begin

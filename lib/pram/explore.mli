@@ -15,36 +15,36 @@
     schedules that flip a dependent pair are revisited.  Unbounded, it
     explores exactly one representative of every Mazurkiewicz trace,
     typically orders of magnitude fewer schedules than {!Way.Naive};
-    composable {!Bounds} make it sound for bug finding only.  Seeded
-    {!Way.Uniform}/{!Way.Weighted} random sampling reaches past
-    exhaustive sizes.  Systematic and random ways parallelize across
-    domains with deterministic, jobs-independent results.
+    a pre-emption bound ({!Bounds}) makes it sound for bug finding
+    only.  Seeded {!Way.Uniform}/{!Way.Weighted} random sampling
+    reaches past exhaustive sizes.  Systematic and random ways
+    parallelize across domains with deterministic, jobs-independent
+    results.
 
     A program is [unit -> 'r run]: each call allocates one execution's
     registers and whatever state its check reads (e.g. a history
     recorder), and the explorer judges every execution by the check of
     the run that started it. *)
 
-(** Composable schedule bounds (dejafu's SCT bounds).  Every bound is
-    prefix-invariant, so the explorer prunes a subtree as soon as its
-    root prefix is out of bounds; pruned branches are counted in
-    {!type-coverage}. *)
+(** Schedule bounds in the style of dejafu's SCT layer: a pre-emption
+    bound.  It is prefix-invariant, so the explorer prunes a subtree as
+    soon as its root prefix is out of bounds; pruned branches are
+    counted in {!type-coverage}. *)
 module Bounds : sig
   type t = {
     bd_preempt : int option;
         (** max pre-emptive context switches — steps by [p] while the
             previously stepped process is still runnable *)
-    bd_length : int option;  (** max schedule length *)
   }
 
   val none : t
   (** No bounds: plain DPOR. *)
 
   val default : t
-  (** [preempt <= 3], length off — a small pre-emption bound catches
-      almost all bugs in practice (Musuvathi-Qadeer). *)
+  (** [preempt <= 3] — a small pre-emption bound catches almost all
+      bugs in practice (Musuvathi-Qadeer). *)
 
-  val make : ?preempt:int -> ?length:int -> unit -> t
+  val make : ?preempt:int -> unit -> t
   val is_none : t -> bool
   val to_string : t -> string
 end

@@ -91,35 +91,6 @@ end
 module Sim_v = Versioned (Sim)
 module Direct_v = Versioned (Direct)
 
-(* Stamped write-once slots.
-
-   A slot is a single-writer register carrying at most one payload per
-   STAMP (a generation number).  [post] publishes a payload under a
-   stamp; [peek] returns it only while the slot still holds that exact
-   stamp, so readers from other generations see the slot as empty.
-   Posting a newer stamp recycles the slot in place — the storage for
-   the Lattice scan's classifier trees, where each generation needs a
-   logically fresh write-once tree but the register pool is bounded.
-
-   The write-once discipline is the caller's: the slot's single writer
-   posts at most once per stamp (the classifier descent visits each
-   vertex once per generation).  Either operation is exactly ONE
-   scheduled access, like the [Versioned] twin, so the sim cost model
-   and DPOR dependency tracking see one access per post/peek. *)
-module Stamped_slot (M : S) = struct
-  type 'a slot = (int * 'a) option M.reg
-
-  let make ?name () = M.create ?name None
-  let post s ~stamp v = M.write s (Some (stamp, v))
-
-  let peek s ~stamp =
-    match M.read s with
-    | Some (st, v) when st = stamp -> Some v
-    | _ -> None
-
-  let stamp s = match M.read s with Some (st, _) -> st | None -> 0
-end
-
 (* Hook interface for instrumentation wrappers.  Hooks receive the
    wrapper-assigned register identity; ids are allocated atomically so the
    wrapper is usable over the native domains backend. *)

@@ -1,8 +1,10 @@
-(** The portable shared-memory interface of the asynchronous PRAM model.
+(** The portable shared-memory interface of the asynchronous PRAM model:
+    two signatures, their backends, and one instrumentation wrapper.
 
-    Every algorithm in this repository is a functor over {!S} (or its
-    versioned extension {!VERSIONED}), so one source of truth runs
-    against three backends:
+    Every algorithm in this repository is a functor over {!S} (atomic
+    registers) or its extension {!VERSIONED} (registers that also report
+    a per-register write epoch), so one source of truth runs against
+    three backends:
 
     - {!Sim} / {!Sim_v}: accesses suspend the calling fiber and are
       fired one at a time by {!Driver} — the deterministic,
@@ -12,7 +14,12 @@
       to a solo execution; for sequential unit tests and
       single-threaded use;
     - {!Native.Versioned} (in {!Native}): seqlock single-writer
-      registers on real OCaml domains, the one native register. *)
+      registers on real OCaml domains, the one native register.
+
+    {!Hooked} wraps any [VERSIONED] backend with access hooks.  Data
+    layouts built from registers (the classifier tree's stamped slots,
+    the snapshot's tagged slots) live with the algorithms that use
+    them. *)
 
 module type S = sig
   type 'a reg
@@ -78,35 +85,6 @@ module Sim_v : VERSIONED
 (** Versioned immediate registers: the same pair representation over
     {!Direct}. *)
 module Direct_v : VERSIONED
-
-(** Stamped write-once slots: single-writer registers holding at most
-    one payload per STAMP (generation number).  [peek] with a stamp
-    other than the one last posted sees the slot as empty, and posting a
-    newer stamp recycles the slot in place — a bounded register pool
-    serves an unbounded sequence of logically fresh write-once trees
-    (the Lattice scan's generation-stamped classifier trees).
-
-    The write-once discipline is the caller's: the slot's single writer
-    posts at most once per stamp.  Each operation is exactly one
-    scheduled access, like {!Sim_v}'s. *)
-module Stamped_slot (M : S) : sig
-  type 'a slot
-  (** A stamped slot over an [M] register. *)
-
-  val make : ?name:string -> unit -> 'a slot
-  (** An empty slot (no stamp, no payload).  No shared access. *)
-
-  val post : 'a slot -> stamp:int -> 'a -> unit
-  (** Publish a payload under [stamp], recycling any older stamp — one
-      step.  Single-writer; at most once per stamp. *)
-
-  val peek : 'a slot -> stamp:int -> 'a option
-  (** The payload posted under exactly [stamp], if it is still the
-      slot's current stamp — one step. *)
-
-  val stamp : 'a slot -> int
-  (** The slot's current stamp (0 when never posted) — one step. *)
-end
 
 (** Access hooks for instrumentation wrappers.  The identity passed to a
     hook is assigned by the wrapper (atomically, so it is safe over the

@@ -22,17 +22,6 @@ type access = {
 let dependent a b =
   a.pid <> b.pid && a.reg_id = b.reg_id && (a.kind = Write || b.kind = Write)
 
-let pp_kind ppf = function
-  | Read -> Format.pp_print_string ppf "R"
-  | Write -> Format.pp_print_string ppf "W"
-
-let pp_access ppf a =
-  Format.fprintf ppf "@[%4d: p%d %a %s#%d@]" a.step a.pid pp_kind a.kind
-    a.reg_name a.reg_id
-
-let pp ppf accesses =
-  Format.pp_print_list ~pp_sep:Format.pp_print_newline pp_access ppf accesses
-
 (* Encoded schedules (see Explore): action [p >= 0] steps process p,
    [-1 - p] crashes it (printed [!pN]). *)
 let pp_encoded_action ppf a =

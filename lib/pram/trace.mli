@@ -21,10 +21,6 @@ type access = {
     state unchanged. *)
 val dependent : access -> access -> bool
 
-val pp_kind : Format.formatter -> kind -> unit
-val pp_access : Format.formatter -> access -> unit
-val pp : Format.formatter -> access list -> unit
-
 (** Printers for encoded schedules (see {!Explore}): action [p >= 0]
     steps process [p]; [-1 - p] crashes it (printed [!pN]). *)
 val pp_encoded_action : Format.formatter -> int -> unit

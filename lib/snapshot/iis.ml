@@ -6,20 +6,8 @@
    while log2(delta/eps) is tight for three or more") — live in this
    model: computation proceeds through a sequence of one-shot immediate
    snapshot objects; at each layer every process contributes its current
-   value and moves on with the layer's view.
-
-   Since PR 10 a layer can also be a one-shot use of the scan-based
-   atomic snapshot ([Snapshot_array]), selected per chain by
-   [layer_kind].  An atomic-snapshot layer keeps self-inclusion and
-   containment (slots flip once from absent to present, and scans
-   linearize, so any two views are inclusion-ordered) but NOT immediacy
-   — q's pair in p's view no longer implies q's view is inside p's.
-   Midpoint agreement only needs containment, so the log2 rate
-   survives; the two-process two-thirds rule leans on immediacy and is
-   only guaranteed its log3 rate on [Immediate] layers.  The point of
-   [Snapshot (Scan.Lattice)] layers is cost: O(n log n) accesses per
-   layer instead of the O(n^2) of both the Borowsky-Gafni levels
-   algorithm and the classic scan (experiment E11 reports both).
+   value and moves on with the layer's view.  Each layer is a
+   Borowsky-Gafni one-shot immediate snapshot ([Immediate_snapshot]).
 
    [Agreement] runs approximate agreement in IIS with two update rules:
 
@@ -43,46 +31,17 @@ module Float_value = struct
   let pp = Format.pp_print_float
 end
 
-(* Slot payload for atomic-snapshot layers: [None] marks a process that
-   has not reached this layer yet, so views can be read off a plain
-   snapshot. *)
-module Float_opt_value = struct
-  type t = float option
-
-  let default = None
-  let equal = Option.equal Float.equal
-
-  let pp ppf = function
-    | None -> Format.pp_print_string ppf "_"
-    | Some f -> Format.pp_print_float ppf f
-end
-
-type layer_kind = Immediate | Snapshot of Scan.variant
-
 module Make (M : Pram.Memory.VERSIONED) = struct
   module IS = Immediate_snapshot.Make (Float_value) (M)
-  module SA = Snapshot_array.Make (Float_opt_value) (M)
 
-  type layer = Imm of IS.t | Snap of SA.t
+  type t = { procs : int; layers : IS.t array }
 
-  type t = { procs : int; kind : layer_kind; layers : layer array }
-
-  let create ?(layer = Immediate) ~procs ~layers () =
-    let mk _ =
-      match layer with
-      | Immediate -> Imm (IS.create ~procs)
-      | Snapshot variant -> Snap (SA.create ~variant ~procs)
-    in
-    { procs; kind = layer; layers = Array.init layers mk }
-
-  let layer_count t = Array.length t.layers
-  let layer_kind t = t.kind
-
-  type layer_handle = Imm_h of IS.handle | Snap_h of SA.handle
+  let create ~procs ~layers () =
+    { procs; layers = Array.init layers (fun _ -> IS.create ~procs) }
 
   type handle = {
     pid : int;
-    layer_handles : layer_handle array;  (* one session per layer, in order *)
+    layer_handles : IS.handle array;  (* one session per layer, in order *)
   }
 
   let attach obj ctx =
@@ -91,32 +50,13 @@ module Make (M : Pram.Memory.VERSIONED) = struct
       invalid_arg
         (Printf.sprintf "Iis.attach: ctx pid %d but object has %d procs" pid
            obj.procs);
-    let attach_layer = function
-      | Imm l -> Imm_h (IS.attach l ctx)
-      | Snap l -> Snap_h (SA.attach l ctx)
-    in
-    { pid; layer_handles = Array.map attach_layer obj.layers }
-
-  (* One layer's contribute-and-view step; one-shot per process per
-     layer, like the immediate snapshot it generalizes. *)
-  let participate lh v =
-    match lh with
-    | Imm_h l -> IS.participate l v
-    | Snap_h l ->
-        SA.update l (Some v);
-        let view = SA.snapshot l in
-        (* self-inclusion: our own update is joined into our scan *)
-        List.filter_map Fun.id
-          (List.init (Array.length view) (fun q ->
-               Option.map (fun w -> (q, w)) view.(q)))
+    { pid; layer_handles = Array.map (fun l -> IS.attach l ctx) obj.layers }
 
   (* Run all layers, updating the value with [rule : own:float ->
      view:(int * float) list -> float]; returns the final value. *)
   let run h ~rule v0 =
     Array.fold_left
-      (fun v layer ->
-        let view = participate layer v in
-        rule ~own:v ~view)
+      (fun v layer -> rule ~own:v ~view:(IS.participate layer v))
       v0 h.layer_handles
 
   (* n = 2 only: the optimal rule (move 2/3 toward the other). *)

@@ -9,19 +9,12 @@
      propose v, return Scan(P, v).  Validity is immediate and
      comparability is Lemma 32.  Cost O(n^2) reads per propose.
 
-   - [Classifier]: the Attiya-Rachman style classifier tree.  Values are
-     SETS of proposals (the join is union, and sets have the size measure
-     the classifier thresholds need).  Processes descend a binary tree of
-     depth log2 n; the vertex at threshold k routes a process right —
-     taking the union of everything it saw at the vertex — if that union
-     has more than k proposals, and left — keeping its value — otherwise.
-     Registers at a vertex are write-once per process, so the set of
-     written slots grows monotonically, which yields the classifier
-     property: a left-exiter's value is contained in every right-exiter's
-     value, and the union of left-exiters' values has at most k
-     proposals.  Cost O(n log n) reads per propose — the asymptotic
-     improvement over the scan that Section 2 highlights (experiment
-     E10).
+   - [Classifier]: one descent of the Attiya-Rachman classifier tree
+     ([Classifier_tree], the tree the Lattice scan descends once per
+     generation).  Values are SETS of proposals (the join is union, and
+     sets have the size measure the classifier thresholds need).  Cost
+     O(n log n) reads per propose — the asymptotic improvement over the
+     scan that Section 2 highlights (experiment E10).
 
    The object's guarantees, tested by qcheck and exhaustively on small
    configurations:
@@ -84,60 +77,17 @@ module Via_scan (M : Pram.Memory.VERSIONED) : S = struct
     fst (Scan.cost_formula ~procs Optimized)
 end
 
+(* One stamp of a Classifier_tree: the proposal goes in as a unit map
+   (its domain the proposed pid-set) and the agreed map's domain comes
+   out. *)
 module Classifier (M : Pram.Memory.S) : S = struct
-  (* The tree is addressed by (depth, index); the vertex's threshold is
-     the midpoint of its pid-count interval.  Depth runs 0 .. levels-1
-     where levels = ceil(log2 procs); at the end every process outputs
-     its current value. *)
-  type vertex = { slots : Pid_set.t option M.reg array }
+  module Tree = Classifier_tree.Make (M)
 
-  type t = {
-    procs : int;
-    levels : int;
-    vertices : vertex array array;  (* vertices.(depth).(index) *)
-  }
-
-  let levels_for procs =
-    let rec go l = if 1 lsl l >= procs then l else go (l + 1) in
-    go 0
+  type t = { procs : int; tree : unit Tree.t }
 
   let create ~procs =
     if procs <= 0 then invalid_arg "Lattice_agreement.create: procs";
-    let levels = levels_for procs in
-    {
-      procs;
-      levels;
-      vertices =
-        Array.init levels (fun d ->
-            Array.init (1 lsl d) (fun i ->
-                {
-                  slots =
-                    Array.init procs (fun p ->
-                        M.create
-                          ~name:(Printf.sprintf "la[%d][%d][%d]" d i p)
-                          None);
-                }));
-    }
-
-  (* Threshold of vertex (depth d, index i): the midpoint of its
-     interval of [0, procs] after d binary splits. *)
-  let threshold t ~depth ~index =
-    let width = float_of_int t.procs /. float_of_int (1 lsl (depth + 1)) in
-    let lo = float_of_int t.procs *. float_of_int index /. float_of_int (1 lsl depth) in
-    lo +. width
-
-  let classify t ~pid ~depth ~index v =
-    let vx = t.vertices.(depth).(index) in
-    M.write vx.slots.(pid) (Some v);
-    let union = ref v in
-    for q = 0 to t.procs - 1 do
-      match M.read vx.slots.(q) with
-      | Some w -> union := Pid_set.union !union w
-      | None -> ()
-    done;
-    let k = threshold t ~depth ~index in
-    if float_of_int (Pid_set.cardinal !union) > k then (`Right, !union)
-    else (`Left, v)
+    { procs; tree = Tree.create ~name:"la" ~procs }
 
   type handle = { obj : t; pid : int }
 
@@ -150,20 +100,21 @@ module Classifier (M : Pram.Memory.S) : S = struct
            obj.procs);
     { obj; pid }
 
+  (* [Tree.descend] rejects a proposal without the caller's pid. *)
   let propose h v =
-    let t = h.obj and pid = h.pid in
-    if not (Pid_set.mem pid v) then
-      invalid_arg "Lattice_agreement.propose: value must contain own pid";
-    let value = ref v in
-    let index = ref 0 in
-    for depth = 0 to t.levels - 1 do
-      let dir, v' = classify t ~pid ~depth ~index:!index !value in
-      value := v';
-      index := (2 * !index) + match dir with `Left -> 0 | `Right -> 1
-    done;
-    !value
+    let own = Array.make h.obj.procs None in
+    Pid_set.iter
+      (fun q ->
+        if q < 0 || q >= h.obj.procs then
+          invalid_arg "Lattice_agreement.propose: pid out of range";
+        own.(q) <- Some ())
+      v;
+    Tree.descend h.obj.tree ~stamp:1 ~pid:h.pid own
+    |> Array.to_seqi
+    |> Seq.filter_map (fun (q, e) -> Option.map (fun () -> q) e)
+    |> Pid_set.of_seq
 
-  let reads_per_propose ~procs = levels_for procs * procs
+  let reads_per_propose ~procs = Classifier_tree.levels ~procs * procs
 end
 
 (* Validity and comparability checks shared by the tests and E10. *)

@@ -25,7 +25,8 @@ module type S = sig
   val attach : t -> Runtime.Ctx.t -> handle
 
   (** One-shot: at most one call per process; the input must contain the
-      caller's own pid (usually the singleton).
+      caller's own pid (usually the singleton) and only pids below
+      [procs].
       @raise Invalid_argument otherwise. *)
   val propose : handle -> Pid_set.t -> Pid_set.t
 
@@ -36,13 +37,10 @@ end
 (** Lattice agreement as one Section 6 scan: O(n^2) reads. *)
 module Via_scan (M : Pram.Memory.VERSIONED) : S
 
-(** The Attiya-Rachman style classifier tree: processes descend a binary
-    tree of depth ceil(log2 n); the vertex with threshold k sends a
-    process right (with the union of everything it saw there) when that
-    union exceeds k proposals, left (unchanged) otherwise.  Write-once
-    slots per vertex make written sets grow monotonically, which gives
-    the classifier property and comparability.  O(n log n) reads — the
-    asymptotic improvement of experiment E10. *)
+(** One descent of the Attiya-Rachman {!Classifier_tree} (one stamp,
+    unit payloads): the proposed pid-set goes in as the map's domain and
+    the agreed domain comes out.  O(n log n) reads — the asymptotic
+    improvement of experiment E10. *)
 module Classifier (M : Pram.Memory.S) : S
 
 (** [valid ~own ~all output]: the validity condition. *)

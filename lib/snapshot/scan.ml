@@ -76,31 +76,15 @@ type variant =
 
 exception Escalate
 
-(* Classifier-tree depth for the [Lattice] variant: the smallest l with
-   2^l >= procs, i.e. ceil(log2 procs) — the depth of the Attiya-Rachman
-   classifier tree (see Lattice_agreement). *)
-let lattice_levels ~procs =
-  let rec go l = if 1 lsl l >= procs then l else go (l + 1) in
-  go 0
-
 (* Trees live in a bounded pool indexed by generation mod this size, so
    memory stays O(procs log procs) registers per live generation while
-   the generation counter runs unbounded.  Stale stamps are ignored by
-   [Stamped_slot.peek], and the generation fence (see [scan_lattice])
-   retries any scan whose tree was recycled under it. *)
+   the generation counter runs unbounded.  A tree's readers ignore posts
+   stamped with another generation, and the generation fence (see
+   [scan_lattice]) retries any scan whose tree was recycled under it. *)
 let lattice_pool = 4
 
 module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
-  module Slot = Pram.Memory.Stamped_slot (M)
-
-  (* A classifier-slot payload: the per-pid map from contributor to its
-     generation entry value W (the join of everything that contributor
-     had absorbed when it entered the generation).  Within one
-     generation a pid's entry value is fixed, so merging two maps never
-     conflicts; the map's domain is the agreed pid-SET and its range
-     joins back to the snapshot value — the "agreed pid-sets to register
-     values" mapping. *)
-  type wmap = L.t option array
+  module Tree = Classifier_tree.Make (M)
 
   type t = {
     variant : variant;  (* the one protocol every handle runs *)
@@ -114,22 +98,20 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
         (* mirror.(p) is process p's private copy of its own row; row p is
            only ever touched by process p, so this is process-local state
            stored alongside the shared object for convenience. *)
-    levels : int;  (* lattice_levels ~procs *)
     gen : int M.reg array;
         (* [Lattice] — gen.(p): process p's current generation, announced
            BEFORE p reads anything generation-scoped (the doorway); it
            is monotone per process, so the post-return fence below can
            detect any concurrent later generation *)
-    pool : wmap Slot.slot array array array array;
-        (* [Lattice] — pool.(g mod lattice_pool).(depth).(index).(pid):
-           the generation-stamped classifier trees.  Slot (v, pid) is
-           written only by pid (single-writer), at most once per
-           generation (each descent visits a vertex once). *)
+    pool : L.t Tree.t array;
+        (* [Lattice] — pool.(g mod lattice_pool): the classifier tree
+           generation g descends under stamp g.  A map sends each
+           contributor to its generation entry value W (the join of
+           everything it had absorbed on entering the generation). *)
   }
 
   let create ~variant ~procs =
     if procs <= 0 then invalid_arg "Scan.create: procs must be positive";
-    let levels = lattice_levels ~procs in
     (* with one process nothing is collected: Adaptive and Lattice only
        publish *)
     let columns =
@@ -151,19 +133,12 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
         Array.init (flags (variant = Adaptive)) (fun p ->
             M.create ~name:(Printf.sprintf "scan.esc[%d]" p) 0);
       mirror = Array.init procs (fun _ -> Array.make (procs + 2) L.bottom);
-      levels;
       gen =
         Array.init (flags (variant = Lattice)) (fun p ->
             M.create ~name:(Printf.sprintf "scan.gen[%d]" p) 0);
       pool =
         Array.init (if variant = Lattice then lattice_pool else 0) (fun k ->
-            Array.init levels (fun d ->
-                Array.init (1 lsl d) (fun i ->
-                    Array.init procs (fun p ->
-                        Slot.make
-                          ~name:
-                            (Printf.sprintf "scan.la%d[%d][%d][%d]" k d i p)
-                          ()))));
+            Tree.create ~name:(Printf.sprintf "scan.la%d" k) ~procs);
     }
 
   type handle = {
@@ -337,46 +312,32 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
 
   (* --- the Lattice variant ------------------------------------------- *)
 
-  (* Threshold of classifier vertex (depth d, index i): the midpoint of
-     its interval of [0, procs] after d binary splits — identical to
-     Lattice_agreement.Classifier, so the per-generation tree is exactly
-     the model-checked one-shot classifier. *)
-  let threshold ~procs ~depth ~index =
-    let width =
-      float_of_int procs /. float_of_int (1 lsl (depth + 1))
-    in
-    let lo =
-      float_of_int procs *. float_of_int index /. float_of_int (1 lsl depth)
-    in
-    lo +. width
-
-  (* One Scan in O(n log n) accesses, contended or not (DESIGN.md §15):
+  (* One Scan, one or more attempts of O(n log n) accesses each
+     (DESIGN.md §15):
 
        publish own contribution into scan[P][0]             (<= 1 write)
        announce a fresh generation g in gen[P]              (1 write)
        collect column 0 into the entry value W              (n-1 reads)
-       descend the generation-g classifier tree with the
-         singleton map {P -> W}; each vertex: post own map,
-         peek all n slots, union the same-generation maps,
-         go right (adopting the union) iff its domain size
-         exceeds the vertex threshold                       (log n x (n reads + 1 write))
-       R := join of the final map's range
+       descend generation g's Classifier_tree under
+         stamp g from the singleton map {P -> W}            (n log n reads,
+                                                             log n writes)
+       R := join of the agreed map's range
        fold R back into scan[P][0]                          (1 write)
        fence: re-read every gen[Q]; if any generation above
          g appeared, retry from the announce with W := R    (n-1 reads)
        return R
 
-     Within a generation the tree is the one-shot classifier over the
-     write-once (per stamp) slots, so agreed maps — and hence their
-     joined values — are pairwise comparable.  Across generations the
-     announce-before-collect doorway and the publish-before-fence order
-     close the race: either a finishing scan sees the later generation
-     in its fence and retries into it, or the later scan's collect
-     (which runs after its announce) sees the finished scan's result in
-     column 0.  Retries are bounded by concurrent generation advances
-     (none when uncontended; the committed bench schedules take none),
-     and every access count above is otherwise a fixed loop, so the
-     formula holds contended or not. *)
+     Within a generation the tree is the one-shot classifier, so agreed
+     maps — and hence their joined values — are pairwise comparable.
+     Across generations the announce-before-collect doorway and the
+     publish-before-fence order close the race: either a finishing scan
+     sees the later generation in its fence and retries into it, or the
+     later scan's collect (which runs after its announce) sees the
+     finished scan's result in column 0.  The first attempt is the
+     fixed [cost_formula] row and each retry repeats it from the
+     announce, but a scan retries once per later generation a
+     concurrent scan announces, so a peer that keeps scanning can keep a
+     reader retrying: the variant is lock-free, not wait-free. *)
   let scan_lattice h v =
     publish h v;
     let t = h.obj in
@@ -400,44 +361,18 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
         for q = 0 to n - 1 do
           if q <> h.pid then w := L.join !w (M.read t.grid.(q).(0))
         done;
-        let tree = t.pool.(g mod lattice_pool) in
         let own = Array.make n None in
         own.(h.pid) <- Some !w;
-        let m = ref own in
-        let index = ref 0 in
-        for depth = 0 to t.levels - 1 do
-          let vx = tree.(depth).(!index) in
-          Slot.post vx.(h.pid) ~stamp:g !m;
-          let u = Array.copy !m in
-          for q = 0 to n - 1 do
-            match Slot.peek vx.(q) ~stamp:g with
-            | Some mq ->
-                Array.iteri
-                  (fun r wr ->
-                    (* a pid's entry value is fixed within a generation,
-                       so first-wins merging loses nothing *)
-                    match (wr, u.(r)) with
-                    | Some _, None -> u.(r) <- wr
-                    | _ -> ())
-                  mq
-            | None -> ()
-          done;
-          let cardinal = ref 0 in
-          Array.iter (function Some _ -> incr cardinal | None -> ()) u;
-          let k = threshold ~procs:n ~depth ~index:!index in
-          if float_of_int !cardinal > k then begin
-            m := u;
-            index := (2 * !index) + 1
-          end
-          else index := 2 * !index
-        done;
+        let m =
+          Tree.descend t.pool.(g mod lattice_pool) ~stamp:g ~pid:h.pid own
+        in
         (* map the agreed pid-set back to values: join the entry value
            of every agreed contributor *)
         let r =
           Array.fold_left
             (fun acc entry ->
               match entry with Some wq -> L.join acc wq | None -> acc)
-            L.bottom !m
+            L.bottom m
         in
         (* publish the result into own column 0 (unconditionally — the
            access count must not depend on containment), so any later
@@ -493,13 +428,14 @@ end
    the write (bottom is always contained) and [write_l] skips the
    collect, so each costs strictly less than the combined formula.
 
-   The [Lattice] row holds CONTENDED OR NOT: every loop in the descent
-   is fixed-trip (collect n-1; ceil(log2 n) levels of n slot peeks and
-   one post; fence n-1), so the count is schedule-oblivious as long as
-   no concurrent scan opens a later generation (which single-scan-per-
-   process workloads, the committed bench stages included, never do) —
-   each generation retry repeats the whole body once more.  Writes:
-   publish, announce, one post per level, result republish. *)
+   The [Lattice] row is the cost of one descent: every loop in it is
+   fixed-trip (collect n-1; ceil(log2 n) levels of n slot reads and one
+   post; fence n-1).  Writes: publish, announce, one post per level,
+   result republish.  It is the whole scan only while no concurrent
+   scan opens a later generation (single-scan-per-process workloads, the
+   committed bench stages included, never do).  Each such generation
+   costs one more attempt, all but the publish, and nothing bounds how
+   many a peer announces: the variant is lock-free, not wait-free. *)
 let cost_formula ~procs = function
   | Plain -> ((procs * procs) + procs + 1, procs + 2)
   | Optimized -> ((procs * procs) - 1, procs + 1)
@@ -507,5 +443,5 @@ let cost_formula ~procs = function
   | Lattice ->
       if procs = 1 then (0, 1)
       else
-        let levels = lattice_levels ~procs in
+        let levels = Classifier_tree.levels ~procs in
         ((2 * (procs - 1)) + (levels * procs), levels + 3)

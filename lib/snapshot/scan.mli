@@ -35,24 +35,17 @@ type variant =
           when one does (DESIGN.md section 14); n(n+2) registers, the
           [Optimized] grid plus n escalation flags *)
   | Lattice
-      (** sub-quadratic even under contention: each scan announces a
-          fresh generation, collects column 0, and descends that
-          generation's write-once classifier tree (Attiya-Rachman; the
-          one-shot [Lattice_agreement.Classifier] made multi-shot by
-          stamping a bounded pool of trees with the generation), mapping
-          the agreed pid-set back to the contributors' entry values —
-          2(n-1) + n ceil(log2 n) reads and ceil(log2 n) + 3 writes per
-          scan, with no contention escalation path (DESIGN.md section
-          15); 2n + [lattice_pool] n (2^ceil(log2 n) - 1) registers,
-          column 0 plus generations and tree pool *)
-
-(** Raised internally by the adaptive fast path; never escapes [scan]. *)
-exception Escalate
-
-(** Classifier-tree depth of the [Lattice] variant: [ceil(log2 procs)].
-    The per-scan lattice cost is [2(procs-1) + lattice_levels * procs]
-    reads and [lattice_levels + 3] writes. *)
-val lattice_levels : procs:int -> int
+      (** sub-quadratic per attempt: each attempt announces a fresh
+          generation, collects column 0, and descends that generation's
+          {!Classifier_tree} (Attiya-Rachman; the tree of
+          [Lattice_agreement.Classifier], stamped with the generation
+          over a bounded pool of trees), mapping the agreed pid-set back
+          to the contributors' entry values — 2(n-1) + n ceil(log2 n)
+          reads and ceil(log2 n) + 3 writes per attempt (DESIGN.md
+          section 15).  A scan retries once per later generation a
+          concurrent scan announces, so the variant is lock-free, not
+          wait-free.  2n + [lattice_pool] n (2^ceil(log2 n) - 1)
+          registers, column 0 plus generations and tree pool *)
 
 (** Size of the [Lattice] variant's classifier-tree pool: generation [g]
     descends tree [g mod lattice_pool], so live memory is
@@ -121,11 +114,13 @@ end
     skips the write and [write_l] skips the collect, so each costs
     strictly less than the combined formula.
 
-    The [Lattice] row — [2(procs-1) + lattice_levels * procs] reads,
-    [lattice_levels + 3] writes (publish, generation announce, per-level
-    classifier posts, republish) — holds contended or not: every loop in
-    the descent has a fixed trip count, and a workload of one scan per
-    process never opens a second generation, so the generation fence
-    never forces a retry.  E17 locates the contended crossover against
-    [Optimized] (procs >= 4) and [Adaptive]. *)
+    The [Lattice] row — [2(procs-1) + levels * procs] reads and
+    [levels + 3] writes, with [levels = Classifier_tree.levels ~procs]
+    (publish, generation announce, per-level classifier posts,
+    republish) — is the cost of one descent: every loop in it has a
+    fixed trip count.  It is the whole scan while no concurrent scan
+    opens a later generation, as in a workload of one scan per process;
+    each later generation a peer announces costs one more attempt, with
+    no bound (the variant is lock-free).  E17 locates the crossover
+    against [Optimized] (procs >= 4) and [Adaptive] on such workloads. *)
 val cost_formula : procs:int -> variant -> int * int

@@ -32,9 +32,4 @@ module Make (V : Slot_value.S) (M : Pram.Memory.VERSIONED) : sig
   (** An instantaneous view of all slots ([V.default] for never-updated
       slots). *)
   val snapshot : handle -> V.t array
-
-  (** The raw view including per-slot tags (0 = never updated); the
-      universal construction uses the tags as operation sequence
-      numbers. *)
-  val snapshot_tagged : handle -> Slot.t array
 end

@@ -42,8 +42,10 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) : sig
 
   (** [create ?variant ~procs ()] is an empty object for [procs]
       processes whose anchor snapshots all run the scan [variant]
-      (default {!default_variant}) — [Lattice] gives O(procs log procs)
-      synchronization per operation even under contention. *)
+      (default {!default_variant}) — [Lattice] costs O(procs log procs)
+      accesses per descent, and a scan descends once more for each later
+      generation a concurrent scan announces (lock-free, not
+      wait-free). *)
   val create : ?variant:Snapshot.Scan.variant -> procs:int -> unit -> t
 
   (** How a handle computes the pre-state of each operation.

@@ -94,11 +94,6 @@ let topo_sort t =
     invalid_arg "Graph.topo_sort: graph has a cycle";
   sorted
 
-let is_acyclic t =
-  match topo_sort t with
-  | _ -> true
-  | exception Invalid_argument _ -> false
-
 (* A randomized topological sort (Kahn choosing uniformly among ready
    nodes) — used by the Lemma 20 tests to sample many linearizations of
    the same linearization graph and check they are all equivalent. *)

@@ -35,4 +35,3 @@ val topo_sort : t -> int list
     sample distinct linearizations of one linearization graph. *)
 val topo_sort_seeded : t -> seed:int -> int list
 
-val is_acyclic : t -> bool

@@ -121,12 +121,6 @@ let keyed_counter_script ~seed ~keys ~theta ~read_fraction ~ops_per_proc :
         Spec.Counter_spec.Dec (1 + Random.State.int st 5)
       else Spec.Counter_spec.Inc (1 + Random.State.int st 5))
 
-let keyed_gset_script ~seed ~keys ~theta ~read_fraction ~ops_per_proc :
-    (string * Spec.Gset_spec.operation) script =
-  keyed_script ~seed ~keys ~theta ~read_fraction ~ops_per_proc
-    ~read:(fun _ -> Spec.Gset_spec.Members)
-    ~mutate:(fun st -> Spec.Gset_spec.Add (Random.State.int st 1000))
-
 (* --- the traffic front-end ------------------------------------------------- *)
 
 (* Drives one process's keyed operation stream against a store-like
@@ -285,12 +279,6 @@ let scheduler_of = function
             decr remaining;
             Pram.Scheduler.Step p
         | None -> Pram.Scheduler.Stop)
-
-let pp_schedule_kind ppf = function
-  | Round_robin -> Format.pp_print_string ppf "round-robin"
-  | Uniform s -> Format.fprintf ppf "uniform(seed=%d)" s
-  | Crashy s -> Format.fprintf ppf "crashy(seed=%d)" s
-  | Bursty s -> Format.fprintf ppf "bursty(seed=%d)" s
 
 (* A standard mix of schedules for worst-case-ish measurements. *)
 let standard_schedules ~seeds =

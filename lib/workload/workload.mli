@@ -47,14 +47,6 @@ val keyed_counter_script :
   ops_per_proc:int ->
   (string * Spec.Counter_spec.operation) script
 
-val keyed_gset_script :
-  seed:int ->
-  keys:int ->
-  theta:float ->
-  read_fraction:float ->
-  ops_per_proc:int ->
-  (string * Spec.Gset_spec.operation) script
-
 (** The traffic front-end: drives one process's keyed operation stream
     against a store-like consumer through [submit]/[flush] closures
     (keeping this module independent of the object layer), measuring
@@ -121,7 +113,6 @@ type schedule_kind =
           algorithms that rely on interleaving *)
 
 val scheduler_of : schedule_kind -> 'r Pram.Scheduler.t
-val pp_schedule_kind : Format.formatter -> schedule_kind -> unit
 
 (** Round-robin plus [seeds] each of uniform, bursty and crashy — the
     standard mix behind "measured worst case" columns. *)

@@ -92,9 +92,9 @@ let test_is_sequential () =
 
 module IIS = Snapshot.Iis.Make (Pram.Memory.Sim_v)
 
-let run_iis_agreement ?layer ~procs ~layers ~inputs ~seed ~rule () =
+let run_iis_agreement ~procs ~layers ~inputs ~seed ~rule () =
   let program () =
-    let t = IIS.create ?layer ~procs ~layers () in
+    let t = IIS.create ~procs ~layers () in
     fun pid ->
       let h = IIS.attach t (ctx ~procs pid) in
       IIS.run h ~rule:(rule h) inputs.(pid)
@@ -158,52 +158,6 @@ let qcheck_midpoint_rate =
       let bound = delta /. Float.pow 2.0 (float_of_int layers) in
       spread outputs <= bound +. 1e-12)
 
-let qcheck_midpoint_rate_lattice_layers =
-  (* midpoint agreement survives swapping immediate layers for
-     scan-based atomic-snapshot layers on the Lattice variant: the
-     log2 rate only needs self-inclusion + containment, both of which
-     the O(n log n) lattice scan provides *)
-  QCheck.Test.make
-    ~name:"IIS midpoint rule on Snapshot Lattice layers shrinks by 2"
-    ~count:150
-    QCheck.(triple (int_bound 1_000_000) (int_range 2 4) (int_range 1 5))
-    (fun (seed, procs, layers) ->
-      let delta = 1.0 in
-      let inputs =
-        Array.init procs (fun p ->
-            if p = 0 then 0.0
-            else if p = 1 then delta
-            else delta /. 2.0)
-      in
-      let outputs =
-        run_iis_agreement
-          ~layer:(Snapshot.Iis.Snapshot Snapshot.Scan.Lattice)
-          ~procs ~layers ~inputs ~seed
-          ~rule:(fun _h -> IIS.midpoint) ()
-      in
-      let bound = delta /. Float.pow 2.0 (float_of_int layers) in
-      spread outputs <= bound +. 1e-12)
-
-let test_snapshot_layer_views_sequential () =
-  (* self-inclusion and containment on a lone Snapshot layer, run
-     sequentially over the Direct backend via run's rule hook *)
-  let module IIS_d = Snapshot.Iis.Make (Pram.Memory.Direct_v) in
-  let t =
-    IIS_d.create ~layer:(Snapshot.Iis.Snapshot Snapshot.Scan.Lattice)
-      ~procs:3 ~layers:1 ()
-  in
-  let views = ref [] in
-  let observe pid ~own:_ ~view =
-    views := (pid, view) :: !views;
-    0.0
-  in
-  ignore (IIS_d.run (IIS_d.attach t (ctx ~procs:3 0)) ~rule:(observe 0) 10.0);
-  ignore (IIS_d.run (IIS_d.attach t (ctx ~procs:3 2)) ~rule:(observe 2) 30.0);
-  check_bool "first view is own singleton" true
-    (List.assoc 0 !views = [ (0, 10.0) ]);
-  check_bool "second view contains first" true
-    (List.assoc 2 !views = [ (0, 10.0); (2, 30.0) ])
-
 let test_layers_needed () =
   check_bool "log3" true
     (IIS.layers_needed ~base:3.0 ~delta:1.0 ~epsilon:(1.0 /. 27.0) = 3);
@@ -248,9 +202,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_two_proc_optimal_rate;
           QCheck_alcotest.to_alcotest qcheck_two_proc_validity;
           QCheck_alcotest.to_alcotest qcheck_midpoint_rate;
-          QCheck_alcotest.to_alcotest qcheck_midpoint_rate_lattice_layers;
-          Alcotest.test_case "snapshot-layer views, sequential" `Quick
-            test_snapshot_layer_views_sequential;
           Alcotest.test_case "layers_needed" `Quick test_layers_needed;
           Alcotest.test_case "tight constant, exhaustive one layer" `Slow
             test_two_proc_exhaustive_one_layer;

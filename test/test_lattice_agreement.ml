@@ -69,6 +69,9 @@ let test_propose_requires_own_pid () =
   let h0 = LA_cls_d.attach t (ctx ~procs:2 0) in
   check_bool "rejected" true
     (try ignore (LA_cls_d.propose h0 (PS.singleton 1)); false
+     with Invalid_argument _ -> true);
+  check_bool "out-of-range pid rejected" true
+    (try ignore (LA_cls_d.propose h0 (PS.of_list [ 0; 2 ])); false
      with Invalid_argument _ -> true)
 
 let test_costs () =
@@ -139,6 +142,59 @@ let test_exhaustive_two_procs () =
   check_bool "classifier exhaustively correct (with crashes)" true
     (Pram.Explore.ok outcome)
 
+(* One tree, one descent per process under [stamps.(pid)] from the
+   singleton map: each result holds its own pid and only pids of its own
+   stamp (other stamps' posts are invisible), and same-stamp results are
+   ordered by inclusion — the classifier property, per stamp. *)
+module Tree = Snapshot.Classifier_tree.Make (Pram.Memory.Sim)
+
+let test_tree_stamps_isolated () =
+  let run ~way ~stamps =
+    let procs = Array.length stamps in
+    let setup () =
+      let t = Tree.create ~name:"t" ~procs in
+      fun pid ->
+        let own = Array.make procs None in
+        own.(pid) <- Some ();
+        Tree.descend t ~stamp:stamps.(pid) ~pid own
+    in
+    let check d _ =
+      let domain m =
+        PS.of_list
+          (List.filter (fun q -> Option.is_some m.(q)) (List.init procs Fun.id))
+      in
+      let results =
+        List.filter_map
+          (fun p -> Option.map (fun m -> (p, domain m)) (Pram.Driver.result d p))
+          (List.init procs Fun.id)
+      in
+      List.for_all
+        (fun (p, a) ->
+          PS.mem p a
+          && PS.for_all (fun q -> stamps.(q) = stamps.(p)) a
+          && List.for_all
+               (fun (q, b) ->
+                 stamps.(q) <> stamps.(p)
+                 || Snapshot.Lattice_agreement.comparable a b)
+               results)
+        results
+    in
+    let o =
+      Pram.Explore.search ~way ~procs (Pram.Explore.instance ~check setup)
+    in
+    let name =
+      String.concat "," (Array.to_list (Array.map string_of_int stamps))
+    in
+    check_bool ("stamps " ^ name ^ " isolated and ordered") true
+      (Pram.Explore.ok o);
+    o.Pram.Explore.explored
+  in
+  let naive = Pram.Explore.Way.Naive and dpor = Pram.Explore.Way.systematic in
+  check_int "naive [1;2]" 20 (run ~way:naive ~stamps:[| 1; 2 |]);
+  check_int "naive [1;1]" 20 (run ~way:naive ~stamps:[| 1; 1 |]);
+  check_int "systematic [1;1;2]" 66 (run ~way:dpor ~stamps:[| 1; 1; 2 |]);
+  check_int "systematic [1;1;1]" 313 (run ~way:dpor ~stamps:[| 1; 1; 1 |])
+
 let qcheck_wait_free =
   QCheck.Test.make ~name:"classifier propose completes solo" ~count:200
     QCheck.(pair (int_bound 1_000_000) (int_bound 60))
@@ -176,6 +232,8 @@ let () =
             test_reads_per_propose_counted;
           Alcotest.test_case "exhaustive n=2 with crashes" `Quick
             test_exhaustive_two_procs;
+          Alcotest.test_case "tree: stamps isolated, same-stamp ordered"
+            `Quick test_tree_stamps_isolated;
           QCheck_alcotest.to_alcotest
             (qcheck_properties "scan LA" (module LA_scan));
           QCheck_alcotest.to_alcotest

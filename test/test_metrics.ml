@@ -246,7 +246,7 @@ let scan_cost_via_observer ~procs ~variant =
    its protocol can access.  One process never collects, so [Adaptive]
    and [Lattice] then hold column 0 alone. *)
 let footprint ~procs variant =
-  let levels = Snapshot.Scan.lattice_levels ~procs in
+  let levels = Snapshot.Classifier_tree.levels ~procs in
   match variant with
   | Snapshot.Scan.Plain -> procs * (procs + 2) (* the full grid *)
   | Snapshot.Scan.Optimized -> procs * (procs + 1) (* no column n+1 *)

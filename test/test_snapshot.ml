@@ -377,14 +377,25 @@ let test_lattice_crash_mid_descend () =
 
 (* --- Lemma 32: comparability of concurrent scan results ---------------- *)
 
+(* Lemma 32 and Theorem 33 are claims about the object, so they take the
+   variant it runs as one more input. *)
+let any_variant =
+  QCheck.make
+    ~print:(function
+      | Snapshot.Scan.Plain -> "Plain"
+      | Optimized -> "Optimized"
+      | Adaptive -> "Adaptive"
+      | Lattice -> "Lattice")
+    (QCheck.Gen.oneofl Snapshot.Scan.[ Plain; Optimized; Adaptive; Lattice ])
+
 let qcheck_comparability =
   QCheck.Test.make ~name:"Lemma 32: scan results pairwise comparable"
     ~count:300
-    QCheck.(pair (int_bound 1_000_000) (int_bound 1))
-    (fun (seed, crashes) ->
+    QCheck.(triple (int_bound 1_000_000) (int_bound 1) any_variant)
+    (fun (seed, crashes, variant) ->
       let procs = 3 in
       let program () =
-        let t = Scan_set.create ~variant:Snapshot.Scan.Optimized ~procs in
+        let t = Scan_set.create ~variant ~procs in
         fun pid ->
           (* two scans per process, each contributing a distinct element *)
           let h = Scan_set.attach t (ctx ~procs pid) in
@@ -415,12 +426,13 @@ let qcheck_comparability =
 
 (* --- Theorem 33: linearizability under random schedules ---------------- *)
 
-(* One run of the write/read workload: each process does Write_l then
-   Read_max, under a random schedule; returns the recorded history. *)
-let scan_object_history ~procs ~seed ~with_crash =
+(* One run of the write/read workload on a [variant] object: each
+   process does Write_l then Read_max, under a random schedule; returns
+   the recorded history. *)
+let scan_object_history ~variant ~procs ~seed ~with_crash =
   let recorder = Spec.History.Recorder.create () in
   let program () =
-    let t = Scan.create ~variant:Snapshot.Scan.Optimized ~procs in
+    let t = Scan.create ~variant ~procs in
     fun pid ->
       let h = Scan.attach t (ctx ~procs pid) in
       ignore
@@ -443,10 +455,10 @@ let scan_object_history ~procs ~seed ~with_crash =
 let qcheck_scan_linearizable =
   QCheck.Test.make ~name:"Theorem 33: write_l/read_max histories linearizable"
     ~count:300
-    QCheck.(pair (int_bound 1_000_000) bool)
-    (fun (seed, with_crash) ->
+    QCheck.(triple (int_bound 1_000_000) bool any_variant)
+    (fun (seed, with_crash, variant) ->
       Scan_check.is_linearizable
-        (scan_object_history ~procs:3 ~seed ~with_crash))
+        (scan_object_history ~variant ~procs:3 ~seed ~with_crash))
 
 (* The combined Scan primitive — contribute v and return the join, as one
    atomic operation — is STRICTLY STRONGER than the paper's object, and

@@ -84,8 +84,8 @@ let test_bounds_and_way_strings () =
   check_string "none renders" "unbounded" (E.Bounds.to_string E.Bounds.none);
   check_string "default renders" "preempt<=3"
     (E.Bounds.to_string E.Bounds.default);
-  check_string "composed bounds render" "preempt<=2,length<=40"
-    (E.Bounds.to_string (E.Bounds.make ~preempt:2 ~length:40 ()));
+  check_string "made bound renders" "preempt<=2"
+    (E.Bounds.to_string (E.Bounds.make ~preempt:2 ()));
   check_string "naive renders" "naive" (E.Way.to_string E.Way.Naive);
   check_string "systematic renders" "systematic(unbounded)"
     (E.Way.to_string E.Way.systematic);
@@ -283,12 +283,7 @@ let test_preempt_bound_is_bug_finding_only () =
   let o = E.search ~way ~procs:3 (lost_update ~procs:3) in
   check_bool "no violation within the bound" true (o.E.failures = []);
   check_bool "pruning recorded" true (o.E.coverage.E.cov_pruned > 0);
-  check_bool "way recorded" true (o.E.way = way);
-  (* a length bound below the shortest maximal schedule prunes all *)
-  let short = E.Way.Systematic (E.Bounds.make ~length:3 ()) in
-  let o = E.search ~way:short ~procs:2 (lost_update ~procs:2) in
-  check_int "nothing completes within 3 steps" 0 o.E.explored;
-  check_bool "everything pruned" true (o.E.coverage.E.cov_pruned > 0)
+  check_bool "way recorded" true (o.E.way = way)
 
 (* --- weighted ways vs the POR caveat -------------------------------------- *)
 
