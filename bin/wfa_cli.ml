@@ -872,8 +872,8 @@ let top_cmd =
           match w.T.Window.latency with
           | None -> "latency -"
           | Some s ->
-              Printf.sprintf "p50 %dns p99 %dns" s.Metrics.Stats.p50
-                s.Metrics.Stats.p99
+              Printf.sprintf "p50 %dns p99 %dns" s.Telemetry.Stats.p50
+                s.Telemetry.Stats.p99
         in
         line "last window: %d ops (%.0f ops/s)  %s" w.T.Window.ops
           (float_of_int w.T.Window.ops /. T.Sampler.interval sampler)

@@ -28,8 +28,7 @@ module Make (M : Pram.Memory.S) : sig
   (** [attach t ctx] is process [Ctx.pid ctx]'s session with [t].  If
       the context carries a journal, each [output] is bracketed as an
       ["aa.output"] span with one annotation per advance / rescan /
-      decide (and filed in the metrics span histogram when a recorder is
-      attached); a sink-less context costs nothing.
+      decide; a sink-less context costs nothing.
       @raise Invalid_argument if the context pid exceeds [t]'s procs. *)
   val attach : t -> Runtime.Ctx.t -> handle
 

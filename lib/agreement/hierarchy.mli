@@ -1,11 +1,6 @@
 (** The wait-free hierarchy experiments (Theorems 7 and 8) — row
     generators consumed by experiments E2, E3, E4 and E8. *)
 
-(** Package this repository's Figure 2 implementation for the
-    adversary. *)
-val figure2_protocol :
-  procs:int -> epsilon:float -> inputs:float array -> Adversary.protocol
-
 type row = {
   k : int;  (** hierarchy level: epsilon = 3^-k (0 for Theorem 8 rows) *)
   epsilon : float;

@@ -15,10 +15,10 @@
      and the Theorem 7/8 hierarchy experiments;
    - {!Universal}: the Figure 4 universal construction, its graph
      machinery, the direct (type-optimized) objects and pseudo-RMW;
-   - {!Metrics}: the observability layer — per-process/per-register
-     access counters, span histograms, one schema over both backends;
    - {!Telemetry}: production-style contention counters, the windowed
-     sampler, and the OpenMetrics/JSON exporters (DESIGN.md §13);
+     sampler with its nearest-rank latency statistics, and the
+     OpenMetrics/JSON exporters (DESIGN.md §13) — access counts
+     themselves come from [Pram.Driver] on the simulator;
    - {!Tracing}: the structured event journal — per-execution causal
      traces with timeline, Chrome-trace and round-trippable text
      renderers;
@@ -36,7 +36,6 @@ module Agreement = Agreement
 module Universal = Universal
 module Workload = Workload
 module Consensus = Consensus
-module Metrics = Metrics
 module Telemetry = Telemetry
 module Tracing = Tracing
 module Runtime = Runtime

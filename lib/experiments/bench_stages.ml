@@ -35,13 +35,13 @@ let variant_name = function
   | Snapshot.Scan.Lattice -> "scan_lattice"
 
 (* One scan per process; [contended] interleaves all of them round-robin,
-   otherwise only pid 0 runs.  Counts come from a Metrics recorder
-   attached as the driver observer, so the rows exercise the same layer
-   users get.  With one scan per process a Lattice scan never retries,
-   so its counts equal the formula on either schedule; Adaptive's do
-   only uncontended.  The validator pins both against the formulas. *)
+   otherwise only pid 0 runs.  Reads and writes are the driver's own
+   counts; the registers touched are the distinct ids on its access
+   feed.  With one scan per process a Lattice scan never retries, so its
+   counts equal the formula on either schedule; Adaptive's do only
+   uncontended.  The validator pins both against the formulas. *)
 let sim_scan_rows ~variant ~procs ~contended =
-  let recorder = Metrics.Recorder.create ~procs in
+  let touched = Hashtbl.create 64 in
   let program () =
     let t = Scan_sim.create ~variant ~procs in
     fun pid ->
@@ -49,13 +49,13 @@ let sim_scan_rows ~variant ~procs ~contended =
       ignore (Scan_sim.scan h (pid + 1))
   in
   let d =
-    Pram.Driver.create ~observer:(Metrics.Recorder.observer recorder) ~procs
-      program
+    Pram.Driver.create
+      ~observer:(fun a -> Hashtbl.replace touched a.Pram.Trace.reg_id ())
+      ~procs program
   in
   if contended then
     Pram.Scheduler.run (Pram.Scheduler.round_robin ()) d
   else ignore (Pram.Driver.run_solo d 0);
-  let snap = Metrics.Recorder.snapshot recorder in
   let bench =
     Printf.sprintf "%s_%s" (variant_name variant)
       (if contended then "contended" else "uncontended")
@@ -65,10 +65,10 @@ let sim_scan_rows ~variant ~procs ~contended =
       ~unit_:"accesses"
   in
   [
-    mk "reads" (Metrics.Recorder.reads recorder ~pid:0);
-    mk "writes" (Metrics.Recorder.writes recorder ~pid:0);
+    mk "reads" (Pram.Driver.reads d 0);
+    mk "writes" (Pram.Driver.writes d 0);
     row ~bench ~procs ~backend:"sim" ~metric:"registers_touched"
-      ~value:(float_of_int (List.length snap.Metrics.Snapshot.per_register))
+      ~value:(float_of_int (Hashtbl.length touched))
       ~unit_:"registers";
   ]
 
@@ -76,10 +76,14 @@ module UC_sim = Universal.Construction.Make (Spec.Counter_spec) (Pram.Memory.Sim
 
 (* Per-operation step histogram of the generic universal construction
    under round-robin contention: the history grows with every operation,
-   so per-op access counts spread out — exactly what the span API is
-   for.  Operations come from the seeded workload scripts. *)
+   so per-op access counts spread out.  The driver observer bumps a
+   per-pid access count; each body reads its own before and after every
+   [execute], which is exact because the observer fires before [step]
+   resumes the fiber.  Operations come from the seeded workload
+   scripts. *)
 let sim_universal_rows ~procs ~ops_per_proc =
-  let recorder = Metrics.Recorder.create ~procs in
+  let accesses = Array.make procs 0 in
+  let hist = Telemetry.Histogram.create () in
   let script = Workload.counter_script ~seed:11 ~ops_per_proc in
   let program () =
     let t = UC_sim.create ~procs () in
@@ -87,17 +91,19 @@ let sim_universal_rows ~procs ~ops_per_proc =
       let h = UC_sim.attach t (Runtime.Ctx.make ~procs ~pid ()) in
       List.iter
         (fun op ->
-          ignore
-            (Metrics.Recorder.with_span recorder ~pid ~op:"apply" (fun () ->
-                 UC_sim.execute h op)))
+          let before = accesses.(pid) in
+          ignore (UC_sim.execute h op);
+          Telemetry.Histogram.add hist (accesses.(pid) - before))
         (script pid)
   in
   let d =
-    Pram.Driver.create ~observer:(Metrics.Recorder.observer recorder) ~procs
-      program
+    Pram.Driver.create
+      ~observer:(fun a ->
+        accesses.(a.Pram.Trace.pid) <- accesses.(a.Pram.Trace.pid) + 1)
+      ~procs program
   in
   Pram.Scheduler.run ~max_steps:50_000_000 (Pram.Scheduler.round_robin ()) d;
-  match Metrics.Recorder.span_stats recorder ~op:"apply" with
+  match Telemetry.Histogram.stats hist with
   | None -> []
   | Some s ->
       let mk metric value =
@@ -105,10 +111,10 @@ let sim_universal_rows ~procs ~ops_per_proc =
           ~value ~unit_:"accesses"
       in
       [
-        mk "steps_min" (float_of_int s.Metrics.Stats.min);
-        mk "steps_mean" s.Metrics.Stats.mean;
-        mk "steps_p99" (float_of_int s.Metrics.Stats.p99);
-        mk "steps_max" (float_of_int s.Metrics.Stats.max);
+        mk "steps_min" (float_of_int s.Telemetry.Stats.min);
+        mk "steps_mean" s.Telemetry.Stats.mean;
+        mk "steps_p99" (float_of_int s.Telemetry.Stats.p99);
+        mk "steps_max" (float_of_int s.Telemetry.Stats.max);
       ]
 
 (* Universal-construction benches: the same deterministic script in
@@ -121,7 +127,6 @@ module Sim_universal (O : Spec.Object_spec.S) = struct
   module U = Universal.Construction.Make (O) (Pram.Memory.Sim_v)
 
   let run ~procs ~mode ~script =
-    let recorder = Metrics.Recorder.create ~procs in
     let replays = Array.make procs 0 in
     let program () =
       let t = U.create ~procs () in
@@ -130,20 +135,17 @@ module Sim_universal (O : Spec.Object_spec.S) = struct
         List.iter (fun op -> ignore (U.execute h op)) (script pid);
         replays.(pid) <- (U.stats h).U.spec_replays
     in
-    let d =
-      Pram.Driver.create ~observer:(Metrics.Recorder.observer recorder) ~procs
-        program
-    in
+    let d = Pram.Driver.create ~procs program in
     Pram.Scheduler.run ~max_steps:50_000_000 (Pram.Scheduler.round_robin ()) d;
     let total count =
       let acc = ref 0 in
       for p = 0 to procs - 1 do
-        acc := !acc + count ~pid:p
+        acc := !acc + count d p
       done;
       !acc
     in
-    ( total (fun ~pid -> Metrics.Recorder.reads recorder ~pid),
-      total (fun ~pid -> Metrics.Recorder.writes recorder ~pid),
+    ( total Pram.Driver.reads,
+      total Pram.Driver.writes,
       Array.fold_left ( + ) 0 replays )
 
   let rows ~bench ~procs ~ops_per_proc ~script =
@@ -537,8 +539,8 @@ let series_rows ~bench ~procs ~backend (s : Telemetry.Series.t) =
           | None -> []
           | Some st ->
               [
-                mk "w_latency_p50" (float_of_int st.Metrics.Stats.p50) "ns";
-                mk "w_latency_p99" (float_of_int st.Metrics.Stats.p99) "ns";
+                mk "w_latency_p50" (float_of_int st.Telemetry.Stats.p50) "ns";
+                mk "w_latency_p99" (float_of_int st.Telemetry.Stats.p99) "ns";
               ]);
           List.filter_map
             (fun e ->
@@ -604,9 +606,9 @@ let native_store_stage ~bench ~procs ~batching ~read_fraction ~seed ~loop
     | Some s ->
         [
           row ~bench ~procs ~backend:"native" ~metric:"latency_p99"
-            ~value:(float_of_int s.Metrics.Stats.p99) ~unit_:"ns";
+            ~value:(float_of_int s.Telemetry.Stats.p99) ~unit_:"ns";
           row ~bench ~procs ~backend:"native" ~metric:"latency_mean"
-            ~value:s.Metrics.Stats.mean ~unit_:"ns";
+            ~value:s.Telemetry.Stats.mean ~unit_:"ns";
         ]
   in
   throughput_rows ~bench ~procs ~total_ops:merged.Workload.Traffic.ops
@@ -718,27 +720,26 @@ let native_scan_variant_rows ~quick ~variant ~procs ~contended =
   throughput_rows ~bench ~procs ~total_ops:(domains * scans) ~elapsed []
 
 (* Register footprint of an [Optimized] scan object — the grid without
-   its never-read last column — measured through the
-   [Runtime.Instrument] wrapper rather than asserted from the formula. *)
+   its never-read last column — counted by a creation hook over the
+   production registers rather than asserted from the formula. *)
 let native_scan_footprint_rows ~procs =
-  let recorder = Metrics.Recorder.create ~procs in
-  let sink = Runtime.Sink.make ~metrics:recorder () in
-  let module Inst =
-    Runtime.Instrument
+  let created = ref 0 in
+  let module Counted =
+    Pram.Memory.Hooked
       (Pram.Native.Versioned)
       (struct
-        let sink = sink
+        let on_create ~reg_id:_ ~reg_name:_ = incr created
+        let on_read ~reg_id:_ ~reg_name:_ = ()
+        let on_write ~reg_id:_ ~reg_name:_ = ()
       end)
   in
-  let module Scan_inst = Snapshot.Scan.Make (Semilattice.Nat_max) (Inst) in
-  let t = Scan_inst.create ~variant:Snapshot.Scan.Optimized ~procs in
-  Runtime.set_pid 0;
-  let h = Scan_inst.attach t (Runtime.Ctx.make ~procs ~pid:0 ()) in
-  ignore (Scan_inst.scan h 1);
+  let module Scan_counted = Snapshot.Scan.Make (Semilattice.Nat_max) (Counted) in
+  let t = Scan_counted.create ~variant:Snapshot.Scan.Optimized ~procs in
+  let h = Scan_counted.attach t (Runtime.Ctx.make ~procs ~pid:0 ()) in
+  ignore (Scan_counted.scan h 1);
   [
     row ~bench:"scan_grid" ~procs ~backend:"native" ~metric:"registers"
-      ~value:(float_of_int (Metrics.Recorder.registers_created recorder))
-      ~unit_:"registers";
+      ~value:(float_of_int !created) ~unit_:"registers";
   ]
 
 let native_array_rows ~quick ~procs ~contended =

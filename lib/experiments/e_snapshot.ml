@@ -16,23 +16,18 @@
 module L = Semilattice.Nat_max
 module Scan = Snapshot.Scan.Make (L) (Pram.Memory.Sim_v)
 
-(* Count reads and writes of one Scan by process 0 with a Metrics
-   recorder on the driver's access feed. *)
+(* Reads and writes of one Scan by process 0, as the driver counts
+   them. *)
 let scan_cost ~procs ~variant =
-  let recorder = Metrics.Recorder.create ~procs in
   let program () =
     let t = Scan.create ~variant ~procs in
     fun pid ->
       let h = Scan.attach t (Runtime.Ctx.make ~procs ~pid ()) in
       Scan.scan h (pid + 1)
   in
-  let d =
-    Pram.Driver.create ~observer:(Metrics.Recorder.observer recorder) ~procs
-      program
-  in
+  let d = Pram.Driver.create ~procs program in
   ignore (Pram.Driver.run_solo d 0);
-  ( Metrics.Recorder.reads recorder ~pid:0,
-    Metrics.Recorder.writes recorder ~pid:0 )
+  (Pram.Driver.reads d 0, Pram.Driver.writes d 0)
 
 let e5 ?(ns = [ 1; 2; 3; 4; 6; 8; 10; 12 ]) () =
   let t =

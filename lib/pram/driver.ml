@@ -44,12 +44,13 @@ type 'r t = {
   procs : int;
   body : int -> 'r;
   cells : 'r cell array;
-  steps : int array;
+  reads : int array;
+  writes : int array;
   mutable total_steps : int;
   mutable schedule_rev : int list;
   observer : (Trace.access -> unit) option;
-      (* called once per fired access, in firing order; the metrics layer
-         plugs in here without the driver depending on it *)
+      (* called once per fired access, in firing order; the tracing
+         journal plugs in here without the driver depending on it *)
 }
 
 exception Process_not_runnable of int
@@ -109,7 +110,8 @@ let create ?observer ~procs setup =
     procs;
     body;
     cells = Array.make procs Not_started;
-    steps = Array.make procs 0;
+    reads = Array.make procs 0;
+    writes = Array.make procs 0;
     total_steps = 0;
     schedule_rev = [];
     observer;
@@ -158,7 +160,9 @@ let lookahead t p =
   | Finished _ | Crashed -> Lk_done
 
 let result t p = match t.cells.(p) with Finished r -> Some r | _ -> None
-let steps t p = t.steps.(p)
+let reads t p = t.reads.(p)
+let writes t p = t.writes.(p)
+let steps t p = t.reads.(p) + t.writes.(p)
 let total_steps t = t.total_steps
 let runnable t p =
   match t.cells.(p) with Not_started | Suspended _ -> true | _ -> false
@@ -191,7 +195,9 @@ let step t p =
               kind = pd.kind;
             }
       | None -> ());
-      t.steps.(p) <- t.steps.(p) + 1;
+      (match pd.kind with
+      | Trace.Read -> t.reads.(p) <- t.reads.(p) + 1
+      | Trace.Write -> t.writes.(p) <- t.writes.(p) + 1);
       t.total_steps <- t.total_steps + 1;
       t.schedule_rev <- p :: t.schedule_rev;
       pd.fire ()

@@ -44,9 +44,10 @@ exception Process_not_runnable of int
 
     [observer] is called once per fired access, in firing order, with
     its {!Trace.access} record — the driver's one access feed, which the
-    metrics layer, the tracing journal and trace-collecting tests attach
-    to.  It must not perform shared-memory accesses of the simulated
-    program. *)
+    tracing journal and trace-collecting tests attach to.  Counting needs
+    no observer: the driver itself meters every fired access ({!reads},
+    {!writes}).  It must not perform shared-memory accesses of the
+    simulated program. *)
 val create :
   ?observer:(Trace.access -> unit) ->
   procs:int ->
@@ -68,9 +69,17 @@ type lookahead =
 val lookahead : 'r t -> int -> lookahead
 val result : 'r t -> int -> 'r option
 
-(** Number of accesses fired so far by one process / by all processes. *)
+(** The driver is the simulator's access meter: the reads and writes
+    fired so far by one process, and their sum [steps = reads + writes]
+    (the paper's per-process step complexity).  A process counts an
+    access when the access fires, so a lazy start that finishes without
+    one counts nothing. *)
+val reads : 'r t -> int -> int
+
+val writes : 'r t -> int -> int
 val steps : 'r t -> int -> int
 
+(** Accesses fired so far by all processes. *)
 val total_steps : 'r t -> int
 val runnable : 'r t -> int -> bool
 val runnable_list : 'r t -> int list

@@ -96,7 +96,8 @@ module type Hooks = sig
 end
 
 (** [Hooked (M) (H)] is [M] with [H]'s hooks fired on every completed
-    access — the generic opt-in counter wrapper behind [Metrics].
+    access — the generic opt-in wrapper behind [Runtime.Instrument]
+    and the repo's register-footprint counters.
     [read], [read_versioned] and [epoch] each fire [on_read] once, so a
     wrapped run counts exactly the accesses of the paper's cost model;
     [S]-only algorithms run on the wrapper as on any [VERSIONED]

@@ -21,10 +21,8 @@ type access = {
     state unchanged. *)
 val dependent : access -> access -> bool
 
-(** Printers for encoded schedules (see {!Explore}): action [p >= 0]
+(** Printer for encoded schedules (see {!Explore}): action [p >= 0]
     steps process [p]; [-1 - p] crashes it (printed [!pN]). *)
-val pp_encoded_action : Format.formatter -> int -> unit
-
 val pp_encoded_schedule : Format.formatter -> int list -> unit
 
 (** The inverse of {!pp_encoded_schedule}: parse whitespace-separated

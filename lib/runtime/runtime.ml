@@ -2,15 +2,14 @@
 
    Before this module existed, each cross-cutting concern had its own
    plumbing: [pid] threaded through every call, [?journal] optionals on
-   every traced operation, metrics via separately instantiated wrappers,
-   and per-pid RNG memoized in [Workload].  [Ctx] bundles them once per
-   process; algorithms mint a handle from it at session start and the
-   per-call surface carries no cross-cutting arguments at all. *)
+   every traced operation, and per-pid RNG memoized in [Workload].
+   [Ctx] bundles them once per process; algorithms mint a handle from it
+   at session start and the per-call surface carries no cross-cutting
+   arguments at all. *)
 
-(* One domain-local pid for every instrumentation consumer.  Metrics and
-   Tracing used to keep parallel copies of this key; with both feeds
-   behind [Sink] a single key suffices — and [run_domains] sets it once
-   per domain, which attributes both. *)
+(* One domain-local pid for every native instrumentation consumer (the
+   journal's [Instrument] feed and the seqlock-retry hook); [run_domains]
+   sets it once per domain, which attributes both. *)
 let pid_key = Domain.DLS.new_key (fun () -> 0)
 let set_pid p = Domain.DLS.set pid_key p
 let current_pid () = Domain.DLS.get pid_key
@@ -25,69 +24,41 @@ end
 
 module Sink = struct
   type t = {
-    metrics : Metrics.Recorder.t option;
     journal : Tracing.Journal.t option;
     telemetry : Telemetry.Counters.t option;
   }
 
-  let none = { metrics = None; journal = None; telemetry = None }
-  let make ?metrics ?journal ?telemetry () = { metrics; journal; telemetry }
-
-  let observer t =
-    match (t.metrics, t.journal) with
-    | None, None -> None
-    | Some r, None -> Some (Metrics.Recorder.observer r)
-    | None, Some j -> Some (Tracing.Journal.observer j)
-    | Some r, Some j ->
-        Some
-          (fun a ->
-            Metrics.Recorder.observer r a;
-            Tracing.Journal.observer j a)
-
-  let record_create t ~reg_id ~reg_name =
-    match t.metrics with
-    | None -> ()
-    | Some r -> Metrics.Recorder.record_create r ~reg_id ~reg_name
-
-  let record_access t ~pid ~kind ~reg_id ~reg_name =
-    (match t.metrics with
-    | None -> ()
-    | Some r -> (
-        match (kind : Pram.Trace.kind) with
-        | Pram.Trace.Read ->
-            Metrics.Recorder.record_read ~reg_id ~reg_name r ~pid
-        | Pram.Trace.Write ->
-            Metrics.Recorder.record_write ~reg_id ~reg_name r ~pid));
-    match t.journal with
-    | None -> ()
-    | Some j -> Tracing.Journal.access j ~pid ~kind ~reg_id ~reg_name
+  let none = { journal = None; telemetry = None }
+  let make ?journal ?telemetry () = { journal; telemetry }
+  let observer t = Option.map Tracing.Journal.observer t.journal
 end
 
+(* The journal is the one consumer of a wrapped backend's access stream;
+   registers are created unobserved. *)
 module Instrument (M : Pram.Memory.VERSIONED) (S : sig
   val sink : Sink.t
 end) =
   Pram.Memory.Hooked
     (M)
     (struct
-      let on_create ~reg_id ~reg_name =
-        Sink.record_create S.sink ~reg_id ~reg_name
+      let on_create ~reg_id:_ ~reg_name:_ = ()
 
-      let on_read ~reg_id ~reg_name =
-        Sink.record_access S.sink ~pid:(current_pid ())
-          ~kind:Pram.Trace.Read ~reg_id ~reg_name
+      let access kind ~reg_id ~reg_name =
+        match S.sink.Sink.journal with
+        | None -> ()
+        | Some j ->
+            Tracing.Journal.access j ~pid:(current_pid ()) ~kind ~reg_id
+              ~reg_name
 
-      let on_write ~reg_id ~reg_name =
-        Sink.record_access S.sink ~pid:(current_pid ())
-          ~kind:Pram.Trace.Write ~reg_id ~reg_name
+      let on_read = access Pram.Trace.Read
+      let on_write = access Pram.Trace.Write
     end)
 
 module Ctx = struct
   type t = {
     pid : int;
-    procs : int;
     sink : Sink.t;
     seed : int;
-    quiet : bool;  (* no journal and no recorder *)
     traced : bool;  (* a journal *)
     mutable rng : Random.State.t option;
         (* lazily built so contexts that never draw randomness allocate
@@ -110,14 +81,10 @@ module Ctx = struct
              "Runtime.Ctx.make: telemetry grid has %d pids, session has %d"
              (Telemetry.Counters.procs c) procs)
     | _ -> ());
-    let traced = Option.is_some sink.Sink.journal in
-    let quiet = (not traced) && Option.is_none sink.Sink.metrics in
-    { pid; procs; sink; seed; quiet; traced; rng = None }
+    { pid; sink; seed; traced = Option.is_some sink.Sink.journal; rng = None }
 
   let pid t = t.pid
-  let procs t = t.procs
   let telemetry t = t.sink.Sink.telemetry
-  let quiet t = t.quiet
   let traced t = t.traced
 
   let rng t =
@@ -136,17 +103,9 @@ module Ctx = struct
      caller already built, no access, no allocation. *)
 
   let span t ~op f =
-    match (t.sink.Sink.journal, t.sink.Sink.metrics) with
-    | None, None -> f ()
-    | j, m -> (
-        let inner () =
-          match m with
-          | None -> f ()
-          | Some r -> Metrics.Recorder.with_span r ~pid:t.pid ~op f
-        in
-        match j with
-        | None -> inner ()
-        | Some jj -> Tracing.Journal.with_span jj ~pid:t.pid ~op inner)
+    match t.sink.Sink.journal with
+    | None -> f ()
+    | Some j -> Tracing.Journal.with_span j ~pid:t.pid ~op f
 
   let annotate t note =
     match t.sink.Sink.journal with

@@ -5,8 +5,7 @@
     against a memory".  Before this module, that identity and its
     cross-cutting companions were threaded by hand through every layer:
     [pid:int] on each call, [?journal] optionals per traced operation,
-    metrics via separately instantiated wrapper functors, per-pid RNG
-    memoized in [Workload].  {!Ctx} bundles them: construct one context
+    per-pid RNG memoized in [Workload].  {!Ctx} bundles them: construct one context
     per process at session start, mint an algorithm {e handle} from it
     ([X.attach obj ctx]), and every subsequent operation call carries no
     cross-cutting arguments.
@@ -16,17 +15,17 @@
     - {b Off by default is free}: a context with no sink performs no
       accesses and allocates nothing on any instrumentation path (the
       Gc-measured test in [test_tracing] pins this down).
-    - {b One pid authority}: a single domain-local {!set_pid} serves
-      every instrumentation consumer — the parallel copies that Metrics
-      and Tracing each kept are gone.
-    - {b One observer feed}: {!Sink} fans a single access stream out to
-      the metrics recorder and the tracing journal, whether the stream
-      originates from the simulator driver ({!Sink.observer}) or from a
-      wrapped backend ({!Instrument}).
+    - {b One pid authority}: a single domain-local {!set_pid} attributes
+      both the journal's native feed and the seqlock-retry hook.
+    - {b One observer feed}: the tracing journal is the one consumer of
+      the access stream, whether it originates from the simulator
+      driver ({!Sink.observer}) or from a wrapped backend
+      ({!Instrument}).  Counting needs no observer on the simulator:
+      [Pram.Driver] meters every fired access itself.
     - {b One reporting surface}: algorithms observe only through their
       {!Ctx} — spans, annotations and mechanical causes
-      ({!Ctx.cause}) — and never hold a journal, recorder or counter
-      grid of their own.
+      ({!Ctx.cause}) — and never hold a journal or counter grid of
+      their own.
     - {b One native path}: {!run_domains} is the only harness that puts
       processes on domains, and instrumented runs wrap the same
       production seqlock registers ({!Instrument} over
@@ -41,8 +40,6 @@
     and the driver observer attributes by firing schedule instead. *)
 val set_pid : int -> unit
 
-val current_pid : unit -> int
-
 (** {1 Deterministic randomness} *)
 
 module Rng : sig
@@ -56,10 +53,10 @@ end
 
 (** {1 The unified observer sink} *)
 
-(** The observers of a session: any of a metrics recorder, a tracing
-    journal and a contention-counter grid.  The recorder and the journal
-    consume the shared-memory access stream (through {!Sink.observer} on
-    the simulator, {!Instrument} on other backends); the grid counts the
+(** The observers of a session: a tracing journal and a
+    contention-counter grid, each optional.  The journal consumes the
+    shared-memory access stream (through {!Sink.observer} on the
+    simulator, {!Instrument} on other backends); the grid counts the
     mechanical causes algorithms report through {!Ctx.cause}. *)
 module Sink : sig
   type t
@@ -68,25 +65,21 @@ module Sink : sig
   val none : t
 
   val make :
-    ?metrics:Metrics.Recorder.t ->
-    ?journal:Tracing.Journal.t ->
-    ?telemetry:Telemetry.Counters.t ->
-    unit ->
-    t
+    ?journal:Tracing.Journal.t -> ?telemetry:Telemetry.Counters.t -> unit -> t
 
-  (** The streaming hook for [Pram.Driver.create ?observer]: [None] when
-      the sink has neither recorder nor journal (so an observer-less
-      driver stays on its free path), otherwise one callback feeding
-      both. *)
+  (** The streaming hook for [Pram.Driver.create ?observer]: [None]
+      without a journal (so an observer-less driver stays on its free
+      path), otherwise the journal's feed. *)
   val observer : t -> (Pram.Trace.access -> unit) option
 end
 
 (** [Instrument (M) (S)] is backend [M] with every completed access fed
-    to [S.sink], attributed to the calling domain's pid — the single
-    replacement for the old [Metrics.Instrument] and
-    [Tracing.Instrument] pair.  Use it over [Memory.Direct_v] or
-    [Native.Versioned]; under [Memory.Sim_v] prefer the driver observer
-    (hooks fire at invocation, not firing, time). *)
+    to [S.sink]'s journal, attributed to the calling domain's pid.  Use
+    it over [Memory.Direct_v] or [Native.Versioned]; under
+    [Memory.Sim_v] prefer the driver observer (hooks fire at invocation,
+    not firing, time).  Register creation feeds nothing: a test that
+    counts registers stacks its own [Memory.Hooked] with an [on_create]
+    counter. *)
 module Instrument (M : Pram.Memory.VERSIONED) (S : sig
   val sink : Sink.t
 end) : Pram.Memory.VERSIONED
@@ -106,18 +99,14 @@ module Ctx : sig
   val make : ?sink:Sink.t -> ?seed:int -> procs:int -> pid:int -> unit -> t
 
   val pid : t -> int
-  val procs : t -> int
 
   (** The sink's contention-counter grid, if any — for attach-time
       checks of its shape (e.g. [Store.attach]'s families). *)
   val telemetry : t -> Telemetry.Counters.t option
 
-  (** Fixed at {!make}: [quiet] when the sink has neither journal nor
-      recorder (so {!span} would only call its body, and a caller may
-      skip building the closure), [traced] when it has a journal (so a
-      caller may guard building an annotation's text). *)
-  val quiet : t -> bool
-
+  (** Fixed at {!make}: whether the sink has a journal.  Without one,
+      {!span} only calls its body, so a caller may skip building the
+      closure, and an annotation's text need not be built. *)
   val traced : t -> bool
 
   (** This process's deterministic random state: {!Rng.state} on
@@ -135,8 +124,7 @@ module Ctx : sig
       path is a pattern match, with no access and no allocation. *)
 
   (** [span t ~op f] brackets [f ()] as operation [op] in the journal
-      (Invoke/Response events) {e and} files its access count into the
-      metrics span histogram, whichever of the two is attached. *)
+      (Invoke/Response events). *)
   val span : t -> op:string -> (unit -> 'a) -> 'a
 
   (** Free-form journal mark (e.g. ["round 3"]); no-op without a

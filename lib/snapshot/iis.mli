@@ -10,8 +10,6 @@
 module Float_value : Slot_value.S with type t = float
 
 module Make (M : Pram.Memory.VERSIONED) : sig
-  module IS : module type of Immediate_snapshot.Make (Float_value) (M)
-
   type t
 
   (** [create ~procs ~layers ()] is a fresh chain of [layers] one-shot

@@ -64,7 +64,7 @@
    the pid, the process's private row mirror and scratch rows for the
    adaptive validation; every observation goes through the context.
    The untraced ([Sink.none]) fast path allocates nothing: dispatch on
-   [Ctx.quiet] happens before any span closure is built, the
+   [Ctx.traced] happens before any span closure is built, the
    collect accumulates through tail recursion instead of a [ref] cell,
    and versioned reads return the backend's stored observation. *)
 
@@ -400,8 +400,9 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
     | Lattice -> scan_lattice h v
 
   let scan h v =
-    if Runtime.Ctx.quiet h.ctx then scan_variant h v
-    else Runtime.Ctx.span h.ctx ~op:"scan" (fun () -> scan_variant h v)
+    if Runtime.Ctx.traced h.ctx then
+      Runtime.Ctx.span h.ctx ~op:"scan" (fun () -> scan_variant h v)
+    else scan_variant h v
 
   (* The two operations of the atomic scan object (Section 6): Write_L
      discards the scan's return value; ReadMax contributes bottom.
@@ -412,8 +413,9 @@ module Make (L : Semilattice.S) (M : Pram.Memory.VERSIONED) = struct
   let write_l h v =
     match h.obj.variant with
     | Adaptive | Lattice ->
-        if Runtime.Ctx.quiet h.ctx then publish h v
-        else Runtime.Ctx.span h.ctx ~op:"scan" (fun () -> publish h v)
+        if Runtime.Ctx.traced h.ctx then
+          Runtime.Ctx.span h.ctx ~op:"scan" (fun () -> publish h v)
+        else publish h v
     | Plain | Optimized -> ignore (scan h v)
 
   let read_max h = scan h L.bottom

@@ -12,8 +12,6 @@
     configurations. *)
 
 module Make (V : Slot_value.S) (M : Pram.Memory.VERSIONED) : sig
-  module Slot : module type of Semilattice.Tagged (V)
-
   type t
 
   (** [create ~variant ~procs]: [procs] slots, every update and

@@ -48,13 +48,6 @@ module Recorder : sig
   val events : ('op, 'resp) t -> ('op, 'resp) event list
 end
 
-val pp_event :
-  (Format.formatter -> 'op -> unit) ->
-  (Format.formatter -> 'resp -> unit) ->
-  Format.formatter ->
-  ('op, 'resp) event ->
-  unit
-
 val pp :
   (Format.formatter -> 'op -> unit) ->
   (Format.formatter -> 'resp -> unit) ->

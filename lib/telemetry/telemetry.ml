@@ -130,13 +130,73 @@ module Counters = struct
   let totals t = Array.of_list (List.map (total t) Event.all)
 end
 
+module Stats = struct
+  type t = {
+    count : int;
+    min : int;
+    max : int;
+    mean : float;
+    p50 : int;
+    p99 : int;
+  }
+
+  let pp ppf s =
+    Format.fprintf ppf "n=%d min=%d mean=%.1f p50=%d p99=%d max=%d" s.count
+      s.min s.mean s.p50 s.p99 s.max
+end
+
+module Histogram = struct
+  (* A growable array of raw observations: exact quantiles, O(1) insert,
+     and the sample sizes here (operations per run) never justify
+     bucketing. *)
+  type t = {
+    mutable data : int array;
+    mutable len : int;
+  }
+
+  let create () = { data = Array.make 16 0; len = 0 }
+
+  let add t v =
+    if t.len = Array.length t.data then begin
+      let bigger = Array.make (2 * t.len) 0 in
+      Array.blit t.data 0 bigger 0 t.len;
+      t.data <- bigger
+    end;
+    t.data.(t.len) <- v;
+    t.len <- t.len + 1
+
+  let count t = t.len
+
+  let stats t =
+    if t.len = 0 then None
+    else begin
+      let sorted = Array.sub t.data 0 t.len in
+      Array.sort compare sorted;
+      let total = Array.fold_left ( + ) 0 sorted in
+      (* nearest-rank quantiles: the smallest value with at least the
+         requested fraction of the sample at or below it *)
+      let rank q =
+        max 1 (int_of_float (ceil (q *. float_of_int t.len)))
+      in
+      Some
+        {
+          Stats.count = t.len;
+          min = sorted.(0);
+          max = sorted.(t.len - 1);
+          mean = float_of_int total /. float_of_int t.len;
+          p50 = sorted.(rank 0.50 - 1);
+          p99 = sorted.(rank 0.99 - 1);
+        }
+    end
+end
+
 module Window = struct
   type t = {
     index : int;
     t_start : float;
     t_end : float;
     ops : int;
-    latency : Metrics.Stats.t option;
+    latency : Stats.t option;
     deltas : int array;
   }
 
@@ -144,7 +204,7 @@ module Window = struct
     Format.fprintf ppf "@[<h>w%d [%.3f,%.3f) ops=%d" w.index w.t_start w.t_end
       w.ops;
     (match w.latency with
-    | Some s -> Format.fprintf ppf " lat(%a)" Metrics.Stats.pp s
+    | Some s -> Format.fprintf ppf " lat(%a)" Stats.pp s
     | None -> ());
     List.iter
       (fun e ->
@@ -169,7 +229,7 @@ module Sampler = struct
     mutable next_index : int;  (* index of the currently open window *)
     mutable cur_start : float;  (* relative start of the open window *)
     mutable cur_ops : int;
-    mutable cur_hist : Metrics.Histogram.t;
+    mutable cur_hist : Histogram.t;
     mutable prev_totals : int array;  (* counter totals at last close *)
     mutable finished : bool;
   }
@@ -196,7 +256,7 @@ module Sampler = struct
       next_index = 0;
       cur_start = 0.0;
       cur_ops = 0;
-      cur_hist = Metrics.Histogram.create ();
+      cur_hist = Histogram.create ();
       prev_totals = Counters.totals counters;
       finished = false;
     }
@@ -222,7 +282,7 @@ module Sampler = struct
         t_start = t.cur_start;
         t_end;
         ops = t.cur_ops;
-        latency = Metrics.Histogram.stats t.cur_hist;
+        latency = Histogram.stats t.cur_hist;
         deltas;
       }
     in
@@ -235,7 +295,7 @@ module Sampler = struct
     t.next_index <- t.next_index + 1;
     t.cur_start <- t_end;
     t.cur_ops <- 0;
-    t.cur_hist <- Metrics.Histogram.create ()
+    t.cur_hist <- Histogram.create ()
 
   (* Close every window the clock has fully passed.  Holds the lock. *)
   let catch_up t =
@@ -256,7 +316,7 @@ module Sampler = struct
         catch_up t;
         t.cur_ops <- t.cur_ops + 1;
         t.s_total_ops <- t.s_total_ops + 1;
-        Metrics.Histogram.add t.cur_hist latency_ns)
+        Histogram.add t.cur_hist latency_ns)
 
   let tick t =
     locked t (fun () ->
@@ -401,10 +461,10 @@ module Openmetrics = struct
             | Some st ->
                 sample buf "wfa_window_latency_ns"
                   [ wlab; ("quantile", "0.5") ]
-                  (float_of_int st.Metrics.Stats.p50);
+                  (float_of_int st.Stats.p50);
                 sample buf "wfa_window_latency_ns"
                   [ wlab; ("quantile", "0.99") ]
-                  (float_of_int st.Metrics.Stats.p99));
+                  (float_of_int st.Stats.p99));
             List.iter
               (fun e ->
                 let d = w.deltas.(Event.index e) in

@@ -1,10 +1,12 @@
 (** Windowed telemetry: contention counters and a time-series sampler.
 
-    The paper's cost model is end-of-run access totals, and {!Metrics}
-    reports exactly those.  Production systems are diagnosed from the
-    {e other} axis: what happened {e per time window}, and {e why} —
-    a throughput collapse mid-run, one hot shard, a CAS retry storm.
-    This module supplies that axis in three pieces:
+    The paper's cost model is end-of-run access totals, and
+    [Pram.Driver] meters exactly those on the simulator.  Production
+    systems are diagnosed from the {e other} axis: what happened {e per
+    time window}, and {e why} — a throughput collapse mid-run, one hot
+    shard, a CAS retry storm.  This module supplies that axis in three
+    pieces, plus the nearest-rank {!Stats} over a {!Histogram} that the
+    sampler, [Workload.Traffic] and the bench summarize samples with:
 
     - {!Counters}: per-(pid, family) cache-line-padded event counters
       for a fixed vocabulary of {e mechanical causes} ({!Event}) —
@@ -22,11 +24,10 @@
       [Experiments.Bench_json]).
 
     Everything follows the repo's off-by-default discipline: telemetry
-    rides in [Runtime.Sink] next to the metrics recorder and the tracing
-    journal, algorithms report a cause through [Runtime.Ctx.cause], and
-    without a grid that call is a single pattern match — zero accesses,
-    zero allocation (pinned by the Gc-measured tests in
-    [test_tracing]). *)
+    rides in [Runtime.Sink] next to the tracing journal, algorithms
+    report a cause through [Runtime.Ctx.cause], and without a grid that
+    call is a single pattern match — zero accesses, zero allocation
+    (pinned by the Gc-measured tests in [test_tracing]). *)
 
 (** The named event classes — the mechanical causes a p99 regression is
     attributed to.  The vocabulary is closed on purpose: exporters,
@@ -72,7 +73,6 @@ module Event : sig
   val name : t -> string
 
   val of_name : string -> t option
-  val pp : Format.formatter -> t -> unit
 end
 
 (** Monotone event counters on a [procs x families x events] grid of
@@ -109,6 +109,43 @@ module Counters : sig
   val totals : t -> int array
 end
 
+(** Summary statistics of an integer sample.
+
+    Percentile convention: {b nearest-rank}.  For a sample of [count]
+    observations sorted ascending, the p99 is the value at 1-based rank
+    [max 1 (ceil (0.99 * count))] — no interpolation.  Consequences
+    worth knowing when reading reports: stats are only defined on
+    non-empty samples ({!Histogram.stats} returns [None] when empty); on
+    a singleton the p99, min, max and mean all equal the one
+    observation; and for any [count < 100] the rank rounds up to
+    [count], so the p99 equals the max. *)
+module Stats : sig
+  type t = {
+    count : int;
+    min : int;
+    max : int;
+    mean : float;
+    p50 : int;  (** value at rank [max 1 (ceil 0.50*count)] (nearest-rank) *)
+    p99 : int;  (** value at rank [max 1 (ceil 0.99*count)] (nearest-rank) *)
+  }
+
+  val pp : Format.formatter -> t -> unit
+end
+
+(** A growable sample of non-negative integer observations (operation
+    latencies or step counts).  Not thread-safe on its own; {!Sampler}
+    serializes access to its histograms. *)
+module Histogram : sig
+  type t
+
+  val create : unit -> t
+  val add : t -> int -> unit
+  val count : t -> int
+
+  (** [None] when empty. *)
+  val stats : t -> Stats.t option
+end
+
 (** One closed sampling window. *)
 module Window : sig
   type t = {
@@ -116,7 +153,7 @@ module Window : sig
     t_start : float;  (** seconds since sampler creation *)
     t_end : float;  (** [t_start +. interval], strictly increasing *)
     ops : int;  (** operations observed in this window *)
-    latency : Metrics.Stats.t option;
+    latency : Stats.t option;
         (** per-operation latency (ns) observed in this window; [None]
             when the window saw no operations *)
     deltas : int array;

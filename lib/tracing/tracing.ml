@@ -103,7 +103,7 @@ module Journal = struct
 end
 
 (* Pid attribution for native domains lives in [Runtime] (one
-   [Domain.DLS] slot shared with metrics, set by [Runtime.run_domains]);
+   [Domain.DLS] slot, set by [Runtime.run_domains]);
    [Runtime.Instrument] wraps the versioned registers and feeds this
    journal through a [Runtime.Sink]. *)
 

@@ -1,9 +1,10 @@
 (** Structured execution tracing: a causal event journal over the
     shared-memory access stream.
 
-    {!Metrics} answers "how many accesses" in aggregate; this module
-    answers "which accesses, in what order, belonging to which
-    operation" for {e one} execution.  A {!Journal} records a totally
+    [Pram.Driver] answers "how many accesses" on the simulator; this
+    module answers "which accesses, in what order, belonging to which
+    operation" for {e one} execution, on every backend — the one
+    consumer of the access stream.  A {!Journal} records a totally
     ordered sequence of events — atomic accesses (fed from
     {!Pram.Driver}'s [?observer] on the simulator, or from the
     [Runtime.Instrument] wrapper over the seqlock registers on domains
@@ -56,7 +57,6 @@ module Journal : sig
       @raise Invalid_argument if [procs <= 0]. *)
   val create : ?clock:clock -> procs:int -> unit -> t
 
-  val procs : t -> int
   val clock : t -> clock
   val length : t -> int
 

@@ -434,9 +434,9 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     resp
 
   let execute h op =
-    if Runtime.Ctx.quiet h.ctx then execute_inner h op
-    else
+    if Runtime.Ctx.traced h.ctx then
       Runtime.Ctx.span h.ctx ~op:"uc.execute" (fun () -> execute_inner h op)
+    else execute_inner h op
 
   (* Read-only variant: linearizes the current graph and applies [op] to
      the resulting state without publishing an entry.  Valid only for

@@ -81,9 +81,8 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) : sig
   (** [attach t ctx] is process [Ctx.pid ctx]'s session with [t] (and
       with the underlying anchor snapshot-array).  If the context
       carries a journal, each [execute] is bracketed as a
-      ["uc.execute"] span with snapshot / replay / publish annotations
-      (and filed in the metrics span histogram when a recorder is
-      attached); a sink-less context costs nothing.
+      ["uc.execute"] span with snapshot / replay / publish annotations;
+      a sink-less context costs nothing.
       @raise Invalid_argument if the context pid exceeds [t]'s procs. *)
   val attach : ?mode:mode -> t -> Runtime.Ctx.t -> handle
 

@@ -132,7 +132,7 @@ let keyed_counter_script ~seed ~keys ~theta ~read_fraction ~ops_per_proc :
    falls behind is charged to the system — the coordinated-omission
    correction.  Latency is recorded per operation at flush granularity
    (an operation completes when the flush containing it returns) into a
-   [Metrics.Histogram] in nanoseconds, on the monotonic clock. *)
+   [Telemetry.Histogram] in nanoseconds, on the monotonic clock. *)
 module Traffic = struct
   let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
@@ -142,7 +142,7 @@ module Traffic = struct
     ops : int;
     elapsed : float;
     throughput : float;
-    latency : Metrics.Stats.t option;
+    latency : Telemetry.Stats.t option;
   }
 
   let drive ?telemetry ?(loop = Closed) ?(flush_every = 64) ~ops ~submit
@@ -153,7 +153,7 @@ module Traffic = struct
     | Open { rate } when rate <= 0.0 ->
         invalid_arg "Workload.Traffic.drive: open-loop rate must be positive"
     | _ -> ());
-    let lat = Metrics.Histogram.create () in
+    let lat = Telemetry.Histogram.create () in
     let starts = Queue.create () in
     let count = ref 0 in
     let t0 = now_ns () in
@@ -164,7 +164,7 @@ module Traffic = struct
         Queue.iter
           (fun t ->
             let ns = max 0 (now - t) in
-            Metrics.Histogram.add lat ns;
+            Telemetry.Histogram.add lat ns;
             (* sampler feed: one observation per completed operation, at
                flush granularity — the window it lands in is the flush's
                window, which is also when the operation became visible *)
@@ -201,7 +201,7 @@ module Traffic = struct
       ops = !count;
       elapsed;
       throughput = float_of_int !count /. elapsed;
-      latency = Metrics.Histogram.stats lat;
+      latency = Telemetry.Histogram.stats lat;
     }
 
   (* Merge per-process reports into one: ops summed, elapsed is the
@@ -223,8 +223,9 @@ module Traffic = struct
               | None, l -> l
               | l, None -> l
               | Some a, Some b ->
-                  Some (if b.Metrics.Stats.p99 > a.Metrics.Stats.p99 then b
-                        else a))
+                  Some
+                    (if b.Telemetry.Stats.p99 > a.Telemetry.Stats.p99 then b
+                     else a))
             None reports
         in
         {

@@ -63,7 +63,7 @@ module Traffic : sig
     ops : int;  (** operations completed *)
     elapsed : float;  (** wall-clock seconds for the whole stream *)
     throughput : float;  (** ops / elapsed *)
-    latency : Metrics.Stats.t option;
+    latency : Telemetry.Stats.t option;
         (** per-operation latency in nanoseconds, measured at flush
             granularity (an operation completes when the flush containing
             it returns); [None] when no operation ran *)

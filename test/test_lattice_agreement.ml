@@ -110,22 +110,32 @@ let test_reads_per_propose_counted () =
      ceil(log2 n) levels of n slot reads (plus one write per level,
      not part of the read formula). *)
   for procs = 1 to 8 do
-    let recorder = Metrics.Recorder.create ~procs in
+    let journal = Tracing.Journal.create ~procs () in
     let module M =
       Runtime.Instrument
         (Pram.Memory.Direct_v)
         (struct
-          let sink = Runtime.Sink.make ~metrics:recorder ()
+          let sink = Runtime.Sink.make ~journal ()
         end)
     in
     let module C = Snapshot.Lattice_agreement.Classifier (M) in
     let t = C.create ~procs in
     Runtime.set_pid 0;
     ignore (C.propose (C.attach t (ctx ~procs 0)) (PS.singleton 0));
+    let reads =
+      List.length
+        (List.filter
+           (fun e ->
+             e.Tracing.pid = 0
+             &&
+             match e.Tracing.ev with
+             | Tracing.Access { kind = Pram.Trace.Read; _ } -> true
+             | _ -> false)
+           (Tracing.Journal.events journal))
+    in
     check_int
       (Printf.sprintf "classifier reads at n=%d" procs)
-      (C.reads_per_propose ~procs)
-      (Metrics.Recorder.reads recorder ~pid:0)
+      (C.reads_per_propose ~procs) reads
   done
 
 let test_exhaustive_two_procs () =

@@ -1,9 +1,12 @@
-(* Tests for the Metrics observability layer: the recorder, both feed
-   paths (driver observer for the simulator, Instrument wrapper for
-   direct/native code), span histograms, and the Section 6.2 guard —
-   Scan.cost_formula must equal counts observed through a counting
-   memory backend for all four variants at procs = 1..8, and each
-   variant's object must create exactly its own registers. *)
+(* Tests for the repo's access counts and the statistics over them: the
+   nearest-rank histogram (Telemetry.Histogram), the driver's per-pid
+   read/write meter on the simulator, the journal as the one consumer of
+   the access stream on every backend (driver observer for the
+   simulator, Instrument wrapper for direct/native code), span brackets,
+   and the Section 6.2 guard — Scan.cost_formula must equal counts
+   observed through a counting memory backend for all four variants at
+   procs = 1..8, and each variant's object must create exactly its own
+   registers. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -11,72 +14,86 @@ let check_int = Alcotest.(check int)
 (* --- histogram statistics -------------------------------------------------- *)
 
 let test_histogram_stats () =
-  let h = Metrics.Histogram.create () in
-  check_bool "empty has no stats" true (Metrics.Histogram.stats h = None);
+  let h = Telemetry.Histogram.create () in
+  check_bool "empty has no stats" true (Telemetry.Histogram.stats h = None);
   (* 1..100 in scrambled order: exact quantiles are order-independent *)
   List.iter
-    (fun v -> Metrics.Histogram.add h v)
+    (fun v -> Telemetry.Histogram.add h v)
     (List.init 100 (fun i -> ((i * 37) mod 100) + 1));
-  match Metrics.Histogram.stats h with
+  match Telemetry.Histogram.stats h with
   | None -> Alcotest.fail "stats expected"
   | Some s ->
-      check_int "count" 100 s.Metrics.Stats.count;
-      check_int "min" 1 s.Metrics.Stats.min;
-      check_int "max" 100 s.Metrics.Stats.max;
-      check_bool "mean" true (Float.abs (s.Metrics.Stats.mean -. 50.5) < 1e-9);
-      check_int "p99 nearest-rank" 99 s.Metrics.Stats.p99
+      check_int "count" 100 s.Telemetry.Stats.count;
+      check_int "min" 1 s.Telemetry.Stats.min;
+      check_int "max" 100 s.Telemetry.Stats.max;
+      check_bool "mean" true (Float.abs (s.Telemetry.Stats.mean -. 50.5) < 1e-9);
+      check_int "p99 nearest-rank" 99 s.Telemetry.Stats.p99
 
 let test_histogram_single () =
-  let h = Metrics.Histogram.create () in
-  Metrics.Histogram.add h 7;
-  match Metrics.Histogram.stats h with
+  let h = Telemetry.Histogram.create () in
+  Telemetry.Histogram.add h 7;
+  match Telemetry.Histogram.stats h with
   | None -> Alcotest.fail "stats expected"
   | Some s ->
-      check_int "min=max=p99" 7 s.Metrics.Stats.min;
-      check_int "p99 of singleton" 7 s.Metrics.Stats.p99
+      check_int "min=max=p99" 7 s.Telemetry.Stats.min;
+      check_int "p99 of singleton" 7 s.Telemetry.Stats.p99
 
 (* Pin down the documented nearest-rank convention on the degenerate
-   sample sizes (metrics.mli): no stats on empty, singleton stats all
+   sample sizes (telemetry.mli): no stats on empty, singleton stats all
    equal the one value, and for count < 100 the p99 rank rounds up to
    count, i.e. p99 = max. *)
 let test_stats_edge_cases () =
-  let h = Metrics.Histogram.create () in
-  check_bool "empty: no stats" true (Metrics.Histogram.stats h = None);
-  check_int "empty: count 0" 0 (Metrics.Histogram.count h);
-  Metrics.Histogram.add h 42;
-  (match Metrics.Histogram.stats h with
+  let h = Telemetry.Histogram.create () in
+  check_bool "empty: no stats" true (Telemetry.Histogram.stats h = None);
+  check_int "empty: count 0" 0 (Telemetry.Histogram.count h);
+  Telemetry.Histogram.add h 42;
+  (match Telemetry.Histogram.stats h with
   | None -> Alcotest.fail "singleton stats expected"
   | Some s ->
-      check_int "singleton count" 1 s.Metrics.Stats.count;
-      check_int "singleton min" 42 s.Metrics.Stats.min;
-      check_int "singleton max" 42 s.Metrics.Stats.max;
+      check_int "singleton count" 1 s.Telemetry.Stats.count;
+      check_int "singleton min" 42 s.Telemetry.Stats.min;
+      check_int "singleton max" 42 s.Telemetry.Stats.max;
       check_int "singleton p99 (rank max 1 (ceil 0.99))" 42
-        s.Metrics.Stats.p99;
-      check_bool "singleton mean exact" true (s.Metrics.Stats.mean = 42.0));
-  Metrics.Histogram.add h 0;
-  (match Metrics.Histogram.stats h with
+        s.Telemetry.Stats.p99;
+      check_bool "singleton mean exact" true (s.Telemetry.Stats.mean = 42.0));
+  Telemetry.Histogram.add h 0;
+  (match Telemetry.Histogram.stats h with
   | None -> Alcotest.fail "pair stats expected"
   | Some s ->
-      check_int "n=2 p99 = max (ceil 1.98 = 2)" 42 s.Metrics.Stats.p99;
-      check_bool "n=2 mean" true (s.Metrics.Stats.mean = 21.0));
+      check_int "n=2 p99 = max (ceil 1.98 = 2)" 42 s.Telemetry.Stats.p99;
+      check_bool "n=2 mean" true (s.Telemetry.Stats.mean = 21.0));
   (* any count < 100: rank rounds up to count, so p99 = max *)
-  let h99 = Metrics.Histogram.create () in
+  let h99 = Telemetry.Histogram.create () in
   for v = 1 to 99 do
-    Metrics.Histogram.add h99 v
+    Telemetry.Histogram.add h99 v
   done;
-  match Metrics.Histogram.stats h99 with
+  match Telemetry.Histogram.stats h99 with
   | None -> Alcotest.fail "stats expected"
-  | Some s -> check_int "n=99 p99 = max" 99 s.Metrics.Stats.p99
+  | Some s -> check_int "n=99 p99 = max" 99 s.Telemetry.Stats.p99
 
-(* --- recorder via the Instrument wrapper ----------------------------------- *)
+(* --- the journal via the Instrument wrapper ---------------------------------- *)
+
+(* Per-pid (reads, writes) of the Access events in a journal. *)
+let journal_counts j ~procs =
+  let reads = Array.make procs 0 and writes = Array.make procs 0 in
+  List.iter
+    (fun e ->
+      match e.Tracing.ev with
+      | Tracing.Access { kind = Pram.Trace.Read; _ } ->
+          reads.(e.Tracing.pid) <- reads.(e.Tracing.pid) + 1
+      | Tracing.Access { kind = Pram.Trace.Write; _ } ->
+          writes.(e.Tracing.pid) <- writes.(e.Tracing.pid) + 1
+      | _ -> ())
+    (Tracing.Journal.events j);
+  Array.init procs (fun pid -> (reads.(pid), writes.(pid)))
 
 let test_instrument_direct () =
-  let recorder = Metrics.Recorder.create ~procs:2 in
+  let journal = Tracing.Journal.create ~procs:2 () in
   let module M =
     Runtime.Instrument
       (Pram.Memory.Direct_v)
       (struct
-        let sink = Runtime.Sink.make ~metrics:recorder ()
+        let sink = Runtime.Sink.make ~journal ()
       end)
   in
   let a = M.create ~name:"a" 0 in
@@ -89,37 +106,38 @@ let test_instrument_direct () =
   M.write b 2;
   M.write b 3;
   Runtime.set_pid 0;
-  check_int "pid0 reads" 2 (Metrics.Recorder.reads recorder ~pid:0);
-  check_int "pid0 writes" 1 (Metrics.Recorder.writes recorder ~pid:0);
-  check_int "pid1 reads" 0 (Metrics.Recorder.reads recorder ~pid:1);
-  check_int "pid1 writes" 2 (Metrics.Recorder.writes recorder ~pid:1);
-  check_int "registers created" 2 (Metrics.Recorder.registers_created recorder);
-  let snap = Metrics.Recorder.snapshot recorder in
-  check_int "per-register entries" 2
-    (List.length snap.Metrics.Snapshot.per_register);
-  let by_name n =
-    List.find
-      (fun r -> r.Metrics.rs_name = n)
-      snap.Metrics.Snapshot.per_register
+  let counts = journal_counts journal ~procs:2 in
+  check_int "pid0 reads" 2 (fst counts.(0));
+  check_int "pid0 writes" 1 (snd counts.(0));
+  check_int "pid1 reads" 0 (fst counts.(1));
+  check_int "pid1 writes" 2 (snd counts.(1));
+  let on_reg name kind =
+    List.length
+      (List.filter
+         (fun e ->
+           match e.Tracing.ev with
+           | Tracing.Access a -> a.reg_name = name && a.kind = kind
+           | _ -> false)
+         (Tracing.Journal.events journal))
   in
-  check_int "a reads" 1 (by_name "a").Metrics.rs_reads;
-  check_int "a writes" 1 (by_name "a").Metrics.rs_writes;
-  check_int "b reads" 1 (by_name "b").Metrics.rs_reads;
-  check_int "b writes" 2 (by_name "b").Metrics.rs_writes
+  check_int "a reads" 1 (on_reg "a" Pram.Trace.Read);
+  check_int "a writes" 1 (on_reg "a" Pram.Trace.Write);
+  check_int "b reads" 1 (on_reg "b" Pram.Trace.Read);
+  check_int "b writes" 2 (on_reg "b" Pram.Trace.Write)
 
 let test_instrument_native_domains () =
-  (* [run_domains] sets each domain's pid; per-pid counts stay exact
-     under real parallelism because each pid only bumps its own counter.
-     Each pid reads its neighbour's register and writes its own: a
-     seqlock register has one writer. *)
+  (* [run_domains] sets each domain's pid, so the journal attributes
+     every access exactly under real parallelism.  Each pid reads its
+     neighbour's register and writes its own: a seqlock register has one
+     writer. *)
   let procs = 4 in
   let reads_per_pid = 500 in
-  let recorder = Metrics.Recorder.create ~procs in
+  let journal = Tracing.Journal.create ~procs () in
   let module M =
     Runtime.Instrument
       (Pram.Native.Versioned)
       (struct
-        let sink = Runtime.Sink.make ~metrics:recorder ()
+        let sink = Runtime.Sink.make ~journal ()
       end)
   in
   let regs = Array.init procs (fun _ -> M.create 0) in
@@ -130,22 +148,20 @@ let test_instrument_native_domains () =
         done;
         M.write regs.(pid) pid)
   in
+  let counts = journal_counts journal ~procs in
   for pid = 0 to procs - 1 do
-    check_int
-      (Printf.sprintf "pid %d reads" pid)
-      reads_per_pid
-      (Metrics.Recorder.reads recorder ~pid);
-    check_int (Printf.sprintf "pid %d writes" pid) 1
-      (Metrics.Recorder.writes recorder ~pid)
+    check_int (Printf.sprintf "pid %d reads" pid) reads_per_pid
+      (fst counts.(pid));
+    check_int (Printf.sprintf "pid %d writes" pid) 1 (snd counts.(pid))
   done;
   check_int "total reads" (procs * reads_per_pid)
-    (Metrics.Recorder.total_reads recorder)
+    (Array.fold_left (fun acc (r, _) -> acc + r) 0 counts)
 
-(* --- recorder via the driver observer -------------------------------------- *)
+(* --- the driver's meter and its observer feed ------------------------------ *)
 
 let test_observer_matches_driver_steps () =
   let procs = 3 in
-  let recorder = Metrics.Recorder.create ~procs in
+  let journal = Tracing.Journal.create ~procs () in
   let program () =
     let regs = Array.init procs (fun _ -> Pram.Memory.Sim.create 0) in
     fun pid ->
@@ -155,64 +171,87 @@ let test_observer_matches_driver_steps () =
       done
   in
   let d =
-    Pram.Driver.create ~observer:(Metrics.Recorder.observer recorder) ~procs
+    Pram.Driver.create ~observer:(Tracing.Journal.observer journal) ~procs
       program
   in
   Pram.Scheduler.run (Pram.Scheduler.round_robin ()) d;
+  let counts = journal_counts journal ~procs in
   for pid = 0 to procs - 1 do
+    let r, w = counts.(pid) in
     check_int
       (Printf.sprintf "pid %d accesses = driver steps" pid)
-      (Pram.Driver.steps d pid)
-      (Metrics.Recorder.reads recorder ~pid
-      + Metrics.Recorder.writes recorder ~pid);
-    check_int (Printf.sprintf "pid %d reads" pid) 5
-      (Metrics.Recorder.reads recorder ~pid);
-    check_int (Printf.sprintf "pid %d writes" pid) 5
-      (Metrics.Recorder.writes recorder ~pid)
+      (Pram.Driver.steps d pid) (r + w);
+    check_int (Printf.sprintf "pid %d reads" pid) 5 r;
+    check_int (Printf.sprintf "pid %d writes" pid) 5 w;
+    check_int (Printf.sprintf "pid %d driver reads" pid) r
+      (Pram.Driver.reads d pid);
+    check_int (Printf.sprintf "pid %d driver writes" pid) w
+      (Pram.Driver.writes d pid)
   done
 
 let test_spans_under_interleaving () =
-  (* Spans wrap operations inside the process body; per-pid attribution
-     keeps them exact even though the scheduler interleaves everything. *)
+  (* Spans wrap operations inside the process body; each pid's accesses
+     between its own Invoke and Response stay exact even though the
+     scheduler interleaves everything. *)
   let procs = 3 in
   let ops = 4 in
-  let recorder = Metrics.Recorder.create ~procs in
+  let journal = Tracing.Journal.create ~procs () in
+  let sink = Runtime.Sink.make ~journal () in
   let program () =
     let regs = Array.init procs (fun _ -> Pram.Memory.Sim.create 0) in
     fun pid ->
+      let ctx = Runtime.Ctx.make ~sink ~procs ~pid () in
       for _ = 1 to ops do
-        Metrics.Recorder.with_span recorder ~pid ~op:"rmw" (fun () ->
+        Runtime.Ctx.span ctx ~op:"rmw" (fun () ->
             let v = Pram.Memory.Sim.read regs.(pid) in
             Pram.Memory.Sim.write regs.(pid) (v + 1))
       done
   in
   let d =
-    Pram.Driver.create ~observer:(Metrics.Recorder.observer recorder) ~procs
-      program
+    Pram.Driver.create ?observer:(Runtime.Sink.observer sink) ~procs program
   in
   Pram.Scheduler.run (Pram.Scheduler.random ~seed:3 ()) d;
-  match Metrics.Recorder.span_stats recorder ~op:"rmw" with
-  | None -> Alcotest.fail "span stats expected"
-  | Some s ->
-      check_int "span count" (procs * ops) s.Metrics.Stats.count;
-      check_int "every op is read+write" 2 s.Metrics.Stats.min;
-      check_int "every op is read+write (max)" 2 s.Metrics.Stats.max
+  (* per pid: the access count of the open span, if any *)
+  let open_span = Array.make procs None in
+  let spans = ref [] in
+  List.iter
+    (fun e ->
+      let p = e.Tracing.pid in
+      match (e.Tracing.ev, open_span.(p)) with
+      | Tracing.Invoke "rmw", None -> open_span.(p) <- Some 0
+      | Tracing.Access _, Some n -> open_span.(p) <- Some (n + 1)
+      | Tracing.Response "rmw", Some n ->
+          spans := n :: !spans;
+          open_span.(p) <- None
+      | _ -> Alcotest.fail "access or bracket outside a span")
+    (Tracing.Journal.events journal);
+  check_int "span count" (procs * ops) (List.length !spans);
+  check_int "every op is read+write" 2 (List.fold_left min max_int !spans);
+  check_int "every op is read+write (max)" 2 (List.fold_left max 0 !spans)
 
 (* --- the Section 6.2 guard ------------------------------------------------- *)
 
 (* cost_formula vs counts observed through a counting backend, all four
    variants, procs = 1..8.  Three independent counting paths must agree
-   with the formula: the Instrument wrapper over Direct_v and over the
-   native seqlock registers (on one domain), and the driver observer
-   under Sim. *)
+   with the formula: the journal fed by the Instrument wrapper over
+   Direct_v and over the native seqlock registers (on one domain), and
+   the driver under Sim.  The footprint is counted by a creation hook
+   stacked on the Instrument wrapper. *)
 let scan_cost_via_instrument (module Mem : Pram.Memory.VERSIONED) ~procs
     ~variant =
-  let recorder = Metrics.Recorder.create ~procs in
+  let journal = Tracing.Journal.create ~procs () in
+  let created = ref 0 in
   let module M =
-    Runtime.Instrument
-      (Mem)
+    Pram.Memory.Hooked
+      (Runtime.Instrument
+         (Mem)
+         (struct
+           let sink = Runtime.Sink.make ~journal ()
+         end))
       (struct
-        let sink = Runtime.Sink.make ~metrics:recorder ()
+        let on_create ~reg_id:_ ~reg_name:_ = incr created
+        let on_read ~reg_id:_ ~reg_name:_ = ()
+        let on_write ~reg_id:_ ~reg_name:_ = ()
       end)
   in
   let module Scan = Snapshot.Scan.Make (Semilattice.Nat_max) (M) in
@@ -220,12 +259,10 @@ let scan_cost_via_instrument (module Mem : Pram.Memory.VERSIONED) ~procs
   Runtime.set_pid 0;
   let h = Scan.attach t (Runtime.Ctx.make ~procs ~pid:0 ()) in
   ignore (Scan.scan h 1);
-  ( Metrics.Recorder.reads recorder ~pid:0,
-    Metrics.Recorder.writes recorder ~pid:0,
-    Metrics.Recorder.registers_created recorder )
+  let r, w = (journal_counts journal ~procs).(0) in
+  (r, w, !created)
 
-let scan_cost_via_observer ~procs ~variant =
-  let recorder = Metrics.Recorder.create ~procs in
+let scan_cost_via_driver ~procs ~variant =
   let module Scan = Snapshot.Scan.Make (Semilattice.Nat_max) (Pram.Memory.Sim_v) in
   let program () =
     let t = Scan.create ~variant ~procs in
@@ -233,14 +270,10 @@ let scan_cost_via_observer ~procs ~variant =
       let h = Scan.attach t (Runtime.Ctx.make ~procs ~pid ()) in
       ignore (Scan.scan h (pid + 1))
   in
-  let d =
-    Pram.Driver.create ~observer:(Metrics.Recorder.observer recorder) ~procs
-      program
-  in
+  let d = Pram.Driver.create ~procs program in
   (* all processes run (contention): per-pid counts must be oblivious *)
   Pram.Scheduler.run (Pram.Scheduler.round_robin ()) d;
-  ( Metrics.Recorder.reads recorder ~pid:0,
-    Metrics.Recorder.writes recorder ~pid:0 )
+  (Pram.Driver.reads d 0, Pram.Driver.writes d 0)
 
 (* Each variant's register footprint, in closed form: only the registers
    its protocol can access.  One process never collects, so [Adaptive]
@@ -291,9 +324,9 @@ let test_cost_formula_matches_counting_backend () =
            so even the contended Adaptive run stays on the exact-count
            fast path (random schedules may escalate; see
            test_sink_equals_legacy_paths) *)
-        let or_, ow = scan_cost_via_observer ~procs ~variant in
-        check_int (label "reads (observer, contended)") fr or_;
-        check_int (label "writes (observer, contended)") fw ow
+        let dr, dw = scan_cost_via_driver ~procs ~variant in
+        check_int (label "reads (driver, contended)") fr dr;
+        check_int (label "writes (driver, contended)") fw dw
       done)
     [
       Snapshot.Scan.Plain;
@@ -303,25 +336,20 @@ let test_cost_formula_matches_counting_backend () =
     ]
 
 (* --- one access stream, three meters ---------------------------------------
-   The unified [Runtime.Sink] must report exactly the per-pid read/write
-   counts of both legacy metering paths — a hand-rolled
-   [Pram.Memory.Hooked] wrapper and the driver's [?observer] — on the
-   same seeded scan workload, procs 1..8, both variants.  Scan's access
-   count is schedule-oblivious, so the contended simulator run must
-   agree with the two sequential direct runs, per pid. *)
-
-let per_pid_counts recorder ~procs =
-  Array.init procs (fun pid ->
-      ( Metrics.Recorder.reads recorder ~pid,
-        Metrics.Recorder.writes recorder ~pid ))
+   The journal fed through [Runtime.Instrument] must report exactly the
+   per-pid read/write counts of a hand-rolled [Pram.Memory.Hooked]
+   wrapper and of the driver's own meter, on the same seeded scan
+   workload, procs 1..8.  Scan's access count is schedule-oblivious, so
+   the contended simulator run must agree with the two sequential
+   direct runs, per pid. *)
 
 let scan_workload_via_sink ~procs ~variant =
-  let recorder = Metrics.Recorder.create ~procs in
+  let journal = Tracing.Journal.create ~procs () in
   let module M =
     Runtime.Instrument
       (Pram.Memory.Direct_v)
       (struct
-        let sink = Runtime.Sink.make ~metrics:recorder ()
+        let sink = Runtime.Sink.make ~journal ()
       end)
   in
   let module Scan = Snapshot.Scan.Make (Semilattice.Nat_max) (M) in
@@ -332,7 +360,7 @@ let scan_workload_via_sink ~procs ~variant =
     ignore (Scan.scan h (pid + 1))
   done;
   Runtime.set_pid 0;
-  per_pid_counts recorder ~procs
+  journal_counts journal ~procs
 
 let scan_workload_via_hooked ~procs ~variant =
   (* the pre-Ctx idiom: raw hooks over a mutable pid cell *)
@@ -359,7 +387,6 @@ let scan_workload_via_hooked ~procs ~variant =
   Array.init procs (fun pid -> (reads.(pid), writes.(pid)))
 
 let scan_workload_via_driver ~procs ~variant ~seed =
-  let recorder = Metrics.Recorder.create ~procs in
   let module Scan = Snapshot.Scan.Make (Semilattice.Nat_max) (Pram.Memory.Sim_v) in
   let program () =
     let t = Scan.create ~variant ~procs in
@@ -367,12 +394,10 @@ let scan_workload_via_driver ~procs ~variant ~seed =
       let h = Scan.attach t (Runtime.Ctx.make ~procs ~pid ()) in
       ignore (Scan.scan h (pid + 1))
   in
-  let d =
-    Pram.Driver.create ~observer:(Metrics.Recorder.observer recorder) ~procs
-      program
-  in
+  let d = Pram.Driver.create ~procs program in
   Pram.Scheduler.run (Pram.Scheduler.random ~seed ()) d;
-  per_pid_counts recorder ~procs
+  Array.init procs (fun pid ->
+      (Pram.Driver.reads d pid, Pram.Driver.writes d pid))
 
 let test_sink_equals_legacy_paths () =
   List.iter

@@ -57,7 +57,13 @@ let test_determinism_replay () =
   check_int "replayed result p1" (Option.get (Pram.Driver.result d1 1))
     (Option.get (Pram.Driver.result d2 1));
   check_int "replayed total steps" (Pram.Driver.total_steps d1)
-    (Pram.Driver.total_steps d2)
+    (Pram.Driver.total_steps d2);
+  for p = 0 to 1 do
+    check_int (Printf.sprintf "replayed reads p%d" p) (Pram.Driver.reads d1 p)
+      (Pram.Driver.reads d2 p);
+    check_int (Printf.sprintf "replayed writes p%d" p)
+      (Pram.Driver.writes d1 p) (Pram.Driver.writes d2 p)
+  done
 
 let test_random_seed_stability () =
   let program = incr_program ~rounds:4 in
@@ -76,7 +82,10 @@ let test_crash_halts_forever () =
   check_bool "status halted" true (Pram.Driver.status d 0 = Pram.Driver.Halted);
   check_bool "other process unaffected" true (Pram.Driver.run_solo d 1);
   Alcotest.check_raises "stepping crashed raises"
-    (Pram.Driver.Process_not_runnable 0) (fun () -> Pram.Driver.step d 0)
+    (Pram.Driver.Process_not_runnable 0) (fun () -> Pram.Driver.step d 0);
+  (* its one fired access, the first read, is all it ever counts *)
+  check_int "crashed reads stay 1" 1 (Pram.Driver.reads d 0);
+  check_int "crashed writes stay 0" 0 (Pram.Driver.writes d 0)
 
 let test_pending_view () =
   let d = Pram.Driver.create ~procs:2 slot_program in
@@ -102,7 +111,20 @@ let test_trace_recording () =
   let tr = List.rev !log in
   check_int "4 accesses traced" 4 (List.length tr);
   let steps = List.map (fun a -> a.Pram.Trace.step) tr in
-  check_bool "step indices are 0..3" true (steps = [ 0; 1; 2; 3 ])
+  check_bool "step indices are 0..3" true (steps = [ 0; 1; 2; 3 ]);
+  (* the driver's own meter agrees with its feed, per pid and kind *)
+  let fed p kind =
+    List.length
+      (List.filter
+         (fun a -> a.Pram.Trace.pid = p && a.Pram.Trace.kind = kind)
+         tr)
+  in
+  for p = 0 to 1 do
+    check_int (Printf.sprintf "p%d reads = fed reads" p)
+      (fed p Pram.Trace.Read) (Pram.Driver.reads d p);
+    check_int (Printf.sprintf "p%d writes = fed writes" p)
+      (fed p Pram.Trace.Write) (Pram.Driver.writes d p)
+  done
 
 let test_round_robin_fair () =
   let d = Pram.Driver.create ~procs:3 (incr_program ~rounds:10) in

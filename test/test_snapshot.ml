@@ -159,6 +159,50 @@ let test_lattice_multishot_reuse () =
   done;
   check_int "final read_max" !expected (Scan_d.read_max h.(0))
 
+(* --- pool recycling: the pool bounds memory, not progress --------------- *)
+
+let test_lattice_recycled_tree_fenced () =
+  (* Pid 0 enters generation 1 and posts into tree [la1] (stamp 1).  Pid
+     1 then finishes generations 1..5 solo; generation 5 recycles [la1]
+     and reposts into it while pid 0 is still inside generation 1.  The
+     stamps hide pid 1's posts from pid 0's descent, and pid 0's fence
+     sees generation 5 and retries into it: two descents, one solo
+     descent (7 steps) each, and the result is everything pid 1
+     wrote. *)
+  let procs = 2 in
+  let c = Telemetry.Counters.create ~procs () in
+  let sink = Runtime.Sink.make ~telemetry:c () in
+  let program () =
+    let t = Scan.create ~variant:Snapshot.Scan.Lattice ~procs in
+    fun pid ->
+      let h = Scan.attach t (Runtime.Ctx.make ~sink ~procs ~pid ()) in
+      if pid = 0 then Scan.read_max h
+      else begin
+        for i = 1 to 5 do
+          Scan.write_l h i;
+          ignore (Scan.read_max h)
+        done;
+        0
+      end
+  in
+  let d = Pram.Driver.create ~procs program in
+  List.iter
+    (fun reg ->
+      (match Pram.Driver.pending d 0 with
+      | Some pv ->
+          Alcotest.(check string) "pid 0's next register" reg
+            pv.Pram.Driver.v_reg_name
+      | None -> Alcotest.fail "pid 0 finished early");
+      Pram.Driver.step d 0)
+    [ "scan.gen[0]"; "scan[1][0]"; "scan.la1[0][0][0]" ];
+  check_bool "pid 1 finishes five generations" true (Pram.Driver.run_solo d 1);
+  check_bool "pid 0 finishes" true (Pram.Driver.run_solo d 0);
+  check_int "two descents: the fence retried" 2
+    (Telemetry.Counters.get c ~pid:0 ~family:0 Telemetry.Event.Classifier_descend);
+  check_int "pid 0 steps" 14 (Pram.Driver.steps d 0);
+  check_int "pid 0 returns pid 1's writes" 5
+    (Option.get (Pram.Driver.result d 0))
+
 (* --- bounded retry: the escalation rate drops under contention ---------- *)
 
 let test_adaptive_retry_reduces_escalations () =
@@ -872,6 +916,9 @@ let () =
             test_combined_scan_not_atomic;
           QCheck_alcotest.to_alcotest qcheck_scan_monotone;
           QCheck_alcotest.to_alcotest qcheck_wait_free;
+          Alcotest.test_case
+            "lattice: a tree recycled under a live descent is fenced" `Quick
+            test_lattice_recycled_tree_fenced;
         ] );
       ( "snapshot array",
         [

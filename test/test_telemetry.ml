@@ -245,9 +245,9 @@ let test_sampler_windows () =
   (match windows.(0).Telemetry.Window.latency with
   | None -> Alcotest.fail "window 0 lost its latency stats"
   | Some st ->
-      check_int "window 0 p50" 50 st.Metrics.Stats.p50;
-      check_int "window 0 p99" 99 st.Metrics.Stats.p99;
-      check_int "window 0 max" 100 st.Metrics.Stats.max);
+      check_int "window 0 p50" 50 st.Telemetry.Stats.p50;
+      check_int "window 0 p99" 99 st.Telemetry.Stats.p99;
+      check_int "window 0 max" 100 st.Telemetry.Stats.max);
   check_bool "empty window has no latency" true
     (windows.(2).Telemetry.Window.latency = None);
   (* delta/total reconciliation: for every event, the sum of per-window

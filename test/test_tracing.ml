@@ -316,9 +316,8 @@ let test_instrument_native_domains () =
 (* --- zero overhead when disabled --------------------------------------------- *)
 
 let scan_access_counts ~journal ~procs =
-  (* metrics-vs-metrics: count every fired access with the Metrics
-     observer, with and without a tracing journal attached. *)
-  let recorder = Metrics.Recorder.create ~procs in
+  (* driver-vs-driver: the driver's own per-pid counts, with and without
+     a tracing journal attached. *)
   let j =
     match journal with
     | false -> None
@@ -337,19 +336,12 @@ let scan_access_counts ~journal ~procs =
       S.write_l h (pid + 1);
       ignore (S.read_max h)
   in
-  let observer =
-    match j with
-    | None -> Metrics.Recorder.observer recorder
-    | Some jn ->
-        fun a ->
-          Metrics.Recorder.observer recorder a;
-          Tracing.Journal.observer jn a
+  let d =
+    Pram.Driver.create ?observer:(Runtime.Sink.observer sink) ~procs program
   in
-  let d = Pram.Driver.create ~observer ~procs program in
   Pram.Scheduler.run (Pram.Scheduler.round_robin ()) d;
   ( List.init procs (fun pid ->
-        ( Metrics.Recorder.reads recorder ~pid,
-          Metrics.Recorder.writes recorder ~pid )),
+        (Pram.Driver.reads d pid, Pram.Driver.writes d pid)),
     j )
 
 let test_tracing_adds_zero_accesses () =
@@ -381,9 +373,7 @@ let test_ctx_no_sink_allocates_nothing () =
      allocated, no events recorded. *)
   let ctx = Runtime.Ctx.make ~procs:1 ~pid:0 () in
   check_bool "default sink is none" true
-    (Runtime.Ctx.quiet ctx
-    && (not (Runtime.Ctx.traced ctx))
-    && Runtime.Ctx.telemetry ctx = None);
+    ((not (Runtime.Ctx.traced ctx)) && Runtime.Ctx.telemetry ctx = None);
   let f = ref (fun () -> 0) in
   (f := fun () -> 1);
   let measure g =
@@ -520,10 +510,9 @@ let test_adaptive_read_max_allocates_nothing () =
 let test_universal_scan_update_allocates_nothing_extra () =
   (* The universal construction's scan/update path (execute = adaptive
      snapshot + publish-only update) under [Sink.none]: the dispatch on
-     the attach-time [quiet] bit must make the unobserved path
+     the attach-time [traced] bit must make the unobserved path
      allocation-deterministic, and never costlier than the same ops with
-     a live journal+metrics sink (which builds span closures and
-     events). *)
+     a live journal sink (which builds span closures and events). *)
   let procs = 2 in
   let module U =
     Universal.Construction.Make (Spec.Counter_spec) (Pram.Memory.Direct_v)
@@ -547,9 +536,8 @@ let test_universal_scan_update_allocates_nothing_extra () =
   let off1 = run None in
   let off2 = run None in
   let on =
-    let recorder = Metrics.Recorder.create ~procs in
     let j = Tracing.Journal.create ~procs () in
-    run (Some (Runtime.Sink.make ~metrics:recorder ~journal:j ()))
+    run (Some (Runtime.Sink.make ~journal:j ()))
   in
   check_bool
     (Printf.sprintf
