@@ -17,9 +17,9 @@
 
    Sim counts are exact, so their gates are exact.  Wall-clock rows are
    schema-checked but never threshold-gated, with one exception: batched
-   store throughput may not fall below unbatched at procs >= 4, since
-   batching that slows the store down under contention defeats its only
-   purpose. *)
+   store throughput (the median of its trials) may not fall below
+   unbatched at procs >= 4, since batching that slows the store down
+   under contention defeats its only purpose. *)
 
 open Bench_json
 

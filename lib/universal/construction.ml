@@ -85,10 +85,20 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
        seq range (downward closure);
      - [m_state] is the fold of the committed entries' operations, in
        SOME precedence-respecting order, from [O.initial];
+     - [m_cover.(p)] is the causal past of p's latest committed entry,
+       counting the entry itself (all zeros while p has none), and
+       [m_frontier] is at most their componentwise minimum: every later
+       entry of p follows that entry and everything in its view, so
+       every entry this handle has yet to commit has the frontier in its
+       causal past;
      - [m_ops] maps every distinct non-read-only committed operation
-       value to the per-pid maximum committed seq carrying it — the
-       summary that lets a delta entry check "does every conflicting
-       committed entry precede me?" in O(procs) without a graph walk;
+       value whose carriers do not all lie at or below the frontier to
+       the per-pid maximum committed seq carrying it (carriers at or
+       below the frontier may be forgotten as 0) — the summary that lets
+       a delta entry check "does every conflicting committed entry
+       precede me?" without a graph walk.  A forgotten carrier precedes
+       every entry still to be checked, so forgetting it changes no
+       verdict;
      - [m_canonical]: every pair of committed entries either commutes,
        has a read-only member, or is precedence-ordered.  Under this
        invariant EVERY precedence-respecting fold of the committed set
@@ -102,6 +112,8 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
   type memo = {
     mutable m_state : O.state;
     m_hwm : int array;  (* committed high-water mark per pid *)
+    m_cover : int array array;  (* procs x procs *)
+    m_frontier : int array;
     m_ops : (O.operation, int array) Hashtbl.t;
     mutable m_committed : int;
     mutable m_canonical : bool;
@@ -117,6 +129,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     merges : int;
     rebuilds : int;
     canonical : bool;
+    summary : int;
   }
 
   type handle = {
@@ -132,6 +145,8 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     {
       m_state = O.initial;
       m_hwm = Array.make procs 0;
+      m_cover = Array.make_matrix procs procs 0;
+      m_frontier = Array.make procs 0;
       m_ops = Hashtbl.create 16;
       m_committed = 0;
       m_canonical = true;
@@ -163,6 +178,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
       merges = h.memo.m_merges;
       rebuilds = h.memo.m_rebuilds;
       canonical = h.memo.m_canonical;
+      summary = Hashtbl.length h.memo.m_ops;
     }
 
   let rebuilds h = h.memo.m_rebuilds
@@ -273,6 +289,15 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     Array.iter visit view;
     List.sort by_canonical_key !acc
 
+  (* Does every per-pid seq of [seqs] lie at or below [bound]? *)
+  let within bound seqs =
+    let ok = ref true and p = ref 0 in
+    while !ok && !p < Array.length seqs do
+      ok := seqs.(!p) <= bound.(!p);
+      incr p
+    done;
+    !ok
+
   (* May [d] (with causal past [past]) be appended behind the committed
      prefix without changing the reachable state?  Yes if it is
      read-only, or if every committed entry it does not commute with
@@ -283,10 +308,8 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     || (try
           Hashtbl.iter
             (fun q maxseq ->
-              if not (O.commutes d.e_op q) then
-                Array.iteri
-                  (fun p s -> if s > past.(p) then raise Exit)
-                  maxseq)
+              if (not (O.commutes d.e_op q)) && not (within past maxseq) then
+                raise Exit)
             memo.m_ops;
           true
         with Exit -> false)
@@ -312,16 +335,23 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
       true
     with Exit -> false
 
-  (* Fold [e] into the committed prefix: state, high-water mark, and the
-     distinct-operation summary.  [apply_op] is false when the state
-     contribution was already accounted for (the caller's own entry,
-     whose apply also produced the response). *)
+  (* Fold [e] into the committed prefix: state, high-water mark, cover
+     row, and the distinct-operation summary.  [apply_op] is false when
+     the state contribution was already accounted for (the caller's own
+     entry, whose apply also produced the response). *)
   let commit memo e ~apply_op =
     if apply_op then begin
       memo.m_state <- fst (O.apply memo.m_state e.e_op);
       memo.m_replays <- memo.m_replays + 1
     end;
-    if e.e_seq > memo.m_hwm.(e.e_pid) then memo.m_hwm.(e.e_pid) <- e.e_seq;
+    if e.e_seq > memo.m_hwm.(e.e_pid) then begin
+      memo.m_hwm.(e.e_pid) <- e.e_seq;
+      let row = memo.m_cover.(e.e_pid) in
+      for p = 0 to Array.length row - 1 do
+        row.(p) <- (match e.e_preceding.(p) with None -> 0 | Some x -> x.e_seq)
+      done;
+      row.(e.e_pid) <- e.e_seq
+    end;
     if not (O.reads_only e.e_op) then begin
       let maxseq =
         match Hashtbl.find_opt memo.m_ops e.e_op with
@@ -335,6 +365,32 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     end;
     memo.m_committed <- memo.m_committed + 1
 
+  (* Raise the frontier to the componentwise minimum of the cover rows
+     and drop every summary entry whose carriers all lie at or below it
+     (DESIGN.md §10, "Frontier").  Between rebuilds the frontier only
+     rises, and an entry committed since the last prune carries a seq
+     above the frontier at its pid, so a frontier that did not move has
+     nothing to drop. *)
+  let prune memo =
+    let procs = Array.length memo.m_frontier in
+    let moved = ref false in
+    for q = 0 to procs - 1 do
+      let low = ref memo.m_cover.(0).(q) in
+      for p = 1 to procs - 1 do
+        let s = memo.m_cover.(p).(q) in
+        if s < !low then low := s
+      done;
+      if !low > memo.m_frontier.(q) then begin
+        memo.m_frontier.(q) <- !low;
+        moved := true
+      end
+    done;
+    if !moved then
+      Hashtbl.filter_map_inplace
+        (fun _ maxseq ->
+          if within memo.m_frontier maxseq then None else Some maxseq)
+        memo.m_ops
+
   (* Recompute the memo from scratch: the Reference linearization of the
      whole view, folded entry by entry while re-deriving the canonicity
      flag (checking each entry against the summary of its predecessors —
@@ -345,6 +401,8 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
     let lin = linearization_of_view view in
     memo.m_state <- O.initial;
     Array.fill memo.m_hwm 0 (Array.length memo.m_hwm) 0;
+    Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) memo.m_cover;
+    Array.fill memo.m_frontier 0 (Array.length memo.m_frontier) 0;
     Hashtbl.reset memo.m_ops;
     memo.m_committed <- 0;
     memo.m_canonical <- true;
@@ -380,6 +438,7 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
           if safe then begin
             memo.m_merges <- memo.m_merges + 1;
             Array.iter (fun d -> commit memo d ~apply_op:true) darr;
+            prune memo;
             Array.length darr
           end
           else rebuild memo view

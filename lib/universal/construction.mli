@@ -56,7 +56,12 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) : sig
       snapshot as a delta, falling back to a full rebuild whenever a
       precedence-incomparable non-commuting pair of mutators appears
       (the condition under which linearization order is not forced;
-      DESIGN.md §10).  [Reference] re-walks the whole reachable graph
+      DESIGN.md §10).  The summary keeps only operations above the
+      frontier, the causal past that every process's latest committed
+      entry contains: every later entry follows it, so the rest can
+      never fail a check.  A process with no committed entry pins the
+      frontier at zero, and then the summary holds every distinct
+      committed operation.  [Reference] re-walks the whole reachable graph
       and replays the full canonical linearization on every operation —
       the from-scratch Figure 4 behaviour, kept for differential
       testing.  Responses are byte-identical across modes; only local
@@ -68,14 +73,17 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) : sig
   (** Memo introspection: [committed] entries in the memoized prefix,
       total [spec_replays] (history entries pushed through [O.apply],
       excluding each operation's own response apply), delta [merges],
-      full [rebuilds], and whether the memo is still [canonical]
-      (able to merge).  [Reference] handles count only [spec_replays]. *)
+      full [rebuilds], whether the memo is still [canonical] (able to
+      merge), and the [summary] size: distinct operations above the
+      frontier, which each delta entry is checked against.
+      [Reference] handles count only [spec_replays]. *)
   type stats = {
     committed : int;
     spec_replays : int;
     merges : int;
     rebuilds : int;
     canonical : bool;
+    summary : int;
   }
 
   (** [attach t ctx] is process [Ctx.pid ctx]'s session with [t] (and

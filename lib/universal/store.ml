@@ -228,7 +228,8 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
      chunk length without counting as a fallback. *)
   let chunks_of h ~shard ops =
     let close chunk acc = if chunk = [] then acc else List.rev chunk :: acc in
-    let rec go acc chunk kind = function
+    (* [len] is [List.length chunk], carried so the cap check is O(1) *)
+    let rec go acc chunk len kind = function
       | [] -> List.rev (close chunk acc)
       | op :: rest ->
           let ro = O.reads_only op in
@@ -238,21 +239,18 @@ module Make (O : Spec.Object_spec.S) (M : Pram.Memory.VERSIONED) = struct
             | `Mu ->
                 (not ro) && List.for_all (fun q -> O.commutes q op) chunk
           in
-          if chunk <> [] && List.length chunk < h.max_batch && compatible
-          then go acc (op :: chunk) kind rest
+          if len > 0 && len < h.max_batch && compatible then
+            go acc (op :: chunk) (len + 1) kind rest
           else begin
-            if
-              chunk <> [] && h.max_batch > 1
-              && List.length chunk < h.max_batch
-            then begin
+            if len > 0 && h.max_batch > 1 && len < h.max_batch then begin
               h.h_fallbacks <- h.h_fallbacks + 1;
               Runtime.Ctx.cause h.ctx ~family:shard
                 Telemetry.Event.Store_batch_fallback
             end;
-            go (close chunk acc) [ op ] (if ro then `Ro else `Mu) rest
+            go (close chunk acc) [ op ] 1 (if ro then `Ro else `Mu) rest
           end
     in
-    go [] [] `Ro ops
+    go [] [] 0 `Ro ops
 
   let submit h ~key op =
     match Hashtbl.find_opt h.pending key with

@@ -188,42 +188,73 @@ let test_explore_diff_counter_crashes () =
 
 (* --- random-script differential (procs 1..4) ------------------------------ *)
 
-let qcheck_diff_random ~name ~random_diff ~gen_op =
-  QCheck.Test.make ~name ~count:60
-    QCheck.(pair (int_bound 1_000_000) (int_range 1 4))
+let qcheck_diff_random ~name ~count ~procs:(procs_lo, procs_hi)
+    ~ops:(ops_lo, ops_hi) ~random_diff ~gen_op =
+  QCheck.Test.make ~name ~count
+    QCheck.(pair (int_bound 1_000_000) (int_range procs_lo procs_hi))
     (fun (seed, procs) ->
       let rng = Random.State.make [| seed; procs; 0x1ac |] in
       let script =
         Array.init procs (fun _ ->
-            List.init (1 + Random.State.int rng 4) (fun _ -> gen_op rng))
+            List.init
+              (ops_lo + Random.State.int rng (ops_hi - ops_lo + 1))
+              (fun _ -> gen_op rng))
       in
       random_diff ~procs ~seed ~script:(fun pid -> script.(pid)))
 
+let counter_op rng =
+  match Random.State.int rng 8 with
+  | 0 | 1 | 2 -> Spec.Counter_spec.Inc (1 + Random.State.int rng 5)
+  | 3 | 4 -> Spec.Counter_spec.Dec (1 + Random.State.int rng 5)
+  | 5 -> Spec.Counter_spec.Reset (Random.State.int rng 10)
+  | _ -> Spec.Counter_spec.Read
+
+let gset_op rng =
+  match Random.State.int rng 6 with
+  | 0 | 1 | 2 -> Spec.Gset_spec.Add (Random.State.int rng 8)
+  | 3 -> Spec.Gset_spec.Clear
+  | _ -> Spec.Gset_spec.Members
+
+(* Sticky writes neither commute nor overwrite (Property 1 rejects the
+   spec), which drives the memo permanently non-canonical: the
+   differential identity must survive the fallback-forever path too. *)
+let sticky_op rng =
+  if Random.State.int rng 3 = 0 then Spec.Sticky_spec.Read_sticky
+  else Spec.Sticky_spec.Stick (Random.State.int rng 5)
+
 let qcheck_diff_counter =
   qcheck_diff_random ~name:"incremental = reference: counter, random"
-    ~random_diff:Diff_counter.random_diff ~gen_op:(fun rng ->
-      match Random.State.int rng 8 with
-      | 0 | 1 | 2 -> Spec.Counter_spec.Inc (1 + Random.State.int rng 5)
-      | 3 | 4 -> Spec.Counter_spec.Dec (1 + Random.State.int rng 5)
-      | 5 -> Spec.Counter_spec.Reset (Random.State.int rng 10)
-      | _ -> Spec.Counter_spec.Read)
+    ~count:60 ~procs:(1, 4) ~ops:(1, 4) ~random_diff:Diff_counter.random_diff
+    ~gen_op:counter_op
 
 let qcheck_diff_gset =
-  qcheck_diff_random ~name:"incremental = reference: gset, random"
-    ~random_diff:Diff_gset.random_diff ~gen_op:(fun rng ->
-      match Random.State.int rng 6 with
-      | 0 | 1 | 2 -> Spec.Gset_spec.Add (Random.State.int rng 8)
-      | 3 -> Spec.Gset_spec.Clear
-      | _ -> Spec.Gset_spec.Members)
+  qcheck_diff_random ~name:"incremental = reference: gset, random" ~count:60
+    ~procs:(1, 4) ~ops:(1, 4) ~random_diff:Diff_gset.random_diff
+    ~gen_op:gset_op
 
 let qcheck_diff_sticky =
-  (* Sticky writes neither commute nor overwrite (Property 1 rejects the
-     spec), which drives the memo permanently non-canonical: the
-     differential identity must survive the fallback-forever path too. *)
   qcheck_diff_random ~name:"incremental = reference: sticky, random"
-    ~random_diff:Diff_sticky.random_diff ~gen_op:(fun rng ->
-      if Random.State.int rng 3 = 0 then Spec.Sticky_spec.Read_sticky
-      else Spec.Sticky_spec.Stick (Random.State.int rng 5))
+    ~count:60 ~procs:(1, 4) ~ops:(1, 4) ~random_diff:Diff_sticky.random_diff
+    ~gen_op:sticky_op
+
+(* Long scripts: with 1-4 ops per process the summary's frontier rarely
+   moves, so these are the cases that drive a pruned summary through
+   merges, Reset/Clear rebuilds and the non-canonical path. *)
+
+let qcheck_diff_counter_long =
+  qcheck_diff_random ~name:"incremental = reference: counter, long scripts"
+    ~count:50 ~procs:(2, 4) ~ops:(10, 40)
+    ~random_diff:Diff_counter.random_diff ~gen_op:counter_op
+
+let qcheck_diff_gset_long =
+  qcheck_diff_random ~name:"incremental = reference: gset, long scripts"
+    ~count:50 ~procs:(2, 4) ~ops:(10, 40) ~random_diff:Diff_gset.random_diff
+    ~gen_op:gset_op
+
+let qcheck_diff_sticky_long =
+  qcheck_diff_random ~name:"incremental = reference: sticky, long scripts"
+    ~count:50 ~procs:(2, 4) ~ops:(10, 40)
+    ~random_diff:Diff_sticky.random_diff ~gen_op:sticky_op
 
 (* --- O(delta) regression --------------------------------------------------- *)
 
@@ -317,6 +348,65 @@ let test_stats_shape () =
   check_int "reference never merges" 0 sref.merges;
   check_bool "reference replayed the history" true (sref.spec_replays >= 3)
 
+(* --- the summary bound ----------------------------------------------------- *)
+
+module UG_direct =
+  Universal.Construction.Make (Spec.Gset_spec) (Pram.Memory.Direct_v)
+
+(* Round-robin at operation granularity over [procs] handles: each pid
+   adds values no other pid adds, except the [silent] pids, which only
+   query.  Returns every handle's stats after [rounds] rounds. *)
+let summary_run ~procs ~rounds ~silent =
+  let t = UG_direct.create ~procs () in
+  let handles =
+    Array.init procs (fun pid -> UG_direct.attach t (ctx ~procs pid))
+  in
+  for round = 0 to rounds - 1 do
+    Array.iteri
+      (fun pid h ->
+        if List.mem pid silent then
+          ignore (UG_direct.query h Spec.Gset_spec.Members)
+        else
+          ignore
+            (UG_direct.execute h (Spec.Gset_spec.Add ((round * procs) + pid))))
+      handles
+  done;
+  Array.map UG_direct.stats handles
+
+(* Every add is a distinct operation, so without pruning the summary
+   would hold every committed entry.  Once every pid has published, the
+   frontier trails the newest round by one, and the summary holds only
+   the entries above it: at most one per pid. *)
+let check_summary_bound ~procs ~rounds =
+  let stats = summary_run ~procs ~rounds ~silent:[] in
+  Array.iteri
+    (fun pid (s : UG_direct.stats) ->
+      check_bool
+        (Printf.sprintf "procs %d, pid %d: summary %d <= procs" procs pid
+           s.summary)
+        true (s.summary <= procs))
+    stats;
+  check_int "the last pid committed everything" (procs * rounds)
+    stats.(procs - 1).committed
+
+let test_summary_bound_p4 () = check_summary_bound ~procs:4 ~rounds:2000
+let test_summary_bound_p8 () = check_summary_bound ~procs:8 ~rounds:500
+
+let test_summary_silent_peer () =
+  (* A pid that never commits keeps an all-zero cover row in every memo,
+     which pins the frontier at zero: nothing is pruned, and the summary
+     grows with the history — the documented limit of frontier pruning. *)
+  let procs = 4 and rounds = 500 in
+  let stats = summary_run ~procs ~rounds ~silent:[ 3 ] in
+  Array.iteri
+    (fun pid (s : UG_direct.stats) ->
+      check_int
+        (Printf.sprintf "pid %d: summary = committed" pid)
+        s.committed s.summary)
+    stats;
+  check_int "the silent pid committed every add" ((procs - 1) * rounds)
+    stats.(3).committed
+
 let () =
   Alcotest.run "incremental"
     [
@@ -344,5 +434,20 @@ let () =
           Alcotest.test_case "solo process never replays" `Quick
             test_odelta_single_process;
           Alcotest.test_case "stats shape" `Quick test_stats_shape;
+        ] );
+      ( "summary",
+        [
+          Alcotest.test_case "bounded by procs, procs 4" `Quick
+            test_summary_bound_p4;
+          Alcotest.test_case "bounded by procs, procs 8" `Quick
+            test_summary_bound_p8;
+          Alcotest.test_case "a silent peer pins the frontier" `Quick
+            test_summary_silent_peer;
+        ] );
+      ( "long-diff",
+        [
+          QCheck_alcotest.to_alcotest qcheck_diff_counter_long;
+          QCheck_alcotest.to_alcotest qcheck_diff_gset_long;
+          QCheck_alcotest.to_alcotest qcheck_diff_sticky_long;
         ] );
     ]

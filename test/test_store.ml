@@ -614,6 +614,70 @@ let test_obatch_regression () =
   check_bool "memoized local work shrinks with batching" true
     (b_replays * 4 < u_replays)
 
+(* --- the windowed commutes gate ---------------------------------------------- *)
+
+(* Counter_spec with its [commutes] calls counted: the chunker's checks
+   and every summary check of the shards' memos. *)
+module Commutes_counted = struct
+  include Spec.Counter_spec
+
+  let calls = ref 0
+
+  let commutes p q =
+    incr calls;
+    Spec.Counter_spec.commutes p q
+end
+
+module S_counted =
+  Universal.Store.Make (Commutes_counted) (Pram.Memory.Direct_v)
+
+(* 4 handles take round-robin turns of 64 submits then a flush over 8
+   zipfian keys.  Nearly every batch is a distinct operation, so a
+   summary holding the whole history makes each commit's check grow with
+   the run; the frontier-pruned summary keeps it flat.  Exact counts, so
+   the gate does not depend on the host. *)
+let test_windowed_commutes () =
+  let procs = 4 and turn = 64 and window = 4096 and total = 40_960 in
+  let script =
+    Workload.keyed_counter_script ~seed:1 ~keys:8 ~theta:0.99
+      ~read_fraction:0.0 ~ops_per_proc:(total / procs)
+  in
+  let store = S_counted.create ~procs () in
+  let handles =
+    Array.init procs (fun pid ->
+        S_counted.attach ~batching:(Universal.Store.Batched 64) store
+          (Runtime.Ctx.make ~procs ~pid ()))
+  in
+  let pending = Array.init procs script in
+  let per_window = Array.make (total / window) 0 in
+  let ops = ref 0 in
+  while !ops < total do
+    Array.iteri
+      (fun pid h ->
+        for _ = 1 to turn do
+          match pending.(pid) with
+          | (key, op) :: rest ->
+              S_counted.submit h ~key op;
+              pending.(pid) <- rest
+          | [] -> assert false
+        done;
+        ignore (S_counted.flush h);
+        ops := !ops + turn;
+        if !ops mod window = 0 then begin
+          per_window.((!ops / window) - 1) <- !Commutes_counted.calls;
+          Commutes_counted.calls := 0
+        end)
+      handles
+  done;
+  let first = per_window.(0)
+  and last = per_window.(Array.length per_window - 1) in
+  check_bool
+    (Printf.sprintf
+       "commutes per op, last window (%d) <= 2 x first window (%d)"
+       (last / window) (first / window))
+    true
+    (last <= 2 * first)
+
 (* --- suite ------------------------------------------------------------------- *)
 
 let suite =
@@ -643,6 +707,8 @@ let suite =
       `Quick test_attach_rejects_narrow_grid;
     Alcotest.test_case "rebuilds attributed to their shard" `Quick
       test_rebuilds_attributed_to_their_shard;
+    Alcotest.test_case "commutes per op stay flat over windows" `Quick
+      test_windowed_commutes;
   ]
 
 let () = Alcotest.run "store" [ ("store", suite) ]
