@@ -3,7 +3,7 @@
      dune exec bin/wfa_cli.exe -- <command> ...
 
    Commands:
-     experiment [ID] [--quick]   run one experiment table E1..E12 (or all)
+     experiment [ID] [--quick]   run and gate one experiment E1..E12 (or all)
      agree --inputs 1,2,3        run approximate agreement on given inputs
      adversary -k K             attack the Figure 2 algorithm (Lemma 6)
      counter --procs N --ops M   torture a wait-free counter on domains
@@ -31,21 +31,46 @@ let experiment_cmd =
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sweeps, faster run.")
   in
+  (* prints the experiment's rows and gate verdicts; true iff every gate
+     passed *)
+  let report quick (e : Experiments.experiment) =
+    Printf.printf "\n### %s — %s\n\n" e.id e.paper_source;
+    let rows = e.rows ~quick in
+    print_string (Experiments.Table.pivot rows);
+    print_newline ();
+    let verdicts = Experiments.verdicts e rows in
+    List.iter
+      (fun (name, errs) ->
+        Printf.printf "%s  %s\n" (if errs = [] then "pass" else "FAIL") name;
+        List.iter (Printf.printf "      %s\n") errs)
+      verdicts;
+    List.for_all (fun (_, errs) -> errs = []) verdicts
+  in
   let run id quick =
-    match id with
+    let selected =
+      match id with
+      | None -> Some Experiments.all
+      | Some id -> Option.map (fun e -> [ e ]) (Experiments.find id)
+    in
+    match selected with
     | None ->
-        Experiments.run_all ~quick ();
-        `Ok ()
-    | Some id -> (
-        match Experiments.find ~quick id with
-        | None -> `Error (false, Printf.sprintf "unknown experiment %S" id)
-        | Some e ->
-            Printf.printf "### %s — %s\n" e.Experiments.id e.paper_source;
-            List.iter Experiments.Table.print (e.run ());
-            `Ok ())
+        `Error (false, Printf.sprintf "unknown experiment %S" (Option.get id))
+    | Some es -> (
+        match List.filter (fun e -> not (report quick e)) es with
+        | [] -> `Ok ()
+        | failed ->
+            `Error
+              ( false,
+                "gates failed in "
+                ^ String.concat ", "
+                    (List.map (fun e -> e.Experiments.id) failed) ))
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Reproduce a paper claim as a table.")
+    (Cmd.info "experiment"
+       ~doc:
+         "Reproduce paper claims: run an experiment's stage, print its \
+          bench rows as a table and check its gates.  Non-zero exit when \
+          a gate fails.")
     Term.(ret (const run $ id $ quick))
 
 (* --- agree ----------------------------------------------------------------- *)
@@ -1011,14 +1036,14 @@ let bench_cmd =
   let out =
     Arg.(
       value
-      & opt string Experiments.Bench_stages.default_path
+      & opt string Experiments.default_path
       & info [ "out" ] ~docv:"FILE" ~doc:"Output path for the JSON rows.")
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sweeps, faster run.")
   in
   let run out quick =
-    let rows = Experiments.Bench_stages.run ~path:out ~quick () in
+    let rows = Experiments.run_bench ~path:out ~quick () in
     Printf.printf "wrote %d rows to %s\n" (List.length rows) out;
     match Experiments.Bench_gates.validate_file out with
     | Ok _ -> `Ok ()

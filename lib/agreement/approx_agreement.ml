@@ -156,7 +156,13 @@ let step_bound ~procs ~delta ~epsilon =
   ((rounds +. 3.0) *. per_round) +. 2.0
 
 (* Lemma 6's lower bound: an adversary can force
-   floor(log3(delta/epsilon)) steps. *)
+   floor(log3(delta/epsilon)) steps — the powers 3, 9, 27, ... up to
+   delta/epsilon, counted with a relative tolerance: at epsilon = 3^-5
+   the quotient is 242.99999999999997, and a floored floating log3 says
+   4. *)
 let adversary_bound ~delta ~epsilon =
-  if delta <= 0.0 then 0
-  else int_of_float (Float.floor (Float.log (delta /. epsilon) /. Float.log 3.0))
+  let ratio = delta /. epsilon *. (1.0 +. 1e-9) in
+  let rec count k power =
+    if power *. 3.0 <= ratio then count (k + 1) (power *. 3.0) else k
+  in
+  if delta <= 0.0 then 0 else count 0 1.0

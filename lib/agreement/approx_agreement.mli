@@ -47,5 +47,7 @@ end
 val step_bound : procs:int -> delta:float -> epsilon:float -> float
 
 (** Lemma 6's lower bound: [floor(log3(delta/epsilon))] steps can be
-    forced by an adversary. *)
+    forced by an adversary.  Counted as powers of 3 up to
+    [delta/epsilon] with a relative tolerance of 1e-9, so [3^k] gives
+    [k] although [1/3^k] is rounded. *)
 val adversary_bound : delta:float -> epsilon:float -> int

@@ -8,8 +8,13 @@
    - [cost_formula]: sim scan rows equal Scan.cost_formula exactly — an
      [each] whose expected value is the Section 6.2 formula;
    - [coverage]: named benches carry named metrics at named procs;
-   - [at_most]: one measured quantity never exceeds another at the same
-     procs (batched vs unbatched, adaptive vs optimized, ...).
+   - [ordered] and its same-procs form [at_most]: one measured quantity
+     never exceeds (or, strictly, stays below) another (batched vs
+     unbatched, adaptive vs optimized, forced steps along a sweep, ...).
+
+   The paper's claims, E1-E12, are [claims]: one list of gates per
+   experiment, which `wfa experiment ID` reports and every bench file
+   must also pass.
 
    Two checks need a whole group of rows at once and are named entries
    of their own: the windowed-series reconciliation and the
@@ -124,28 +129,35 @@ let label q =
   Printf.sprintf "%s %s %s" q.q_backend q.q_bench
     (String.concat "+" q.q_metrics)
 
-(* At every [procs] where [hi] is measured, [lo] must be measured too and
-   come in at or under it. *)
-let at_most name ~procs lo hi =
+(* In each pair of points — a quantity at a procs — where the second is
+   measured, the first must be measured too and come in at or under it
+   ([strict]: under it). *)
+let ordered name ~strict pairs =
+  let point (q, p) = Printf.sprintf "%s procs=%d" (label q) p in
   {
     name;
     check =
       (fun rows ->
         List.filter_map
-          (fun p ->
-            match (measure rows lo p, measure rows hi p) with
-            | Some a, Some b when a > b ->
+          (fun (((lo, p) as a), ((hi, q) as b)) ->
+            match (measure rows lo p, measure rows hi q) with
+            | Some x, Some y when x > y || (strict && x = y) ->
                 Some
-                  (Printf.sprintf "procs=%d: %s = %s exceeds %s = %s" p
-                     (label lo) (number_to_string a) (label hi)
-                     (number_to_string b))
+                  (Printf.sprintf "%s = %s %s %s = %s" (point a)
+                     (number_to_string x)
+                     (if strict then "is not below" else "exceeds")
+                     (point b) (number_to_string y))
             | None, Some _ ->
                 Some
-                  (Printf.sprintf "procs=%d: no %s to compare with %s" p
-                     (label lo) (label hi))
+                  (Printf.sprintf "no %s to compare with %s" (point a) (point b))
             | _ -> None)
-          procs);
+          pairs);
   }
+
+(* At every [procs] where [hi] is measured, [lo] must be measured too and
+   come in at or under it. *)
+let at_most name ~procs lo hi =
+  ordered name ~strict:false (List.map (fun p -> ((lo, p), (hi, p))) procs)
 
 (* --- the series reconciliation -----------------------------------------------
 
@@ -285,6 +297,257 @@ let explore_verdicts =
           explore_stages);
   }
 
+(* --- the paper's claims, E1-E12 -------------------------------------------- *)
+
+let sim = value ~backend:"sim"
+
+let rec consecutive = function
+  | a :: (b :: _ as rest) -> (a, b) :: consecutive rest
+  | _ -> []
+
+(* The hierarchy level k of each Theorem 7 bench (eps = 3^-k). *)
+let levels =
+  List.map
+    (fun k -> (E_agreement.theorem7_bench k, k))
+    (E_agreement.theorem7_levels ~quick:false)
+
+(* [metric] of a two-process hierarchy bench (E2-E4) *)
+let two_process metric bench = (sim bench metric, 2)
+
+(* Per snapshot algorithm of E7: wait-free, linearizable. *)
+let snapshot_claims =
+  [
+    ("snapshot_scan", (true, true));
+    ("snapshot_afek", (true, true));
+    ("snapshot_double_collect", (false, true));
+    ("snapshot_naive_collect", (true, false));
+  ]
+
+(* Per E12 program: its procs and its verdict on both ways. *)
+let exploration_claims =
+  [
+    ("lost_update", 2, `Buggy);
+    ("scan", 2, `Clean);
+    ("counter", 2, `Clean);
+    ("agreement", 3, `Clean);
+  ]
+
+let verdict bench =
+  List.find_map
+    (fun (program, _, v) ->
+      if E_explore.e12_bench program = bench then Some v else None)
+    exploration_claims
+
+(* eps = 3^-k of each E11 bench *)
+let iis_epsilon =
+  List.map
+    (fun k -> (E_iis.iis_bench k, 1.0 /. Float.pow 3.0 (float_of_int k)))
+    (E_iis.iis_levels ~quick:false)
+
+let claims =
+  let open E_agreement in
+  [
+    ( "E1",
+      [
+        ordered "E1 worst-case steps within Theorem 5's bound" ~strict:false
+          (List.concat_map
+             (fun ratio ->
+               let bench = e1_bench ratio in
+               List.map
+                 (fun n ->
+                   ((sim bench "steps_max", n), (sim bench "step_bound", n)))
+                 e1_procs)
+             e1_ratios);
+        coverage "E1 rows" ~backend:"sim"
+          ~benches:(List.map e1_bench e1_ratios)
+          ~procs:e1_procs ~metrics:[ "steps_max"; "step_bound" ];
+      ] );
+    ( "E2",
+      [
+        each "E2 Lemma 6 floor = k at delta/eps = 3^k"
+          ~applies:(fun r -> r.metric = "floor" && List.mem_assoc r.bench levels)
+          ~holds:(fun r -> r.value = float_of_int (List.assoc r.bench levels))
+          ~expect:(fun r -> string_of_int (List.assoc r.bench levels));
+        ordered "E2 forced steps >= the Lemma 6 floor" ~strict:false
+          (List.map
+             (fun (b, _) -> (two_process "floor" b, two_process "forced" b))
+             levels);
+        coverage "E2 rows" ~backend:"sim"
+          ~benches:(List.map theorem7_bench (theorem7_levels ~quick:true))
+          ~procs:[ 2 ] ~metrics:[ "floor"; "forced" ];
+      ] );
+    ( "E3",
+      [
+        each "E3 forced steps > k"
+          ~applies:(fun r ->
+            r.metric = "forced" && List.mem_assoc r.bench levels)
+          ~holds:(fun r -> r.value > float_of_int (List.assoc r.bench levels))
+          ~expect:(fun r ->
+            Printf.sprintf "more than %d" (List.assoc r.bench levels));
+        ordered "E3 forced steps <= Theorem 5's K" ~strict:false
+          (List.map
+             (fun (b, _) -> (two_process "forced" b, two_process "step_bound" b))
+             levels);
+        each "E3 attacked executions keep the Figure 1 spec"
+          ~applies:(fun r ->
+            r.metric = "violations" && List.mem_assoc r.bench levels)
+          ~holds:(fun r -> r.value = 0.0)
+          ~expect:(fun _ -> "0");
+        coverage "E3 rows" ~backend:"sim"
+          ~benches:(List.map theorem7_bench (theorem7_levels ~quick:true))
+          ~procs:[ 2 ] ~metrics:[ "forced"; "step_bound"; "violations" ];
+      ] );
+    ( "E4",
+      [
+        ordered "E4 forced steps rise strictly with delta" ~strict:true
+          (consecutive
+             (List.map
+                (fun e -> two_process "forced" (theorem8_bench e))
+                (theorem8_decades ~quick:false)));
+        coverage "E4 rows" ~backend:"sim"
+          ~benches:(List.map theorem8_bench (theorem8_decades ~quick:true))
+          ~procs:[ 2 ] ~metrics:[ "floor"; "forced"; "step_bound" ];
+      ] );
+    ( "E5",
+      [
+        cost_formula "scan_plain" Snapshot.Scan.Plain;
+        cost_formula "scan_opt" Snapshot.Scan.Optimized;
+        (* only the uncontended adaptive fast path has an exact count: a
+           contended adaptive scan may escalate *)
+        cost_formula "scan_adaptive_uncontended" Snapshot.Scan.Adaptive;
+        (* one scan per process opens no later generation, so contended
+           or not each lattice scan is one descent of ceil(log2 n)
+           levels *)
+        cost_formula "scan_lattice" Snapshot.Scan.Lattice;
+        coverage "E5 uncontended scans at every procs" ~backend:"sim"
+          ~benches:
+            (List.map
+               (fun v -> Bench_stages.variant_name v ^ "_uncontended")
+               Bench_stages.scan_variants)
+          ~procs:Bench_stages.procs_sweep ~metrics:[ "reads"; "writes" ];
+      ] );
+    ( "E6",
+      [
+        cost_formula "universal_counter_solo" Snapshot.Scan.Adaptive;
+        coverage "E6 rows" ~backend:"sim" ~benches:[ "universal_counter_solo" ]
+          ~procs:E_universal.solo_procs ~metrics:[ "reads"; "writes" ];
+      ] );
+    ( "E7",
+      [
+        each "E7 wait-free snapshots finish under contention, the double \
+              collect starves"
+          ~applies:(fun r ->
+            r.metric = "contended_steps"
+            && List.mem_assoc r.bench snapshot_claims)
+          ~holds:(fun r ->
+            (r.value < float_of_int E_snapshot.starvation_budget)
+            = fst (List.assoc r.bench snapshot_claims))
+          ~expect:(fun r ->
+            if fst (List.assoc r.bench snapshot_claims) then
+              "fewer steps than the starvation budget"
+            else "the starvation budget (starved)");
+        each "E7 the checker rejects the naive collect alone"
+          ~applies:(fun r ->
+            r.metric = "violations" && List.mem_assoc r.bench snapshot_claims)
+          ~holds:(fun r ->
+            (r.value > 0.0) <> snd (List.assoc r.bench snapshot_claims))
+          ~expect:(fun r ->
+            if snd (List.assoc r.bench snapshot_claims) then "0"
+            else "at least 1");
+        coverage "E7 rows at procs 4" ~backend:"sim"
+          ~benches:(List.map fst snapshot_claims) ~procs:[ 4 ]
+          ~metrics:[ "quiet_steps"; "contended_steps" ];
+        coverage "E7 rows at procs 3" ~backend:"sim"
+          ~benches:(List.map fst snapshot_claims) ~procs:[ 3 ]
+          ~metrics:[ "violations" ];
+      ] );
+    ( "E8",
+      [
+        ordered "E8 three processes are forced to more steps than two"
+          ~strict:true
+          (List.map
+             (fun k ->
+               let bench = greedy_bench k in
+               ((sim bench "forced", 2), (sim bench "forced", 3)))
+             (greedy_levels ~quick:false));
+        coverage "E8 rows" ~backend:"sim"
+          ~benches:(List.map greedy_bench (greedy_levels ~quick:true))
+          ~procs:[ 2; 3 ] ~metrics:[ "forced" ];
+      ] );
+    ( "E9",
+      [
+        cost_formula "direct_counter_solo" Snapshot.Scan.Optimized;
+        coverage "E9 solo rows" ~backend:"sim" ~benches:[ "direct_counter_solo" ]
+          ~procs:E_universal.solo_procs ~metrics:[ "reads"; "writes" ];
+        coverage "E9 history rows" ~backend:"direct"
+          ~benches:
+            (List.concat_map
+               (fun ops ->
+                 [
+                   E_universal.generic_history_bench ops;
+                   E_universal.direct_history_bench ops;
+                 ])
+               (E_universal.history_sizes ~quick:true))
+          ~procs:[ 4 ] ~metrics:[ "ns_per_op" ];
+      ] );
+    ( "E10",
+      [
+        cost_formula "lattice_agreement_scan" Snapshot.Scan.Optimized;
+        ordered "E10 classifier steps below scan steps" ~strict:true
+          (List.map
+             (fun n ->
+               ( (accesses "lattice_agreement_classifier", n),
+                 (accesses "lattice_agreement_scan", n) ))
+             (E_lattice.lattice_procs ~quick:false));
+        coverage "E10 rows" ~backend:"sim"
+          ~benches:[ "lattice_agreement_scan"; "lattice_agreement_classifier" ]
+          ~procs:(E_lattice.lattice_procs ~quick:true)
+          ~metrics:[ "reads"; "writes" ];
+      ] );
+    ( "E11",
+      [
+        each "E11 worst gap <= eps with ceil(log_base(delta/eps)) layers"
+          ~applies:(fun r ->
+            r.metric = "worst_gap" && List.mem_assoc r.bench iis_epsilon)
+          (* at n = 2 the gap is eps exactly, and a bench file keeps 6
+             significant digits of it *)
+          ~holds:(fun r ->
+            r.value <= List.assoc r.bench iis_epsilon *. (1.0 +. 1e-5))
+          ~expect:(fun r ->
+            Printf.sprintf "at most eps = %g" (List.assoc r.bench iis_epsilon));
+        coverage "E11 rows" ~backend:"sim"
+          ~benches:(List.map E_iis.iis_bench (E_iis.iis_levels ~quick:true))
+          ~procs:[ 2; 3 ] ~metrics:[ "layers"; "worst_gap" ];
+      ] );
+    ( "E12",
+      [
+        ordered "E12 DPOR explores at most the naive schedules" ~strict:false
+          (List.map
+             (fun (program, procs, _) ->
+               let bench = E_explore.e12_bench program in
+               ( (sim bench "dpor_explored", procs),
+                 (sim bench "naive_explored", procs) ))
+             exploration_claims);
+        each "E12 both ways reach the program's verdict"
+          ~applies:(fun r ->
+            List.mem r.metric [ "naive_violations"; "dpor_violations" ]
+            && verdict r.bench <> None)
+          ~holds:(fun r ->
+            (r.value > 0.0) = (verdict r.bench = Some `Buggy))
+          ~expect:(fun r ->
+            if verdict r.bench = Some `Buggy then "at least 1" else "0");
+        coverage "E12 rows" ~backend:"sim"
+          ~benches:
+            (List.map E_explore.e12_bench [ "lost_update"; "scan"; "counter" ])
+          ~procs:[ 2 ]
+          ~metrics:
+            [
+              "naive_explored"; "dpor_explored"; "naive_violations";
+              "dpor_violations";
+            ];
+      ] );
+  ]
+
 (* --- the table ------------------------------------------------------------ *)
 
 let sweep = Bench_stages.procs_sweep
@@ -345,15 +608,7 @@ let gates =
       ~applies:(fun r -> r.backend = "sim" && List.mem r.bench store_benches)
       ~holds:(fun r -> non_negative_integer r.value)
       ~expect:(fun _ -> "a non-negative integer");
-    (* exact counts *)
-    cost_formula "scan_plain" Snapshot.Scan.Plain;
-    cost_formula "scan_opt" Snapshot.Scan.Optimized;
-    (* only the uncontended adaptive fast path has an exact count: a
-       contended adaptive scan may escalate *)
-    cost_formula "scan_adaptive_uncontended" Snapshot.Scan.Adaptive;
-    (* one scan per process opens no later generation, so contended or
-       not each lattice scan is one descent of ceil(log2 n) levels *)
-    cost_formula "scan_lattice" Snapshot.Scan.Lattice;
+    (* exact counts; the sim scan rows are E5's *)
     each "scan_grid holds the Optimized footprint n(n+1)"
       ~applies:(fun r ->
         r.backend = "native" && r.bench = "scan_grid" && r.metric = "registers")
@@ -418,6 +673,7 @@ let gates =
           (value ~backend:"sim" bench "spec_replays_reference"))
       [ "universal_counter"; "universal_gset" ]
   @ [ series_reconciliation; explore_verdicts ]
+  @ List.concat_map snd claims
 
 let check rows =
   List.concat_map

@@ -19,7 +19,7 @@
    - "native": wall-clock measurements over real OCaml domains (Atomic
                registers), at procs in {1,2,4,8}.
    - "direct": single-threaded wall-clock of the flagship operations on
-               the sequential backend.
+               the sequential backend, and of E12's searches.
 
    Everything is deterministic in structure (same benches, same procs
    sweep) so files diff across commits; only wall-clock values vary by

@@ -1,6 +1,7 @@
-(* The bench stages: every measurement `wfa bench` runs, in the order
-   its rows appear in BENCH.json.  Rows are built with the Bench_json
-   codec and checked by the Bench_gates table.
+(* The bench stages: the measurements `wfa bench` runs before the
+   paper's experiments (the e_*.ml stages, which reuse this module's
+   fixtures), in the order their rows appear in BENCH.json.  Rows are
+   built with the Bench_json codec and checked by the Bench_gates table.
 
    - sim:    exact access, replay, store and schedule-exploration counts
              from the deterministic simulator;
@@ -27,6 +28,10 @@ let timed f =
 let procs_sweep = [ 1; 2; 4; 8 ]
 
 module Scan_sim = Snapshot.Scan.Make (Semilattice.Nat_max) (Pram.Memory.Sim_v)
+
+let scan_variants =
+  [ Snapshot.Scan.Plain; Snapshot.Scan.Optimized; Snapshot.Scan.Adaptive;
+    Snapshot.Scan.Lattice ]
 
 let variant_name = function
   | Snapshot.Scan.Plain -> "scan_plain"
@@ -71,6 +76,17 @@ let sim_scan_rows ~variant ~procs ~contended =
       ~value:(float_of_int (Hashtbl.length touched))
       ~unit_:"registers";
   ]
+
+(* Reads and writes of process 0's body, running solo. *)
+let solo_rows ~bench ~procs program =
+  let d = Pram.Driver.create ~procs program in
+  ignore (Pram.Driver.run_solo d 0);
+  List.map
+    (fun (metric, count) ->
+      row ~bench ~procs ~backend:"sim" ~metric
+        ~value:(float_of_int (count d 0))
+        ~unit_:"accesses")
+    [ ("reads", Pram.Driver.reads); ("writes", Pram.Driver.writes) ]
 
 module UC_sim = Universal.Construction.Make (Spec.Counter_spec) (Pram.Memory.Sim_v)
 
@@ -423,8 +439,7 @@ let sim_rows ~quick =
               List.concat_map
                 (fun contended -> sim_scan_rows ~variant ~procs ~contended)
                 [ false; true ])
-            [ Snapshot.Scan.Plain; Snapshot.Scan.Optimized;
-              Snapshot.Scan.Adaptive; Snapshot.Scan.Lattice ])
+            scan_variants)
         sweep;
       List.concat_map
         (fun procs ->
@@ -813,8 +828,7 @@ let native_scan_rows ~quick =
                 (fun contended ->
                   native_scan_variant_rows ~quick ~variant ~procs ~contended)
                 [ false; true ])
-            [ Snapshot.Scan.Plain; Snapshot.Scan.Optimized;
-              Snapshot.Scan.Adaptive; Snapshot.Scan.Lattice ];
+            scan_variants;
           native_array_rows ~quick ~procs ~contended:false;
           native_array_rows ~quick ~procs ~contended:true;
           native_scan_footprint_rows ~procs;
@@ -942,15 +956,7 @@ let direct_rows ~quick =
     mk "lingraph_build_k64" 1 lg_ns;
   ]
 
-(* --- the pipeline --------------------------------------------------------- *)
-
+(* The measurement stages, in file order; the E1-E12 stages follow them
+   in BENCH.json (Experiments.collect). *)
 let collect ~quick =
   List.concat [ sim_rows ~quick; native_rows ~quick; direct_rows ~quick ]
-
-let default_path = "BENCH.json"
-
-(* Runs the full pipeline and writes [path]; returns the rows. *)
-let run ?(path = default_path) ~quick () =
-  let rows = collect ~quick in
-  write_file ~path rows;
-  rows

@@ -1,23 +1,29 @@
 (* Experiments E1-E4 and E8: approximate agreement bounds and the
-   wait-free hierarchy.
+   wait-free hierarchy, as sim rows of step counts.
 
    E1 (Theorem 5): measured worst-case steps per process across a mix of
-   schedules, swept over process count and delta/epsilon, against the
+   schedules, swept over process count and delta/epsilon, next to the
    closed-form upper bound (2n+1) log2(delta/eps) + O(n).
 
-   E2 (Lemma 6): steps forced by the faithful two-process replay
-   adversary vs the floor(log3(delta/eps)) lower bound.
-
-   E3 (Theorem 7): the hierarchy: for eps = 3^-k the adversary forces
-   more than k steps while Theorem 5 bounds all executions by K = O(nk).
+   E2 and E3 share one sweep over eps = 3^-k with two processes: E2
+   (Lemma 6) reads the steps the faithful replay adversary forces
+   against the floor(log3(delta/eps)) lower bound, E3 (Theorem 7) reads
+   the same forced steps against k and Theorem 5's K.
 
    E4 (Theorem 8): fixed eps, growing delta: forced steps grow without
    bound — wait-free but not bounded wait-free.
 
    E8 (Hoest-Shavit remark): greedy-adversary forced steps for n = 2 vs
-   n = 3 (log3 vs log2 regimes). *)
+   n = 3 (log3 vs log2 regimes).
+
+   Bench names carry the sweep parameter; the gates in Bench_gates name
+   the same benches. *)
 
 module AA = Agreement.Approx_agreement.Make (Pram.Memory.Sim)
+module H = Agreement.Hierarchy
+
+let steps ~bench ~procs metric value =
+  Bench_json.row ~bench ~procs ~backend:"sim" ~metric ~value ~unit_:"accesses"
 
 (* Worst-case measured steps for one configuration across a schedule
    mix. *)
@@ -43,131 +49,75 @@ let measure_worst ~procs ~epsilon ~inputs ~seeds =
     (Workload.standard_schedules ~seeds);
   !worst
 
-let e1 ?(seeds = 10) () =
-  let t =
-    Table.create
-      ~title:
-        "E1 (Theorem 5): approximate agreement, measured worst-case steps vs \
-         upper bound"
-      ~header:
-        [ "n"; "delta/eps"; "measured max steps"; "bound (2n+1)lg(d/e)+O(n)"; "within" ]
-  in
-  List.iter
+let e1_procs = [ 2; 3; 4; 6; 8 ]
+let e1_ratios = [ 10.0; 100.0; 1000.0; 10000.0 ]
+let e1_bench ratio = Printf.sprintf "agreement_r%.0f" ratio
+
+let e1 ~quick =
+  let seeds = if quick then 3 else 10 in
+  List.concat_map
     (fun procs ->
-      List.iter
+      List.concat_map
         (fun ratio ->
-          let epsilon = 1.0 in
-          let delta = ratio in
-          let inputs = Workload.agreement_inputs ~seed:7 ~procs ~delta in
-          let measured = measure_worst ~procs ~epsilon ~inputs ~seeds in
-          let bound =
-            Agreement.Approx_agreement.step_bound ~procs ~delta ~epsilon
-          in
-          Table.add_row t
-            [
-              string_of_int procs;
-              Printf.sprintf "%.0f" ratio;
-              string_of_int measured;
-              Table.fmt_float bound;
-              (if float_of_int measured <= bound then "yes" else "NO");
-            ])
-        [ 10.0; 100.0; 1000.0; 10000.0 ])
-    [ 2; 3; 4; 6; 8 ];
-  t
+          let inputs = Workload.agreement_inputs ~seed:7 ~procs ~delta:ratio in
+          let mk = steps ~bench:(e1_bench ratio) ~procs in
+          [
+            mk "steps_max"
+              (float_of_int (measure_worst ~procs ~epsilon:1.0 ~inputs ~seeds));
+            mk "step_bound"
+              (Agreement.Approx_agreement.step_bound ~procs ~delta:ratio
+                 ~epsilon:1.0);
+          ])
+        e1_ratios)
+    e1_procs
 
-let e2 ?(max_k = 8) () =
-  let t =
-    Table.create
-      ~title:
-        "E2 (Lemma 6): adversary-forced steps vs floor(log3(delta/eps)) lower \
-         bound (2 processes)"
-      ~header:[ "delta/eps"; "lower bound"; "forced steps"; "holds" ]
-  in
-  for k = 1 to max_k do
-    let epsilon = 1.0 /. Float.pow 3.0 (float_of_int k) in
-    let row = Agreement.Hierarchy.theorem7_row k in
-    ignore epsilon;
-    Table.add_row t
-      [
-        Printf.sprintf "3^%d" k;
-        string_of_int row.Agreement.Hierarchy.lower_bound;
-        string_of_int row.Agreement.Hierarchy.forced;
-        (if row.Agreement.Hierarchy.forced >= row.Agreement.Hierarchy.lower_bound
-         then "yes"
-         else "NO");
-      ]
-  done;
-  t
+(* The floor, forced and bound rows of one hierarchy row, at procs 2. *)
+let hierarchy_rows bench (r : H.row) =
+  let mk = steps ~bench ~procs:2 in
+  [
+    mk "floor" (float_of_int r.H.lower_bound);
+    mk "forced" (float_of_int r.H.forced);
+    mk "step_bound" r.H.upper_bound;
+  ]
 
-let e3 ?(max_k = 8) () =
-  let t =
-    Table.create
-      ~title:
-        "E3 (Theorem 7): the hierarchy — eps = 3^-k is K-bounded but not \
-         k-bounded wait-free"
-      ~header:
-        [ "k"; "eps"; "forced steps (>k)"; "upper bound K"; "k < forced <= K"; "agreement" ]
-  in
-  for k = 1 to max_k do
-    let row = Agreement.Hierarchy.theorem7_row k in
-    let ok =
-      row.Agreement.Hierarchy.forced > k
-      && float_of_int row.Agreement.Hierarchy.forced
-         <= row.Agreement.Hierarchy.upper_bound
-    in
-    Table.add_row t
-      [
-        string_of_int k;
-        Printf.sprintf "3^-%d" k;
-        string_of_int row.Agreement.Hierarchy.forced;
-        Table.fmt_float row.Agreement.Hierarchy.upper_bound;
-        (if ok then "yes" else "NO");
-        (if row.Agreement.Hierarchy.agreement_ok then "ok" else "VIOLATED");
-      ]
-  done;
-  t
+let theorem7_levels ~quick = List.init (if quick then 5 else 8) succ
+let theorem7_bench k = Printf.sprintf "theorem7_k%d" k
 
-let e4 ?(max_exp = 6) () =
-  let t =
-    Table.create
-      ~title:
-        "E4 (Theorem 8): unbounded input range — no single bound covers all \
-         executions (eps = 1)"
-      ~header:[ "delta"; "lower bound"; "forced steps"; "upper bound (this delta)" ]
-  in
-  for e = 1 to max_exp do
-    let delta = Float.pow 10.0 (float_of_int e) in
-    let row = Agreement.Hierarchy.theorem8_row ~delta in
-    Table.add_row t
-      [
-        Printf.sprintf "1e%d" e;
-        string_of_int row.Agreement.Hierarchy.lower_bound;
-        string_of_int row.Agreement.Hierarchy.forced;
-        Table.fmt_float row.Agreement.Hierarchy.upper_bound;
-      ]
-  done;
-  t
+(* The stage of E2 and E3; [violations] is 1 when the attacked execution
+   broke the Figure 1 specification. *)
+let theorem7 ~quick =
+  List.concat_map
+    (fun k ->
+      let r = H.theorem7_row k in
+      let bench = theorem7_bench k in
+      hierarchy_rows bench r
+      @ [
+          Bench_json.row ~bench ~procs:2 ~backend:"sim" ~metric:"violations"
+            ~value:(if r.H.agreement_ok then 0.0 else 1.0)
+            ~unit_:"executions";
+        ])
+    (theorem7_levels ~quick)
 
-let e8 ?(ks = [ 2; 3; 4; 5 ]) () =
-  let t =
-    Table.create
-      ~title:
-        "E8 (Hoest-Shavit remark): greedy adversary, 2 vs 3 processes \
-         (log3 vs log2 regimes)"
-      ~header:
-        [ "eps"; "forced steps (n=2)"; "forced steps (n=3)"; "ratio" ]
-  in
-  List.iter
+let theorem8_decades ~quick = List.init (if quick then 4 else 6) succ
+let theorem8_bench e = Printf.sprintf "theorem8_d1e%d" e
+
+let e4 ~quick =
+  List.concat_map
+    (fun e ->
+      hierarchy_rows (theorem8_bench e)
+        (H.theorem8_row ~delta:(Float.pow 10.0 (float_of_int e))))
+    (theorem8_decades ~quick)
+
+let greedy_levels ~quick = if quick then [ 2; 3 ] else [ 2; 3; 4; 5 ]
+let greedy_bench k = Printf.sprintf "greedy_k%d" k
+
+let e8 ~quick =
+  List.concat_map
     (fun k ->
       let epsilon = 1.0 /. Float.pow 3.0 (float_of_int k) in
-      let f2, _ = Agreement.Hierarchy.greedy_forced ~procs:2 ~epsilon in
-      let f3, _ = Agreement.Hierarchy.greedy_forced ~procs:3 ~epsilon in
-      Table.add_row t
-        [
-          Printf.sprintf "3^-%d" k;
-          string_of_int f2;
-          string_of_int f3;
-          Table.fmt_float2 (float_of_int f3 /. float_of_int (max 1 f2));
-        ])
-    ks;
-  t
+      List.map
+        (fun procs ->
+          steps ~bench:(greedy_bench k) ~procs "forced"
+            (float_of_int (fst (H.greedy_forced ~procs ~epsilon))))
+        [ 2; 3 ])
+    (greedy_levels ~quick)

@@ -9,7 +9,7 @@
    (base 2) — and measure the worst residual gap over a schedule mix.
    The gap must come in at or below epsilon with exactly that many
    layers: the upper-bound half of tightness, with the paper's exact
-   constants. *)
+   constants.  Gaps are sim rows in units of delta. *)
 
 module IIS = Snapshot.Iis.Make (Pram.Memory.Sim_v)
 
@@ -44,46 +44,31 @@ let worst_gap ~procs ~layers ~rule ~delta ~seeds =
     (Workload.standard_schedules ~seeds);
   !worst
 
-let e11 ?(max_k = 6) ?(seeds = 10) () =
-  let t =
-    Table.create
-      ~title:
-        "E11 (Hoest-Shavit): IIS agreement with exactly \
-         ceil(log_base(delta/eps)) layers (delta = 1)"
-      ~header:
+let iis_levels ~quick = List.init (if quick then 3 else 6) succ
+let iis_bench k = Printf.sprintf "iis_k%d" k
+
+(* At eps = 3^-k: the layer count and worst gap of the two-thirds rule
+   at n = 2 (log3 layers) and of the midpoint rule at n = 3 (log2). *)
+let e11 ~quick =
+  let seeds = if quick then 3 else 10 in
+  List.concat_map
+    (fun k ->
+      let epsilon = 1.0 /. Float.pow 3.0 (float_of_int k) in
+      List.concat_map
+        (fun (procs, base, rule) ->
+          let layers = IIS.layers_needed ~base ~delta:1.0 ~epsilon in
+          let mk metric value unit_ =
+            Bench_json.row ~bench:(iis_bench k) ~procs ~backend:"sim" ~metric
+              ~value ~unit_
+          in
+          [
+            mk "layers" (float_of_int layers) "layers";
+            mk "worst_gap"
+              (worst_gap ~procs ~layers ~rule ~delta:1.0 ~seeds)
+              "delta";
+          ])
         [
-          "eps";
-          "layers n=2 (log3)";
-          "worst gap n=2";
-          "ok";
-          "layers n=3 (log2)";
-          "worst gap n=3";
-          "ok";
-        ]
-  in
-  for k = 1 to max_k do
-    let epsilon = 1.0 /. Float.pow 3.0 (float_of_int k) in
-    let l3 = IIS.layers_needed ~base:3.0 ~delta:1.0 ~epsilon in
-    let g2 =
-      worst_gap ~procs:2 ~layers:l3
-        ~rule:(fun h -> IIS.two_proc_optimal h)
-        ~delta:1.0 ~seeds
-    in
-    let l2 = IIS.layers_needed ~base:2.0 ~delta:1.0 ~epsilon in
-    let g3 =
-      worst_gap ~procs:3 ~layers:l2
-        ~rule:(fun _h -> IIS.midpoint)
-        ~delta:1.0 ~seeds
-    in
-    Table.add_row t
-      [
-        Printf.sprintf "3^-%d" k;
-        string_of_int l3;
-        Printf.sprintf "%.2e" g2;
-        (if g2 <= epsilon +. 1e-12 then "yes" else "NO");
-        string_of_int l2;
-        Printf.sprintf "%.2e" g3;
-        (if g3 <= epsilon +. 1e-12 then "yes" else "NO");
-      ]
-  done;
-  t
+          (2, 3.0, fun h -> IIS.two_proc_optimal h);
+          (3, 2.0, fun _ -> IIS.midpoint);
+        ])
+    (iis_levels ~quick)

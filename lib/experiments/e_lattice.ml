@@ -3,49 +3,28 @@
    The paper's Section 2 (in the 2000 revision) notes that lattice
    agreement "allows for faster snapshot protocols such as the
    asymptotically optimal O(n log n) protocol of Attiya and Rachman",
-   versus the O(n^2) of the Section 6 scan.  This table measures shared
-   READS per propose for both: the classifier tree (n * ceil(log2 n))
-   against the scan (n^2 - 1), showing the crossover. *)
+   versus the O(n^2) of the Section 6 scan.  Sim rows count the shared
+   reads and writes of one solo propose for both: the scan-based one
+   (one Optimized scan, n^2 - 1 reads) and the classifier tree
+   (n * ceil(log2 n) reads). *)
 
 module LA_scan = Snapshot.Lattice_agreement.Via_scan (Pram.Memory.Sim_v)
 module LA_cls = Snapshot.Lattice_agreement.Classifier (Pram.Memory.Sim)
 module PS = Snapshot.Lattice_agreement.Pid_set
 
-(* measured solo steps (reads + writes) of one propose *)
-let measured (module L : Snapshot.Lattice_agreement.S) ~procs =
-  let program () =
-    let t = L.create ~procs in
-    fun pid ->
-      let h = L.attach t (Runtime.Ctx.make ~procs ~pid ()) in
-      L.propose h (PS.singleton pid)
-  in
-  let d = Pram.Driver.create ~procs program in
-  ignore (Pram.Driver.run_solo d 0);
-  Pram.Driver.steps d 0
+let lattice_procs ~quick = if quick then [ 2; 4; 8 ] else [ 2; 4; 8; 16; 32; 64 ]
 
-let e10 ?(ns = [ 2; 4; 8; 16; 32; 64 ]) () =
-  let t =
-    Table.create
-      ~title:
-        "E10 (Section 2): lattice agreement — scan O(n^2) vs classifier \
-         O(n log n), steps per propose"
-      ~header:
-        [ "n"; "scan steps"; "classifier steps"; "scan reads"; "cls reads"; "ratio" ]
-  in
-  List.iter
-    (fun n ->
-      let scan_steps = measured (module LA_scan) ~procs:n in
-      let cls_steps = measured (module LA_cls) ~procs:n in
-      let scan_reads = LA_scan.reads_per_propose ~procs:n in
-      let cls_reads = LA_cls.reads_per_propose ~procs:n in
-      Table.add_row t
-        [
-          string_of_int n;
-          string_of_int scan_steps;
-          string_of_int cls_steps;
-          string_of_int scan_reads;
-          string_of_int cls_reads;
-          Table.fmt_float2 (float_of_int scan_steps /. float_of_int cls_steps);
-        ])
-    ns;
-  t
+let propose_rows ~bench (module L : Snapshot.Lattice_agreement.S) ~procs =
+  Bench_stages.solo_rows ~bench ~procs (fun () ->
+      let t = L.create ~procs in
+      fun pid ->
+        ignore
+          (L.propose (L.attach t (Runtime.Ctx.make ~procs ~pid ()))
+             (PS.singleton pid)))
+
+let e10 ~quick =
+  List.concat_map
+    (fun procs ->
+      propose_rows ~bench:"lattice_agreement_scan" (module LA_scan) ~procs
+      @ propose_rows ~bench:"lattice_agreement_classifier" (module LA_cls) ~procs)
+    (lattice_procs ~quick)

@@ -1,12 +1,13 @@
-(* The experiment registry: every quantitative claim of the paper mapped
-   to a table generator.  `dune exec bin/wfa_cli.exe -- experiment`
-   prints them all, `... experiment <id>` prints one.  See DESIGN.md
-   Section 5 for the per-experiment index and EXPERIMENTS.md for recorded
-   results. *)
+(* The results pipeline: every quantitative claim of the paper is an
+   experiment whose stage emits bench rows and whose claims are entries
+   of the gate table.  `dune exec bin/wfa_cli.exe -- experiment [ID]`
+   runs one experiment (or all), prints its rows as one pivot table and
+   reports its gates; `... bench` runs every stage into BENCH.json.  See
+   DESIGN.md Section 5 for the per-experiment index and EXPERIMENTS.md
+   for recorded results. *)
 
-(* Re-export the table type so the CLI can render experiment output
-   itself, and the bench pipeline — row codec, gate table, stages — so it
-   can run and validate bench files. *)
+(* Re-export the pipeline — row codec, gate table, stages, pivot — so
+   the CLI can run and validate bench files. *)
 module Table = Table
 module Bench_json = Bench_json
 module Bench_gates = Bench_gates
@@ -15,105 +16,65 @@ module Bench_stages = Bench_stages
 type experiment = {
   id : string;
   paper_source : string;
-  run : unit -> Table.t list;
+  rows : quick:bool -> Bench_json.row list;
+      (* the experiment's stage; [quick] trims sweep sizes so the whole
+         suite stays in CI budgets *)
+  gates : Bench_gates.gate list;
 }
 
-(* The [quick] forms trim sweep sizes so the whole suite stays in CI
-   budgets; the full forms are the defaults. *)
-let all ?(quick = false) () =
+let experiment id paper_source rows =
+  { id; paper_source; rows; gates = List.assoc id Bench_gates.claims }
+
+(* E2 and E3 share the Theorem 7 sweep; E9 reads E6's solo rows next to
+   its own. *)
+let all =
   [
-    {
-      id = "E1";
-      paper_source = "Theorem 5 (upper bound)";
-      run =
-        (fun () ->
-          [ E_agreement.e1 ~seeds:(if quick then 3 else 10) () ]);
-    };
-    {
-      id = "E2";
-      paper_source = "Lemma 6 (lower bound)";
-      run = (fun () -> [ E_agreement.e2 ~max_k:(if quick then 5 else 8) () ]);
-    };
-    {
-      id = "E3";
-      paper_source = "Theorem 7 (hierarchy)";
-      run = (fun () -> [ E_agreement.e3 ~max_k:(if quick then 5 else 8) () ]);
-    };
-    {
-      id = "E4";
-      paper_source = "Theorem 8 (wait-free but not bounded)";
-      run = (fun () -> [ E_agreement.e4 ~max_exp:(if quick then 4 else 6) () ]);
-    };
-    {
-      id = "E5";
-      paper_source = "Section 6.2 (scan cost)";
-      run = (fun () -> [ E_snapshot.e5 () ]);
-    };
-    {
-      id = "E6";
-      paper_source = "Section 5.4 (universal construction overhead)";
-      run = (fun () -> [ E_universal.e6 () ]);
-    };
-    {
-      id = "E7";
-      paper_source = "Section 2 (snapshot comparison)";
-      run =
-        (fun () ->
-          [
-            E_snapshot.e7_cost ();
-            E_snapshot.e7_verdicts ~seeds:(if quick then 100 else 400) ();
-          ]);
-    };
-    {
-      id = "E8";
-      paper_source = "Conclusions (Hoest-Shavit: 2 vs 3 processes)";
-      run =
-        (fun () ->
-          [ E_agreement.e8 ~ks:(if quick then [ 2; 3 ] else [ 2; 3; 4; 5 ]) () ]);
-    };
-    {
-      id = "E9";
-      paper_source = "Section 5.4 (type-specific optimization)";
-      run =
-        (fun () ->
-          [
-            E_universal.e9
-              ~history_sizes:(if quick then [ 25; 50 ] else [ 25; 50; 100; 200 ])
-              ();
-          ]);
-    };
-    {
-      id = "E10";
-      paper_source = "Section 2 (lattice agreement, O(n log n) snapshots)";
-      run =
-        (fun () ->
-          [ E_lattice.e10 ~ns:(if quick then [ 2; 4; 8 ] else [ 2; 4; 8; 16; 32; 64 ]) () ]);
-    };
-    {
-      id = "E11";
-      paper_source = "After Lemma 6 (Hoest-Shavit tight constants in IIS)";
-      run =
-        (fun () ->
-          [
-            E_iis.e11 ~max_k:(if quick then 3 else 6)
-              ~seeds:(if quick then 3 else 10) ();
-          ]);
-    };
-    {
-      id = "E12";
-      paper_source = "Tooling (DPOR vs naive exhaustive exploration)";
-      run = (fun () -> [ E_explore.e12 ~agreement:(not quick) () ]);
-    };
+    experiment "E1" "Theorem 5 (upper bound)" E_agreement.e1;
+    experiment "E2" "Lemma 6 (lower bound)" E_agreement.theorem7;
+    experiment "E3" "Theorem 7 (hierarchy)" E_agreement.theorem7;
+    experiment "E4" "Theorem 8 (wait-free but not bounded)" E_agreement.e4;
+    experiment "E5" "Section 6.2 (scan cost)" E_snapshot.e5;
+    experiment "E6" "Section 5.4 (universal construction overhead)"
+      E_universal.e6;
+    experiment "E7" "Section 2 (snapshot comparison)" E_snapshot.e7;
+    experiment "E8" "Conclusions (Hoest-Shavit: 2 vs 3 processes)"
+      E_agreement.e8;
+    experiment "E9" "Section 5.4 (type-specific optimization)"
+      (fun ~quick -> E_universal.e6 ~quick @ E_universal.e9 ~quick);
+    experiment "E10" "Section 2 (lattice agreement, O(n log n) snapshots)"
+      E_lattice.e10;
+    experiment "E11" "After Lemma 6 (Hoest-Shavit tight constants in IIS)"
+      E_iis.e11;
+    experiment "E12" "Tooling (DPOR vs naive exhaustive exploration)"
+      E_explore.e12;
   ]
 
-let find ?quick id =
+let find id =
   List.find_opt
     (fun e -> String.lowercase_ascii e.id = String.lowercase_ascii id)
-    (all ?quick ())
+    all
 
-let run_all ?quick () =
-  List.iter
-    (fun e ->
-      Printf.printf "\n### %s — %s\n" e.id e.paper_source;
-      List.iter Table.print (e.run ()))
-    (all ?quick ())
+(* Each of [e]'s gates with its failures on [rows]. *)
+let verdicts e rows =
+  List.map (fun g -> (g.Bench_gates.name, g.Bench_gates.check rows)) e.gates
+
+(* The bench: the measurement stages, then every E1-E12 stage once — E5's
+   rows are the uncontended scan rows the simulator stage already
+   emits. *)
+let collect ~quick =
+  Bench_stages.collect ~quick
+  @ List.concat_map
+      (fun stage -> stage ~quick)
+      [
+        E_agreement.e1; E_agreement.theorem7; E_agreement.e4; E_universal.e6;
+        E_snapshot.e7; E_agreement.e8; E_universal.e9; E_lattice.e10;
+        E_iis.e11; E_explore.e12;
+      ]
+
+let default_path = "BENCH.json"
+
+(* Runs the full pipeline and writes [path]; returns the rows. *)
+let run_bench ?(path = default_path) ~quick () =
+  let rows = collect ~quick in
+  Bench_json.write_file ~path rows;
+  rows

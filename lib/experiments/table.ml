@@ -1,43 +1,49 @@
-(* Minimal fixed-width table rendering for experiment output.  The bench
-   harness and the CLI print the same tables; EXPERIMENTS.md records
-   them. *)
+(* The one table layout of `wfa experiment`: bench rows pivoted to one
+   line per (bench, procs) and one column per metric, both in order of
+   first appearance.  EXPERIMENTS.md records these tables. *)
 
-type t = {
-  title : string;
-  header : string list;
-  mutable rows_rev : string list list;
-}
+open Bench_json
 
-let create ~title ~header = { title; header; rows_rev = [] }
-let add_row t row = t.rows_rev <- row :: t.rows_rev
+let first_appearances key rows =
+  List.fold_left
+    (fun acc r -> if List.mem (key r) acc then acc else key r :: acc)
+    [] rows
+  |> List.rev
 
-let render t =
-  let rows = List.rev t.rows_rev in
-  let all = t.header :: rows in
-  let cols = List.length t.header in
-  let width c =
+let pivot rows =
+  let rows = List.filter (fun r -> r.window = None) rows in
+  let metrics = first_appearances (fun r -> r.metric) rows in
+  let cell (bench, procs) metric =
+    match
+      List.find_opt
+        (fun r -> r.bench = bench && r.procs = procs && r.metric = metric)
+        rows
+    with
+    | Some r -> number_to_string r.value
+    | None -> ""
+  in
+  let lines =
+    ("bench" :: "procs" :: metrics)
+    :: List.map
+         (fun ((bench, procs) as key) ->
+           bench :: string_of_int procs :: List.map (cell key) metrics)
+         (first_appearances (fun r -> (r.bench, r.procs)) rows)
+  in
+  let widths =
     List.fold_left
-      (fun acc row -> max acc (String.length (List.nth row c)))
-      0 all
+      (List.map2 (fun w cell -> max w (String.length cell)))
+      (List.map (fun _ -> 0) (List.hd lines))
+      lines
   in
-  let widths = List.init cols width in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf ("\n== " ^ t.title ^ " ==\n");
-  let pad s w = s ^ String.make (w - String.length s) ' ' in
-  let render_row row =
-    List.iteri
-      (fun i cell ->
-        Buffer.add_string buf (pad cell (List.nth widths i));
-        if i < cols - 1 then Buffer.add_string buf "  ")
-      row;
-    Buffer.add_char buf '\n'
+  let render line =
+    String.trim
+      (String.concat "  "
+         (List.map2
+            (fun w cell -> cell ^ String.make (w - String.length cell) ' ')
+            widths line))
+    ^ "\n"
   in
-  render_row t.header;
-  render_row (List.map (fun w -> String.make w '-') widths);
-  List.iter render_row rows;
-  Buffer.contents buf
-
-let print t = print_string (render t)
-
-let fmt_float f = Printf.sprintf "%.1f" f
-let fmt_float2 f = Printf.sprintf "%.2f" f
+  String.concat ""
+    (render (List.hd lines)
+    :: render (List.map (fun w -> String.make w '-') widths)
+    :: List.map render (List.tl lines))

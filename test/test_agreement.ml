@@ -5,6 +5,7 @@ module AA = Agreement.Approx_agreement.Make (Pram.Memory.Sim)
 module AA_d = Agreement.Approx_agreement.Make (Pram.Memory.Direct)
 
 let check_bool = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
 
 let ctx ~procs pid = Runtime.Ctx.make ~procs ~pid ()
 
@@ -156,6 +157,24 @@ let test_adversary_forces_lower_bound () =
         true row.Agreement.Hierarchy.agreement_ok)
     [ 1; 2; 3; 4 ]
 
+let test_adversary_bound_counts_powers_of_three () =
+  (* 1/3^k rounds, so delta/eps falls just short of 3^k
+     (242.99999999999997 at k = 5) *)
+  for k = 1 to 12 do
+    check_int
+      (Printf.sprintf "floor at 3^%d" k)
+      k
+      (Agreement.Approx_agreement.adversary_bound ~delta:1.0
+         ~epsilon:(1.0 /. Float.pow 3.0 (float_of_int k)))
+  done;
+  List.iter
+    (fun (ratio, floor) ->
+      check_int
+        (Printf.sprintf "floor at %g" ratio)
+        floor
+        (Agreement.Approx_agreement.adversary_bound ~delta:ratio ~epsilon:1.0))
+    [ (10.0, 2); (100.0, 4); (1000.0, 6) ]
+
 let test_hierarchy_strictly_increasing () =
   let rows = List.map Agreement.Hierarchy.theorem7_row [ 1; 3; 5 ] in
   let forced = List.map (fun r -> r.Agreement.Hierarchy.forced) rows in
@@ -272,5 +291,7 @@ let () =
             `Quick test_adversary_exposes_cheater;
           Alcotest.test_case "three processes force more" `Slow
             test_greedy_three_processes_force_more;
+          Alcotest.test_case "Lemma 6 floor counts powers of 3" `Quick
+            test_adversary_bound_counts_powers_of_three;
         ] );
     ]

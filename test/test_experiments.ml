@@ -1,72 +1,140 @@
-(* Smoke tests for the experiment harness: every table generator runs,
-   and the table's CLAIM COLUMN holds (no row says "NO" / "VIOLATED").
-   This keeps the paper-reproduction guarantees themselves under test —
-   a regression in any algorithm or bound shows up here as well as in
-   the unit suites. *)
+(* The experiment harness: every experiment's stage runs on its quick
+   sweep and passes its own gates — keeping the paper-reproduction
+   guarantees themselves under test, so a regression in any algorithm or
+   bound shows up here as well as in the unit suites — and each claim
+   gate rejects a row that breaks its claim. *)
+
+module J = Experiments.Bench_json
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_failures = Alcotest.(check (list string))
 
-let cells_of_table (t : Experiments.Table.t) =
-  (* re-render and scan the text: the claim columns use the literal
-     markers "NO" and "VIOLATED" for failures *)
-  Experiments.Table.render t
+(* The names of [e]'s gates that fail on [rows]. *)
+let failing e rows =
+  List.filter_map
+    (fun (name, errs) -> if errs = [] then None else Some name)
+    (Experiments.verdicts e rows)
 
-let table_claims_hold t =
-  let s = cells_of_table t in
-  let contains sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  (not (contains " NO")) && not (contains "VIOLATED")
+(* [rows] with the value of [bench]'s [metric] rows (at [procs], if
+   given) replaced by [value]. *)
+let set ?procs ~bench metric value rows =
+  List.map
+    (fun (r : J.row) ->
+      if
+        r.bench = bench && r.metric = metric
+        && Option.fold ~none:true ~some:(( = ) r.procs) procs
+      then { r with value }
+      else r)
+    rows
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
+(* Per experiment: quick-row mutations that each break one claim, with
+   the gate that must reject it. *)
+let mutations =
+  [
+    ( "E1",
+      [
+        ( "E1 worst-case steps within Theorem 5's bound",
+          set ~procs:3 ~bench:"agreement_r10" "steps_max" 1000.0 );
+      ] );
+    ( "E2",
+      [
+        ( "E2 forced steps >= the Lemma 6 floor",
+          set ~bench:"theorem7_k3" "forced" 2.0 );
+        ( "E2 Lemma 6 floor = k at delta/eps = 3^k",
+          set ~bench:"theorem7_k5" "floor" 4.0 );
+      ] );
+    ( "E3",
+      [
+        ("E3 forced steps > k", set ~bench:"theorem7_k2" "forced" 2.0);
+        ( "E3 forced steps <= Theorem 5's K",
+          set ~bench:"theorem7_k1" "forced" 30.0 );
+        ( "E3 attacked executions keep the Figure 1 spec",
+          set ~bench:"theorem7_k4" "violations" 1.0 );
+      ] );
+    ( "E4",
+      [
+        ( "E4 forced steps rise strictly with delta",
+          set ~bench:"theorem8_d1e3" "forced" 37.0 );
+      ] );
+    ( "E5",
+      [
+        ( "scan_opt* = cost_formula",
+          set ~procs:4 ~bench:"scan_opt_uncontended" "reads" 14.0 );
+      ] );
+    ( "E6",
+      [
+        ( "universal_counter_solo* = cost_formula",
+          set ~procs:6 ~bench:"universal_counter_solo" "writes" 2.0 );
+      ] );
+    ( "E7",
+      [
+        ( "E7 wait-free snapshots finish under contention, the double \
+           collect starves",
+          set ~bench:"snapshot_double_collect" "contended_steps" 12.0 );
+        ( "E7 the checker rejects the naive collect alone",
+          set ~bench:"snapshot_naive_collect" "violations" 0.0 );
+      ] );
+    ( "E8",
+      [
+        ( "E8 three processes are forced to more steps than two",
+          set ~procs:3 ~bench:"greedy_k3" "forced" 27.0 );
+      ] );
+    ( "E9",
+      [
+        ( "direct_counter_solo* = cost_formula",
+          set ~procs:4 ~bench:"direct_counter_solo" "reads" 12.0 );
+      ] );
+    ( "E10",
+      [
+        ( "E10 classifier steps below scan steps",
+          set ~procs:8 ~bench:"lattice_agreement_classifier" "reads" 69.0 );
+      ] );
+    ( "E11",
+      [
+        ( "E11 worst gap <= eps with ceil(log_base(delta/eps)) layers",
+          set ~procs:2 ~bench:"iis_k2" "worst_gap" 0.2 );
+      ] );
+    ( "E12",
+      [
+        ( "E12 DPOR explores at most the naive schedules",
+          set ~bench:"dpor_vs_naive_scan" "dpor_explored" 20000.0 );
+        ( "E12 both ways reach the program's verdict",
+          set ~bench:"dpor_vs_naive_lost_update" "dpor_violations" 0.0 );
+      ] );
+  ]
 
 let test_experiment id =
   Alcotest.test_case id `Slow (fun () ->
-      match Experiments.find ~quick:true id with
+      match Experiments.find id with
       | None -> Alcotest.fail ("unknown experiment " ^ id)
       | Some e ->
-          let tables = e.Experiments.run () in
-          check_bool (id ^ " produced tables") true (tables <> []);
-          if id = "E7" then begin
-            (* E7's claims are asymmetric by design: the correct
-               algorithms must show no violation, the naive collect must
-               show one, and the double collect must starve. *)
-            let s = String.concat "\n" (List.map cells_of_table tables) in
-            check_bool "naive collect caught" true (contains s "YES (seed");
-            check_bool "double collect starved" true (contains s "STARVED");
-            check_bool "scan passes" true (contains s "none")
-          end
-          else if id = "E12" then
-            (* the last column is the claim: DPOR explored no more
-               schedules than the naive search, with the same verdict, on
-               each of the three quick-mode programs *)
-            List.iter
-              (fun (t : Experiments.Table.t) ->
-                check_int "E12 programs" 3 (List.length t.rows_rev);
-                List.iter
-                  (fun row ->
-                    check_bool "E12 claim holds" true
-                      (List.nth row (List.length row - 1) = "yes"))
-                  t.rows_rev)
-              tables
-          else
-            List.iter
-              (fun t ->
-                check_bool (id ^ " claims hold") true (table_claims_hold t))
-              tables)
+          let rows = e.Experiments.rows ~quick:true in
+          check_bool (id ^ " produced rows") true (rows <> []);
+          check_failures (id ^ " gates hold") [] (failing e rows);
+          (* and on the rows as a bench file keeps them *)
+          check_failures (id ^ " gates hold after a JSON round trip") []
+            (failing e (Result.get_ok (J.rows_of_string (J.to_json rows))));
+          (* coverage: dropping the rows cannot pass the claims
+             vacuously *)
+          check_bool (id ^ " gates need rows") true (failing e [] <> []);
+          List.iter
+            (fun (gate, mutate) ->
+              let mutated = mutate rows in
+              check_bool (gate ^ ": mutation changes a row") true
+                (mutated <> rows);
+              check_bool (gate ^ " rejects the mutation") true
+                (List.mem gate (failing e mutated)))
+            (List.assoc id mutations))
 
 let test_registry_complete () =
-  let ids = List.map (fun e -> e.Experiments.id) (Experiments.all ()) in
+  let ids = List.map (fun e -> e.Experiments.id) Experiments.all in
   check_int "twelve experiments" 12 (List.length ids);
   List.iter
     (fun id ->
-      check_bool (id ^ " registered") true (List.mem id ids))
+      check_bool (id ^ " registered") true (List.mem id ids);
+      check_bool (id ^ " has gates") true
+        ((Option.get (Experiments.find id)).Experiments.gates <> []))
     [ "E1"; "E2"; "E3"; "E4"; "E5"; "E6"; "E7"; "E8"; "E9"; "E10"; "E11"; "E12" ]
 
 let test_find_case_insensitive () =

@@ -591,6 +591,114 @@ let windowed_rows =
       windowed_stage_rows ~bench:"store_batched_readmix" ~target_rate:None;
     ]
 
+(* the paper-claim rows the E1-E12 coverage gates require at the quick
+   sweeps, each consistent with its claim: steps within their bounds,
+   floor = k, forced steps rising, exact scan formulas, the double
+   collect starving, the naive collect caught, DPOR under naive *)
+let paper_rows =
+  let rows ?(backend = "sim") ~benches ~procs metrics value =
+    List.concat_map
+      (fun bench ->
+        List.concat_map
+          (fun p ->
+            List.map
+              (fun metric ->
+                Experiments.Bench_json.row ~bench ~procs:p ~backend ~metric
+                  ~value:(value bench p metric) ~unit_:"accesses")
+              metrics)
+          procs)
+      benches
+  in
+  let formula variant _ procs metric =
+    let reads, writes = Snapshot.Scan.cost_formula ~procs variant in
+    float_of_int (if metric = "reads" then reads else writes)
+  in
+  let indexed name = List.map (fun k -> Printf.sprintf "%s%d" name k) in
+  (* the one-digit sweep level that ends a bench name *)
+  let level bench =
+    float_of_int (Char.code bench.[String.length bench - 1] - Char.code '0')
+  in
+  let solo_procs = [ 2; 3; 4; 6; 8; 10 ] in
+  List.concat
+    [
+      rows
+        ~benches:(indexed "agreement_r" [ 10; 100; 1000; 10000 ])
+        ~procs:[ 2; 3; 4; 6; 8 ] [ "steps_max"; "step_bound" ]
+        (fun _ _ m -> if m = "steps_max" then 10.0 else 100.0);
+      rows
+        ~benches:(indexed "theorem7_k" [ 1; 2; 3; 4; 5 ])
+        ~procs:[ 2 ] [ "floor"; "forced"; "step_bound"; "violations" ]
+        (fun b _ m ->
+          match m with
+          | "floor" -> level b
+          | "forced" -> 10.0 *. level b
+          | "step_bound" -> 100.0
+          | _ -> 0.0);
+      rows
+        ~benches:(indexed "theorem8_d1e" [ 1; 2; 3; 4 ])
+        ~procs:[ 2 ] [ "floor"; "forced"; "step_bound" ]
+        (fun b _ m -> if m = "forced" then 10.0 *. level b else 1.0);
+      List.concat_map
+        (fun (prefix, variant) ->
+          rows
+            ~benches:[ prefix ^ "_uncontended" ]
+            ~procs:[ 1; 2; 4; 8 ] [ "reads"; "writes" ] (formula variant))
+        [
+          ("scan_plain", Snapshot.Scan.Plain);
+          ("scan_opt", Snapshot.Scan.Optimized);
+          ("scan_adaptive", Snapshot.Scan.Adaptive);
+          ("scan_lattice", Snapshot.Scan.Lattice);
+        ];
+      rows ~benches:[ "universal_counter_solo" ] ~procs:solo_procs
+        [ "reads"; "writes" ] (formula Snapshot.Scan.Adaptive);
+      rows ~benches:[ "direct_counter_solo"; "lattice_agreement_scan" ]
+        ~procs:solo_procs [ "reads"; "writes" ]
+        (formula Snapshot.Scan.Optimized);
+      rows ~benches:[ "lattice_agreement_classifier" ] ~procs:[ 2; 4; 8 ]
+        [ "reads"; "writes" ] (fun _ _ _ -> 1.0);
+      rows
+        ~benches:
+          [
+            "snapshot_scan"; "snapshot_afek"; "snapshot_double_collect";
+            "snapshot_naive_collect";
+          ]
+        ~procs:[ 4 ] [ "quiet_steps"; "contended_steps" ]
+        (fun b _ _ -> if b = "snapshot_double_collect" then 10000.0 else 9.0);
+      rows
+        ~benches:
+          [
+            "snapshot_scan"; "snapshot_afek"; "snapshot_double_collect";
+            "snapshot_naive_collect";
+          ]
+        ~procs:[ 3 ] [ "violations" ]
+        (fun b _ _ -> if b = "snapshot_naive_collect" then 5.0 else 0.0);
+      rows ~benches:[ "greedy_k2"; "greedy_k3" ] ~procs:[ 2; 3 ] [ "forced" ]
+        (fun _ p _ -> float_of_int (10 * p));
+      rows ~backend:"direct"
+        ~benches:
+          (List.concat_map
+             (fun ops ->
+               indexed "universal_counter_h" [ ops ]
+               @ indexed "direct_counter_h" [ ops ])
+             [ 25; 50 ])
+        ~procs:[ 4 ] [ "ns_per_op" ] (fun _ _ _ -> 2000.0);
+      rows ~benches:(indexed "iis_k" [ 1; 2; 3 ]) ~procs:[ 2; 3 ]
+        [ "layers"; "worst_gap" ]
+        (fun _ _ m -> if m = "layers" then 1.0 else 0.0);
+      rows
+        ~benches:
+          (List.map
+             (( ^ ) "dpor_vs_naive_")
+             [ "lost_update"; "scan"; "counter" ])
+        ~procs:[ 2 ]
+        [ "naive_explored"; "dpor_explored"; "naive_violations"; "dpor_violations" ]
+        (fun b _ m ->
+          match m with
+          | "naive_explored" -> 10.0
+          | "dpor_explored" -> 5.0
+          | _ -> if b = "dpor_vs_naive_lost_update" then 2.0 else 0.0);
+    ]
+
 let test_bench_json_roundtrip () =
   (* the universal wall-clock family the PR 5 validator requires at the
      full sweep, for both universal benches *)
@@ -635,7 +743,7 @@ let test_bench_json_roundtrip () =
         ~backend:"native" ~metric:"ops_per_sec" ~value:4e6 ~unit_:"ops/s";
     ]
     @ universal_rows @ native_scan_rows @ explore_rows @ store_rows
-    @ windowed_rows
+    @ windowed_rows @ paper_rows
   in
   (match
      Experiments.Bench_gates.validate_string
@@ -739,6 +847,33 @@ let test_bench_json_roundtrip () =
    with
   | Ok _ -> Alcotest.fail "spec_replays above reference accepted"
   | Error _ -> ());
+  (* paper claims: forced steps under the Lemma 6 floor (E2), the double
+     collect finishing under contention (E7), an IIS gap above eps (E11)
+     and DPOR exploring more schedules than naive (E12) must each be
+     rejected *)
+  List.iter
+    (fun (what, bench, metric, value) ->
+      match
+        Experiments.Bench_gates.validate_string
+          (Experiments.Bench_json.to_json
+             (List.map
+                (fun r ->
+                  if
+                    r.Experiments.Bench_json.bench = bench
+                    && r.Experiments.Bench_json.metric = metric
+                  then { r with Experiments.Bench_json.value }
+                  else r)
+                rows))
+      with
+      | Ok _ -> Alcotest.fail (what ^ " accepted")
+      | Error _ -> ())
+    [
+      ("E2 forced below the floor", "theorem7_k4", "forced", 3.0);
+      ( "E7 double collect finishing", "snapshot_double_collect",
+        "contended_steps", 12.0 );
+      ("E11 gap above eps", "iis_k2", "worst_gap", 0.2);
+      ("E12 DPOR above naive", "dpor_vs_naive_scan", "dpor_explored", 11.0);
+    ];
   (* explore coverage gates: a clean stage reporting a violation, a
      random stage whose sampled count disagrees with explored, a buggy
      stage that failed to find its bug, and a dropped metric row must
