@@ -467,7 +467,7 @@ let explore_cmd =
               (match trace_out with
               | None -> ()
               | Some path ->
-                  Tracing.write_chrome_file ~path a;
+                  Tracing.write_file ~path a;
                   Printf.printf "wrote Chrome trace to %s\n" path);
               `Ok ())
       | None ->
@@ -500,7 +500,7 @@ let explore_cmd =
               in
               print_endline "counterexample timeline:";
               print_endline (Tracing.timeline a);
-              Tracing.write_chrome_file ~path a;
+              Tracing.write_file ~path a;
               Printf.printf "wrote counterexample Chrome trace to %s\n" path);
           (* exit non-zero on any unexpected verdict: the correct object must
              pass its search, and the search must catch the known-broken
@@ -586,16 +586,13 @@ let trace_cmd =
   let format_arg =
     Arg.(
       value
-      & opt
-          (enum
-             [ ("timeline", `Timeline); ("chrome", `Chrome); ("text", `Text) ])
-          `Timeline
+      & opt (enum [ ("timeline", `Timeline); ("chrome", `Chrome) ]) `Timeline
       & info [ "format" ] ~docv:"F"
           ~doc:
-            "Rendering: per-process ASCII $(b,timeline); $(b,chrome) \
-             trace-event JSON (open in Perfetto / chrome://tracing); or the \
-             round-trippable $(b,text) format (reloadable with \
-             Tracing.load_file).")
+            "Rendering: per-process ASCII $(b,timeline), or the $(b,chrome) \
+             trace-event archive (open in Perfetto / chrome://tracing; it \
+             also holds the schedule, and Tracing.load_file reads it \
+             back).")
   in
   let out =
     Arg.(
@@ -643,10 +640,10 @@ let trace_cmd =
       & info [ "check" ]
           ~doc:
             "Self-validate the trace and exit non-zero on failure: the \
-             Chrome rendering must parse with the in-repo JSON parser, and \
-             the text rendering must survive save -> parse unchanged; on \
-             the simulator additionally parse -> replay the recorded \
-             schedule -> re-export and require byte-identical output.")
+             Chrome archive (the $(b,--out) file, when $(b,--format chrome) \
+             wrote one) must load back to the same archive; on the \
+             simulator additionally replay its schedule and require a \
+             byte-identical re-export.")
   in
   let variant_arg =
     Arg.(
@@ -755,11 +752,11 @@ let trace_cmd =
         Tracing.archive ~schedule:sched j
       in
       let a = run_once () in
+      let saved = Tracing.save a in
       let rendered =
         match fmt with
         | `Timeline -> Tracing.timeline a ^ "\n"
-        | `Chrome -> Tracing.chrome_json a
-        | `Text -> Tracing.save a
+        | `Chrome -> saved
       in
       (match out with
       | None -> print_string rendered
@@ -772,31 +769,32 @@ let trace_cmd =
             path);
       if not check then `Ok ()
       else begin
-        let errors = ref [] in
-        let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-        (match Experiments.Bench_json.Json.parse (Tracing.chrome_json a) with
-        | Ok _ -> ()
-        | Error e -> err "chrome JSON does not parse: %s" e);
-        (match Tracing.parse (Tracing.save a) with
-        | Error e -> err "text format does not parse back: %s" e
-        | Ok a' ->
-            if Tracing.save a' <> Tracing.save a then
-              err "text save -> parse -> save is not byte-identical";
-            if kind = Sim then begin
-              (* the full acceptance loop: save -> load -> replay the
-                 schedule -> re-export, byte-for-byte *)
-              let a'' = replay_sim a'.Tracing.a_schedule in
-              if Tracing.save a'' <> Tracing.save a then
-                err "replayed schedule does not re-export byte-identically";
-              if Tracing.chrome_json a'' <> Tracing.chrome_json a then
-                err "replayed schedule changes the Chrome export"
-            end);
-        match !errors with
+        (* the acceptance loop: save -> load -> replay the schedule ->
+           save, byte-for-byte, on the file just written when there is
+           one *)
+        let loaded =
+          match (fmt, out) with
+          | `Chrome, Some path -> Tracing.load_file ~path
+          | _ -> Tracing.parse saved
+        in
+        let errors =
+          match loaded with
+          | Error e -> [ "the archive does not load back: " ^ e ]
+          | Ok a' ->
+              (if a' <> a then [ "save -> load changes the archive" ] else [])
+              @
+              if
+                kind = Sim
+                && Tracing.save (replay_sim a'.Tracing.a_schedule) <> saved
+              then [ "replayed schedule does not re-export byte-identically" ]
+              else []
+        in
+        match errors with
         | [] ->
             Printf.printf "check: ok (%d events)\n"
               (List.length a.Tracing.a_events);
             `Ok ()
-        | errs -> `Error (false, String.concat "; " (List.rev errs))
+        | errs -> `Error (false, String.concat "; " errs)
       end
     end
   in
@@ -804,8 +802,8 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:
          "Run a workload with the structured tracer attached and render \
-          the event journal as a timeline, a Chrome trace, or the \
-          round-trippable text format.")
+          the event journal as a timeline or as the Chrome trace-event \
+          archive.")
     Term.(
       ret
         (const run $ workload $ backend $ procs $ format_arg $ out $ seed

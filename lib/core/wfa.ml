@@ -20,8 +20,8 @@
      OpenMetrics/JSON exporters (DESIGN.md §13) — access counts
      themselves come from [Pram.Driver] on the simulator;
    - {!Tracing}: the structured event journal — per-execution causal
-     traces with timeline, Chrome-trace and round-trippable text
-     renderers;
+     traces, rendered as a timeline or saved as the Chrome trace-event
+     archive that [Tracing.load_file] reads back;
    - {!Runtime}: the per-process execution context ({!Ctx}) bundling
      pid, observer sink and deterministic RNG — the seam every
      algorithm's [attach] consumes — and [Runtime.run_domains], the one

@@ -470,6 +470,16 @@ let claims =
                let bench = greedy_bench k in
                ((sim bench "forced", 2), (sim bench "forced", 3)))
              (greedy_levels ~quick:false));
+        (* the log term of Theorem 5, which E1's schedules never force *)
+        ordered "E8 forced steps rise strictly with k at n = 2 and 3"
+          ~strict:true
+          (List.concat_map
+             (fun n ->
+               consecutive
+                 (List.map
+                    (fun k -> (sim (greedy_bench k) "forced", n))
+                    (greedy_levels ~quick:false)))
+             [ 2; 3 ]);
         coverage "E8 rows" ~backend:"sim"
           ~benches:(List.map greedy_bench (greedy_levels ~quick:true))
           ~procs:[ 2; 3 ] ~metrics:[ "forced" ];
@@ -509,8 +519,10 @@ let claims =
         each "E11 worst gap <= eps with ceil(log_base(delta/eps)) layers"
           ~applies:(fun r ->
             r.metric = "worst_gap" && List.mem_assoc r.bench iis_epsilon)
-          (* at n = 2 the gap is eps exactly, and a bench file keeps 6
-             significant digits of it *)
+          (* at n = 2 the gap is eps exactly; bench files now hold it
+             exactly, but the committed BENCH.json predates that and keeps
+             6 significant digits, so the tolerance goes when that file is
+             next regenerated *)
           ~holds:(fun r ->
             r.value <= List.assoc r.bench iis_epsilon *. (1.0 +. 1e-5))
           ~expect:(fun r ->

@@ -1,8 +1,8 @@
-(* The bench row codec: one flat row schema, its JSON printer, and the
-   JSON reader that decodes a bench file back into rows (also the
-   in-repo JSON parser `wfa trace --check` validates Chrome traces
-   with).  The stages that produce rows live in Bench_stages, the gates
-   that check them in Bench_gates.
+(* The bench row codec: one flat row schema, written through the repo's
+   one JSON printer and decoded back into rows by its one reader (both
+   in lib/json), so a file holds every value exactly.  The stages that
+   produce rows live in Bench_stages, the gates that check them in
+   Bench_gates.
 
      { "bench": "scan_plain_contended", "procs": 4, "backend": "sim",
        "metric": "reads", "value": 21, "unit": "accesses" }
@@ -55,217 +55,35 @@ let wrow ~window ~bench ~procs ~backend ~metric ~value ~unit_ =
   { (row ~bench ~procs ~backend ~metric ~value ~unit_) with
     window = Some window }
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
+(* The display form of a value, for tables and gate messages: integers
+   in full, anything else to 6 significant digits.  Files hold the exact
+   value ([Json.to_string]). *)
 let number_to_string v =
   if Float.is_integer v && Float.abs v < 1e15 then
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.6g" v
 
 let row_to_json r =
-  let window =
-    match r.window with
-    | None -> ""
-    | Some w -> Printf.sprintf ", \"window\": %d" w
-  in
-  Printf.sprintf
-    "{\"bench\": \"%s\", \"procs\": %d, \"backend\": \"%s\", \"metric\": \
-     \"%s\", \"value\": %s, \"unit\": \"%s\"%s}"
-    (escape_string r.bench) r.procs (escape_string r.backend)
-    (escape_string r.metric) (number_to_string r.value)
-    (escape_string r.unit_) window
+  let int i = Json.Num (float_of_int i) in
+  Json.to_string
+    (Json.Obj
+       ([
+          ("bench", Json.Str r.bench);
+          ("procs", int r.procs);
+          ("backend", Json.Str r.backend);
+          ("metric", Json.Str r.metric);
+          ("value", Json.Num r.value);
+          ("unit", Json.Str r.unit_);
+        ]
+       @ Option.fold ~none:[] ~some:(fun w -> [ ("window", int w) ]) r.window))
 
 let to_json rows =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf "  ";
-      Buffer.add_string buf (row_to_json r))
-    rows;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+  "[\n"
+  ^ String.concat ",\n" (List.map (fun r -> "  " ^ row_to_json r) rows)
+  ^ "\n]\n"
 
 let write_file ~path rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json rows))
-
-(* --- a minimal JSON reader ------------------------------------------------ *)
-
-(* The repo deliberately has no JSON dependency; this parser covers the
-   full JSON grammar minimally so the gates check real syntax, not just
-   our own printer's habits. *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  let parse (s : string) : (t, string) result =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          advance ();
-          skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %c" c)
-    in
-    let literal word value =
-      let l = String.length word in
-      if !pos + l <= n && String.sub s !pos l = word then begin
-        pos := !pos + l;
-        value
-      end
-      else fail (Printf.sprintf "expected %s" word)
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec loop () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' -> (
-            advance ();
-            match peek () with
-            | Some 'n' -> advance (); Buffer.add_char buf '\n'; loop ()
-            | Some 't' -> advance (); Buffer.add_char buf '\t'; loop ()
-            | Some 'r' -> advance (); Buffer.add_char buf '\r'; loop ()
-            | Some 'b' -> advance (); Buffer.add_char buf '\b'; loop ()
-            | Some 'f' -> advance (); Buffer.add_char buf '\012'; loop ()
-            | Some ('"' | '\\' | '/') ->
-                Buffer.add_char buf (Option.get (peek ()));
-                advance ();
-                loop ()
-            | Some 'u' ->
-                advance ();
-                if !pos + 4 > n then fail "bad \\u escape";
-                let hex = String.sub s !pos 4 in
-                let code =
-                  try int_of_string ("0x" ^ hex)
-                  with _ -> fail "bad \\u escape"
-                in
-                pos := !pos + 4;
-                (* non-ASCII escapes are preserved loosely; the bench
-                   schema is ASCII-only so this path never fires on our
-                   own files *)
-                if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                else Buffer.add_char buf '?';
-                loop ()
-            | _ -> fail "bad escape")
-        | Some c when Char.code c < 0x20 -> fail "control char in string"
-        | Some c ->
-            advance ();
-            Buffer.add_char buf c;
-            loop ()
-      in
-      loop ();
-      Buffer.contents buf
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while (match peek () with Some c -> is_num_char c | None -> false) do
-        advance ()
-      done;
-      let tok = String.sub s start (!pos - start) in
-      match float_of_string_opt tok with
-      | Some f when Float.is_finite f -> f
-      | _ -> fail (Printf.sprintf "bad number %S" tok)
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin advance (); Obj [] end
-          else begin
-            let rec members acc =
-              skip_ws ();
-              let key = parse_string () in
-              skip_ws ();
-              expect ':';
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  members ((key, v) :: acc)
-              | Some '}' ->
-                  advance ();
-                  List.rev ((key, v) :: acc)
-              | _ -> fail "expected , or }"
-            in
-            Obj (members [])
-          end
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin advance (); Arr [] end
-          else begin
-            let rec items acc =
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  items (v :: acc)
-              | Some ']' ->
-                  advance ();
-                  List.rev (v :: acc)
-              | _ -> fail "expected , or ]"
-            in
-            Arr (items [])
-          end
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (parse_number ())
-    in
-    try
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then Error "trailing garbage after JSON value"
-      else Ok v
-    with Bad msg -> Error msg
-end
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_json rows))
 
 (* --- decoding ------------------------------------------------------------- *)
 

@@ -65,7 +65,7 @@ module Make (O : Spec.Object_spec.S) : sig
       observer, operation invoke/response events via the [record] given
       to [program], and crash actions are marked — one causally ordered
       journal.  Returns the archive (with the normalized schedule),
-      which renders via {!Tracing.pp_timeline} / {!Tracing.chrome_json},
+      which renders via {!Tracing.pp_timeline} / {!Tracing.save},
       and the replayed execution's history. *)
   val trace_counterexample :
     ?completion_fuel:int ->

@@ -169,308 +169,201 @@ let pp_timeline ppf a =
 
 let timeline a = Format.asprintf "%a" pp_timeline a
 
-(* --- renderer 2: Chrome trace-event JSON ------------------------------------ *)
+(* --- renderer 2: the Chrome trace-event archive -----------------------------
 
-(* Minimal JSON string escaping (the Trace Event format is plain JSON;
-   Experiments.Bench_json's parser is the in-repo validator). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+   The Trace Event format's JSON object, one event per line:
 
-(* Timestamps: the Trace Event "ts" field is in microseconds.  Logical
-   journals map one step to 1us (exact ints, deterministic re-export);
-   monotonic journals convert ns -> us with 3 decimals. *)
-let ts_string clock time =
+     {
+       "traceEvents": [
+         {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, ...},
+         {"name": "W r[0]", "cat": "access", "ph": "i", "ts": 0, ...},
+         ...
+       ],
+       "displayTimeUnit": "ms",
+       "otherData": {"procs": 3, "clock": "logical", "schedule": [0, 1, -3]}
+     }
+
+   Trace viewers ignore [otherData]; it carries what the events do not,
+   so [parse] can rebuild the archive.  The event's [tid] is its pid,
+   and its position among the non-metadata events is its seq.  Logical
+   timestamps are steps (one step = 1us); monotonic ones are ns / 1000,
+   printed as the shortest decimal that reads back to the same float,
+   so the nanoseconds come back exactly. *)
+
+let ts clock time =
   match clock with
-  | `Logical -> string_of_int time
-  | `Monotonic -> Printf.sprintf "%.3f" (float_of_int time /. 1e3)
+  | `Logical -> float_of_int time
+  | `Monotonic -> float_of_int time /. 1e3
 
-let chrome_json a =
-  let buf = Buffer.create 4096 in
-  let first = ref true in
-  let emit line =
-    if !first then first := false else Buffer.add_string buf ",\n";
-    Buffer.add_string buf "    ";
-    Buffer.add_string buf line
+let kind_code = function Pram.Trace.Read -> "R" | Pram.Trace.Write -> "W"
+
+let chrome_event clock e =
+  let head name cat ph =
+    [
+      ("name", Json.Str name);
+      ("cat", Json.Str cat);
+      ("ph", Json.Str ph);
+      ("ts", Json.Num (ts clock e.time));
+      ("pid", Json.Num 1.0);
+      ("tid", Json.Num (float_of_int e.pid));
+    ]
   in
-  Buffer.add_string buf "{\n  \"traceEvents\": [\n";
-  emit
-    "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
-     \"args\": {\"name\": \"wfa\"}}";
-  for p = 0 to a.a_procs - 1 do
-    emit
-      (Printf.sprintf
-         "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": \
-          %d, \"args\": {\"name\": \"p%d\"}}"
-         p p)
-  done;
-  let common name cat ph e =
-    Printf.sprintf
-      "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%s\", \"ts\": %s, \
-       \"pid\": 1, \"tid\": %d"
-      (json_escape name) cat ph
-      (ts_string a.a_clock e.time)
-      e.pid
-  in
-  List.iter
-    (fun e ->
-      match e.ev with
-      | Invoke op -> emit (common op "op" "B" e ^ "}")
-      | Response op -> emit (common op "op" "E" e ^ "}")
-      | Annotate note ->
-          emit (common note "annotation" "i" e ^ ", \"s\": \"t\"}")
-      | Crash ->
-          emit (common "crash" "crash" "i" e ^ ", \"s\": \"t\"}")
-      | Access { kind; reg_id; reg_name } ->
-          let k =
-            match kind with Pram.Trace.Read -> "R" | Pram.Trace.Write -> "W"
-          in
-          emit
-            (Printf.sprintf
-               "%s, \"s\": \"t\", \"args\": {\"reg\": \"%s\", \"reg_id\": \
-                %d, \"kind\": \"%s\"}}"
-               (common (k ^ " " ^ reg_name) "access" "i" e)
-               (json_escape reg_name) reg_id k))
-    a.a_events;
-  Buffer.add_string buf "\n  ],\n  \"displayTimeUnit\": \"ms\"\n}\n";
-  Buffer.contents buf
-
-let write_chrome_file ~path a =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (chrome_json a))
-
-(* --- renderer 3: round-trippable text format --------------------------------
-
-   Line-oriented, one event per line:
-
-     wfa-trace 1
-     procs 3
-     clock logical
-     schedule p0 p1 !p2
-     events 2
-     0 0 0 W 3 "r[0]"
-     1 1 1 inv "scan"
-
-   Event payloads: R/W REGID "NAME" | inv/ret/ann "LABEL" | crash.
-   Labels use the usual backslash escapes, so arbitrary strings (and
-   register names) survive the round trip; [parse] is an exact inverse
-   of [save]. *)
-
-let quote s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+  let instant = ("s", Json.Str "t") in
+  Json.Obj
+    (match e.ev with
+    | Invoke op -> head op "op" "B"
+    | Response op -> head op "op" "E"
+    | Annotate note -> head note "annotation" "i" @ [ instant ]
+    | Crash -> head "crash" "crash" "i" @ [ instant ]
+    | Access { kind; reg_id; reg_name } ->
+        let k = kind_code kind in
+        head (k ^ " " ^ reg_name) "access" "i"
+        @ [
+            instant;
+            ( "args",
+              Json.Obj
+                [
+                  ("reg", Json.Str reg_name);
+                  ("reg_id", Json.Num (float_of_int reg_id));
+                  ("kind", Json.Str k);
+                ] );
+          ])
 
 let save a =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "wfa-trace 1\n";
-  Buffer.add_string buf (Printf.sprintf "procs %d\n" a.a_procs);
-  Buffer.add_string buf
-    (match a.a_clock with
-    | `Logical -> "clock logical\n"
-    | `Monotonic -> "clock monotonic\n");
-  Buffer.add_string buf "schedule";
-  List.iter
-    (fun act ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf
-        (if act >= 0 then Printf.sprintf "p%d" act
-         else Printf.sprintf "!p%d" (-1 - act)))
-    a.a_schedule;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf
-    (Printf.sprintf "events %d\n" (List.length a.a_events));
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (Printf.sprintf "%d %d %d " e.seq e.pid e.time);
-      (match e.ev with
-      | Access { kind; reg_id; reg_name } ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s %d %s"
-               (match kind with Pram.Trace.Read -> "R" | Pram.Trace.Write -> "W")
-               reg_id (quote reg_name))
-      | Invoke op -> Buffer.add_string buf ("inv " ^ quote op)
-      | Response op -> Buffer.add_string buf ("ret " ^ quote op)
-      | Annotate note -> Buffer.add_string buf ("ann " ^ quote note)
-      | Crash -> Buffer.add_string buf "crash");
-      Buffer.add_char buf '\n')
-    a.a_events;
-  Buffer.contents buf
-
-(* The parser: split into lines, then a tiny per-line tokenizer (ints,
-   bare words, quoted strings). *)
-
-exception Parse_error of string
-
-let parse_quoted line pos =
-  let n = String.length line in
-  if pos >= n || line.[pos] <> '"' then
-    raise (Parse_error "expected opening quote");
-  let buf = Buffer.create 16 in
-  let rec loop i =
-    if i >= n then raise (Parse_error "unterminated string")
-    else
-      match line.[i] with
-      | '"' -> i + 1
-      | '\\' ->
-          if i + 1 >= n then raise (Parse_error "bad escape");
-          (match line.[i + 1] with
-          | '"' -> Buffer.add_char buf '"'; loop (i + 2)
-          | '\\' -> Buffer.add_char buf '\\'; loop (i + 2)
-          | 'n' -> Buffer.add_char buf '\n'; loop (i + 2)
-          | 't' -> Buffer.add_char buf '\t'; loop (i + 2)
-          | 'r' -> Buffer.add_char buf '\r'; loop (i + 2)
-          | 'u' ->
-              if i + 6 > n then raise (Parse_error "bad \\u escape");
-              let code =
-                try int_of_string ("0x" ^ String.sub line (i + 2) 4)
-                with _ -> raise (Parse_error "bad \\u escape")
-              in
-              if code > 0xff then raise (Parse_error "non-byte \\u escape");
-              Buffer.add_char buf (Char.chr code);
-              loop (i + 6)
-          | _ -> raise (Parse_error "bad escape"))
-      | c ->
-          Buffer.add_char buf c;
-          loop (i + 1)
+  let meta name tid label =
+    Json.Obj
+      [
+        ("name", Json.Str name);
+        ("ph", Json.Str "M");
+        ("pid", Json.Num 1.0);
+        ("tid", Json.Num (float_of_int tid));
+        ("args", Json.Obj [ ("name", Json.Str label) ]);
+      ]
   in
-  let next = loop (pos + 1) in
-  (Buffer.contents buf, next)
+  let events =
+    meta "process_name" 0 "wfa"
+    :: List.init a.a_procs (fun p ->
+           meta "thread_name" p (Printf.sprintf "p%d" p))
+    @ List.map (chrome_event a.a_clock) a.a_events
+  in
+  let other =
+    Json.Obj
+      [
+        ("procs", Json.Num (float_of_int a.a_procs));
+        ( "clock",
+          Json.Str
+            (match a.a_clock with
+            | `Logical -> "logical"
+            | `Monotonic -> "monotonic") );
+        ( "schedule",
+          Json.Arr
+            (List.map (fun act -> Json.Num (float_of_int act)) a.a_schedule) );
+      ]
+  in
+  Printf.sprintf
+    "{\n  \"traceEvents\": [\n    %s\n  ],\n  \"displayTimeUnit\": \"ms\",\n  \
+     \"otherData\": %s\n}\n"
+    (String.concat ",\n    " (List.map Json.to_string events))
+    (Json.to_string other)
 
-let split_words s =
-  String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
+let write_file ~path a =
+  Out_channel.with_open_bin path (fun oc -> output_string oc (save a))
 
-let parse_event line =
-  let words = split_words line in
-  match words with
-  | seq :: pid :: time :: kind :: rest -> (
-      let int_of name s =
-        match int_of_string_opt s with
-        | Some i -> i
-        | None -> raise (Parse_error (Printf.sprintf "bad %s %S" name s))
-      in
-      let seq = int_of "seq" seq
-      and pid = int_of "pid" pid
-      and time = int_of "time" time in
-      (* labels may contain spaces: re-find the quoted payload in the raw
-         line rather than in the split words *)
-      let quoted_payload () =
-        match String.index_opt line '"' with
-        | None -> raise (Parse_error "missing quoted label")
-        | Some i ->
-            let s, next = parse_quoted line i in
-            if String.trim (String.sub line next (String.length line - next))
-               <> ""
-            then raise (Parse_error "trailing garbage after label");
-            s
-      in
-      match (kind, rest) with
-      | "crash", [] -> { seq; pid; time; ev = Crash }
-      | ("R" | "W"), reg_id :: _ ->
-          let reg_id = int_of "reg_id" reg_id in
-          let reg_name = quoted_payload () in
-          let kind =
-            if kind = "R" then Pram.Trace.Read else Pram.Trace.Write
-          in
-          { seq; pid; time; ev = Access { kind; reg_id; reg_name } }
-      | "inv", _ -> { seq; pid; time; ev = Invoke (quoted_payload ()) }
-      | "ret", _ -> { seq; pid; time; ev = Response (quoted_payload ()) }
-      | "ann", _ -> { seq; pid; time; ev = Annotate (quoted_payload ()) }
-      | k, _ -> raise (Parse_error (Printf.sprintf "unknown event kind %S" k))
-      )
-  | _ -> raise (Parse_error "truncated event line")
+(* --- the reader: [parse] inverts [save] ----------------------------------- *)
+
+exception Bad of string
+
+let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt
+
+(* A missing member reads as [Null]. *)
+let field k v =
+  match v with
+  | Json.Obj members -> (
+      match List.assoc_opt k members with Some m -> m | None -> Json.Null)
+  | _ -> Json.Null
+
+let int_of k = function
+  | Json.Num f when Float.is_integer f -> int_of_float f
+  | _ -> bad "%s is missing or not an integer" k
+
+let str k v =
+  match field k v with
+  | Json.Str s -> s
+  | _ -> bad "%s is missing or not a string" k
 
 let parse contents =
   try
-    let lines = String.split_on_char '\n' contents in
-    let expect_prefix prefix line =
-      let pl = String.length prefix in
-      if String.length line >= pl && String.sub line 0 pl = prefix then
-        String.sub line pl (String.length line - pl)
-      else raise (Parse_error (Printf.sprintf "expected %S line" prefix))
+    let root =
+      match Json.parse contents with Ok v -> v | Error e -> bad "not JSON: %s" e
     in
-    match lines with
-    | header :: procs_l :: clock_l :: sched_l :: count_l :: rest ->
-        if String.trim header <> "wfa-trace 1" then
-          raise (Parse_error "not a wfa-trace file (bad header)");
-        let procs =
-          match int_of_string_opt (String.trim (expect_prefix "procs " procs_l))
-          with
-          | Some p when p > 0 -> p
-          | _ -> raise (Parse_error "bad procs")
-        in
-        let clock =
-          match String.trim (expect_prefix "clock " clock_l) with
-          | "logical" -> `Logical
-          | "monotonic" -> `Monotonic
-          | c -> raise (Parse_error (Printf.sprintf "unknown clock %S" c))
-        in
-        let sched_body = expect_prefix "schedule" sched_l in
-        let schedule =
-          match Pram.Trace.parse_encoded_schedule sched_body with
-          | Ok s -> s
-          | Error e -> raise (Parse_error ("bad schedule: " ^ e))
-        in
-        let count =
-          match
-            int_of_string_opt (String.trim (expect_prefix "events " count_l))
-          with
-          | Some c when c >= 0 -> c
-          | _ -> raise (Parse_error "bad event count")
-        in
-        let event_lines =
-          List.filter (fun l -> String.trim l <> "") rest
-        in
-        if List.length event_lines <> count then
-          raise
-            (Parse_error
-               (Printf.sprintf "event count mismatch: header says %d, got %d"
-                  count (List.length event_lines)));
-        let events = List.map parse_event event_lines in
-        List.iteri
-          (fun i e ->
-            if e.seq <> i then
-              raise (Parse_error (Printf.sprintf "bad seq %d at line %d" e.seq i));
-            if e.pid < 0 || e.pid >= procs then
-              raise (Parse_error (Printf.sprintf "pid %d out of range" e.pid)))
-          events;
-        Ok { a_procs = procs; a_clock = clock; a_schedule = schedule;
-             a_events = events }
-    | _ -> raise (Parse_error "truncated file")
-  with Parse_error msg -> Error msg
+    let other = field "otherData" root in
+    let procs = int_of "procs" (field "procs" other) in
+    if procs <= 0 then bad "procs %d is not positive" procs;
+    let clock =
+      match str "clock" other with
+      | "logical" -> `Logical
+      | "monotonic" -> `Monotonic
+      | c -> bad "unknown clock %S" c
+    in
+    let schedule =
+      match field "schedule" other with
+      | Json.Arr acts ->
+          List.map
+            (fun act ->
+              let act = int_of "schedule entry" act in
+              if act < -procs || act >= procs then
+                bad "schedule entry %d out of range" act;
+              act)
+            acts
+      | _ -> bad "schedule is missing or not an array"
+    in
+    let time e =
+      match (clock, field "ts" e) with
+      | `Logical, ts -> int_of "ts" ts
+      | `Monotonic, Json.Num us -> Float.to_int (Float.round (us *. 1e3))
+      | `Monotonic, _ -> bad "ts is missing or not a number"
+    in
+    let event seq e =
+      let pid = int_of "tid" (field "tid" e) in
+      if pid < 0 || pid >= procs then bad "pid %d out of range" pid;
+      let name = str "name" e in
+      let ev =
+        match (str "cat" e, str "ph" e) with
+        | "op", "B" -> Invoke name
+        | "op", "E" -> Response name
+        | "annotation", "i" -> Annotate name
+        | "crash", "i" -> Crash
+        | "access", "i" ->
+            let args = field "args" e in
+            if args = Json.Null then bad "access event %d has no args" seq;
+            let kind =
+              match str "kind" args with
+              | "R" -> Pram.Trace.Read
+              | "W" -> Pram.Trace.Write
+              | k -> bad "unknown access kind %S" k
+            in
+            Access
+              {
+                kind;
+                reg_id = int_of "reg_id" (field "reg_id" args);
+                reg_name = str "reg" args;
+              }
+        | cat, ph -> bad "unknown event cat %S with ph %S" cat ph
+      in
+      { seq; pid; time = time e; ev }
+    in
+    let events =
+      match field "traceEvents" root with
+      | Json.Arr evs ->
+          List.filter (fun e -> field "ph" e <> Json.Str "M") evs
+          |> List.mapi event
+      | _ -> bad "traceEvents is missing or not an array"
+    in
+    Ok { a_procs = procs; a_clock = clock; a_schedule = schedule;
+         a_events = events }
+  with Bad msg -> Error msg
 
 let load_file ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
   | contents -> parse contents

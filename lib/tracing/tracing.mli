@@ -10,16 +10,15 @@
     [Runtime.Instrument] wrapper over the seqlock registers on domains
     that [Runtime.run_domains] spawned), operation {!Invoke} /
     {!Response} spans, free-form {!Annotate} marks (e.g. ["round 3"],
-    ["linearization point"]) and {!Crash} events — and renders it three
+    ["linearization point"]) and {!Crash} events — and renders it two
     ways:
 
     - {!pp_timeline}: a per-process ASCII timeline, one column per pid;
-    - {!chrome_json}: Chrome trace-event JSON, viewable in Perfetto /
+    - {!save}: the Chrome trace-event archive, viewable in Perfetto /
       [chrome://tracing] (one track per pid, spans as duration events,
-      accesses as instants with the register in [args]);
-    - {!save} / {!parse}: a round-trippable text format, so a saved
-      simulator trace can be reloaded and its schedule replayed to a
-      byte-identical re-export.
+      accesses as instants with the register in [args]) and read back by
+      {!parse}, so a saved simulator trace can be reloaded and its
+      schedule replayed to a byte-identical re-export.
 
     Everything is {e off by default}: no journal attached means no
     events, no allocation, no extra accesses — algorithms reach the
@@ -107,25 +106,24 @@ val pp_timeline : Format.formatter -> archive -> unit
 
 val timeline : archive -> string
 
-(** {2 Renderer 2: Chrome trace-event JSON}
+(** {2 Renderer 2: the Chrome trace-event archive}
 
-    The [{"traceEvents": [...]}] format of the Trace Event spec: one
+    The [{"traceEvents": [...]}] object of the Trace Event format: one
     thread track per pid (metadata events name them [p0..]), spans as
     [B]/[E] duration events, accesses and annotations as thread-scoped
     instants with register identity in [args].  Timestamps are [time]
     for [`Logical] journals (one step = 1us) and [time / 1000] (ns ->
-    us) for [`Monotonic] ones. *)
-val chrome_json : archive -> string
+    us) for [`Monotonic] ones.  A top-level ["otherData"] member, which
+    trace viewers ignore, holds the process count, the clock and the
+    encoded schedule.  Written through [Json.to_string], one event per
+    line.
 
-val write_chrome_file : path:string -> archive -> unit
-
-(** {2 Renderer 3: round-trippable text format}
-
-    A line-oriented format ([wfa-trace 1] header, [procs] / [clock] /
-    [schedule] / [events] sections, one event per line with quoted
-    labels).  {!parse} is an exact inverse of {!save}: for every
-    archive [a], [parse (save a) = Ok a] — so on the simulator,
-    [save -> load -> replay schedule -> re-export] is byte-identical. *)
+    {!parse} is an exact inverse of {!save} on archives whose events
+    carry [seq] = their position (every journal's): [parse (save a) =
+    Ok a], monotonic times to the nanosecond — so on the simulator,
+    [save -> load -> replay schedule -> save] is byte-identical. *)
 val save : archive -> string
+
+val write_file : path:string -> archive -> unit
 val parse : string -> (archive, string) result
 val load_file : path:string -> (archive, string) result

@@ -79,6 +79,8 @@ let mutations =
       [
         ( "E8 three processes are forced to more steps than two",
           set ~procs:3 ~bench:"greedy_k3" "forced" 27.0 );
+        ( "E8 forced steps rise strictly with k at n = 2 and 3",
+          set ~procs:2 ~bench:"greedy_k3" "forced" 22.0 );
       ] );
     ( "E9",
       [
@@ -112,9 +114,13 @@ let test_experiment id =
           let rows = e.Experiments.rows ~quick:true in
           check_bool (id ^ " produced rows") true (rows <> []);
           check_failures (id ^ " gates hold") [] (failing e rows);
-          (* and on the rows as a bench file keeps them *)
+          (* a bench file keeps the rows exactly, so the gates hold on
+             them too *)
+          let reread = J.rows_of_string (J.to_json rows) in
+          check_bool (id ^ " rows survive a JSON round trip exactly") true
+            (reread = Ok rows);
           check_failures (id ^ " gates hold after a JSON round trip") []
-            (failing e (Result.get_ok (J.rows_of_string (J.to_json rows))));
+            (failing e (Result.get_ok reread));
           (* coverage: dropping the rows cannot pass the claims
              vacuously *)
           check_bool (id ^ " gates need rows") true (failing e [] <> []);

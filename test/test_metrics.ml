@@ -673,7 +673,7 @@ let paper_rows =
         ~procs:[ 3 ] [ "violations" ]
         (fun b _ _ -> if b = "snapshot_naive_collect" then 5.0 else 0.0);
       rows ~benches:[ "greedy_k2"; "greedy_k3" ] ~procs:[ 2; 3 ] [ "forced" ]
-        (fun _ p _ -> float_of_int (10 * p));
+        (fun b p _ -> float_of_int (10 * p) +. level b);
       rows ~backend:"direct"
         ~benches:
           (List.concat_map

@@ -1,9 +1,9 @@
 (* Tests for the structured tracing layer: the journal and both feeds
    (driver observer on the simulator, the Instrument wrapper on native
-   domains), the three renderers, the save/parse round trip (including
-   the byte-identity guarantee under schedule replay on the simulator),
-   counterexample tracing through Lincheck, and the zero-overhead-off
-   guarantees. *)
+   domains), the two renderers, the Chrome archive's save/parse round
+   trip (including the byte-identity guarantee under schedule replay on
+   the simulator) and the JSON reader under it, counterexample tracing
+   through Lincheck, and the zero-overhead-off guarantees. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -47,7 +47,7 @@ let test_with_span_on_exception () =
       ()
   | _ -> Alcotest.fail "span must close even when the body raises"
 
-(* --- text format round trip -------------------------------------------------- *)
+(* --- archive round trip (the JSON archive is text too) ----------------------- *)
 
 let weird_archive =
   let j = Tracing.Journal.create ~procs:3 () in
@@ -68,6 +68,19 @@ let test_text_roundtrip_structural () =
   | Ok a' ->
       check_bool "parse (save a) = a" true (a' = a);
       check_string "save is stable" (Tracing.save a) (Tracing.save a'));
+  (* a monotonic archive keeps its nanoseconds through the microsecond
+     timestamps *)
+  let mono =
+    { weird_archive with
+      Tracing.a_clock = `Monotonic;
+      a_events =
+        List.mapi
+          (fun i e -> { e with Tracing.time = (i * 1_000_003) + 7 })
+          weird_archive.Tracing.a_events }
+  in
+  (match Tracing.parse (Tracing.save mono) with
+  | Ok a' -> check_bool "monotonic times round-trip to the ns" true (a' = mono)
+  | Error e -> Alcotest.fail e);
   (* empty journal, empty schedule *)
   let empty =
     Tracing.archive (Tracing.Journal.create ~procs:1 ())
@@ -76,26 +89,72 @@ let test_text_roundtrip_structural () =
   | Ok e -> check_bool "empty round-trips" true (e = empty)
   | Error e -> Alcotest.fail e
 
+(* A logical archive with procs 1, fields substituted into the saved
+   form of one access event. *)
+let archive_text ?(procs = "1") ?(clock = "\"logical\"") ?(schedule = "[0]")
+    ?(event =
+      "\"cat\": \"access\", \"ph\": \"i\", \"tid\": 0, \"args\": \
+       {\"reg\": \"r\", \"reg_id\": 0, \"kind\": \"W\"}") () =
+  Printf.sprintf
+    "{\"traceEvents\": [{\"name\": \"process_name\", \"ph\": \"M\", \
+     \"pid\": 1, \"tid\": 0, \"args\": {\"name\": \"wfa\"}}, {\"name\": \
+     \"W r\", \"ts\": 0, \"pid\": 1, %s}], \"otherData\": {\"procs\": %s, \
+     \"clock\": %s, \"schedule\": %s}}"
+    event procs clock schedule
+
 let test_parse_errors () =
   let expect_error label s =
     match Tracing.parse s with
     | Ok _ -> Alcotest.fail (label ^ ": accepted")
     | Error _ -> ()
   in
+  (match Tracing.parse (archive_text ()) with
+  | Ok { Tracing.a_events = [ { ev = Access _; _ } ]; a_schedule = [ 0 ]; _ } ->
+      ()
+  | Ok _ -> Alcotest.fail "the well-formed archive decodes wrongly"
+  | Error e -> Alcotest.fail ("the well-formed archive is rejected: " ^ e));
   expect_error "garbage" "hello";
-  expect_error "bad header" "wfa-trace 2\nprocs 1\nclock logical\nschedule\nevents 0\n";
-  expect_error "bad procs" "wfa-trace 1\nprocs x\nclock logical\nschedule\nevents 0\n";
-  expect_error "bad clock" "wfa-trace 1\nprocs 1\nclock lunar\nschedule\nevents 0\n";
-  expect_error "bad schedule token"
-    "wfa-trace 1\nprocs 1\nclock logical\nschedule p0 zap\nevents 0\n";
-  expect_error "count mismatch"
-    "wfa-trace 1\nprocs 1\nclock logical\nschedule\nevents 2\n0 0 0 crash\n";
-  expect_error "bad seq"
-    "wfa-trace 1\nprocs 1\nclock logical\nschedule\nevents 1\n5 0 0 crash\n";
+  expect_error "no traceEvents"
+    "{\"otherData\": {\"procs\": 1, \"clock\": \"logical\", \"schedule\": []}}";
+  expect_error "no otherData" "{\"traceEvents\": []}";
+  expect_error "bad procs" (archive_text ~procs:"\"x\"" ());
+  expect_error "zero procs" (archive_text ~procs:"0" ());
+  expect_error "bad clock" (archive_text ~clock:"\"lunar\"" ());
+  expect_error "bad schedule" (archive_text ~schedule:"\"p0\"" ());
+  expect_error "fractional schedule entry" (archive_text ~schedule:"[0.5]" ());
+  expect_error "schedule entry out of range" (archive_text ~schedule:"[1]" ());
   expect_error "pid out of range"
-    "wfa-trace 1\nprocs 1\nclock logical\nschedule\nevents 1\n0 3 0 crash\n";
-  expect_error "unterminated label"
-    "wfa-trace 1\nprocs 1\nclock logical\nschedule\nevents 1\n0 0 0 inv \"x\n"
+    (archive_text ~event:"\"cat\": \"crash\", \"ph\": \"i\", \"tid\": 3" ());
+  expect_error "unknown cat"
+    (archive_text ~event:"\"cat\": \"lunch\", \"ph\": \"i\", \"tid\": 0" ());
+  expect_error "unknown ph"
+    (archive_text ~event:"\"cat\": \"op\", \"ph\": \"X\", \"tid\": 0" ());
+  expect_error "access without args"
+    (archive_text ~event:"\"cat\": \"access\", \"ph\": \"i\", \"tid\": 0" ())
+
+(* The reader takes exactly RFC 8259's numbers: each of these is
+   rejected alone and inside an array. *)
+let test_json_numbers () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun s ->
+          check_bool (Printf.sprintf "%S rejected" s) true
+            (Result.is_error (Json.parse s)))
+        [ n; "[" ^ n ^ ",2]" ])
+    [ "1."; ".5"; "+1"; "01"; "-"; "1e"; "1e+"; "-01"; "0x1"; "1_0"; "1e400" ];
+  List.iter
+    (fun (s, v) ->
+      check_bool (Printf.sprintf "%S reads as %g" s v) true
+        (Json.parse s = Ok (Json.Num v)))
+    [ ("-0", -0.0); ("0.5", 0.5); ("1e+21", 1e21); ("-12.5E-1", -1.25) ];
+  (* the printer's shortest form reads back to the same float *)
+  List.iter
+    (fun v ->
+      let s = Json.to_string (Json.Num v) in
+      check_bool (Printf.sprintf "%s reads back" s) true
+        (Json.parse s = Ok (Json.Num v)))
+    [ 1.0 /. 81.0; 33.609640474436816; 1e21; -0.0; 1234.567; 5e-324 ]
 
 (* --- simulator: observer feed, save -> load -> replay byte identity ---------- *)
 
@@ -143,14 +202,12 @@ let test_sim_replay_byte_identical () =
       match Tracing.parse saved with
       | Error e -> Alcotest.fail ("reload failed: " ^ e)
       | Ok loaded ->
+          check_bool (Printf.sprintf "seed %d: reload is exact" seed) true
+            (loaded = a);
           let replayed = replay_scan ~procs:2 loaded.Tracing.a_schedule in
           check_string
             (Printf.sprintf "seed %d: re-export byte-identical" seed)
             saved (Tracing.save replayed);
-          check_string
-            (Printf.sprintf "seed %d: chrome export identical" seed)
-            (Tracing.chrome_json a)
-            (Tracing.chrome_json replayed);
           check_string
             (Printf.sprintf "seed %d: timeline identical" seed)
             (Tracing.timeline a)
@@ -180,15 +237,26 @@ let test_observer_interleaves_with_spans () =
 
 (* --- chrome export ----------------------------------------------------------- *)
 
-let test_chrome_json_validates () =
+let test_chrome_archive_validates () =
   let a = traced_scan_run ~procs:3 ~seed:11 in
-  (match Experiments.Bench_json.Json.parse (Tracing.chrome_json a) with
-  | Ok _ -> ()
+  (match Json.parse (Tracing.save a) with
+  | Ok (Json.Obj (("traceEvents", Json.Arr evs) :: _)) ->
+      (* process name, one thread name per pid, then the journal *)
+      check_int "one line per event" (1 + 3 + List.length a.Tracing.a_events)
+        (List.length evs)
+  | Ok _ -> Alcotest.fail "the archive does not open with traceEvents"
   | Error e -> Alcotest.fail ("chrome JSON rejected by Json.parse: " ^ e));
-  (* labels with quotes/newlines must stay valid JSON *)
-  match Experiments.Bench_json.Json.parse (Tracing.chrome_json weird_archive) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("escaped chrome JSON rejected: " ^ e)
+  (* labels with quotes/newlines stay valid JSON, in the Trace Event
+     layout viewers read *)
+  let saved = Tracing.save weird_archive in
+  check_bool "escaped chrome JSON parses" true
+    (Result.is_ok (Json.parse saved));
+  check_bool "an access event keeps its Trace Event form" true
+    (List.mem
+       "    {\"name\": \"R r[1] \\\"quoted\\\"\", \"cat\": \"access\", \"ph\": \
+        \"i\", \"ts\": 1, \"pid\": 1, \"tid\": 1, \"s\": \"t\", \"args\": \
+        {\"reg\": \"r[1] \\\"quoted\\\"\", \"reg_id\": 7, \"kind\": \"R\"}},"
+       (String.split_on_char '\n' saved))
 
 (* --- counterexample tracing through Lincheck --------------------------------- *)
 
@@ -243,12 +311,9 @@ let test_counterexample_trace () =
       check_bool "replayed history is non-linearizable" false
         (Check3.is_linearizable history);
       (* and the trace survives every renderer *)
-      (match Experiments.Bench_json.Json.parse (Tracing.chrome_json a) with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail ("cex chrome JSON invalid: " ^ e));
       (match Tracing.parse (Tracing.save a) with
-      | Ok a' -> check_bool "cex text round-trips" true (a' = a)
-      | Error e -> Alcotest.fail ("cex text format invalid: " ^ e));
+      | Ok a' -> check_bool "cex archive round-trips" true (a' = a)
+      | Error e -> Alcotest.fail ("cex archive invalid: " ^ e));
       check_bool "timeline renders" true
         (String.length (Tracing.timeline a) > 0)
 
@@ -308,7 +373,7 @@ let test_instrument_native_domains () =
     | _ -> true
   in
   check_bool "monotonic clock non-decreasing" true (non_decreasing evs);
-  (* a monotonic archive still round-trips through the text format *)
+  (* a monotonic archive round-trips to the exact nanosecond *)
   match Tracing.parse (Tracing.save (Tracing.archive j)) with
   | Ok a' -> check_bool "native trace round-trips" true (a' = Tracing.archive j)
   | Error e -> Alcotest.fail e
@@ -565,6 +630,7 @@ let () =
           Alcotest.test_case "structural round trip" `Quick
             test_text_roundtrip_structural;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          Alcotest.test_case "JSON number grammar" `Quick test_json_numbers;
         ] );
       ( "simulator",
         [
@@ -573,7 +639,7 @@ let () =
           Alcotest.test_case "observer and spans interleave correctly" `Quick
             test_observer_interleaves_with_spans;
           Alcotest.test_case "chrome JSON parses" `Quick
-            test_chrome_json_validates;
+            test_chrome_archive_validates;
         ] );
       ( "counterexample",
         [
