@@ -811,12 +811,12 @@ let trace_cmd =
 
 (* --- top ---------------------------------------------------------------------- *)
 
-(* A live terminal view over a telemetry-instrumented store run: worker
-   domains drive keyed zipfian traffic through Wfa.Store while the main
-   domain refreshes a per-shard table (throughput, queue depth,
-   fallbacks, rebuilds) from the shared Telemetry.Counters grid.  The
-   same renderer prints one final snapshot in --once mode, which is what
-   CI smokes. *)
+(* A live terminal view over a telemetry-instrumented store run: the
+   bench's native store harness (Bench_stages.drive_store) drives keyed
+   zipfian traffic through Wfa.Store while the main domain refreshes a
+   per-shard table (throughput, queue depth, fallbacks, rebuilds) from
+   the shared Telemetry.Counters grid.  The same renderer prints one
+   final snapshot in --once mode, which is what CI smokes. *)
 let top_cmd =
   let procs =
     Arg.(value & opt int 4 & info [ "procs" ] ~docv:"N" ~doc:"Driving domains.")
@@ -926,68 +926,52 @@ let top_cmd =
     if procs <= 0 then `Error (false, "--procs must be positive")
     else if shards <= 0 then `Error (false, "--shards must be positive")
     else if refresh <= 0.0 then `Error (false, "--refresh must be positive")
+    else if ops < 0 then `Error (false, "--ops must be non-negative")
+    else if (match rate with Some r -> not (r > 0.0) | None -> false) then
+      `Error (false, "--rate must be positive")
     else if read_fraction < 0.0 || read_fraction > 1.0 then
       `Error (false, "--read-fraction must be in [0,1]")
     else begin
-      let module S = Universal.Store.Make (Spec.Counter_spec) (Pram.Native.Versioned)
-      in
-      let script =
-        Workload.keyed_counter_script ~seed ~keys:32 ~theta:0.9 ~read_fraction
-          ~ops_per_proc:ops
-      in
       let counters = Telemetry.Counters.create ~families:shards ~procs () in
       let sampler =
         Telemetry.Sampler.create ~interval:refresh ~counters ()
       in
-      let sink = Runtime.Sink.make ~telemetry:counters () in
-      let t = S.create ~shards ~procs () in
       let loop =
-        Option.map
-          (fun r -> Workload.Traffic.Open { rate = r /. float_of_int procs })
-          rate
+        match rate with
+        | None -> Workload.Traffic.Closed
+        | Some r -> Workload.Traffic.Open { rate = r /. float_of_int procs }
       in
       let t0 = Monotonic_clock.now () in
       let drive () =
-        Runtime.run_domains ~sink ~procs (fun pid ->
-            let h = S.attach t (Runtime.Ctx.make ~sink ~procs ~pid ()) in
-            Workload.Traffic.drive ~telemetry:sampler ?loop ~flush_every:64
-              ~ops:(script pid)
-              ~submit:(fun key op -> S.submit h ~key op)
-              ~flush:(fun () -> ignore (S.flush h))
-              ())
+        ignore
+          (Experiments.Bench_stages.drive_store ~counters ~sampler ~procs
+             ~batching:(Universal.Store.Batched 64) ~read_fraction ~seed ~loop
+             ~ops_per_proc:ops)
       in
-      let reports =
-        if once then drive ()
-        else begin
-          (* workers on their own domain tree; the main domain renders
-             off the shared (atomic) counter grid until they finish *)
-          let done_ = Atomic.make false in
-          let runner =
-            Domain.spawn (fun () ->
-                Fun.protect ~finally:(fun () -> Atomic.set done_ true) drive)
-          in
-          while not (Atomic.get done_) do
-            Unix.sleepf refresh;
-            Telemetry.Sampler.tick sampler;
-            render ~live:true ~procs ~t0 ~counters ~sampler ()
-          done;
-          Domain.join runner
-        end
-      in
+      if once then drive ()
+      else begin
+        (* workers on their own domain tree; the main domain renders
+           off the shared (atomic) counter grid until they finish *)
+        let done_ = Atomic.make false in
+        let runner =
+          Domain.spawn (fun () ->
+              Fun.protect ~finally:(fun () -> Atomic.set done_ true) drive)
+        in
+        while not (Atomic.get done_) do
+          Unix.sleepf refresh;
+          Telemetry.Sampler.tick sampler;
+          render ~live:true ~procs ~t0 ~counters ~sampler ()
+        done;
+        Domain.join runner
+      end;
       Telemetry.Sampler.finish sampler;
       render ~live:false ~procs ~t0 ~counters ~sampler ();
-      let completed =
-        List.fold_left (fun a r -> a + r.Workload.Traffic.ops) 0 reports
-      in
+      let completed = Telemetry.Sampler.total_ops sampler in
       let prom_result =
         match prom with
         | None -> Ok ()
         | Some path -> (
-            let text =
-              Telemetry.Openmetrics.render
-                ~series:(Telemetry.Series.of_sampler sampler)
-                counters
-            in
+            let text = Telemetry.Openmetrics.render ~sampler counters in
             match Telemetry.Openmetrics.lint text with
             | Error e -> Error ("OpenMetrics lint failed: " ^ e)
             | Ok _ ->

@@ -16,9 +16,10 @@
    - {!Universal}: the Figure 4 universal construction, its graph
      machinery, the direct (type-optimized) objects and pseudo-RMW;
    - {!Telemetry}: production-style contention counters, the windowed
-     sampler with its nearest-rank latency statistics, and the
-     OpenMetrics/JSON exporters (DESIGN.md §13) — access counts
-     themselves come from [Pram.Driver] on the simulator;
+     sampler that pools a run's latencies (nearest-rank statistics per
+     window and per run), and the OpenMetrics exporter (DESIGN.md §13)
+     — access counts themselves come from [Pram.Driver] on the
+     simulator;
    - {!Tracing}: the structured event journal — per-execution causal
      traces, rendered as a timeline or saved as the Chrome trace-event
      archive that [Tracing.load_file] reads back;

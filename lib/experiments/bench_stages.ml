@@ -11,9 +11,10 @@
              sequential backend.
 
    Every stage span and direct timing is read from one monotonic clock
-   ([timed]); per-operation latencies and the windowed series come from
-   Workload.Traffic and the telemetry sampler, which keep their own
-   clocks. *)
+   ([timed]).  Every native store run, here and in `wfa top`, goes
+   through one harness ([drive_store]); its per-operation latencies,
+   timed by Workload.Traffic, and its windowed series both come from
+   the run's telemetry sampler. *)
 
 open Bench_json
 
@@ -534,7 +535,8 @@ let native_universal_counter_rows ~quick ~procs =
    the series-reconciliation gate checks. *)
 let w_delta_prefix = "w_delta_"
 
-let series_rows ~bench ~procs ~backend (s : Telemetry.Series.t) =
+let series_rows ~bench ~procs ~backend sampler =
+  let interval = Telemetry.Sampler.interval sampler in
   List.concat_map
     (fun (w : Telemetry.Window.t) ->
       let mk metric value unit_ =
@@ -547,7 +549,7 @@ let series_rows ~bench ~procs ~backend (s : Telemetry.Series.t) =
             mk "w_ops" (float_of_int w.Telemetry.Window.ops) "ops";
             mk "w_end_ns" (w.Telemetry.Window.t_end *. 1e9) "ns";
             mk "w_ops_per_sec"
-              (float_of_int w.Telemetry.Window.ops /. s.Telemetry.Series.interval)
+              (float_of_int w.Telemetry.Window.ops /. interval)
               "ops/s";
           ];
           (match w.Telemetry.Window.latency with
@@ -570,53 +572,63 @@ let series_rows ~bench ~procs ~backend (s : Telemetry.Series.t) =
                      (float_of_int d) "events"))
             Telemetry.Event.all;
         ])
-    s.Telemetry.Series.windows
+    (Telemetry.Sampler.windows sampler)
 
-(* One native store stage with full telemetry: a counter grid sized to
-   the shard count rides in the sink (so the handles attribute
-   fallbacks/queue-depth/rebuilds per shard), and one shared sampler
-   windows the run.  Returns the classic wall-clock family plus the
-   "ops" reconciliation total and the windowed series. *)
-let native_store_stage ~bench ~procs ~batching ~read_fraction ~seed ~loop
-    ~ops_per_proc ~interval extra =
-  let shards = 8 in
-  let script =
-    Workload.keyed_counter_script ~seed ~keys:32 ~theta:0.9 ~read_fraction
-      ~ops_per_proc
+(* The one native store harness, for every native store stage and `wfa
+   top`: [procs] domains drive keyed zipfian scripts, built before they
+   spawn, through Workload.Traffic into a store with a shard per family
+   of [counters]; the grid rides in the sink and [sampler] files every
+   operation's latency.  Returns the run's seconds, the scripts' ops and
+   the graph entries the handles published. *)
+let drive_store ~counters ~sampler ~procs ~batching ~read_fraction ~seed ~loop
+    ~ops_per_proc =
+  let scripts =
+    Array.init procs
+      (Workload.keyed_counter_script ~seed ~keys:32 ~theta:0.9 ~read_fraction
+         ~ops_per_proc)
   in
-  let counters = Telemetry.Counters.create ~families:shards ~procs () in
-  let sampler = Telemetry.Sampler.create ~interval ~counters () in
   let sink = Runtime.Sink.make ~telemetry:counters () in
-  let t = Store_native.create ~shards ~procs () in
+  let t =
+    Store_native.create ~shards:(Telemetry.Counters.families counters) ~procs
+      ()
+  in
   let flush_every =
     match batching with
     | Universal.Store.Batched n -> n
     | Universal.Store.Unbatched -> 64
   in
-  let results, elapsed =
+  let entries, elapsed =
     timed (fun () ->
         Runtime.run_domains ~sink ~procs (fun pid ->
             let h =
               Store_native.attach ~batching t
                 (Runtime.Ctx.make ~sink ~procs ~pid ())
             in
-            let report =
-              Workload.Traffic.drive ~telemetry:sampler ?loop ~flush_every
-                ~ops:(script pid)
-                ~submit:(fun key op -> Store_native.submit h ~key op)
-                ~flush:(fun () -> ignore (Store_native.flush h))
-                ()
-            in
-            (report, Store_native.stats h)))
+            Workload.Traffic.drive ~sampler ~loop ~flush_every
+              ~ops:scripts.(pid)
+              ~submit:(fun key op -> Store_native.submit h ~key op)
+              ~flush:(fun () -> ignore (Store_native.flush h))
+              ();
+            (Store_native.stats h).Store_native.entries))
+  in
+  ( elapsed,
+    Array.fold_left (fun a s -> a + List.length s) 0 scripts,
+    List.fold_left ( + ) 0 entries )
+
+(* One native store stage: an 8-shard harness run whose sampler windows
+   it and pools its latencies.  Returns the wall-clock family, the "ops"
+   reconciliation total, entries, latency and the windowed series. *)
+let native_store_stage ~bench ~procs ~batching ~read_fraction ~seed ~loop
+    ~ops_per_proc ~interval extra =
+  let counters = Telemetry.Counters.create ~families:8 ~procs () in
+  let sampler = Telemetry.Sampler.create ~interval ~counters () in
+  let elapsed, ops, entries =
+    drive_store ~counters ~sampler ~procs ~batching ~read_fraction ~seed ~loop
+      ~ops_per_proc
   in
   Telemetry.Sampler.finish sampler;
-  let series = Telemetry.Series.of_sampler sampler in
-  let entries =
-    List.fold_left (fun a (_, s) -> a + s.Store_native.entries) 0 results
-  in
-  let merged = Workload.Traffic.merge (List.map fst results) in
   let latency_rows =
-    match merged.Workload.Traffic.latency with
+    match Telemetry.Sampler.latency sampler with
     | None -> []
     | Some s ->
         [
@@ -626,15 +638,13 @@ let native_store_stage ~bench ~procs ~batching ~read_fraction ~seed ~loop
             ~value:s.Telemetry.Stats.mean ~unit_:"ns";
         ]
   in
-  throughput_rows ~bench ~procs ~total_ops:merged.Workload.Traffic.ops
-    ~elapsed
+  throughput_rows ~bench ~procs ~total_ops:ops ~elapsed
     (row ~bench ~procs ~backend:"native" ~metric:"ops"
-       ~value:(float_of_int merged.Workload.Traffic.ops)
-       ~unit_:"ops"
+       ~value:(float_of_int ops) ~unit_:"ops"
      :: row ~bench ~procs ~backend:"native" ~metric:"entries"
           ~value:(float_of_int entries) ~unit_:"entries"
      :: (latency_rows @ extra))
-  @ series_rows ~bench ~procs ~backend:"native" series
+  @ series_rows ~bench ~procs ~backend:"native" sampler
 
 (* Of [trials], each the rows of one run of a stage, the median run by
    ops_per_sec, whole — so its windowed series still reconciles with its
@@ -685,7 +695,8 @@ let native_store_rows ~quick ~procs =
   let stage batching =
     native_store_stage
       ~bench:(store_bench_name batching)
-      ~procs ~batching ~read_fraction:0.0 ~seed:17 ~loop:None ~ops_per_proc
+      ~procs ~batching ~read_fraction:0.0 ~seed:17 ~loop:Workload.Traffic.Closed
+      ~ops_per_proc
       ~interval:0.005 []
   in
   let batched, unbatched =
@@ -718,7 +729,7 @@ let native_store_openloop_rows ~quick ~rate =
   native_store_stage
     ~bench:(openloop_bench_name rate)
     ~procs ~batching:(Universal.Store.Batched 64) ~read_fraction:0.0 ~seed:17
-    ~loop:(Some (Workload.Traffic.Open { rate = per_proc_rate }))
+    ~loop:(Workload.Traffic.Open { rate = per_proc_rate })
     ~ops_per_proc ~interval:0.01
     [
       row ~bench:(openloop_bench_name rate) ~procs ~backend:"native"
@@ -730,7 +741,7 @@ let native_store_readmix_rows ~quick =
   let ops_per_proc = if quick then 500 else 1_000 in
   native_store_stage ~bench:readmix_bench ~procs
     ~batching:(Universal.Store.Batched 64) ~read_fraction:0.5 ~seed:19
-    ~loop:None ~ops_per_proc ~interval:0.005 []
+    ~loop:Workload.Traffic.Closed ~ops_per_proc ~interval:0.005 []
 
 let windowed_store_rows ~quick =
   List.concat_map (fun rate -> native_store_openloop_rows ~quick ~rate)

@@ -117,15 +117,33 @@ let parse (s : string) : (t, string) result =
           | Some (('"' | '\\' | '/') as c) -> unescaped c
           | Some 'u' ->
               advance ();
-              let hex = if !pos + 4 <= n then String.sub s !pos 4 else "" in
-              let is_hex = function
-                | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
-                | _ -> false
+              let hex4 at =
+                let is_hex = function
+                  | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                  | _ -> false
+                in
+                if at + 4 <= n && String.for_all is_hex (String.sub s at 4)
+                then Some (int_of_string ("0x" ^ String.sub s at 4))
+                else None
               in
-              if hex = "" || not (String.for_all is_hex hex) then
-                fail "bad \\u escape";
+              let code =
+                match hex4 !pos with
+                | Some c -> c
+                | None -> fail "bad \\u escape"
+              in
               pos := !pos + 4;
-              let code = int_of_string ("0x" ^ hex) in
+              (* a high surrogate escaped right before a low one is one
+                 code point; any other surrogate reads as U+FFFD *)
+              let code =
+                match hex4 (!pos + 2) with
+                | Some lo
+                  when code land 0xFC00 = 0xD800
+                       && lo land 0xFC00 = 0xDC00
+                       && String.sub s !pos 2 = "\\u" ->
+                    pos := !pos + 6;
+                    0x10000 + ((code - 0xD800) lsl 10) + (lo - 0xDC00)
+                | _ -> code
+              in
               Buffer.add_utf_8_uchar buf
                 (if Uchar.is_valid code then Uchar.of_int code else Uchar.rep);
               loop ()

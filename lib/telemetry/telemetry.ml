@@ -11,6 +11,9 @@
      (Workload.Traffic batches tens of ops per flush), so the lock is
      far off the store's CAS/snapshot hot paths; the telemetry-disabled
      path never takes it ([Runtime.Ctx.cause] is a pattern match).
+     Its one histogram pools every observation of the run: the open
+     window is that sample's tail, so a window's stats and the run's
+     come from the same ints.
    - Window close diffs [Counters.totals] against the previous close.
      Counters are monotone, so deltas are non-negative even though other
      domains keep incrementing mid-diff; an increment that straddles a
@@ -167,27 +170,29 @@ module Histogram = struct
 
   let count t = t.len
 
-  let stats t =
-    if t.len = 0 then None
+  (* Stats of the observations added from position [first] on. *)
+  let stats_from t first =
+    let n = t.len - first in
+    if n <= 0 then None
     else begin
-      let sorted = Array.sub t.data 0 t.len in
+      let sorted = Array.sub t.data first n in
       Array.sort compare sorted;
       let total = Array.fold_left ( + ) 0 sorted in
       (* nearest-rank quantiles: the smallest value with at least the
          requested fraction of the sample at or below it *)
-      let rank q =
-        max 1 (int_of_float (ceil (q *. float_of_int t.len)))
-      in
+      let rank q = max 1 (int_of_float (ceil (q *. float_of_int n))) in
       Some
         {
-          Stats.count = t.len;
+          Stats.count = n;
           min = sorted.(0);
-          max = sorted.(t.len - 1);
-          mean = float_of_int total /. float_of_int t.len;
+          max = sorted.(n - 1);
+          mean = float_of_int total /. float_of_int n;
           p50 = sorted.(rank 0.50 - 1);
           p99 = sorted.(rank 0.99 - 1);
         }
     end
+
+  let stats t = stats_from t 0
 end
 
 module Window = struct
@@ -224,12 +229,11 @@ module Sampler = struct
     lock : Mutex.t;
     (* everything below is guarded by [lock] *)
     closed : Window.t Queue.t;
+    pooled : Histogram.t;  (* every observation, dropped windows included *)
     mutable s_dropped : int;
-    mutable s_total_ops : int;
     mutable next_index : int;  (* index of the currently open window *)
     mutable cur_start : float;  (* relative start of the open window *)
-    mutable cur_ops : int;
-    mutable cur_hist : Histogram.t;
+    mutable cur_first : int;  (* pooled position of its first observation *)
     mutable prev_totals : int array;  (* counter totals at last close *)
     mutable finished : bool;
   }
@@ -251,12 +255,11 @@ module Sampler = struct
       epoch = clock ();
       lock = Mutex.create ();
       closed = Queue.create ();
+      pooled = Histogram.create ();
       s_dropped = 0;
-      s_total_ops = 0;
       next_index = 0;
       cur_start = 0.0;
-      cur_ops = 0;
-      cur_hist = Histogram.create ();
+      cur_first = 0;
       prev_totals = Counters.totals counters;
       finished = false;
     }
@@ -281,8 +284,8 @@ module Sampler = struct
         Window.index = t.next_index;
         t_start = t.cur_start;
         t_end;
-        ops = t.cur_ops;
-        latency = Histogram.stats t.cur_hist;
+        ops = Histogram.count t.pooled - t.cur_first;
+        latency = Histogram.stats_from t.pooled t.cur_first;
         deltas;
       }
     in
@@ -294,8 +297,7 @@ module Sampler = struct
     t.prev_totals <- now_totals;
     t.next_index <- t.next_index + 1;
     t.cur_start <- t_end;
-    t.cur_ops <- 0;
-    t.cur_hist <- Histogram.create ()
+    t.cur_first <- Histogram.count t.pooled
 
   (* Close every window the clock has fully passed.  Holds the lock. *)
   let catch_up t =
@@ -314,9 +316,7 @@ module Sampler = struct
     locked t (fun () ->
         check_live t "observe";
         catch_up t;
-        t.cur_ops <- t.cur_ops + 1;
-        t.s_total_ops <- t.s_total_ops + 1;
-        Histogram.add t.cur_hist latency_ns)
+        Histogram.add t.pooled latency_ns)
 
   let tick t =
     locked t (fun () ->
@@ -334,31 +334,8 @@ module Sampler = struct
 
   let windows t = locked t (fun () -> List.of_seq (Queue.to_seq t.closed))
   let dropped t = locked t (fun () -> t.s_dropped)
-  let total_ops t = locked t (fun () -> t.s_total_ops)
-end
-
-module Series = struct
-  type t = {
-    interval : float;
-    windows : Window.t list;
-    dropped : int;
-    total_ops : int;
-  }
-
-  let of_sampler s =
-    {
-      interval = Sampler.interval s;
-      windows = Sampler.windows s;
-      dropped = Sampler.dropped s;
-      total_ops = Sampler.total_ops s;
-    }
-
-  let pp ppf s =
-    Format.fprintf ppf "@[<v>series interval=%.3fs windows=%d ops=%d%s"
-      s.interval (List.length s.windows) s.total_ops
-      (if s.dropped > 0 then Printf.sprintf " dropped=%d" s.dropped else "");
-    List.iter (fun w -> Format.fprintf ppf "@,  %a" Window.pp w) s.windows;
-    Format.fprintf ppf "@]"
+  let total_ops t = locked t (fun () -> Histogram.count t.pooled)
+  let latency t = locked t (fun () -> Histogram.stats t.pooled)
 end
 
 module Openmetrics = struct
@@ -412,7 +389,7 @@ module Openmetrics = struct
     Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name typ);
     Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help)
 
-  let render ?series c =
+  let render ?sampler c =
     let buf = Buffer.create 4096 in
     (* counter grid: one family, (event, pid, family) labels.  In the
        OpenMetrics counter convention the sample name carries a _total
@@ -440,9 +417,9 @@ module Openmetrics = struct
           done
         done)
       Event.all;
-    (match series with
+    (match sampler with
     | None -> ()
-    | Some (s : Series.t) ->
+    | Some s ->
         family buf ~name:"wfa_window_ops" ~typ:"gauge"
           ~help:"operations completed in each sampling window";
         family buf ~name:"wfa_window_end_seconds" ~typ:"gauge"
@@ -473,7 +450,7 @@ module Openmetrics = struct
                     [ wlab; ("event", Event.name e) ]
                     (float_of_int d))
               Event.all)
-          s.windows);
+          (Sampler.windows s));
     Buffer.add_string buf "# EOF\n";
     Buffer.contents buf
 

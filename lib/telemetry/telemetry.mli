@@ -6,7 +6,7 @@
     time window}, and {e why} — a throughput collapse mid-run, one hot
     shard, a CAS retry storm.  This module supplies that axis in three
     pieces, plus the nearest-rank {!Stats} over a {!Histogram} that the
-    sampler, [Workload.Traffic] and the bench summarize samples with:
+    sampler and the bench summarize samples with:
 
     - {!Counters}: per-(pid, family) cache-line-padded event counters
       for a fixed vocabulary of {e mechanical causes} ({!Event}) —
@@ -16,12 +16,13 @@
       object-level attribution axis (shard index for the store,
       register family otherwise); each pid increments only its own
       cells, so recording is uncontended.
-    - {!Sampler}: snapshots counter totals and a latency reservoir on a
-      clock interval into a ring of fixed-width {!Window}s, giving
-      per-window ops/sec, p50/p99 latency, and per-event deltas.
+    - {!Sampler}: a run's one latency record.  It pools every
+      operation's latency and, on a clock interval, closes fixed-width
+      {!Window}s into a ring, giving per-window ops/sec, p50/p99
+      latency and per-event counter deltas.
     - exporters: OpenMetrics/Prometheus text ({!Openmetrics}) and the
-      windowed [series] rows of the bench JSON pipeline (emitted by
-      [Experiments.Bench_json]).
+      windowed [w_*] rows of the bench JSON pipeline (emitted by
+      [Experiments.Bench_stages.series_rows]).
 
     Everything follows the repo's off-by-default discipline: telemetry
     rides in [Runtime.Sink] next to the tracing journal, algorithms
@@ -134,7 +135,7 @@ end
 
 (** A growable sample of non-negative integer observations (operation
     latencies or step counts).  Not thread-safe on its own; {!Sampler}
-    serializes access to its histograms. *)
+    serializes access to its histogram. *)
 module Histogram : sig
   type t
 
@@ -164,12 +165,14 @@ module Window : sig
   val pp : Format.formatter -> t -> unit
 end
 
-(** The windowed sampler: feeds completed operations (with latency)
-    into the current window and closes windows as the clock crosses
-    interval boundaries, diffing {!Counters.totals} at each close.
-    Thread-safe: any domain may {!observe}/{!tick} concurrently (one
-    mutex; operations arrive at flush granularity, so contention is
-    modest and never on the store's own hot path). *)
+(** The windowed sampler: files completed operations (with latency)
+    into one pooled sample, and closes windows as the clock crosses
+    interval boundaries, diffing {!Counters.totals} at each close.  It
+    holds one int per observed operation (the pooled sample) plus
+    O(capacity) closed windows.  Thread-safe: any domain may
+    {!observe}/{!tick} concurrently (one mutex; operations arrive at
+    flush granularity, so contention is modest and never on the store's
+    own hot path). *)
 module Sampler : sig
   type t
 
@@ -217,20 +220,11 @@ module Sampler : sig
   (** Operations observed since creation, dropped windows included —
       equals the sum of window [ops] exactly when [dropped = 0]. *)
   val total_ops : t -> int
-end
 
-(** An immutable rendering of a finished sampler — what the exporters
-    and the bench pipeline consume. *)
-module Series : sig
-  type t = {
-    interval : float;
-    windows : Window.t list;
-    dropped : int;
-    total_ops : int;
-  }
-
-  val of_sampler : Sampler.t -> t
-  val pp : Format.formatter -> t -> unit
+  (** Latency stats of every operation observed since creation, dropped
+      windows included; [None] before the first.  [count] is
+      {!total_ops}. *)
+  val latency : t -> Stats.t option
 end
 
 (** OpenMetrics text exposition (the Prometheus scrape format), plus a
@@ -246,11 +240,11 @@ module Openmetrics : sig
   (** [render c] is the exposition text: one
       [wfa_event_total{event,pid,family}] counter sample per non-zero
       cell (plus a zero total per event so every class is always
-      present), and — when [series] is given — per-window
+      present), and — when [sampler] is given — per-window
       [wfa_window_*] gauges (ops, end-seconds, latency quantiles,
       event deltas).  Deterministic: fixed ordering, `# EOF`
       terminated. *)
-  val render : ?series:Series.t -> Counters.t -> string
+  val render : ?sampler:Sampler.t -> Counters.t -> string
 
   (** Parse an exposition into samples; [Error] on any malformed line.
       Handles exactly the subset {!render} emits (metric families,

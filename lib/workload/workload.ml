@@ -130,47 +130,35 @@ let keyed_counter_script ~seed ~keys ~theta ~read_fraction ~ops_per_proc :
    arrivals at a fixed rate and measures latency from the SCHEDULED
    arrival (not the actual submit), so queueing delay when the system
    falls behind is charged to the system — the coordinated-omission
-   correction.  Latency is recorded per operation at flush granularity
-   (an operation completes when the flush containing it returns) into a
-   [Telemetry.Histogram] in nanoseconds, on the monotonic clock. *)
+   correction.  Latency is filed per operation at flush granularity
+   (an operation completes when the flush containing it returns) into
+   the run's shared [Telemetry.Sampler], in nanoseconds on the monotonic
+   clock. *)
 module Traffic = struct
   let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
   type loop = Closed | Open of { rate : float }
 
-  type report = {
-    ops : int;
-    elapsed : float;
-    throughput : float;
-    latency : Telemetry.Stats.t option;
-  }
-
-  let drive ?telemetry ?(loop = Closed) ?(flush_every = 64) ~ops ~submit
-      ~flush () =
+  let drive ~sampler ?(loop = Closed) ?(flush_every = 64) ~ops ~submit ~flush
+      () =
     if flush_every <= 0 then
       invalid_arg "Workload.Traffic.drive: flush_every must be positive";
     (match loop with
-    | Open { rate } when rate <= 0.0 ->
+    | Open { rate } when not (rate > 0.0) ->
         invalid_arg "Workload.Traffic.drive: open-loop rate must be positive"
     | _ -> ());
-    let lat = Telemetry.Histogram.create () in
     let starts = Queue.create () in
-    let count = ref 0 in
     let t0 = now_ns () in
     let flush_now () =
       if not (Queue.is_empty starts) then begin
         flush ();
         let now = now_ns () in
+        (* one observation per completed operation, at flush granularity:
+           the window it lands in is the flush's window, which is also
+           when the operation became visible *)
         Queue.iter
           (fun t ->
-            let ns = max 0 (now - t) in
-            Telemetry.Histogram.add lat ns;
-            (* sampler feed: one observation per completed operation, at
-               flush granularity — the window it lands in is the flush's
-               window, which is also when the operation became visible *)
-            match telemetry with
-            | None -> ()
-            | Some s -> Telemetry.Sampler.observe s ~latency_ns:ns)
+            Telemetry.Sampler.observe sampler ~latency_ns:(max 0 (now - t)))
           starts;
         Queue.clear starts
       end
@@ -192,48 +180,9 @@ module Traffic = struct
         in
         submit key op;
         Queue.add start starts;
-        incr count;
         if (i + 1) mod flush_every = 0 then flush_now ())
       ops;
-    flush_now ();
-    let elapsed = Float.max (float_of_int (now_ns () - t0) /. 1e9) 1e-9 in
-    {
-      ops = !count;
-      elapsed;
-      throughput = float_of_int !count /. elapsed;
-      latency = Telemetry.Histogram.stats lat;
-    }
-
-  (* Merge per-process reports into one: ops summed, elapsed is the
-     slowest process (the parallel span), throughput = total ops over
-     that span.  Latency histograms cannot be merged from Stats alone,
-     so the merged view keeps the worst p99 representative. *)
-  let merge reports =
-    match reports with
-    | [] -> invalid_arg "Workload.Traffic.merge: no reports"
-    | _ ->
-        let ops = List.fold_left (fun a r -> a + r.ops) 0 reports in
-        let elapsed =
-          List.fold_left (fun a r -> Float.max a r.elapsed) 0.0 reports
-        in
-        let latency =
-          List.fold_left
-            (fun acc r ->
-              match (acc, r.latency) with
-              | None, l -> l
-              | l, None -> l
-              | Some a, Some b ->
-                  Some
-                    (if b.Telemetry.Stats.p99 > a.Telemetry.Stats.p99 then b
-                     else a))
-            None reports
-        in
-        {
-          ops;
-          elapsed = Float.max elapsed 1e-9;
-          throughput = float_of_int ops /. Float.max elapsed 1e-9;
-          latency;
-        }
+    flush_now ()
 end
 
 (* Inputs for approximate agreement: [procs] values spread over

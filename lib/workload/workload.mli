@@ -49,8 +49,8 @@ val keyed_counter_script :
 
 (** The traffic front-end: drives one process's keyed operation stream
     against a store-like consumer through [submit]/[flush] closures
-    (keeping this module independent of the object layer), measuring
-    throughput and per-operation latency. *)
+    (keeping this module independent of the object layer), filing each
+    operation's latency with the run's sampler. *)
 module Traffic : sig
   (** [Closed] issues the next operation as soon as the previous flush
       returns; [Open {rate}] schedules arrivals at [rate] operations per
@@ -59,44 +59,26 @@ module Traffic : sig
       (the coordinated-omission correction). *)
   type loop = Closed | Open of { rate : float }
 
-  type report = {
-    ops : int;  (** operations completed *)
-    elapsed : float;  (** wall-clock seconds for the whole stream *)
-    throughput : float;  (** ops / elapsed *)
-    latency : Telemetry.Stats.t option;
-        (** per-operation latency in nanoseconds, measured at flush
-            granularity (an operation completes when the flush containing
-            it returns); [None] when no operation ran *)
-  }
-
-  (** [drive ~ops ~submit ~flush ()] pushes each [(key, op)] through
-      [submit] and calls [flush] every [flush_every] submissions
+  (** [drive ~sampler ~ops ~submit ~flush ()] pushes each [(key, op)]
+      through [submit] and calls [flush] every [flush_every] submissions
       (default 64 — the effective batch-size ceiling) and once at the
-      end.  Timed on the monotonic clock: meaningful on the native/direct
-      backends.
-      [telemetry], when given, receives every completed operation's
-      latency via [Telemetry.Sampler.observe] at flush granularity —
-      share one sampler across the driving processes to get one
-      per-window time series for the whole run ([None] costs one
-      pattern match per operation and nothing else).
+      end.  Each operation's latency in nanoseconds, measured on the
+      monotonic clock at flush granularity (an operation completes when
+      the flush containing it returns), goes to
+      [Telemetry.Sampler.observe sampler]: share one sampler across the
+      driving processes and it holds the whole run's latencies and its
+      per-window series.  Meaningful on the native/direct backends.
       @raise Invalid_argument
         if [flush_every <= 0] or an open-loop rate is not positive. *)
   val drive :
-    ?telemetry:Telemetry.Sampler.t ->
+    sampler:Telemetry.Sampler.t ->
     ?loop:loop ->
     ?flush_every:int ->
     ops:(string * 'op) list ->
     submit:(string -> 'op -> unit) ->
     flush:(unit -> unit) ->
     unit ->
-    report
-
-  (** Merge per-process reports: ops summed, elapsed = the slowest
-      process (the parallel span), throughput over that span; latency
-      keeps the representative with the worst p99 (histograms are not
-      reconstructible from [Stats]).
-      @raise Invalid_argument on an empty list. *)
-  val merge : report list -> report
+    unit
 end
 
 (** Inputs for approximate agreement: [procs] values spanning exactly

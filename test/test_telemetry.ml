@@ -195,7 +195,7 @@ let test_native_hooks_attribute_per_pid () =
 
 (* --- sampler --------------------------------------------------------------- *)
 
-(* One scripted run against a manual clock; returns the finished series
+(* One scripted run against a manual clock; returns the finished sampler
    and the counter grid.  Window grid: interval 0.1, epoch 0. *)
 let scripted_run () =
   let now = ref 0.0 in
@@ -222,14 +222,22 @@ let scripted_run () =
   Telemetry.Counters.record c ~pid:0 ~family:0
     Telemetry.Event.Store_batch_fallback;
   Telemetry.Sampler.finish s;
-  (Telemetry.Series.of_sampler s, c)
+  (s, c)
 
 let test_sampler_windows () =
-  let series, c = scripted_run () in
-  let windows = Array.of_list series.Telemetry.Series.windows in
+  let s, c = scripted_run () in
+  let windows = Array.of_list (Telemetry.Sampler.windows s) in
   check_int "window count" 4 (Array.length windows);
-  check_int "dropped" 0 series.Telemetry.Series.dropped;
-  check_int "total ops" 101 series.Telemetry.Series.total_ops;
+  check_int "dropped" 0 (Telemetry.Sampler.dropped s);
+  check_int "total ops" 101 (Telemetry.Sampler.total_ops s);
+  (* the pooled sample: latencies 1..100 and 500 *)
+  (match Telemetry.Sampler.latency s with
+  | None -> Alcotest.fail "the run lost its pooled latency stats"
+  | Some st ->
+      check_int "pooled count" 101 st.Telemetry.Stats.count;
+      check_int "pooled p50" 51 st.Telemetry.Stats.p50;
+      check_int "pooled p99" 100 st.Telemetry.Stats.p99;
+      check_int "pooled max" 500 st.Telemetry.Stats.max);
   Array.iteri
     (fun i (w : Telemetry.Window.t) ->
       check_int (Printf.sprintf "window %d index" i) i w.Telemetry.Window.index;
@@ -275,7 +283,13 @@ let test_sampler_windows () =
                                            Telemetry.Event.Shard_queue_depth)
 
 let test_sampler_deterministic () =
-  let render (s, _) = Format.asprintf "%a" Telemetry.Series.pp s in
+  let render (s, _) =
+    Format.asprintf "%a@.%a"
+      (Format.pp_print_list Telemetry.Window.pp)
+      (Telemetry.Sampler.windows s)
+      (Format.pp_print_option Telemetry.Stats.pp)
+      (Telemetry.Sampler.latency s)
+  in
   check_string "same script, same series" (render (scripted_run ()))
     (render (scripted_run ()))
 
@@ -291,19 +305,23 @@ let test_sampler_ring_overflow () =
     Telemetry.Sampler.observe s ~latency_ns:1
   done;
   Telemetry.Sampler.finish s;
-  let series = Telemetry.Series.of_sampler s in
-  check_int "ring keeps capacity windows" 2
-    (List.length series.Telemetry.Series.windows);
-  check_bool "overflow counted" true (series.Telemetry.Series.dropped > 0);
+  let windows = Telemetry.Sampler.windows s in
+  check_int "ring keeps capacity windows" 2 (List.length windows);
+  check_bool "overflow counted" true (Telemetry.Sampler.dropped s > 0);
   (* the trap the bench validator gates on: dropped windows mean the
      window ops no longer sum to the run total *)
   let sum =
     List.fold_left
       (fun a (w : Telemetry.Window.t) -> a + w.Telemetry.Window.ops)
-      0 series.Telemetry.Series.windows
+      0 windows
   in
   check_bool "sum of kept windows undercounts" true
-    (sum < series.Telemetry.Series.total_ops)
+    (sum < Telemetry.Sampler.total_ops s);
+  check_bool "the pooled sample keeps dropped windows" true
+    (Option.map
+       (fun st -> st.Telemetry.Stats.count)
+       (Telemetry.Sampler.latency s)
+    = Some 10)
 
 let test_sampler_finish_is_final () =
   let now = ref 0.0 in
@@ -327,8 +345,8 @@ let test_sampler_finish_is_final () =
 (* --- openmetrics ----------------------------------------------------------- *)
 
 let test_openmetrics_roundtrip () =
-  let series, c = scripted_run () in
-  let text = Telemetry.Openmetrics.render ~series c in
+  let sampler, c = scripted_run () in
+  let text = Telemetry.Openmetrics.render ~sampler c in
   (match Telemetry.Openmetrics.lint text with
   | Ok n -> check_bool "lint counts samples" true (n > 0)
   | Error e -> Alcotest.failf "lint rejected render output: %s" e);

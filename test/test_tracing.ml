@@ -156,6 +156,26 @@ let test_json_numbers () =
         (Json.parse s = Ok (Json.Num v)))
     [ 1.0 /. 81.0; 33.609640474436816; 1e21; -0.0; 1234.567; 5e-324 ]
 
+let test_json_unicode () =
+  let fffd = "\xEF\xBF\xBD" in
+  List.iter
+    (fun (s, v) ->
+      check_bool (Printf.sprintf "%s reads as %S" s v) true
+        (Json.parse s = Ok (Json.Str v)))
+    [
+      ({|"\u00e9"|}, "\xC3\xA9");
+      ({|"\ud83d\ude00"|}, "\xF0\x9F\x98\x80");
+      ({|"\ud83d"|}, fffd);
+      ({|"\ude00"|}, fffd);
+      ({|"\ude00\ud83d"|}, fffd ^ fffd);
+      ({|"\ud83dx"|}, fffd ^ "x");
+    ];
+  check_bool "a truncated low half is rejected" true
+    (Result.is_error (Json.parse {|"\ud83d\ude0"|}));
+  let emoji = "\xF0\x9F\x98\x80" in
+  check_bool "the printer's emoji reads back" true
+    (Json.parse (Json.to_string (Json.Str emoji)) = Ok (Json.Str emoji))
+
 (* --- simulator: observer feed, save -> load -> replay byte identity ---------- *)
 
 (* The scan workload with span annotations, parameterized by the journal
@@ -631,6 +651,7 @@ let () =
             test_text_roundtrip_structural;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "JSON number grammar" `Quick test_json_numbers;
+          Alcotest.test_case "JSON unicode escapes" `Quick test_json_unicode;
         ] );
       ( "simulator",
         [

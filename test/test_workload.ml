@@ -56,6 +56,59 @@ let test_agreement_inputs_span_delta () =
   check_bool "others inside" true
     (Array.for_all (fun x -> x >= 0.0 && x <= 100.0) inputs)
 
+(* --- traffic front-end ------------------------------------------------------ *)
+
+(* [n] operations on keys k0000, k0001, ... through [Traffic.drive]
+   against recording closures; returns the sampler, the submitted keys
+   and the size of each flush, in order. *)
+let traffic_run ?loop ?flush_every n =
+  let sampler =
+    Telemetry.Sampler.create
+      ~counters:(Telemetry.Counters.create ~procs:1 ())
+      ()
+  in
+  let submitted = ref [] and pending = ref 0 and flushes = ref [] in
+  Workload.Traffic.drive ~sampler ?loop ?flush_every
+    ~ops:(List.init n (fun i -> (Workload.key_name i, i)))
+    ~submit:(fun key _ ->
+      submitted := key :: !submitted;
+      incr pending)
+    ~flush:(fun () ->
+      flushes := !pending :: !flushes;
+      pending := 0)
+    ();
+  (sampler, List.rev !submitted, List.rev !flushes)
+
+let test_traffic_closed_loop () =
+  let sampler, submitted, flushes = traffic_run ~flush_every:3 10 in
+  check_bool "submissions in order" true
+    (submitted = List.init 10 Workload.key_name);
+  check_bool "flushes hold 3, 3, 3, 1" true (flushes = [ 3; 3; 3; 1 ]);
+  check_int "sampler total" 10 (Telemetry.Sampler.total_ops sampler);
+  match Telemetry.Sampler.latency sampler with
+  | None -> Alcotest.fail "no latency filed"
+  | Some st ->
+      check_int "pooled count" 10 st.Telemetry.Stats.count;
+      check_bool "latencies non-negative" true (st.Telemetry.Stats.min >= 0)
+
+let test_traffic_open_loop_and_guards () =
+  let sampler, _, _ =
+    traffic_run ~loop:(Workload.Traffic.Open { rate = 1e5 }) 20
+  in
+  check_int "open loop files every op" 20
+    (Telemetry.Sampler.total_ops sampler);
+  let rejected f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  check_bool "flush_every 0 rejected" true
+    (rejected (fun () -> traffic_run ~flush_every:0 1));
+  List.iter
+    (fun rate ->
+      check_bool (Printf.sprintf "rate %g rejected" rate) true
+        (rejected (fun () ->
+             traffic_run ~loop:(Workload.Traffic.Open { rate }) 1)))
+    [ 0.; Float.nan ]
+
 let incr_program ~rounds () =
   let regs = Array.init 4 (fun _ -> Pram.Memory.Sim.create 0) in
   fun pid ->
@@ -187,5 +240,12 @@ let () =
           Alcotest.test_case "finds ordering bug" `Quick
             test_pct_finds_ordering_bug;
           QCheck_alcotest.to_alcotest qcheck_pct_preserves_correct_algorithms;
+        ] );
+      ( "traffic",
+        [
+          Alcotest.test_case "closed loop flushes and files" `Quick
+            test_traffic_closed_loop;
+          Alcotest.test_case "open loop and guards" `Quick
+            test_traffic_open_loop_and_guards;
         ] );
     ]
