@@ -342,8 +342,9 @@ let explore_cmd =
       & info [ "procs" ] ~docv:"N"
           ~doc:
             "Process count for the naive-collect fixture (N-1 updaters \
-             vs 1 snapshotter, 2..8).  The atomic-snapshot fixture stays \
-             at 2 processes.")
+             vs 1 snapshotter, 3..8; the collect needs two updaters to \
+             go wrong).  The atomic-snapshot fixture stays at 2 \
+             processes.")
   in
   let shrink_flag =
     Arg.(
@@ -384,7 +385,12 @@ let explore_cmd =
   in
   let run way seed samples bias b_pre jobs procs shrink
       max_schedules trace_out replay =
-    if procs < 2 || procs > 8 then `Error (false, "--procs must be in 2..8")
+    if procs = 2 then
+      `Error
+        ( false,
+          "--procs 2 leaves the naive collect one updater, and it needs two \
+           updaters to go wrong; use 3..8" )
+    else if procs < 3 || procs > 8 then `Error (false, "--procs must be in 3..8")
     else begin
       let way =
         match way with

@@ -37,19 +37,17 @@
      violations living purely in the real-time order of independent
      accesses.
 
+   Both systematic ways are one depth-first walker ([walk]): [Naive] is
+   the walk without reduction, [Systematic] the walk with it.
    Systematic search is parallel across domains: the schedule tree is
-   partitioned into a deterministic frontier of prefixes (naive full
-   branching with sleep-set seeding — each frontier node inherits the
-   sleep entries of its already-covered left siblings, the standard
-   Godefroid argument), and each subtree is explored by an independent
-   DPOR instance whose backtrack points are clamped to the subtree
-   (races reaching into the frozen prefix are ignored: the frontier
-   already enumerates every enabled, non-slept choice at those depths).
-   The frontier shape is independent of [jobs], so coverage counts and
-   failures are identical for any job count.  Random ways shard their
-   sample indices the same way; each sample's RNG is seeded by
-   (seed, index), so the set of sampled schedules is also independent of
-   the sharding.
+   partitioned into a deterministic frontier of prefixes, expanded
+   breadth-first under the walker's own dependency and sleep rules, and
+   each subtree is walked as an independent task whose backtrack points
+   are clamped to the subtree.  The frontier shape is independent of
+   [jobs], so coverage counts and failures are identical for any job
+   count.  Random ways shard their sample indices the same way; each
+   sample's RNG is seeded by (seed, index), so the set of sampled
+   schedules is also independent of the sharding.
 
    Soundness caveat (inherent to any POR): DPOR preserves properties
    that are invariant under commuting independent accesses.  Final
@@ -62,13 +60,10 @@
    the ground truth; the test suite compares both ways on the paper's
    algorithms.
 
-   The enumeration replays the whole prefix for each extension, costing
-   O(length) per node; the first child of every node consumes the
-   current driver, so the leftmost spine is never replayed.  A program
-   is [unit -> 'r run]: every driver the explorer creates starts its own
-   run, which allocates that execution's registers and whatever state
-   its check reads, and each leaf is judged by the check of the run
-   that started its driver. *)
+   A program is [unit -> 'r run]: every driver the explorer creates
+   starts its own run, which allocates that execution's registers and
+   whatever state its check reads, and each leaf is judged by the check
+   of the run that started its driver. *)
 
 (* --- ways and bounds -------------------------------------------------------- *)
 
@@ -243,148 +238,133 @@ let with_run program start =
 
 let start ~procs program = with_run program (Driver.create ~procs)
 
-(* --- naive exhaustive DFS ------------------------------------------------- *)
+(* A fresh run of [program] with the encoded actions [acts] applied in
+   order: how the walker rebuilds a node for each child after the first,
+   and how the frontier reaches its prefixes. *)
+let replay ~procs program acts =
+  let ((_, d) as rd) = start ~procs program in
+  List.iter (fun a -> apply_action d a) acts;
+  rd
 
-let naive ~max_schedules ~max_crashes ~procs program =
-  let explored = ref 0 in
-  let pending = ref 0 in
-  let failures = ref [] in
-  let replay actions_rev =
-    let run, d = start ~procs program in
-    List.iter (fun a -> apply_action d a) (List.rev actions_rev);
-    (run, d)
-  in
-  let rec dfs actions_rev (run, d) crashes_used =
-    if !explored >= max_schedules then incr pending
-    else
-      match Driver.runnable_list d with
-      | [] ->
-          incr explored;
-          let sched = List.rev actions_rev in
-          if not (run.check d sched) then failures := sched :: !failures
-      | first :: rest ->
-          (* the first child consumes [d]; every other child replays the
-             prefix on a fresh run *)
-          Driver.step d first;
-          dfs (first :: actions_rev) (run, d) crashes_used;
-          List.iter
-            (fun p ->
-              if !explored >= max_schedules then incr pending
-              else begin
-                let ((_, d') as rd) = replay actions_rev in
-                Driver.step d' p;
-                dfs (p :: actions_rev) rd crashes_used
-              end)
-            rest;
-          if crashes_used < max_crashes then
-            List.iter
-              (fun p ->
-                if !explored >= max_schedules then incr pending
-                else begin
-                  let ((_, d') as rd) = replay actions_rev in
-                  Driver.crash d' p;
-                  dfs ((-1 - p) :: actions_rev) rd (crashes_used + 1)
-                end)
-              (first :: rest)
-  in
-  dfs [] (start ~procs program) 0;
-  {
-    explored = !explored;
-    failures = List.rev !failures;
-    failure_tags = [];
-    truncated = !pending > 0;
-    pending = !pending;
-    way = Way.Naive;
-    coverage =
-      {
-        cov_explored = !explored;
-        cov_pruned = 0;
-        cov_sampled = 0;
-        cov_tasks = 1;
-      };
-  }
+(* --- the schedule-tree walker ----------------------------------------------
 
-(* --- DPOR with sleep sets --------------------------------------------------
+   [walk] is the one depth-first traversal of the schedule tree; both
+   systematic ways run it.  A node is a driver at the state its path
+   reaches.  The node's first child consumes that driver and every later
+   child [replay]s the path on a fresh run, costing O(length) per child;
+   the leftmost spine is never replayed.  Four rules decide the tree,
+   each written once and shared with the frontier ([expand_frontier]):
+   [dependent] (the conflict relation), [wake] (sleep inheritance),
+   [preempts_after]/[within] (the pre-emption bound) and [replay].
 
-   The classic recursion of Flanagan-Godefroid, adapted to replay-based
-   state reconstruction:
+   [Way.Naive] walks without reduction: every runnable process branches,
+   nothing sleeps, and while [max_crashes] lasts a crash of each runnable
+   process branches too.  [Way.Systematic] walks as the classic recursion
+   of Flanagan-Godefroid, adapted to replay-based state reconstruction:
 
-   - Every executed access gets a FRAME carrying its vector clock (the
+   - Every fired event gets a FRAME carrying its vector clock (the
      happens-before closure of program order plus dependent-access
      order).  A write to a register dominates every earlier access to
      it, so per-register clock bookkeeping reduces to "join the last
      write, plus the reads since it when writing".
 
-   - At each node, for every enabled process p whose next access is
-     known, find the most recent prefix event e that is dependent with
-     it and NOT happens-before p's next access: the two are a race, so
-     the state before e must also try p ([backtrack] sets, keyed by
-     depth, mutated by descendants).
+   - At each node, for every enabled process p, find the most recent
+     path event e that is dependent with p's next event and NOT
+     happens-before it: the two are a race, so the state before e must
+     also try p (backtrack sets, keyed by depth, mutated by
+     descendants).
 
-   - Sleep sets: a process whose next transition was already explored
-     from an ancestor stays asleep (its schedules are redundant) until a
-     dependent access wakes it.  A node all of whose enabled transitions
-     sleep is pruned without counting.
+   - Sleep sets: a process whose next event was already explored from an
+     ancestor stays asleep (its schedules are redundant) until a
+     dependent event wakes it.  A node all of whose enabled processes
+     sleep is pruned.
+
+   - The bounds filter branches: a step outside them is counted as
+     pruned and NOT put to sleep for its siblings (it was cut, not
+     covered).  A bounded walk is therefore sound for bug finding (every
+     visited execution is real) but not exhaustive.
+
+   - A frontier task's frozen prefix is walked one forced step per node,
+     with no branch point and so no backtrack set: races whose pre-state
+     lies in it are ignored, which is sound only because the frontier
+     makes a sibling task of every enabled, non-slept choice at those
+     depths.  A prefix outside the bounds makes the whole task one pruned
+     branch.
 
    Lookahead never forces an unstarted process (that would run its
-   prologue earlier than the naive explorer does, perturbing recorded
-   histories): an unstarted process's next access is Unknown and treated
-   as dependent with everything — conservative, which is always sound
+   prologue earlier than the naive walk does, perturbing recorded
+   histories): an unstarted process's next event is [Unknown] and treated
+   as dependent with every access — conservative, which is always sound
    for DPOR. *)
 
-type pend =
-  | P_unknown  (* process not started: next access unknown *)
-  | P_done  (* process will complete without another access *)
-  | P_acc of Trace.kind * int
+type event =
+  | Unknown  (* not started: finding out would run its prologue *)
+  | Done  (* completes without another access *)
+  | Access of Trace.kind * int  (* kind and register id *)
+
+(* Two events conflict iff they touch the same register and at least one
+   writes it.  A [Done] step touches nothing; an [Unknown] one may touch
+   anything. *)
+let dependent a b =
+  match (a, b) with
+  | Done, _ | _, Done -> false
+  | Unknown, _ | _, Unknown -> true
+  | Access (ka, ra), Access (kb, rb) ->
+      ra = rb && (ka = Trace.Write || kb = Trace.Write)
+
+(* Sleep inheritance: the entries (pid, next event) of [sleep] that stay
+   asleep once event [e] fires — those independent of it. *)
+let wake sleep e = List.filter (fun (_, e') -> not (dependent e' e)) sleep
+
+(* [p]'s next event, starting [p] if it has not started.  Used only on
+   the process about to step (or on the frontier's throwaway replicas),
+   so a checked execution's prologue still runs immediately before its
+   first step fires — the same instant the naive walk would run it. *)
+let next_event d p =
+  match Driver.pending d p with
+  | Some v -> Access (v.Driver.v_kind, v.Driver.v_reg_id)
+  | None -> Done
+
+(* [p]'s next event as far as it is known without starting [p]. *)
+let peek d p =
+  match Driver.lookahead d p with
+  | Driver.Lk_unknown -> Unknown
+  | Driver.Lk_done -> Done
+  | Driver.Lk_access v -> Access (v.Driver.v_kind, v.Driver.v_reg_id)
+
+(* The pre-emption count once [p] steps from a node whose runnable
+   processes are the bitmask [enabled], when the previous step was by
+   [last] ([-1] at the root) after [preempts] pre-emptions: a step
+   pre-empts when it switches away from a [last] that is still
+   runnable. *)
+let preempts_after ~enabled ~last ~preempts p =
+  if last >= 0 && p <> last && enabled land (1 lsl last) <> 0 then preempts + 1
+  else preempts
+
+(* Whether a step that takes the pre-emption count from [preempts] to
+   [n] stays within [bounds]; one that pre-empts nothing always does. *)
+let within bounds ~preempts n =
+  n = preempts
+  || match bounds.Bounds.bd_preempt with None -> true | Some k -> n <= k
 
 type frame = {
   f_pid : int;
-  f_kind : Trace.kind option;  (* None: free completion step *)
-  f_reg : int;
+  f_event : event;  (* what fired: [Done] or an [Access] *)
   f_clock : int array;
-  f_pidx : int;  (* 1-based index among f_pid's accesses *)
+  f_pidx : int;  (* 1-based index among f_pid's events *)
 }
 
-let lookahead_pend d p =
-  match Driver.lookahead d p with
-  | Driver.Lk_unknown -> P_unknown
-  | Driver.Lk_done -> P_done
-  | Driver.Lk_access pv -> P_acc (pv.Driver.v_kind, pv.Driver.v_reg_id)
-
-(* Forces the process to start if needed; only used on the process
-   about to be stepped (or, in frontier expansion, on a throwaway
-   replica driver), so prologues of the checked execution still run at
-   step time. *)
-let pend_exact d p =
-  match Driver.pending d p with
-  | Some pv -> P_acc (pv.Driver.v_kind, pv.Driver.v_reg_id)
-  | None -> P_done
-
-let dependent_fp f pe =
-  match (f.f_kind, pe) with
-  | None, _ -> false
-  | Some _, P_unknown -> true
-  | Some _, P_done -> false
-  | Some fk, P_acc (pk, preg) ->
-      f.f_reg = preg && (fk = Trace.Write || pk = Trace.Write)
-
-let dependent_pp a b =
-  match (a, b) with
-  | P_unknown, _ | _, P_unknown -> true
-  | P_done, _ | _, P_done -> false
-  | P_acc (ka, ra), P_acc (kb, rb) ->
-      ra = rb && (ka = Trace.Write || kb = Trace.Write)
+let rec mask = function [] -> 0 | p :: ps -> (1 lsl p) lor mask ps
 
 let popcount m =
   let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
   go m 0
 
 let lowest_bit m =
-  let rec go i = if m land (1 lsl i) <> 0 then i else go (i + 1) in
-  go 0
+  let rec go m i = if m land 1 <> 0 then i else go (m lsr 1) (i + 1) in
+  go m 0
 
-(* Per-task result of a (possibly bounded, possibly prefix-rooted)
-   DPOR exploration. *)
+(* Per-task result of one walk. *)
 type task_result = {
   t_explored : int;
   t_pruned : int;
@@ -392,265 +372,187 @@ type task_result = {
   t_failures : int list list;  (* in discovery order *)
 }
 
-(* One DPOR exploration rooted at [prefix] with initial sleep set
-   [init_sleep], filtered by [bounds].
-
-   - [prefix] is replayed first (building its happens-before frames);
-     backtrack points that race detection would place INSIDE the prefix
-     are ignored — sound only because the caller (the frontier
-     expansion in [search]) guarantees every enabled, non-slept choice
-     at those depths is covered by a sibling task.
-
-   - [bounds] is applied as a branch filter: at each node the set of
-     in-bounds continuations is computed from the node state; branches
-     outside it are counted in [t_pruned] and NOT added to sibling
-     sleep sets (they were cut, not covered).
-
-   A bounded search is therefore sound for bug finding (every visited
-   execution is real) but not exhaustive. *)
-let dpor_task ~bounds ~max_schedules ~procs ~program ~prefix ~init_sleep =
-  let explored = ref 0 in
-  let pruned = ref 0 in
-  let pending_ctr = ref 0 in
+(* One walk of the subtree below [prefix], whose root sleeps on [sleep],
+   with the reduction [way] asks for.  [max_schedules] bounds the leaves
+   it checks. *)
+let walk ~way ~max_schedules ~max_crashes ~procs ~program ~prefix ~sleep =
+  let reduce, bounds =
+    match way with
+    | Way.Systematic b -> (true, b)
+    | Way.Naive | Way.Uniform _ | Way.Weighted _ -> (false, Bounds.none)
+  in
+  let explored = ref 0 and pruned = ref 0 and pending = ref 0 in
   let failures = ref [] in
   (* backtrack set, entry sleep set and enabled set (bitmasks of pids)
-     of the node at each depth of the current DFS path; depths inside
-     the frozen prefix have no entry *)
+     of the branch point at each depth of the current path *)
   let bt : (int, int ref * int * int) Hashtbl.t = Hashtbl.create 64 in
   let zero = Array.make procs 0 in
-  let clock_of_proc frames_rev p =
-    match List.find_opt (fun f -> f.f_pid = p) frames_rev with
-    | Some f -> f.f_clock
-    | None -> zero
-  in
-  let count_proc frames_rev p =
-    List.fold_left (fun n f -> if f.f_pid = p then n + 1 else n) 0 frames_rev
-  in
-  let join_into c other =
-    for i = 0 to procs - 1 do
-      if other.(i) > c.(i) then c.(i) <- other.(i)
-    done
-  in
-  (* vector clock of the access (p, pe) about to execute after frames_rev *)
-  let event_clock frames_rev p pe =
-    let c = Array.copy (clock_of_proc frames_rev p) in
-    (match pe with
-    | P_unknown | P_done -> ()
-    | P_acc (k, reg) ->
+  let own frames p = List.find_opt (fun f -> f.f_pid = p) frames in
+  (* the frame of [p]'s event [e] firing after [frames] (newest first) *)
+  let push frames p e =
+    let c, pidx =
+      match own frames p with
+      | Some f -> (Array.copy f.f_clock, f.f_pidx + 1)
+      | None -> (Array.copy zero, 1)
+    in
+    let join other =
+      for i = 0 to procs - 1 do
+        if other.(i) > c.(i) then c.(i) <- other.(i)
+      done
+    in
+    (match e with
+    | Access (k, reg) ->
         let rec scan = function
           | [] -> ()
-          | f :: rest -> (
-              if f.f_reg <> reg then scan rest
-              else
-                match f.f_kind with
-                | Some Trace.Write ->
-                    (* dominates every earlier access to this register *)
-                    join_into c f.f_clock
-                | Some Trace.Read ->
-                    if k = Trace.Write then join_into c f.f_clock;
-                    scan rest
-                | None -> scan rest)
+          | { f_event = Access (Trace.Write, r); f_clock; _ } :: _ when r = reg
+            ->
+              join f_clock
+          | { f_event = Access (Trace.Read, r); f_clock; _ } :: rest
+            when r = reg ->
+              if k = Trace.Write then join f_clock;
+              scan rest
+          | _ :: rest -> scan rest
         in
-        scan frames_rev);
-    c.(p) <- count_proc frames_rev p + 1;
-    c
+        scan frames
+    | Unknown | Done -> ());
+    c.(p) <- pidx;
+    { f_pid = p; f_event = e; f_clock = c; f_pidx = pidx }
   in
-  (* the frame of the access (p, pe) about to execute after frames_rev *)
-  let frame_of frames_rev p pe =
-    {
-      f_pid = p;
-      f_kind =
-        (match pe with P_acc (k, _) -> Some k | P_unknown | P_done -> None);
-      f_reg = (match pe with P_acc (_, r) -> r | P_unknown | P_done -> -1);
-      f_clock = event_clock frames_rev p pe;
-      f_pidx = count_proc frames_rev p + 1;
-    }
-  in
-  (* Race detection: for each enabled p, the most recent prefix event
-     that is dependent with p's next access, by a different process, and
-     not ordered before it by happens-before, marks a backtrack point at
-     its pre-state.  If p is asleep there, adding p would run nothing
-     new, and the races that running p first would expose are never
-     seen — so the pre-state backtracks on every enabled process
-     instead (a full sleep-set search of that node).  Races whose
-     pre-state lies in the frozen prefix (no bt entry) are ignored:
-     sibling frontier tasks cover them. *)
-  let add_backtracks frames_rev pendings =
-    List.iter
-      (fun (p, pe) ->
-        match pe with
-        | P_done -> ()
-        | P_unknown | P_acc _ ->
-            let cp = clock_of_proc frames_rev p in
-            let rec scan i = function
-              | [] -> ()
-              | f :: rest ->
-                  if
-                    f.f_pid <> p && dependent_fp f pe
-                    && cp.(f.f_pid) < f.f_pidx
-                  then (
-                    match Hashtbl.find_opt bt i with
-                    | Some (r, sleep, enabled) ->
-                        r :=
-                          !r
-                          lor
-                          if sleep land (1 lsl p) <> 0 then enabled
-                          else 1 lsl p
-                    | None -> ())
-                  else scan (i - 1) rest
-            in
-            scan (List.length frames_rev - 1) frames_rev)
-      pendings
-  in
-  (* Bitmask of processes whose step from this node keeps the schedule
-     within [bounds].  [last] is the previously stepped pid (-1 at the
-     root), [preempts] the pre-emption count so far. *)
-  let allowed_mask d ~last ~preempts runnable =
-    let step_allowed p =
-      match bounds.Bounds.bd_preempt with
-      | Some k ->
-          let is_pre = last >= 0 && last <> p && Driver.runnable d last in
-          (not is_pre) || preempts < k
-      | None -> true
+  (* Race detection for enabled [p] with next event [e] at [depth]: the
+     most recent path event dependent with [e], by another process and
+     not happens-before it, marks a backtrack point at its pre-state.  If
+     [p] is asleep there, adding [p] would run nothing new, and the races
+     that running [p] first would expose are never seen — so the
+     pre-state backtracks on every enabled process instead (a full
+     sleep-set search of that node). *)
+  let race frames depth p e =
+    let cp = match own frames p with Some f -> f.f_clock | None -> zero in
+    let rec scan i = function
+      | [] -> ()
+      | f :: rest ->
+          if f.f_pid <> p && dependent f.f_event e && cp.(f.f_pid) < f.f_pidx
+          then (
+            match Hashtbl.find_opt bt i with
+            | Some (todo, asleep, enabled) ->
+                todo :=
+                  !todo
+                  lor if asleep land (1 lsl p) <> 0 then enabled else 1 lsl p
+            | None -> ())
+          else scan (i - 1) rest
     in
-    List.fold_left
-      (fun m p -> if step_allowed p then m lor (1 lsl p) else m)
-      0 runnable
+    scan (depth - 1) frames
   in
-  (* sleep: assoc list (pid, its sleeping transition); pends of sleeping
-     processes cannot change while they sleep (they never step). *)
-  let rec explore depth frames_rev (run, d) sleep ~last ~preempts =
-    if !explored >= max_schedules then incr pending_ctr
-    else
-      match Driver.runnable_list d with
-      | [] ->
-          incr explored;
-          let sched = List.rev_map (fun f -> f.f_pid) frames_rev in
-          if not (run.check d sched) then failures := sched :: !failures
-      | runnable ->
-          let pendings =
-            List.map
-              (fun p ->
-                match List.assoc_opt p sleep with
-                | Some pe -> (p, pe)
-                | None -> (p, lookahead_pend d p))
-              runnable
-          in
-          add_backtracks frames_rev pendings;
-          let enabled_mask =
-            List.fold_left (fun m p -> m lor (1 lsl p)) 0 runnable
-          in
-          let sleep_mask =
-            List.fold_left (fun m (q, _) -> m lor (1 lsl q)) 0 sleep
-          in
-          if enabled_mask land lnot sleep_mask = 0 then
-            (* sleep-blocked: every continuation reorders independent
-               accesses of an execution already explored — prune *)
-            incr pruned
-          else begin
-            (* bound filter, computed once from the node state (before
-               the first child consumes [d]) *)
-            let am =
-              if Bounds.is_none bounds then enabled_mask
-              else allowed_mask d ~last ~preempts runnable
-            in
-            let my_bt = ref 0 in
-            Hashtbl.replace bt depth (my_bt, sleep_mask, enabled_mask);
-            let p0 =
-              List.find (fun p -> sleep_mask land (1 lsl p) = 0) runnable
-            in
-            my_bt := 1 lsl p0;
-            let slept = ref sleep in
-            let slept_mask = ref sleep_mask in
-            let consumed = ref false in
-            let rec loop () =
-              let avail = !my_bt land lnot !slept_mask land enabled_mask in
-              if avail <> 0 then
-                if !explored >= max_schedules then
-                  pending_ctr := !pending_ctr + popcount avail
-                else begin
-                  let p = lowest_bit avail in
-                  if am land (1 lsl p) = 0 then begin
-                    (* out of bounds: cut the branch.  Masked out of
-                       this node's loop but NOT added to the sleep
-                       list — sleeping means "already covered", and a
-                       bound-pruned branch was not. *)
-                    incr pruned;
-                    slept_mask := !slept_mask lor (1 lsl p);
-                    loop ()
-                  end
-                  else begin
-                    let ((_, d') as rd) =
-                      if not !consumed then begin
-                        consumed := true;
-                        (run, d)
-                      end
-                      else begin
-                        let ((_, d') as rd) = start ~procs program in
-                        List.iter
-                          (fun f -> Driver.step d' f.f_pid)
-                          (List.rev frames_rev);
-                        rd
-                      end
-                    in
-                    (* exact lookahead for the chosen process only: if it
-                       was unstarted this runs its prologue, immediately
-                       before its first step fires — the same instant the
-                       naive explorer would *)
-                    let pe = pend_exact d' p in
-                    let child_sleep =
-                      List.filter
-                        (fun (_, pq) -> not (dependent_pp pq pe))
-                        !slept
-                    in
-                    let frame = frame_of frames_rev p pe in
-                    let is_pre =
-                      last >= 0 && last <> p && Driver.runnable d' last
-                    in
-                    Driver.step d' p;
-                    explore (depth + 1) (frame :: frames_rev) rd child_sleep
-                      ~last:p
-                      ~preempts:(preempts + if is_pre then 1 else 0);
-                    slept := (p, pe) :: !slept;
-                    slept_mask := !slept_mask lor (1 lsl p);
-                    loop ()
-                  end
-                end
-            in
-            loop ();
-            Hashtbl.remove bt depth
-          end
+  (* [p]'s next event, looked up only when reducing *)
+  let event d p = if reduce then next_event d p else Done in
+  (* a driver at the state [acts] reaches: [rd] itself while [fresh] *)
+  let at fresh rd acts =
+    if fresh then rd else replay ~procs program (List.rev acts)
   in
-  (* Replay the frozen prefix, building its frames and bound state.
-     A prefix that itself violates the bounds makes the whole task one
-     pruned branch. *)
-  let ((_, d0) as rd0) = start ~procs program in
-  let rec replay_prefix frames_rev last preempts = function
-    | [] -> Some (frames_rev, last, preempts)
-    | p :: rest ->
-        let runnable = Driver.runnable_list d0 in
-        let in_bounds =
-          Bounds.is_none bounds
-          || allowed_mask d0 ~last ~preempts runnable land (1 lsl p) <> 0
-        in
-        if (not (Driver.runnable d0 p)) || not in_bounds then None
-        else begin
-          let frame = frame_of frames_rev p (pend_exact d0 p) in
-          let is_pre = last >= 0 && last <> p && Driver.runnable d0 last in
-          Driver.step d0 p;
-          replay_prefix (frame :: frames_rev) p
-            (preempts + if is_pre then 1 else 0)
-            rest
+  (* [acts]: the path's encoded actions, newest first; [frames]: their
+     frames (reduction only); [forced]: what is left of the frozen
+     prefix *)
+  let rec node depth acts frames ((run, d) as rd) ~forced ~sleep ~last
+      ~preempts ~crashes =
+    match forced with
+    | p :: forced ->
+        let enabled = mask (Driver.runnable_list d) in
+        let n = preempts_after ~enabled ~last ~preempts p in
+        if enabled land (1 lsl p) <> 0 && within bounds ~preempts n then
+          child depth acts frames rd p (event d p) ~forced ~sleep ~preempts:n
+            ~crashes
+        else incr pruned
+    | [] -> (
+        if !explored >= max_schedules then incr pending
+        else
+          match Driver.runnable_list d with
+          | [] ->
+              incr explored;
+              let sched = List.rev acts in
+              if not (run.check d sched) then failures := sched :: !failures
+          | runnable ->
+              branch depth acts frames rd runnable ~sleep ~last ~preempts
+                ~crashes)
+  (* Step [p], whose next event is [e], on [rd], a driver at the parent's
+     state, and walk the child, which sleeps on [sleep]. *)
+  and child depth acts frames ((_, d) as rd) p e ~forced ~sleep ~preempts
+      ~crashes =
+    let frames = if reduce then push frames p e :: frames else frames in
+    Driver.step d p;
+    node (depth + 1) (p :: acts) frames rd ~forced ~sleep ~last:p ~preempts
+      ~crashes
+  and branch depth acts frames ((_, d) as rd) runnable ~sleep ~last ~preempts
+      ~crashes =
+    let enabled = mask runnable in
+    let asleep = mask (List.map fst sleep) in
+    if reduce then
+      List.iter
+        (fun p ->
+          race frames depth p
+            (match List.assoc_opt p sleep with Some e -> e | None -> peek d p))
+        runnable;
+    if enabled land lnot asleep = 0 then
+      (* sleep-blocked: every continuation reorders independent events of
+         an execution already explored *)
+      incr pruned
+    else begin
+      (* the naive walk tries every process; DPOR starts from the lowest
+         awake one and lets races add the rest *)
+      let todo =
+        ref
+          (if reduce then
+             1 lsl List.find (fun p -> asleep land (1 lsl p) = 0) runnable
+           else enabled)
+      in
+      if reduce then Hashtbl.replace bt depth (todo, asleep, enabled);
+      let crash_todo = ref (if crashes < max_crashes then enabled else 0) in
+      (* [closed]: tried, cut or asleep on entry; [slept]: the sleep set
+         the next step child inherits from; [fresh]: no child has
+         consumed [rd] yet *)
+      let closed = ref asleep and slept = ref sleep and fresh = ref true in
+      let more = ref true in
+      while !more do
+        let steps = !todo land lnot !closed land enabled in
+        if steps lor !crash_todo = 0 then more := false
+        else if !explored >= max_schedules then begin
+          pending := !pending + popcount steps + popcount !crash_todo;
+          more := false
         end
+        else if steps <> 0 then begin
+          let p = lowest_bit steps in
+          closed := !closed lor (1 lsl p);
+          let n = preempts_after ~enabled ~last ~preempts p in
+          if within bounds ~preempts n then begin
+            let ((_, d') as rd') = at !fresh rd acts in
+            fresh := false;
+            let e = event d' p in
+            child depth acts frames rd' p e ~forced:[]
+              ~sleep:(if reduce then wake !slept e else [])
+              ~preempts:n ~crashes;
+            if reduce then slept := (p, e) :: !slept
+          end
+          else
+            (* cut, not covered: it stays awake for its siblings *)
+            incr pruned
+        end
+        else begin
+          let p = lowest_bit !crash_todo in
+          crash_todo := !crash_todo land lnot (1 lsl p);
+          let ((_, d') as rd') = at !fresh rd acts in
+          fresh := false;
+          Driver.crash d' p;
+          node (depth + 1) ((-1 - p) :: acts) frames rd' ~forced:[] ~sleep:[]
+            ~last ~preempts ~crashes:(crashes + 1)
+        end
+      done;
+      if reduce then Hashtbl.remove bt depth
+    end
   in
-  (match replay_prefix [] (-1) 0 prefix with
-  | None -> incr pruned
-  | Some (frames_rev, last, preempts) ->
-      explore (List.length prefix) frames_rev rd0 init_sleep ~last ~preempts);
+  node 0 [] [] (start ~procs program) ~forced:prefix ~sleep ~last:(-1)
+    ~preempts:0 ~crashes:0;
   {
     t_explored = !explored;
     t_pruned = !pruned;
-    t_pending = !pending_ctr;
+    t_pending = !pending;
     t_failures = List.rev !failures;
   }
 
@@ -755,16 +657,20 @@ let run_tasks ~jobs tasks f =
   Array.map (function Some r -> r | None -> assert false) results
 
 (* Partition the schedule tree into a frontier of independent subtree
-   roots: naive full branching (all enabled, non-slept children of each
-   node, left to right) down to roughly [frontier_target] nodes.  Each
-   child's sleep set inherits the node's sleep plus its already-listed
-   left siblings — exactly the sequential sleep-set discipline, so a
-   subtree task may prune continuations whose traces a left-sibling
-   task covers.  Soundness does not require sibling tasks to run in
-   order: it only requires that the covering task exists in the same
-   search, which it does by construction (sleep-blocked nodes are the
-   only ones dropped, and their traces are covered by the siblings that
-   put their entries to sleep).
+   roots: the walker's branching without backtrack sets, breadth-first
+   (every awake process branches at each node, left to right) down to
+   roughly [frontier_target] nodes.  Each child sleeps on the node's
+   sleep set plus its already-listed left siblings, passed through
+   [wake] — exactly the sequential sleep-set discipline, so a subtree
+   task may prune continuations whose traces a left-sibling task covers.
+   Soundness does not require sibling tasks to run in order: it only
+   requires that the covering task exists in the same search, which it
+   does by construction (sleep-blocked nodes are the only ones dropped,
+   and their traces are covered by the siblings that put their entries
+   to sleep).  The expansion ignores the bounds: a child outside them
+   still sleeps in its right siblings, though its task then prunes it
+   whole, so a bounded search can lose in-bound traces that start with
+   a right sibling and take the cut child later.
 
    The expansion itself is pure partitioning — no checks run here; the
    replica drivers it creates are throwaways (forcing prologues on them
@@ -775,33 +681,24 @@ let frontier_depth_cap = 64
 let expand_frontier ~procs program =
   let pruned = ref 0 in
   let expand (prefix, sleep) =
-    let d = Driver.create ~procs (fun () -> (program ()).body) in
-    List.iter (fun p -> Driver.step d p) prefix;
+    let _, d = replay ~procs program prefix in
     match Driver.runnable_list d with
     | [] -> `Leaf
     | runnable -> (
-        let non_slept =
-          List.filter (fun p -> not (List.mem_assoc p sleep)) runnable
-        in
-        match non_slept with
+        match List.filter (fun p -> not (List.mem_assoc p sleep)) runnable with
         | [] ->
             incr pruned;
             `Blocked
-        | _ ->
+        | awake ->
             let rec children acc earlier = function
               | [] -> List.rev acc
               | q :: rest ->
-                  let pe = pend_exact d q in
-                  let child_sleep =
-                    List.filter
-                      (fun (_, pq) -> not (dependent_pp pq pe))
-                      (sleep @ List.rev earlier)
-                  in
+                  let e = next_event d q in
                   children
-                    ((prefix @ [ q ], child_sleep) :: acc)
-                    ((q, pe) :: earlier) rest
+                    ((prefix @ [ q ], wake (sleep @ List.rev earlier) e) :: acc)
+                    ((q, e) :: earlier) rest
             in
-            `Children (children [] [] non_slept))
+            `Children (children [] [] awake))
   in
   let rec grow rounds actives leaves =
     if
@@ -829,36 +726,39 @@ let search ~way ?(jobs = 1) ?(max_schedules = 1_000_000) ?(max_crashes = 0)
     ~procs program =
   let jobs = max 1 jobs in
   match way with
-  | Way.Naive -> naive ~max_schedules ~max_crashes ~procs program
-  | Way.Systematic bounds ->
+  | Way.Naive | Way.Systematic _ ->
       if procs >= Sys.int_size - 1 then
-        invalid_arg "Explore.search: too many processes for the DPOR bitmask";
-      if max_crashes > 0 then
-        invalid_arg
-          "Explore.search: DPOR does not support crash injection; use \
-           Way.Naive or a random way";
-      let tasks, expansion_pruned = expand_frontier ~procs program in
+        invalid_arg "Explore.search: too many processes for the walker's bitmasks";
+      (* the naive way is one walk from the root; a systematic way walks
+         each frontier subtree as its own task *)
+      let tasks, expansion_pruned =
+        if way = Way.Naive then ([| ([], []) |], 0)
+        else begin
+          if max_crashes > 0 then
+            invalid_arg
+              "Explore.search: DPOR does not support crash injection; use \
+               Way.Naive or a random way";
+          expand_frontier ~procs program
+        end
+      in
       let results =
         run_tasks ~jobs tasks (fun (prefix, sleep) ->
             (* each subtree gets the full budget: a shared countdown
                would make results depend on worker timing *)
-            dpor_task ~bounds ~max_schedules ~procs ~program ~prefix
-              ~init_sleep:sleep)
+            walk ~way ~max_schedules ~max_crashes ~procs ~program ~prefix
+              ~sleep)
       in
-      let explored = Array.fold_left (fun a r -> a + r.t_explored) 0 results in
-      let pending = Array.fold_left (fun a r -> a + r.t_pending) 0 results in
-      let pruned =
-        expansion_pruned
-        + Array.fold_left (fun a r -> a + r.t_pruned) 0 results
-      in
-      let failures, failure_tags =
-        let pairs =
+      let sum f = Array.fold_left (fun a r -> a + f r) 0 results in
+      let explored = sum (fun r -> r.t_explored) in
+      let pending = sum (fun r -> r.t_pending) in
+      let failures = Array.to_list results |> List.concat_map (fun r -> r.t_failures) in
+      let failure_tags =
+        if way = Way.Naive then []
+        else
           Array.to_list results
           |> List.mapi (fun i r ->
-                 List.map (fun s -> (s, Printf.sprintf "task=%d" i)) r.t_failures)
+                 List.map (fun _ -> Printf.sprintf "task=%d" i) r.t_failures)
           |> List.concat
-        in
-        (List.map fst pairs, List.map snd pairs)
       in
       {
         explored;
@@ -870,7 +770,7 @@ let search ~way ?(jobs = 1) ?(max_schedules = 1_000_000) ?(max_crashes = 0)
         coverage =
           {
             cov_explored = explored;
-            cov_pruned = pruned;
+            cov_pruned = expansion_pruned + sum (fun r -> r.t_pruned);
             cov_sampled = 0;
             cov_tasks = Array.length tasks;
           };

@@ -173,7 +173,9 @@ val sample_schedule :
     complete concrete executions and so CAN catch real-time-order
     violations DPOR misses.
     @raise Invalid_argument for a [Systematic] way with
-    [max_crashes > 0]. *)
+    [max_crashes > 0], or a [Naive] or [Systematic] way with
+    [procs >= Sys.int_size - 1] (the walker keeps pid sets as
+    bitmasks). *)
 val search :
   way:Way.t ->
   ?jobs:int ->

@@ -23,7 +23,10 @@
      backend that bounded systematic and same-budget uniform sampling
      miss;
    - parallel determinism: jobs=1 and jobs=4 produce byte-identical
-     outcomes, counterexamples included. *)
+     outcomes, counterexamples included;
+   - exact counts: the census fixtures' explored, pruned and pending
+     counts under each way, budget and bound are pinned, so a change to
+     the walker's rules shows up as a changed number. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -451,14 +454,25 @@ module Torn_workload = Adaptive_set_workload (Torn_versioned)
 module Honest_workload = Adaptive_set_workload (Pram.Memory.Sim_v)
 
 let test_weighted_catches_torn_seqlock_read () =
-  (* The violation needs two well-placed preemptions — one per reader's
-     torn window — so each budgeted way sees a different face of it:
-     systematic search bounded to ONE preemption proves its bound clean
-     (and must account for the pruning); uniform sampling at a
-     64-schedule budget scatters its many preemptions and misses;
-     weighted near-serial sampling — few, deliberately placed switches —
-     lands on it within the same budget. *)
+  (* One pre-emption is enough for the violation: the maximal schedule
+     below switches away from a still-runnable process once (2 to 0),
+     and fails.  Yet systematic search bounded to ONE pre-emption
+     reports clean (and must account for the pruning), because bounded
+     DPOR does not visit every trace inside its bound and skips this
+     one; the two assertions side by side state that gap.  Uniform
+     sampling at a 64-schedule budget scatters its many pre-emptions and
+     misses; weighted near-serial sampling — few, deliberately placed
+     switches — lands on it within the same budget. *)
   let seed = 3 and budget = 64 in
+  let torn =
+    [ 2; 2; 2; 2; 0; 0; 1; 1 ]
+    @ List.init 11 (fun _ -> 2)
+    @ List.init 15 (fun _ -> 3)
+  in
+  let run = Set_scan_check.instance Torn_workload.program () in
+  let d = Pram.Driver.replay ~procs:4 (fun () -> run.E.body) torn in
+  check_bool "a one-preemption schedule is not linearizable" false
+    (run.E.check d torn);
   let bounded =
     Set_scan_check.search_check
       ~way:(E.Way.Systematic (E.Bounds.make ~preempt:1 ()))
@@ -598,6 +612,86 @@ let test_trace_class_census () =
       (snd (census prog))
   done
 
+(* --- exact walker counts -------------------------------------------------- *)
+
+(* The census fixtures' exact (explored, pruned, pending, truncated,
+   tasks) under each way, budget and bound.  A change to the walker's
+   dependency, sleep or bound rules shows up here as a changed count. *)
+let test_exact_counts () =
+  let sys ?preempt () = E.Way.Systematic (E.Bounds.make ?preempt ()) in
+  let counts ~way ?jobs ?max_schedules ?max_crashes prog =
+    let o =
+      E.search ~way ?jobs ?max_schedules ?max_crashes
+        ~procs:(Array.length prog)
+        (E.instance ~check:(fun _ _ -> true) (straight_line prog))
+    in
+    ( o.E.explored,
+      o.E.coverage.E.cov_pruned,
+      o.E.pending,
+      o.E.truncated,
+      o.E.coverage.E.cov_tasks )
+  in
+  let cases prog =
+    [
+      ("naive", counts ~way:E.Way.Naive prog);
+      ("naive, 7 schedules", counts ~way:E.Way.Naive ~max_schedules:7 prog);
+      ("naive, 1 crash", counts ~way:E.Way.Naive ~max_crashes:1 prog);
+      ("unbounded", counts ~way:(sys ()) prog);
+      ( "unbounded, 2 per task, jobs 1",
+        counts ~way:(sys ()) ~max_schedules:2 ~jobs:1 prog );
+      ( "unbounded, 2 per task, jobs 3",
+        counts ~way:(sys ()) ~max_schedules:2 ~jobs:3 prog );
+      ("preempt 0", counts ~way:(sys ~preempt:0 ()) prog);
+      ("preempt 1", counts ~way:(sys ~preempt:1 ()) prog);
+      ("preempt 3", counts ~way:(sys ~preempt:3 ()) prog);
+      ( "preempt 3, 2 per task, jobs 1",
+        counts ~way:(sys ~preempt:3 ()) ~max_schedules:2 ~jobs:1 prog );
+      ( "preempt 3, 2 per task, jobs 3",
+        counts ~way:(sys ~preempt:3 ()) ~max_schedules:2 ~jobs:3 prog );
+    ]
+  in
+  let expect name prog want =
+    List.iter2
+      (fun (case, (e, pr, pe, tr, ta)) (e', pr', pe', tr', ta') ->
+        let label = Printf.sprintf "fixture %s, %s" name case in
+        check_int (label ^ ": explored") e' e;
+        check_int (label ^ ": pruned") pr' pr;
+        check_int (label ^ ": pending") pe' pe;
+        check_bool (label ^ ": truncated") tr' tr;
+        check_int (label ^ ": tasks") ta' ta)
+      (cases prog) want
+  in
+  expect "A"
+    [| [ W 0; R 1 ]; [ W 1; R 0 ]; [ R 0; R 1 ] |]
+    [
+      (90, 0, 0, false, 1);
+      (7, 0, 6, true, 1);
+      (450, 0, 0, false, 1);
+      (11, 14, 0, false, 11);
+      (11, 14, 0, false, 11);
+      (11, 14, 0, false, 11);
+      (4, 21, 0, false, 11);
+      (7, 18, 0, false, 11);
+      (11, 14, 0, false, 11);
+      (11, 14, 0, false, 11);
+      (11, 14, 0, false, 11);
+    ];
+  expect "B"
+    [| [ W 0; R 1; W 1 ]; [ W 0; R 0; R 1 ]; [ R 1; W 0; R 1 ] |]
+    [
+      (1680, 0, 0, false, 1);
+      (7, 0, 8, true, 1);
+      (8820, 0, 0, false, 1);
+      (57, 35, 0, false, 51);
+      (42, 33, 17, true, 51);
+      (42, 33, 17, true, 51);
+      (1, 56, 0, false, 51);
+      (7, 54, 0, false, 51);
+      (46, 44, 0, false, 51);
+      (37, 38, 15, true, 51);
+      (37, 38, 15, true, 51);
+    ]
+
 (* --- parallel determinism ------------------------------------------------- *)
 
 let test_jobs_determinism () =
@@ -677,5 +771,10 @@ let () =
             test_jobs_determinism;
           Alcotest.test_case "jobs-independent counterexamples" `Quick
             test_jobs_determinism_counterexamples;
+        ] );
+      ( "walker counts",
+        [
+          Alcotest.test_case "exact counts on the census fixtures" `Quick
+            test_exact_counts;
         ] );
     ]
